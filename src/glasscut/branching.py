@@ -326,8 +326,7 @@ def pair_combos(node: Node, instance: Instance, cands: list[int]) -> list[PairCo
     another candidate or the bottom item's chain successor, equal widths.
 
     Depends only on the per-chain consumption state, so results are memoized
-    on the instance (benign under concurrent workers: worst case two threads
-    compute the same list)."""
+    on the instance (each portfolio worker process fills its own copy)."""
     cache = instance.__dict__.setdefault("_pair_combo_cache", {})
     hit = cache.get(node.counts)
     if hit is not None:

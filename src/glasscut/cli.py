@@ -1,10 +1,11 @@
 """Command-line entry points: solve, validate, bench.
 
 ``solve`` mirrors the competition setup: instances with at most two chains
-go to DPA*, everything else to four restarting-MBA* workers (two guides x
-two growth factors) sharing one incumbent.  ``validate`` re-checks a
-solution file independently; ``bench`` runs algorithm combinations over a
-directory of instances and appends one CSV row per run.
+go to DPA*, everything else to up to four restarting-MBA* worker processes
+(two guides x two growth factors) sharing the best waste as their bound.
+``validate`` re-checks a solution file independently; ``bench`` runs
+algorithm combinations over a directory of instances and appends one CSV row
+per run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional
 from .fileio import load_instance, read_solution, write_solution
 from .model import GlasscutError, GuideKind, Instance, Params, root_node
 from .search import (
+    DEFAULT_THREADS,
     Incumbent,
     iterative_beam_search,
     portfolio_solve,
@@ -64,7 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-p", "--prefix", required=True, help="instance path prefix")
     solve.add_argument("-t", "--time-limit", type=float, default=3600.0)
     solve.add_argument("-o", "--output", default=None, help="solution CSV path")
-    solve.add_argument("--threads", type=int, default=4)
+    solve.add_argument(
+        "--threads",
+        type=int,
+        default=DEFAULT_THREADS,
+        help="restarting-MBA* worker processes sharing the bound; 1 searches "
+        "in-process and is deterministic (default: min(4, CPUs), here %(default)s)",
+    )
     solve.add_argument("--guide", choices=sorted(GUIDES), default=None)
     solve.add_argument("--growth", default=None, help="restart growth factor")
     solve.add_argument("--queue-size-init", type=int, default=2)

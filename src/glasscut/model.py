@@ -185,9 +185,6 @@ class Instance:
     def plate_defects(self, plate: int) -> tuple[Defect, ...]:
         return self.defects.get(plate, ())
 
-    def chain_of(self, item_id: int) -> int:
-        return self.items[item_id].chain_id
-
 
 def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     by_chain: dict[int, list[Item]] = {}

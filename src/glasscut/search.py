@@ -16,11 +16,14 @@ branch, so this pruning is exact).
 * ``dpa_star`` handles instances with at most two chains: it memoizes, per
   (chain-1 consumed, chain-2 consumed) state, the non-dominated fronts seen
   so far and prunes any newly generated node some stored front dominates.
+* ``portfolio_solve`` runs several restarting-MBA* workers, one process
+  each, that share the incumbent's waste as their pruning bound.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from .model import GlasscutError, GuideKind, Instance, Node, front_key_leq, root_node
-from .branching import children
+from .branching import apply_insertion, children
 
 class ChainCountError(GlasscutError):
     """Raised when DPA* is asked to solve an instance with over two chains."""
@@ -97,7 +100,8 @@ def guide_value(node: Node, kind: GuideKind) -> Number:
 
 
 class Incumbent:
-    """Best complete solution so far, shared by all workers of one run."""
+    """Best complete solution so far of one run.  In a multi-process
+    portfolio the parent process keeps it; workers only share its waste."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -132,11 +136,15 @@ class SearchResult:
 
 
 class _Clock:
+    """Deadline ``time_limit`` seconds from now; ``elapsed`` counts from
+    ``started`` (a ``time.monotonic()`` reading), by default also now."""
+
     __slots__ = ("start", "deadline")
 
-    def __init__(self, time_limit: float):
-        self.start = time.monotonic()
-        self.deadline = self.start + time_limit
+    def __init__(self, time_limit: float, started: Optional[float] = None):
+        now = time.monotonic()
+        self.start = now if started is None else started
+        self.deadline = now + time_limit
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -192,14 +200,21 @@ class Fringe:
             heapify(self._max)
 
 
-def _default_node_cap() -> int:
-    """Fringe size cap derived from available memory (coarse)."""
+# Bytes per live MBA* node, parents included, as tracemalloc measures it
+# (perfbench's model.bytes_per_node); DPA* nodes take about a third of this.
+NODE_BYTES = 4500
+
+
+def _default_node_cap(workers: int = 1) -> int:
+    """Fringe size cap derived from available memory (coarse); each of
+    ``workers`` processes gets an equal share."""
     try:
         with open("/proc/meminfo") as f:
             for line in f:
                 if line.startswith("MemAvailable:"):
                     kib = int(line.split()[1])
-                    return max(100_000, min(kib * 1024 // 1200, 20_000_000))
+                    nodes = kib * 1024 // (NODE_BYTES * workers)
+                    return max(100_000, min(nodes, 20_000_000))
     except OSError:
         pass
     return 2_000_000
@@ -260,11 +275,15 @@ def mba_star(
     use_dominance: bool = True,
     bound_pruning: bool = True,
     trace: Optional[list] = None,
+    started: Optional[float] = None,
 ) -> SearchResult:
-    """A* with a bounded fringe: worst nodes are discarded beyond ``capacity``."""
+    """A* with a bounded fringe: worst nodes are discarded beyond ``capacity``.
+
+    Incumbent improvements are stamped with the seconds since ``started``
+    (a ``time.monotonic()`` reading), by default since this call began."""
     if capacity < 1:
         raise ValueError("fringe capacity must be at least 1")
-    clock = _Clock(time_limit)
+    clock = _Clock(time_limit, started)
     fringe = Fringe()
     counter = 0
     expanded = 0
@@ -314,21 +333,28 @@ def restarting_mba_star(
     capacity_init: int = 2,
     use_symmetry: bool = True,
     use_dominance: bool = True,
+    node_cap: Optional[int] = None,
 ) -> SearchResult:
     """MBA* restarted with geometrically growing capacity.
 
     The incumbent carries across restarts, so later iterations prune with the
     best waste found by earlier ones.  An iteration that explored its whole
-    tree without discarding proves optimality within the scheme.
+    tree without discarding proves optimality within the scheme.  Incumbent
+    improvements are stamped with the seconds since this call began.  The
+    search stops with outcome "memory" when the next capacity would exceed
+    ``node_cap`` (by default a share of the available memory).
     """
     growth = Fraction(str(growth)) if not isinstance(growth, Fraction) else growth
     if growth <= 1:
         raise ValueError("growth factor must exceed 1")
     clock = _Clock(time_limit)
+    cap = node_cap if node_cap is not None else _default_node_cap()
     capacity = capacity_init
     expanded = 0
     iterations = 0
     while not clock.expired():
+        if capacity > cap:
+            return SearchResult("memory", expanded, True, iterations, capacity)
         res = mba_star(
             root,
             instance,
@@ -338,6 +364,7 @@ def restarting_mba_star(
             incumbent,
             use_symmetry=use_symmetry,
             use_dominance=use_dominance,
+            started=clock.start,
         )
         expanded += res.nodes_expanded
         iterations += 1
@@ -506,10 +533,17 @@ PORTFOLIO = (
 )
 
 
+# Worker count of the portfolio: the paper's four, or one per CPU if fewer.
+DEFAULT_THREADS = min(4, os.cpu_count() or 1)
+# Seconds a worker process may take past the deadline to report its result
+# before it is terminated.
+WORKER_GRACE_S = 0.5
+
+
 def portfolio_solve(
     instance: Instance,
     time_limit: float,
-    threads: int = 4,
+    threads: int = DEFAULT_THREADS,
     use_symmetry: bool = True,
     capacity_init: int = 2,
     guide: Optional[GuideKind] = None,
@@ -520,9 +554,12 @@ def portfolio_solve(
     """Entry point mirroring the competition setup.
 
     ``auto`` runs DPA* on instances with at most two chains (falling back to
-    the MBA* portfolio on a memory break) and otherwise the four-worker
-    restarting-MBA* portfolio with a shared incumbent.  Explicit ``guide`` /
-    ``growth`` settings override the portfolio entry of each worker.
+    the MBA* portfolio on a memory break) and otherwise the restarting-MBA*
+    portfolio: ``threads`` workers, one process each when there are several,
+    that share the best waste as their bound.  ``threads=1`` searches in the
+    calling process and is deterministic.  Explicit ``guide`` / ``growth``
+    settings override the portfolio entry of each worker; ``node_cap`` caps
+    the fringe of DPA* and A* and the capacity of each MBA* worker.
     """
     incumbent = Incumbent()
     root = root_node(instance)
@@ -539,9 +576,9 @@ def portfolio_solve(
         if res is not None and res.outcome != "memory":
             return incumbent, [res]
         # fall back to the portfolio with whatever time remains
-        remaining = max(0.0, clock.deadline - time.monotonic())
         return _run_portfolio(
-            instance, root, remaining, threads, use_symmetry, capacity_init, guide, growth, incumbent
+            instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
+            incumbent, node_cap,
         )
 
     if algorithm == "astar":
@@ -555,7 +592,8 @@ def portfolio_solve(
         return incumbent, [res]
     if algorithm == "mbastar":
         return _run_portfolio(
-            instance, root, time_limit, threads, use_symmetry, capacity_init, guide, growth, incumbent
+            instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
+            incumbent, node_cap,
         )
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -563,36 +601,182 @@ def portfolio_solve(
 def _run_portfolio(
     instance: Instance,
     root: Node,
-    time_limit: float,
+    clock: _Clock,
     threads: int,
     use_symmetry: bool,
     capacity_init: int,
     guide: Optional[GuideKind],
     growth: Optional[Union[float, str, Fraction]],
     incumbent: Incumbent,
+    node_cap: Optional[int],
 ) -> tuple[Incumbent, list[SearchResult]]:
     configs = []
     for i in range(max(1, threads)):
         g, gr = PORTFOLIO[i % len(PORTFOLIO)]
         configs.append((guide or g, Fraction(str(growth)) if growth is not None else gr))
 
-    results: list[Optional[SearchResult]] = [None] * len(configs)
-
-    def work(idx: int, g: GuideKind, gr: Fraction) -> None:
-        results[idx] = restarting_mba_star(
-            root, instance, g, gr, time_limit, incumbent,
-            capacity_init=capacity_init, use_symmetry=use_symmetry,
-        )
-
     if len(configs) == 1:
-        work(0, *configs[0])
-    else:
-        pool = [
-            threading.Thread(target=work, args=(i, g, gr), daemon=True)
-            for i, (g, gr) in enumerate(configs)
-        ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+        res = restarting_mba_star(
+            root, instance, *configs[0], max(0.0, clock.deadline - time.monotonic()),
+            incumbent, capacity_init=capacity_init, use_symmetry=use_symmetry,
+            node_cap=node_cap,
+        )
+        return incumbent, [res]
+
+    # imported here, as only a multi-worker portfolio needs them: the
+    # multiprocessing modules add about 1.6 MB to a process's memory
+    import multiprocessing
+
+    # workers get only picklable arguments, so any start method works
+    ctx = multiprocessing.get_context()
+    # the best waste of any worker, -1 before the first solution; it starts
+    # from the caller's incumbent (DPA*'s, after a fallback)
+    shared = ctx.Value("q", -1 if incumbent.waste is None else incumbent.waste)
+    cap = node_cap if node_cap is not None else _default_node_cap(len(configs))
+    workers: list[tuple] = []
+    try:
+        for g, gr in configs:
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_portfolio_worker,
+                args=(instance, root, g, gr, capacity_init, use_symmetry, cap,
+                      clock.deadline, shared, writer),
+                daemon=True,
+            )
+            proc.start()
+            writer.close()  # so the worker's exit closes the pipe
+            workers.append((proc, reader))
+        results = _collect_workers(workers, root, clock, incumbent)
+    finally:
+        for proc, reader in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            reader.close()
     return incumbent, [r for r in results if r is not None]
+
+
+class _SharedBound:
+    """A worker process's side of the portfolio incumbent.
+
+    ``bound`` reads the shared best waste without a lock: a stale read only
+    weakens pruning.  ``offer`` sets it under the lock if the leaf improves
+    and then sends the leaf to the parent as its insertions from the root;
+    the parent rebuilds the ``Node`` chain."""
+
+    def __init__(self, shared, conn) -> None:
+        self._shared = shared
+        self._best = shared.get_obj()
+        self._conn = conn
+
+    def bound(self) -> Optional[int]:
+        waste = self._best.value
+        return None if waste < 0 else waste
+
+    def offer(self, leaf: Node, elapsed: float) -> bool:
+        with self._shared.get_lock():
+            best = self._best.value
+            if 0 <= best <= leaf.waste:
+                return False
+            self._best.value = leaf.waste
+        insertions = []
+        while leaf.parent is not None:
+            insertions.append(leaf.insertion)
+            leaf = leaf.parent
+        self._conn.send(("leaf", tuple(reversed(insertions))))
+        return True
+
+
+def _portfolio_worker(
+    instance: Instance,
+    root: Node,
+    guide: GuideKind,
+    growth: Fraction,
+    capacity_init: int,
+    use_symmetry: bool,
+    node_cap: int,
+    deadline: float,
+    shared,
+    conn,
+) -> None:
+    """One worker process: restarting MBA* until ``deadline`` (a
+    ``time.monotonic()`` reading), then its result or its exception."""
+    try:
+        res = restarting_mba_star(
+            root, instance, guide, growth, deadline - time.monotonic(),
+            _SharedBound(shared, conn), capacity_init=capacity_init,
+            use_symmetry=use_symmetry, node_cap=node_cap,
+        )
+        conn.send(("done", res))
+    except Exception as exc:
+        import traceback
+
+        text = traceback.format_exc()
+        try:
+            conn.send(("error", exc, text))
+        except Exception:  # the exception itself does not pickle
+            conn.send(("error", RuntimeError(repr(exc)), text))
+    finally:
+        conn.close()
+
+
+def _collect_workers(
+    workers: list[tuple],
+    root: Node,
+    clock: _Clock,
+    incumbent: Incumbent,
+) -> list[Optional[SearchResult]]:
+    """Offer each leaf the workers send to ``incumbent``, stamped with the
+    parent's clock, until every worker has reported or the grace period
+    after the deadline is over.  A worker's exception is raised here, as is
+    an error for a worker that ended without a result."""
+    from multiprocessing.connection import wait
+
+    results: list[Optional[SearchResult]] = [None] * len(workers)
+    waiting = {}  # pipe or process sentinel -> worker index
+    for i, (proc, reader) in enumerate(workers):
+        waiting[reader] = waiting[proc.sentinel] = i
+
+    def receive(i: int) -> None:
+        kind, *payload = workers[i][1].recv()
+        if kind == "leaf":
+            leaf = root
+            for ins in payload[0]:
+                leaf = apply_insertion(leaf, ins)
+            incumbent.offer(leaf, clock.elapsed())
+        elif kind == "done":
+            results[i] = payload[0]
+        else:
+            exc, text = payload
+            raise exc from RuntimeError(f"in portfolio worker {i}:\n{text}")
+
+    while waiting:
+        timeout = clock.deadline + WORKER_GRACE_S - time.monotonic()
+        ready = wait(list(waiting), max(0.0, timeout))
+        if not ready:
+            break  # the workers still running get terminated
+        for obj in ready:
+            i = waiting.get(obj)
+            if i is None:
+                continue
+            proc, reader = workers[i]
+            if obj is reader:
+                try:
+                    receive(i)
+                except EOFError:
+                    del waiting[reader]
+            else:
+                # the process has ended, so the pipe holds all it sent
+                while results[i] is None and reader.poll():
+                    try:
+                        receive(i)
+                    except EOFError:
+                        break
+                if results[i] is None:
+                    raise RuntimeError(
+                        f"portfolio worker {i} exited with code {proc.exitcode} "
+                        "without a result"
+                    )
+            if results[i] is not None:
+                waiting = {k: v for k, v in waiting.items() if v != i}
+    return results

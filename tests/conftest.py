@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -164,3 +165,15 @@ def random_front(rng: random.Random, bin_index: int = 0) -> Front:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(autouse=True)
+def no_lingering_workers():
+    """Fail a test that leaves child processes (portfolio workers) running;
+    they are stopped so that the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"child processes outlived the test: {left}"

@@ -1,10 +1,13 @@
 """End-to-end command line runs on generated instance files."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
-from glasscut.cli import main
+import glasscut
+from glasscut.cli import build_parser, main
 from glasscut.fileio import read_solution
 from glasscut.validator import validate
 
@@ -90,6 +93,27 @@ class TestSolve:
             )
             assert code == 0, algo
         capsys.readouterr()
+
+    def test_worker_processes_under_spawn(self, instance_dir, capsys):
+        out = instance_dir / "spawn.csv"
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from glasscut.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "solve", "-p", str(instance_dir / "toy"),
+             "-t", "20", "-o", str(out), "--threads", "2", "--algorithm", "mbastar"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(glasscut.__file__))},
+        )
+        assert done.returncode == 0, done.stderr
+        assert run(["validate", "-p", str(instance_dir / "toy"), "-s", str(out)]) == 0
+
+    def test_default_worker_count_follows_the_cpus(self):
+        args = build_parser().parse_args(["solve", "-p", "x"])
+        assert args.threads == min(4, os.cpu_count() or 1)
 
 
 class TestValidateCommand:

@@ -1,13 +1,17 @@
 """Search algorithms: guides, fringe behaviour, capacity and dominance."""
 
+import multiprocessing
+import os
 import random
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+from glasscut import search
 from glasscut.branching import children
-from glasscut.model import GuideKind, Params, root_node
+from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
     ChainCountError,
     DominanceStore,
@@ -237,6 +241,44 @@ class TestRestartSchedule:
                 inst, use_symmetry=True, use_dominance=True
             )
 
+    def test_history_times_never_decrease_across_restarts(self, monkeypatch):
+        class TickingTime:
+            """Stands in for the time module: every reading is 1 s later."""
+
+            def __init__(self):
+                self.now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        restarted = 0
+        for seed in range(50):
+            inst = random_small_instance(random.Random(seed), max_items=8)
+            monkeypatch.setattr(search, "time", TickingTime())
+            inc = Incumbent()
+            res = restarting_mba_star(
+                root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1e9, inc
+            )
+            times = [t for t, _ in inc.history]
+            assert times == sorted(times), (seed, times)
+            restarted += res.iterations > 2 and len(times) > 2
+        assert restarted >= 10
+
+    def test_node_cap_ends_restarts_with_memory(self):
+        inst = _midsize_instance(30, 6, seed=5)
+        inc = Incumbent()
+        res = restarting_mba_star(
+            root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 60.0, inc, node_cap=10
+        )
+        assert res.outcome == "memory"
+        assert res.final_capacity > 10 and res.iterations == 4  # capacities 2, 3, 5, 8
+
+    def test_default_node_cap_is_shared_between_workers(self):
+        one, four = search._default_node_cap(1), search._default_node_cap(4)
+        assert four <= one
+        assert four == 100_000 or abs(4 * four - one) <= one // 20  # memory moves
+
 
 class TestIterativeBeamSearch:
     def test_width_one_matches_greedy_result(self, rng):
@@ -371,40 +413,96 @@ class TestPortfolio:
         assert incumbent.waste is not None
 
     def test_midsize_output_validates(self):
-        from glasscut.solution import build_solution_tree
-        from glasscut.validator import objective_of, validate
+        _solve_midsize_and_validate(threads=1)
 
-        rngobj = random.Random(77)
-        dims = [(rngobj.randint(150, 1800), rngobj.randint(150, 1400)) for _ in range(40)]
-        chains = [[] for _ in range(6)]
-        for i in range(40):
-            chains[rngobj.randrange(6)].append(i)
-        chains = [c for c in chains if c]
-        from glasscut.model import Defect
-
-        defects = [Defect(0, 2500, 1500, 60, 40), Defect(1, 800, 300, 50, 50)]
-        inst = make_instance(dims, chains, defects, params=Params())
-        incumbent, results = portfolio_solve(
-            inst, time_limit=4.0, algorithm="mbastar", threads=1
-        )
-        assert incumbent.leaf is not None
-        tree = build_solution_tree(incumbent.leaf, inst)
-        report = validate(inst, tree)
-        assert report.ok, str(report)
-        assert objective_of(inst, tree) == incumbent.waste
+    def test_worker_processes_output_validates(self):
+        incumbent = _solve_midsize_and_validate(threads=2)
+        times = [t for t, _ in incumbent.history]
+        assert times == sorted(times) and times[-1] == incumbent.time_to_best <= 4.5
 
     def test_time_limit_respected_with_grace(self):
-        import time as _time
-
-        rngobj = random.Random(91)
-        dims = [(rngobj.randint(200, 1800), rngobj.randint(200, 1400)) for _ in range(60)]
-        chains = [[] for _ in range(8)]
-        for i in range(60):
-            chains[rngobj.randrange(8)].append(i)
-        inst = make_instance(dims, [c for c in chains if c], params=Params())
-        started = _time.monotonic()
+        inst = _midsize_instance(60, 8, seed=91, low=200)
+        started = time.monotonic()
         portfolio_solve(inst, time_limit=1.0, algorithm="mbastar", threads=4)
-        assert _time.monotonic() - started <= 3.0
+        assert time.monotonic() - started <= 3.0
+
+    def test_worker_exception_reaches_caller(self, rng):
+        inst = random_small_instance(rng, max_items=5)
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="growth factor"):
+                portfolio_solve(inst, 5.0, threads=threads, algorithm="mbastar", growth="1")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub reaches the workers only through fork")
+    def test_worker_that_exits_without_result_is_an_error(self, rng, monkeypatch):
+        def vanish(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:
+                os._exit(3)
+
+        monkeypatch.setattr(search, "restarting_mba_star", vanish)
+        inst = random_small_instance(rng, max_items=5)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3 without a result"):
+            portfolio_solve(inst, 30.0, threads=2, algorithm="mbastar")
+        assert time.monotonic() - started < 10.0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub reaches the workers only through fork")
+    def test_stuck_worker_is_terminated_after_the_deadline(self, rng, monkeypatch):
+        monkeypatch.setattr(search, "restarting_mba_star", lambda *a, **k: time.sleep(5))
+        inst = random_small_instance(rng, max_items=5)
+        started = time.monotonic()
+        incumbent, results = portfolio_solve(inst, 0.5, threads=2, algorithm="mbastar")
+        assert time.monotonic() - started < 0.5 + search.WORKER_GRACE_S + 1.0
+        assert results == [] and incumbent.leaf is None
+        assert multiprocessing.active_children() == []
+
+    def test_shared_bound_keeps_the_best_of_concurrent_offers(self):
+        ctx = multiprocessing.get_context()
+        shared = ctx.Value("q", -1)
+        procs, readers = [], []
+        for seed in range(4):  # more processes than a small machine has cores
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_offer_random_wastes, args=(shared, writer, seed))
+            proc.start()
+            writer.close()
+            procs.append(proc)
+            readers.append(reader)
+        improvements = 0
+        for reader in readers:
+            while True:
+                try:
+                    assert reader.recv() == ("leaf", ())
+                except EOFError:
+                    break
+                improvements += 1
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        wastes = [w for seed in range(4) for w in _random_wastes(seed)]
+        assert shared.value == min(wastes)
+        assert 4 <= improvements < len(wastes)
+
+    def test_workers_start_from_the_callers_bound(self, rng, monkeypatch):
+        class ZeroWaste(Incumbent):
+            def __init__(self):
+                super().__init__()
+                self.waste = 0  # nothing can beat it, so every node is pruned
+
+        monkeypatch.setattr(search, "Incumbent", ZeroWaste)
+        inst = random_small_instance(rng, max_items=5)
+        incumbent, results = portfolio_solve(inst, 30.0, threads=2, algorithm="mbastar")
+        assert [r.outcome for r in results] == ["proved", "proved"]
+        assert all(r.nodes_expanded == 0 for r in results)
+        assert incumbent.leaf is None and incumbent.history == []
+
+    def test_node_cap_reaches_every_worker(self):
+        inst = _midsize_instance(30, 6, seed=5)
+        for threads in (1, 2):
+            _, results = portfolio_solve(
+                inst, 30.0, threads=threads, algorithm="mbastar", node_cap=10
+            )
+            assert [r.outcome for r in results] == ["memory"] * threads
 
     def test_single_worker_is_deterministic(self, rng):
         inst = random_small_instance(rng, max_items=5)
@@ -416,3 +514,49 @@ class TestPortfolio:
             )
             runs.append((incumbent.waste, [w for _, w in incumbent.history]))
         assert runs[0] == runs[1]
+
+
+def _solve_midsize_and_validate(threads):
+    from glasscut.solution import build_solution_tree
+    from glasscut.validator import objective_of, validate
+
+    defects = [Defect(0, 2500, 1500, 60, 40), Defect(1, 800, 300, 50, 50)]
+    inst = _midsize_instance(40, 6, seed=77, defects=defects)
+    incumbent, results = portfolio_solve(
+        inst, time_limit=4.0, algorithm="mbastar", threads=threads
+    )
+    assert len(results) == threads
+    assert incumbent.leaf is not None
+    tree = build_solution_tree(incumbent.leaf, inst)
+    report = validate(inst, tree)
+    assert report.ok, str(report)
+    assert objective_of(inst, tree) == incumbent.waste
+    return incumbent
+
+
+def _midsize_instance(n_items, n_chains, seed, low=150, defects=None):
+    rngobj = random.Random(seed)
+    dims = [(rngobj.randint(low, 1800), rngobj.randint(low, 1400)) for _ in range(n_items)]
+    chains = [[] for _ in range(n_chains)]
+    for i in range(n_items):
+        chains[rngobj.randrange(n_chains)].append(i)
+    return make_instance(dims, [c for c in chains if c], defects, params=Params())
+
+
+class _CompleteRoot:
+    parent = None
+
+    def __init__(self, waste):
+        self.waste = waste
+
+
+def _random_wastes(seed):
+    rng = random.Random(seed)
+    return [rng.randint(0, 10**6) for _ in range(3000)]
+
+
+def _offer_random_wastes(shared, conn, seed):
+    bound = search._SharedBound(shared, conn)
+    for waste in _random_wastes(seed):
+        bound.offer(_CompleteRoot(waste), 0.0)
+    conn.close()
