@@ -33,7 +33,7 @@ insertion materializes or extends is checked against defect interiors.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .model import Defect, Instance, Node, ShelfRecord, front_key_leq
 
@@ -44,6 +44,11 @@ class InsertionKind(Enum):
     ITEM_WASTE_BELOW = 3
     TWO_ITEMS = 4
     WASTE_ONLY = 5
+
+
+# module aliases of the kinds: attribute lookups on an Enum class are slow
+_ONE_ITEM, _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _TWO_ITEMS, _WASTE_ONLY = InsertionKind
+_NO_CHAINS: frozenset[int] = frozenset()
 
 
 class Placement(NamedTuple):
@@ -86,13 +91,16 @@ class Insertion(NamedTuple):
     def has_items(self) -> bool:
         return bool(self.placements)
 
-    def min_item(self) -> Optional[int]:
-        if not self.placements:
-            return None
-        return min(pl.item_id for pl in self.placements)
 
-    def chain_ids(self) -> frozenset[int]:
-        return frozenset(pl.chain_idx for pl in self.placements)
+def _cell_items(ins: Insertion, instance: Instance) -> tuple[Optional[int], frozenset[int]]:
+    """Smallest item id (None for a waste cell) and chain indexes of a cell."""
+    pls = ins.placements
+    if not pls:
+        return None, _NO_CHAINS
+    if len(pls) == 1:
+        return pls[0].item_id, instance.chain_sets[pls[0].chain_idx]
+    a, b = pls
+    return min(a.item_id, b.item_id), frozenset((a.chain_idx, b.chain_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +151,17 @@ def _raise_item(
 # ---------------------------------------------------------------------------
 # growth and closing of the current column
 
-def _edge_constraints(node: Node, closing_shelf: bool, extra_edge: Optional[int]) -> list[int]:
+def _edge_constraints(node: Node, closing_shelf: bool) -> list[int]:
     """Cut edges the final x1 may not approach closer than min_waste.
 
     Closed shelves that ended with an item cell keep their content edge as a
-    constraint (a zero-width strip is fine, a sliver is not); the current
-    shelf contributes its edge when it is being closed, and a newly placed
-    final cell contributes ``extra_edge``.
+    constraint (a zero-width strip is fine, a sliver is not), and the current
+    shelf contributes its edge when it is being closed.  A cell that packs
+    the last item adds its own right edge.
     """
     edges = [r.edge for r in node.closed_shelves if r.edge_is_cut]
     if closing_shelf and node.cell_min_item is not None:
         edges.append(node.x3_curr)
-    if extra_edge is not None:
-        edges.append(extra_edge)
     return edges
 
 
@@ -205,7 +211,7 @@ class _ColumnClose:
         lower = node.x1_curr
         if node.col_has_items:
             lower = max(lower, node.x1_prev + p.min1)
-        edges = _edge_constraints(node, closing_shelf=True, extra_edge=None)
+        edges = _edge_constraints(node, closing_shelf=True)
         x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
         if node.col_has_items and x1 - node.x1_prev > p.max1:
             return
@@ -262,24 +268,7 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
     return (3, 2, 1, 0)
 
 
-def _cell_variants_fixed(
-    defects: tuple[Defect, ...], x: int, y_lo: int, y_hi: int, w: int, h: int, mw: int
-) -> Iterator[tuple[InsertionKind, int, Optional[int]]]:
-    """(kind, item_y, split_y) choices for an item cell in an existing shelf."""
-    h2 = y_hi - y_lo
-    if h == h2:
-        if _rect_clear(defects, x, y_lo, x + w, y_lo + h):
-            yield InsertionKind.ONE_ITEM, y_lo, None
-        return
-    if h > h2 - mw:
-        return  # the 4-cut waste would be a sliver
-    if _rect_clear(defects, x, y_lo, x + w, y_lo + h):
-        yield InsertionKind.ITEM_WASTE_ABOVE, y_lo, y_lo + h
-    elif _rect_clear(defects, x, y_hi - h, x + w, y_hi):
-        yield InsertionKind.ITEM_WASTE_BELOW, y_hi - h, y_hi - h
-
-
-def _cell_variants_new_shelf(
+def _cell_variant_new_shelf(
     defects: tuple[Defect, ...],
     x: int,
     y_lo: int,
@@ -288,25 +277,20 @@ def _cell_variants_new_shelf(
     plate_h: int,
     min2: int,
     mw: int,
-) -> Iterator[tuple[InsertionKind, int, int, Optional[int]]]:
-    """(kind, cell_h, item_y, split_y) choices when the shelf height is free."""
-    if _rect_clear(defects, x, y_lo, x + w, y_lo + h):
+) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
+    """(kind, cell_h, item_y, split_y) of an item cell whose shelf height is
+    free, or None."""
+    if not defects or _rect_clear(defects, x, y_lo, x + w, y_lo + h):
         if h >= min2:
-            yield InsertionKind.ONE_ITEM, h, y_lo, None
-        else:
-            cell_h = max(min2, h + mw)  # widen to min2, keep the waste >= min_waste
-            yield InsertionKind.ITEM_WASTE_ABOVE, cell_h, y_lo, y_lo + h
-        return
+            return _ONE_ITEM, h, y_lo, None
+        # widen to min2, keep the waste >= min_waste
+        return _ITEM_WASTE_ABOVE, max(min2, h + mw), y_lo, y_lo + h
     # bottom spot is defective: put the item at the top of a taller cell
     y_min = max(y_lo + mw, y_lo + min2 - h)
     y_item = _raise_item(defects, x, w, h, y_min, plate_h)
-    if y_item is not None:
-        yield InsertionKind.ITEM_WASTE_BELOW, y_item + h - y_lo, y_item, y_item
-
-
-def _top_sliver_ok(y_top: int, plate_h: int, mw: int) -> bool:
-    gap = plate_h - y_top
-    return gap == 0 or gap >= mw
+    if y_item is None:
+        return None
+    return _ITEM_WASTE_BELOW, y_item + h - y_lo, y_item, y_item
 
 
 class PairCombo(NamedTuple):
@@ -416,13 +400,11 @@ def enumerate_insertions(node: Node, instance: Instance) -> list[Insertion]:
 
 
 def _insertion_sort_key(ins: Insertion):
-    if ins.placements:
-        item_key = ins.placements[0].item_id
-        orient = tuple((pl.item_id, pl.rotated) for pl in ins.placements)
-    else:
-        item_key = 1 << 30
-        orient = ()
-    return (item_key, -ins.depth, ins.kind.value, orient)
+    pls = ins.placements
+    if not pls:
+        return (1 << 30, -ins.depth, ins.kind._value_, ())
+    orient = tuple([(pl.item_id, pl.rotated) for pl in pls])
+    return (pls[0].item_id, -ins.depth, ins.kind._value_, orient)
 
 
 def _gen_depth3(node: Node, instance: Instance, cands: list[int], combos: list[PairCombo]) -> list[Insertion]:
@@ -432,70 +414,66 @@ def _gen_depth3(node: Node, instance: Instance, cands: list[int], combos: list[P
     defects = instance.plate_defects(node.bin)
     x = node.x3_curr
     y_lo, y_hi = node.y2_prev, node.y2_curr
+    if defects and not _vcut_ok(defects, x, y_lo, y_hi):
+        return []  # the boundary with the current cell is a real 3-cut
+    x1_prev, x1_curr = node.x1_prev, node.x1_curr
+    x1_max = min(x1_prev + p.max1, p.plate_width)
+    edges = _edge_constraints(node, closing_shelf=False)
+    items_left = instance.n_items - node.n_packed
+    chain_index = instance.chain_index
     out: list[Insertion] = []
 
     def try_cell(placements, x_end, split_y, kind):
-        completing = node.n_packed + len(placements) == instance.n_items
-        lower = x_end
+        completing = len(placements) == items_left
         if completing:
-            lower = max(lower, node.x1_prev + p.min1)
-        edges = _edge_constraints(
-            node, closing_shelf=False, extra_edge=x_end if completing else None
-        )
-        x1 = _resolve_x1(node.x1_curr, lower, edges, mw)
-        if x1 - node.x1_prev > p.max1 or x1 > p.plate_width:
+            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
+        else:
+            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+        if x1 > x1_max:
             return
         if defects:
-            # the boundary with the current cell is a real 3-cut
-            if not _vcut_ok(defects, x, y_lo, y_hi):
-                return
             if not _growth_cuts_ok(node, x1, defects):
                 return
             if completing:
                 if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
                     return
-                if y_hi < H and not _hcut_ok(defects, y_hi, node.x1_prev, x1):
+                if y_hi < H and not _hcut_ok(defects, y_hi, x1_prev, x1):
                     return
                 if x1 < p.plate_width and not _vcut_ok(defects, x1, 0, H):
                     return
-        out.append(
-            Insertion(
-                kind=kind,
-                depth=3,
-                new_bin=False,
-                completes=completing,
-                placements=placements,
-                bin=node.bin,
-                prior_area=node.prior_area,
-                x1_prev=node.x1_prev,
-                x1_curr=x1,
-                y2_prev=y_lo,
-                y2_curr=y_hi,
-                x3_prev=x,
-                x3_curr=x_end,
-                split_y=split_y,
-                prev_col_x1=x1 if completing else None,
-            )
-        )
+        out.append(Insertion(
+            kind, 3, False, completing, placements, node.bin, node.prior_area,
+            x1_prev, x1, y_lo, y_hi, x, x_end, split_y, x1 if completing else None,
+        ))
 
-    for j in cands:
-        for w, h, rot in instance.oriented[j]:
-            for kind, y_item, split_y in _cell_variants_fixed(defects, x, y_lo, y_hi, w, h, mw):
-                pl = (_placement(instance, node, j, x, y_item, w, h, rot),)
-                try_cell(pl, x + w, split_y, kind)
     h2 = y_hi - y_lo
+    for j in cands:
+        ci = chain_index[j]
+        for w, h, rot in instance.oriented[j]:
+            if h == h2:
+                kind, y_item, split_y = _ONE_ITEM, y_lo, None
+            elif h > h2 - mw:
+                continue  # too tall, or the 4-cut waste would be a sliver
+            else:
+                kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+            if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
+                if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
+                    continue
+                kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
+            try_cell((Placement(j, ci, x, y_item, w, h, rot),), x + w, split_y, kind)
     for c in combos:
         if c.hj + c.hk != h2:
             continue
-        if not _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj):
-            continue
-        if not _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_hi):
+        if defects and not (
+            _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj)
+            and _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_hi)
+        ):
             continue
         pls = (
-            _placement(instance, node, c.j, x, y_lo, c.width, c.hj, c.rj),
-            _placement(instance, node, c.k, x, y_lo + c.hj, c.width, c.hk, c.rk),
+            Placement(c.j, chain_index[c.j], x, y_lo, c.width, c.hj, c.rj),
+            Placement(c.k, chain_index[c.k], x, y_lo + c.hj, c.width, c.hk, c.rk),
         )
-        try_cell(pls, x + c.width, y_lo + c.hj, InsertionKind.TWO_ITEMS)
+        try_cell(pls, x + c.width, y_lo + c.hj, _TWO_ITEMS)
     return out
 
 
@@ -504,25 +482,27 @@ def _gen_depth2(node: Node, instance: Instance, cands: list[int], combos: list[P
     mw = p.min_waste
     H = p.plate_height
     defects = instance.plate_defects(node.bin)
-    x = node.x1_prev
+    x = x1_prev = node.x1_prev
+    x1_curr = node.x1_curr
     y_lo = node.y2_curr
     if y_lo >= H:
         return []
+    x1_max = min(x1_prev + p.max1, p.plate_width)
+    edges = _edge_constraints(node, closing_shelf=True)
+    items_left = instance.n_items - node.n_packed
+    chain_index = instance.chain_index
     out: list[Insertion] = []
 
     def try_cell(placements, x_end, cell_h, split_y, kind):
         y_hi = y_lo + cell_h
-        if y_hi > H or not _top_sliver_ok(y_hi, H, mw):
-            return
-        completing = node.n_packed + len(placements) == instance.n_items
-        lower = x_end
+        if y_hi > H - mw and y_hi != H:
+            return  # past the plate, or a sliver above
+        completing = len(placements) == items_left
         if completing:
-            lower = max(lower, node.x1_prev + p.min1)
-        edges = _edge_constraints(
-            node, closing_shelf=True, extra_edge=x_end if completing else None
-        )
-        x1 = _resolve_x1(node.x1_curr, lower, edges, mw)
-        if x1 - node.x1_prev > p.max1 or x1 > p.plate_width:
+            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
+        else:
+            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+        if x1 > x1_max:
             return
         if defects:
             if not _growth_cuts_ok(node, x1, defects):
@@ -530,56 +510,43 @@ def _gen_depth2(node: Node, instance: Instance, cands: list[int], combos: list[P
             if not _close_shelf_cut_ok(node, x1, defects):
                 return
             # 2-cut between the closed shelf and this one
-            if not _hcut_ok(defects, y_lo, node.x1_prev, x1):
+            if not _hcut_ok(defects, y_lo, x1_prev, x1):
                 return
             if completing:
                 if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
                     return
-                if y_hi < H and not _hcut_ok(defects, y_hi, node.x1_prev, x1):
+                if y_hi < H and not _hcut_ok(defects, y_hi, x1_prev, x1):
                     return
                 if x1 < p.plate_width and not _vcut_ok(defects, x1, 0, H):
                     return
-        out.append(
-            Insertion(
-                kind=kind,
-                depth=2,
-                new_bin=False,
-                completes=completing,
-                placements=placements,
-                bin=node.bin,
-                prior_area=node.prior_area,
-                x1_prev=node.x1_prev,
-                x1_curr=x1,
-                y2_prev=y_lo,
-                y2_curr=y_hi,
-                x3_prev=x,
-                x3_curr=x_end,
-                split_y=split_y,
-                prev_col_x1=x1 if completing else None,
-            )
-        )
+        out.append(Insertion(
+            kind, 2, False, completing, placements, node.bin, node.prior_area,
+            x1_prev, x1, y_lo, y_hi, x, x_end, split_y, x1 if completing else None,
+        ))
 
     for j in cands:
+        ci = chain_index[j]
         for w, h, rot in instance.oriented[j]:
             if y_lo + h > H:
                 continue
-            for kind, cell_h, y_item, split_y in _cell_variants_new_shelf(
-                defects, x, y_lo, w, h, H, p.min2, mw
-            ):
-                pl = (_placement(instance, node, j, x, y_item, w, h, rot),)
+            cell = _cell_variant_new_shelf(defects, x, y_lo, w, h, H, p.min2, mw)
+            if cell is not None:
+                kind, cell_h, y_item, split_y = cell
+                pl = (Placement(j, ci, x, y_item, w, h, rot),)
                 try_cell(pl, x + w, cell_h, split_y, kind)
     for c in combos:
         if c.hj + c.hk < p.min2 or y_lo + c.hj + c.hk > H:
             continue
-        if not _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj):
-            continue
-        if not _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_lo + c.hj + c.hk):
+        if defects and not (
+            _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj)
+            and _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_lo + c.hj + c.hk)
+        ):
             continue
         pls = (
-            _placement(instance, node, c.j, x, y_lo, c.width, c.hj, c.rj),
-            _placement(instance, node, c.k, x, y_lo + c.hj, c.width, c.hk, c.rk),
+            Placement(c.j, chain_index[c.j], x, y_lo, c.width, c.hj, c.rj),
+            Placement(c.k, chain_index[c.k], x, y_lo + c.hj, c.width, c.hk, c.rk),
         )
-        try_cell(pls, x + c.width, c.hj + c.hk, y_lo + c.hj, InsertionKind.TWO_ITEMS)
+        try_cell(pls, x + c.width, c.hj + c.hk, y_lo + c.hj, _TWO_ITEMS)
     return out
 
 
@@ -597,17 +564,20 @@ def _gen_depth01(
     x_col, target_bin, prev_col_x1 = frame
     defects = instance.plate_defects(target_bin)
     prior_area = target_bin * W * H
+    x1_max = min(x_col + p.max1, W)
+    items_left = instance.n_items - node.n_packed
+    chain_index = instance.chain_index
     out: list[Insertion] = []
 
     def try_cell(placements, x_end, cell_h, split_y, kind):
         y_hi = cell_h
-        if y_hi > H or not _top_sliver_ok(y_hi, H, mw):
-            return
-        completing = node.n_packed + len(placements) == instance.n_items
+        if y_hi > H - mw and y_hi != H:
+            return  # past the plate, or a sliver above
+        completing = len(placements) == items_left
         x1 = x_end
         if completing:
             x1 = _resolve_x1(x_end, max(x_end, x_col + p.min1), [x_end], mw)
-        if x1 - x_col > p.max1 or x1 > W:
+        if x1 > x1_max:
             return
         if defects and completing:
             if x1 > x_end and not _vcut_ok(defects, x_end, 0, y_hi):
@@ -616,47 +586,34 @@ def _gen_depth01(
                 return
             if x1 < W and not _vcut_ok(defects, x1, 0, H):
                 return
-        out.append(
-            Insertion(
-                kind=kind,
-                depth=depth,
-                new_bin=new_bin,
-                completes=completing,
-                placements=placements,
-                bin=target_bin,
-                prior_area=prior_area,
-                x1_prev=x_col,
-                x1_curr=x1,
-                y2_prev=0,
-                y2_curr=y_hi,
-                x3_prev=x_col,
-                x3_curr=x_end,
-                split_y=split_y,
-                prev_col_x1=prev_col_x1,
-            )
-        )
+        out.append(Insertion(
+            kind, depth, new_bin, completing, placements, target_bin, prior_area,
+            x_col, x1, 0, y_hi, x_col, x_end, split_y, prev_col_x1,
+        ))
 
     for j in cands:
+        ci = chain_index[j]
         for w, h, rot in instance.oriented[j]:
             if h > H or x_col + w > W:
                 continue
-            for kind, cell_h, y_item, split_y in _cell_variants_new_shelf(
-                defects, x_col, 0, w, h, H, p.min2, mw
-            ):
-                pl = (_placement(instance, node, j, x_col, y_item, w, h, rot),)
+            cell = _cell_variant_new_shelf(defects, x_col, 0, w, h, H, p.min2, mw)
+            if cell is not None:
+                kind, cell_h, y_item, split_y = cell
+                pl = (Placement(j, ci, x_col, y_item, w, h, rot),)
                 try_cell(pl, x_col + w, cell_h, split_y, kind)
     for c in combos:
         if c.hj + c.hk < p.min2 or c.hj + c.hk > H or x_col + c.width > W:
             continue
-        if not _rect_clear(defects, x_col, 0, x_col + c.width, c.hj):
-            continue
-        if not _rect_clear(defects, x_col, c.hj, x_col + c.width, c.hj + c.hk):
+        if defects and not (
+            _rect_clear(defects, x_col, 0, x_col + c.width, c.hj)
+            and _rect_clear(defects, x_col, c.hj, x_col + c.width, c.hj + c.hk)
+        ):
             continue
         pls = (
-            _placement(instance, node, c.j, x_col, 0, c.width, c.hj, c.rj),
-            _placement(instance, node, c.k, x_col, c.hj, c.width, c.hk, c.rk),
+            Placement(c.j, chain_index[c.j], x_col, 0, c.width, c.hj, c.rj),
+            Placement(c.k, chain_index[c.k], x_col, c.hj, c.width, c.hk, c.rk),
         )
-        try_cell(pls, x_col + c.width, c.hj + c.hk, c.hj, InsertionKind.TWO_ITEMS)
+        try_cell(pls, x_col + c.width, c.hj + c.hk, c.hj, _TWO_ITEMS)
     return out
 
 
@@ -682,10 +639,6 @@ def _open_column_frame(
     return (close.final_x1, node.bin, close.final_x1)
 
 
-def _placement(instance, node, item_id, x, y, w, h, rotated) -> Placement:
-    return Placement(item_id, instance.chain_index[item_id], x, y, w, h, rotated)
-
-
 def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion]:
     """A waste cell covering the nearest blocking defect, if there is one."""
     p = instance.params
@@ -703,7 +656,7 @@ def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion
             return None
         first = min(ahead, key=lambda d: (d.x, d.y))
         x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
-        edges = _edge_constraints(node, closing_shelf=False, extra_edge=None)
+        edges = _edge_constraints(node, closing_shelf=False)
         x1 = _resolve_x1(node.x1_curr, x_end, edges, mw)
         if (node.col_has_items and x1 - node.x1_prev > p.max1) or x1 > W:
             return None
@@ -714,21 +667,8 @@ def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion
         if not _growth_cuts_ok(node, x1, defects):
             return None
         return Insertion(
-            kind=InsertionKind.WASTE_ONLY,
-            depth=3,
-            new_bin=False,
-            completes=False,
-            placements=(),
-            bin=node.bin,
-            prior_area=node.prior_area,
-            x1_prev=node.x1_prev,
-            x1_curr=x1,
-            y2_prev=y_lo,
-            y2_curr=y_hi,
-            x3_prev=x,
-            x3_curr=x_end,
-            split_y=None,
-            prev_col_x1=None,
+            _WASTE_ONLY, 3, False, False, (), node.bin, node.prior_area,
+            node.x1_prev, x1, y_lo, y_hi, x, x_end, None, None,
         )
     if depth == 2:
         defects = instance.plate_defects(node.bin)
@@ -746,7 +686,7 @@ def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion
         y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), band, vertical=False)
         if y_end > H:
             return None
-        edges = _edge_constraints(node, closing_shelf=True, extra_edge=None)
+        edges = _edge_constraints(node, closing_shelf=True)
         x1 = _resolve_x1(node.x1_curr, node.x1_curr, edges, mw)
         if x1 > W or (node.col_has_items and x1 - node.x1_prev > p.max1):
             return None
@@ -759,26 +699,15 @@ def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion
         if y_end < H and not _hcut_ok(defects, y_end, node.x1_prev, x1):
             return None
         return Insertion(
-            kind=InsertionKind.WASTE_ONLY,
-            depth=2,
-            new_bin=False,
-            completes=False,
-            placements=(),
-            bin=node.bin,
-            prior_area=node.prior_area,
-            x1_prev=node.x1_prev,
-            x1_curr=x1,
-            y2_prev=y_lo,
-            y2_curr=y_end,
-            x3_prev=node.x1_prev,
-            x3_curr=x1,
-            split_y=None,
-            prev_col_x1=None,
+            _WASTE_ONLY, 2, False, False, (), node.bin, node.prior_area,
+            node.x1_prev, x1, y_lo, y_end, node.x1_prev, x1, None, None,
         )
     # depth 1 or 0: a waste column hiding a defect column
     new_bin = depth == 0
     if new_bin and node.bin + 1 >= p.n_plates:
         return None
+    if not instance.plate_defects(node.bin + 1 if new_bin else node.bin):
+        return None  # no defect to hide; spares closing the column
     frame = _open_column_frame(node, instance, new_bin)
     if frame is None:
         return None
@@ -794,21 +723,8 @@ def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion
     if x_end < W and not _vcut_ok(defects, x_end, 0, H):
         return None
     return Insertion(
-        kind=InsertionKind.WASTE_ONLY,
-        depth=depth,
-        new_bin=new_bin,
-        completes=False,
-        placements=(),
-        bin=target_bin,
-        prior_area=target_bin * W * H,
-        x1_prev=x_col,
-        x1_curr=x_end,
-        y2_prev=0,
-        y2_curr=H,
-        x3_prev=x_col,
-        x3_curr=x_end,
-        split_y=None,
-        prev_col_x1=prev_col_x1,
+        _WASTE_ONLY, depth, new_bin, False, (), target_bin, target_bin * W * H,
+        x_col, x_end, 0, H, x_col, x_end, None, prev_col_x1,
     )
 
 
@@ -828,15 +744,17 @@ def _extend_past(start: int, end: int, defects: list[Defect], vertical: bool) ->
 # ---------------------------------------------------------------------------
 # applying an insertion
 
-def apply_insertion(node: Node, ins: Insertion) -> Node:
+def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
     """Child node for a feasible insertion (geometry was settled upstream)."""
-    counts = list(node.counts)
+    counts = node.counts
     item_area = node.item_area
-    for pl in ins.placements:
-        counts[pl.chain_idx] += 1
-        item_area += pl.width * pl.height
-    new_min = ins.min_item()
-    new_chains = ins.chain_ids()
+    if ins.placements:
+        counts = list(counts)
+        for pl in ins.placements:
+            counts[pl.chain_idx] += 1
+            item_area += pl.width * pl.height
+        counts = tuple(counts)
+    new_min, new_chains = _cell_items(ins, instance)
 
     if ins.depth == 3:
         closed = node.closed_shelves
@@ -874,14 +792,14 @@ def apply_insertion(node: Node, ins: Insertion) -> Node:
         ins.y2_curr,
         ins.x3_prev,
         ins.x3_curr,
-        tuple(counts),
+        counts,
         node.n_packed + len(ins.placements),
         item_area,
         ins.prior_area,
         ins.completes,
         ins.depth,
-        ins.kind is InsertionKind.WASTE_ONLY,
-        ins.kind is InsertionKind.TWO_ITEMS,
+        ins.kind is _WASTE_ONLY,
+        ins.kind is _TWO_ITEMS,
         closed,
         col_has_items,
         shelf_min,
@@ -912,12 +830,12 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
     create the chain link that makes the swap illegal."""
     defects = instance.plate_defects(node.bin)
     if ins.depth == 3:
-        new_min = ins.min_item()
+        new_min, new_chains = _cell_items(ins, instance)
         if (
             new_min is not None
             and node.cell_min_item is not None
             and new_min < node.cell_min_item
-            and not (node.cell_chain_ids & ins.chain_ids())
+            and not (node.cell_chain_ids & new_chains)
         ):
             y0, y1 = node.y2_prev, node.y2_curr
             if _rect_clear(defects, node.x3_prev, y0, node.x3_curr, y1) and _rect_clear(
@@ -926,7 +844,7 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
                 return False
         if ins.completes:
             q_min = _min_opt(node.shelf_min_item, new_min)
-            q_chains = node.shelf_chain_ids | ins.chain_ids()
+            q_chains = node.shelf_chain_ids | new_chains
             if not _shelf_close_allowed(node, defects, q_min, q_chains, ins.x1_curr):
                 return False
         return True
@@ -938,12 +856,12 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
         return False
     if ins.depth == 2 and ins.completes:
         # the newly opened shelf also closes immediately, against the old one
-        q_min = ins.min_item()
+        q_min, q_chains = _cell_items(ins, instance)
         if (
             q_min is not None
             and node.shelf_min_item is not None
             and q_min < node.shelf_min_item
-            and not (node.shelf_chain_ids & ins.chain_ids())
+            and not (node.shelf_chain_ids & q_chains)
         ):
             if _rect_clear(
                 defects, node.x1_prev, node.y2_prev, ins.x1_curr, node.y2_curr
@@ -1014,7 +932,7 @@ def children(
     ins_list = enumerate_insertions(node, instance)
     if use_symmetry:
         ins_list = [ins for ins in ins_list if symmetry_allows(node, ins, instance)]
-    kids = [apply_insertion(node, ins) for ins in ins_list]
+    kids = [apply_insertion(node, ins, instance) for ins in ins_list]
     if use_dominance:
         kids = filter_dominated_children(kids)
     return kids

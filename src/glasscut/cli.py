@@ -58,6 +58,28 @@ def _params_from(args: argparse.Namespace) -> Params:
     )
 
 
+def _growth_factor(text: str) -> str:
+    """A restart growth factor above 1, kept as written (``1.5``, ``3/2``)."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value <= 1:
+        raise argparse.ArgumentTypeError(f"must exceed 1, got {text}")
+    return text
+
+
+def _positive_int(text: str) -> int:
+    """An integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glasscut")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         "in-process and is deterministic (default: min(4, CPUs), here %(default)s)",
     )
     solve.add_argument("--guide", choices=sorted(GUIDES), default=None)
-    solve.add_argument("--growth", default=None, help="restart growth factor")
-    solve.add_argument("--queue-size-init", type=int, default=2)
+    solve.add_argument("--growth", type=_growth_factor, default=None,
+                       help="restart growth factor, above 1")
+    solve.add_argument("--queue-size-init", type=_positive_int, default=2)
     solve.add_argument("--no-symmetry", action="store_true")
     solve.add_argument(
         "--algorithm",
@@ -102,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("-o", "--output", default="results.csv")
     bench.add_argument("--algos", nargs="+", default=["mbastar"], choices=["mbastar", "ibs"])
     bench.add_argument("--guides", nargs="+", default=["p", "a"], choices=sorted(GUIDES))
-    bench.add_argument("--growth", default="1.5")
+    bench.add_argument("--growth", type=_growth_factor, default="1.5")
     bench.add_argument("--symmetry", choices=["on", "off", "both"], default="on")
     bench.add_argument("--instances", nargs="*", default=None, help="restrict to these names")
     _add_param_flags(bench)
@@ -183,8 +206,13 @@ def _bench_single(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    try:
+        files = sorted(os.listdir(args.dir))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     names = []
-    for fn in sorted(os.listdir(args.dir)):
+    for fn in files:
         if fn.endswith("_batch.csv"):
             names.append(fn[: -len("_batch.csv")])
     if args.instances:
@@ -192,13 +220,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         print("error: no instances found", file=sys.stderr)
         return 1
+    instances = {}
+    for name in names:  # all of them before the first run, which may take hours
+        try:
+            instances[name] = load_instance(os.path.join(args.dir, name), params)
+        except (GlasscutError, OSError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
     sym_options = {"on": [True], "off": [False], "both": [True, False]}[args.symmetry]
     new_file = not os.path.exists(args.output)
     with open(args.output, "a", encoding="utf-8") as out:
         if new_file:
             out.write("instance,algorithm,guide,growth,waste,time_to_best\n")
-        for name in names:
-            instance = load_instance(os.path.join(args.dir, name), params)
+        for name, instance in instances.items():
             for algo in args.algos:
                 for guide_key in args.guides:
                     for sym in sym_options:

@@ -129,6 +129,8 @@ class Instance:
         if not self.chains:
             self.chains = _derive_chains(self.items)
         self._check()
+        # {chain index} per chain, shared by every one-item cell of the chain
+        self.chain_sets = tuple(frozenset((ci,)) for ci in range(len(self.chains)))
         self.total_item_area = sum(it.area for it in self.items)
         # (width, height, rotated) choices per item, squares listed once
         self.oriented: list[tuple[tuple[int, int, bool], ...]] = [

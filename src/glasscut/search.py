@@ -31,72 +31,37 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
-from .model import GlasscutError, GuideKind, Instance, Node, front_key_leq, root_node
+from .model import GlasscutError, GuideKind, Instance, Node, Params, front_key_leq, root_node
 from .branching import apply_insertion, children
 
 class ChainCountError(GlasscutError):
     """Raised when DPA* is asked to solve an instance with over two chains."""
 
 
-class Ratio:
-    """Exact non-negative rational ordered by cross-multiplication.
+def guide_scale(params: Params) -> int:
+    """Scale of the integer guide keys of one search: (n_plates * W * H)^4.
 
-    Cheaper than Fraction in the fringe hot path (no normalization, no
-    numeric-tower dispatch); comparisons against ints, floats and Fractions
-    still work for convenience."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        self.num = num
-        self.den = den
-
-    def __lt__(self, other) -> bool:
-        if type(other) is Ratio:
-            return self.num * other.den < other.num * self.den
-        return self.num < other * self.den
-
-    def __eq__(self, other) -> bool:
-        if type(other) is Ratio:
-            return self.num * other.den == other.num * self.den
-        return self.num == other * self.den
-
-    def __gt__(self, other) -> bool:
-        if type(other) is Ratio:
-            return self.num * other.den > other.num * self.den
-        return self.num > other * self.den
-
-    def __le__(self, other) -> bool:
-        return not self.__gt__(other)
-
-    def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
-
-    def __neg__(self) -> "Ratio":
-        return Ratio(-self.num, self.den)
-
-    def __repr__(self) -> str:
-        return f"Ratio({self.num}/{self.den})"
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    A node's area is at most n_plates * W * H = M and its item area at most
+    its area, so every guide ratio has a denominator of at most M^2.  Two
+    such ratios are either equal or at least 1 / M^4 apart, so multiplying
+    by M^4 and rounding down keeps their order and their ties exactly."""
+    return (params.n_plates * params.plate_width * params.plate_height) ** 4
 
 
-Number = Union[int, Ratio]
-
-
-def guide_value(node: Node, kind: GuideKind) -> Number:
-    """Ordering key of a node; exact arithmetic, zero on the empty root."""
+def guide_value(node: Node, kind: GuideKind, scale: int) -> int:
+    """Ordering key of a node: the guide's ratio times ``scale`` (see
+    ``guide_scale``) rounded down, which orders and ties nodes exactly as
+    the ratio does; zero on the empty root."""
     if kind is GuideKind.WASTE:
         return node.waste
     if node.area == 0:
-        return Ratio(0, 1)
+        return 0
     if kind is GuideKind.WASTE_PERCENTAGE:
-        return Ratio(node.waste, node.area)
+        return node.waste * scale // node.area
     if node.n_packed == 0:
-        return Ratio(0, 1)
+        return 0
     # waste percentage divided by the mean packed item area
-    return Ratio(node.waste * node.n_packed, node.area * node.item_area)
+    return node.waste * node.n_packed * scale // (node.area * node.item_area)
 
 
 class Incumbent:
@@ -154,7 +119,8 @@ class _Clock:
 
 
 class Fringe:
-    """Double-ended priority structure over (guide, -items packed, counter).
+    """Double-ended priority structure over integer (guide, -items packed,
+    counter) keys.
 
     Two lazy heaps share one live-entry table; stale heap entries are skipped
     on pop and compacted away when they outnumber the live ones.
@@ -169,10 +135,10 @@ class Fringe:
         return len(self._live)
 
     def push(self, key: tuple, node: Node) -> None:
-        counter = key[-1]
+        guide, packed, counter = key
         self._live[counter] = (key, node)
         heappush(self._min, key)
-        heappush(self._max, tuple(-k for k in key))
+        heappush(self._max, (-guide, -packed, -counter))
 
     def pop_best(self) -> Node:
         while True:
@@ -195,25 +161,28 @@ class Fringe:
         if dead > 2 * len(self._live) + 1024:
             keys = [key for key, _ in self._live.values()]
             self._min = keys[:]
-            self._max = [tuple(-k for k in key) for key in keys]
+            self._max = [(-guide, -packed, -counter) for guide, packed, counter in keys]
             heapify(self._min)
             heapify(self._max)
 
 
-# Bytes per live MBA* node, parents included, as tracemalloc measures it
-# (perfbench's model.bytes_per_node); DPA* nodes take about a third of this.
-NODE_BYTES = 4500
+# Bytes per live search node, parents included, as tracemalloc measures it
+# (perfbench's model.bytes_per_node on its MBA* and its DPA* workload); A*
+# is charged the MBA* figure.
+NODE_BYTES = 3400
+DPA_NODE_BYTES = 1200
 
 
-def _default_node_cap(workers: int = 1) -> int:
-    """Fringe size cap derived from available memory (coarse); each of
-    ``workers`` processes gets an equal share."""
+def _default_node_cap(node_bytes: int, workers: int = 1) -> int:
+    """Fringe size cap derived from available memory (coarse) at
+    ``node_bytes`` per node; each of ``workers`` processes gets an equal
+    share."""
     try:
         with open("/proc/meminfo") as f:
             for line in f:
                 if line.startswith("MemAvailable:"):
                     kib = int(line.split()[1])
-                    nodes = kib * 1024 // (NODE_BYTES * workers)
+                    nodes = kib * 1024 // (node_bytes * workers)
                     return max(100_000, min(nodes, 20_000_000))
     except OSError:
         pass
@@ -233,14 +202,15 @@ def astar(
 ) -> SearchResult:
     """Plain best-first search; reports "memory" when the fringe hits the cap."""
     clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap()
+    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
+    scale = guide_scale(instance.params)
     heap: list[tuple] = []
     counter = 0
     expanded = 0
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    heappush(heap, (guide_value(root, guide), 0, counter, root))
+    heappush(heap, (guide_value(root, guide, scale), 0, counter, root))
     while heap:
         if clock.expired():
             return SearchResult("timeout", expanded)
@@ -258,7 +228,7 @@ def astar(
                 if bound is not None and child.waste >= bound:
                     continue
             counter += 1
-            heappush(heap, (guide_value(child, guide), -child.n_packed, counter, child))
+            heappush(heap, (guide_value(child, guide, scale), -child.n_packed, counter, child))
         if len(heap) > cap:
             return SearchResult("memory", expanded)
     return SearchResult("exhausted", expanded)
@@ -284,6 +254,7 @@ def mba_star(
     if capacity < 1:
         raise ValueError("fringe capacity must be at least 1")
     clock = _Clock(time_limit, started)
+    scale = guide_scale(instance.params)
     fringe = Fringe()
     counter = 0
     expanded = 0
@@ -291,7 +262,7 @@ def mba_star(
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    fringe.push((guide_value(root, guide), 0, counter), root)
+    fringe.push((guide_value(root, guide, scale), 0, counter), root)
     while len(fringe):
         if clock.expired():
             return SearchResult("timeout", expanded, discarded)
@@ -311,7 +282,7 @@ def mba_star(
                 if bound is not None and child.waste >= bound:
                     continue
             counter += 1
-            fringe.push((guide_value(child, guide), -child.n_packed, counter), child)
+            fringe.push((guide_value(child, guide, scale), -child.n_packed, counter), child)
         while len(fringe) > capacity:
             fringe.pop_worst()
             discarded = True
@@ -348,7 +319,7 @@ def restarting_mba_star(
     if growth <= 1:
         raise ValueError("growth factor must exceed 1")
     clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap()
+    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
     capacity = capacity_init
     expanded = 0
     iterations = 0
@@ -388,6 +359,7 @@ def iterative_beam_search(
 ) -> SearchResult:
     """Level-synchronous beam with doubling width, restarted until timeout."""
     clock = _Clock(time_limit)
+    scale = guide_scale(instance.params)
     width = width_init
     expanded = 0
     iterations = 0
@@ -415,7 +387,9 @@ def iterative_beam_search(
                     if bound is not None and child.waste >= bound:
                         continue
                     counter += 1
-                    scored.append((guide_value(child, guide), -child.n_packed, counter, child))
+                    scored.append(
+                        (guide_value(child, guide, scale), -child.n_packed, counter, child)
+                    )
             scored.sort(key=lambda t: t[:3])
             if len(scored) > width:
                 truncated = True
@@ -487,7 +461,7 @@ def dpa_star(
     if len(instance.chains) > 2:
         raise ChainCountError("CHAIN_COUNT DPA* handles at most two chains")
     clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap()
+    cap = node_cap if node_cap is not None else _default_node_cap(DPA_NODE_BYTES)
     store = DominanceStore()
     heap: list[tuple] = []
     counter = 0
@@ -632,7 +606,7 @@ def _run_portfolio(
     # the best waste of any worker, -1 before the first solution; it starts
     # from the caller's incumbent (DPA*'s, after a fallback)
     shared = ctx.Value("q", -1 if incumbent.waste is None else incumbent.waste)
-    cap = node_cap if node_cap is not None else _default_node_cap(len(configs))
+    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES, len(configs))
     workers: list[tuple] = []
     try:
         for g, gr in configs:
@@ -646,7 +620,7 @@ def _run_portfolio(
             proc.start()
             writer.close()  # so the worker's exit closes the pipe
             workers.append((proc, reader))
-        results = _collect_workers(workers, root, clock, incumbent)
+        results = _collect_workers(workers, instance, root, clock, incumbent)
     finally:
         for proc, reader in workers:
             if proc.is_alive():
@@ -722,6 +696,7 @@ def _portfolio_worker(
 
 def _collect_workers(
     workers: list[tuple],
+    instance: Instance,
     root: Node,
     clock: _Clock,
     incumbent: Incumbent,
@@ -742,7 +717,7 @@ def _collect_workers(
         if kind == "leaf":
             leaf = root
             for ins in payload[0]:
-                leaf = apply_insertion(leaf, ins)
+                leaf = apply_insertion(leaf, ins, instance)
             incumbent.offer(leaf, clock.elapsed())
         elif kind == "done":
             results[i] = payload[0]

@@ -68,6 +68,17 @@ def random_small_instance(rng: random.Random, max_items: int = 6) -> Instance:
     return make_instance(dims, chains, defects)
 
 
+def midsize_instance(n_items, n_chains, seed, low=150, defects=None) -> Instance:
+    """Random instance on the default (challenge-sized) plates, items from
+    ``low`` to 1800 x 1400 spread over ``n_chains`` chains."""
+    rng = random.Random(seed)
+    dims = [(rng.randint(low, 1800), rng.randint(low, 1400)) for _ in range(n_items)]
+    chains = [[] for _ in range(n_chains)]
+    for i in range(n_items):
+        chains[rng.randrange(n_chains)].append(i)
+    return make_instance(dims, [c for c in chains if c], defects, params=Params())
+
+
 def dfs_best_leaf(
     instance: Instance, use_symmetry: bool = False, use_dominance: bool = False
 ) -> Node | None:
@@ -106,8 +117,9 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
     """Reference greedy mirroring capacity-1 MBA*: complete children feed the
     incumbent instead of the fringe, later siblings prune against it, and the
     walk ends when the chosen node no longer beats the incumbent."""
-    from glasscut.search import guide_value
+    from glasscut.search import guide_scale, guide_value
 
+    scale = guide_scale(instance.params)
     trace: list[Node] = []
     best: int | None = None
     node = root_node(instance)
@@ -121,7 +133,7 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
                 continue
             if best is not None and kid.waste >= best:
                 continue
-            cands.append((guide_value(kid, guide), -kid.n_packed, i, kid))
+            cands.append((guide_value(kid, guide, scale), -kid.n_packed, i, kid))
         if not cands:
             break
         node = min(cands)[3]

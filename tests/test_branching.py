@@ -126,7 +126,7 @@ class TestDepthRules:
             if m.kind is InsertionKind.WASTE_ONLY and m.depth == 3
         ]
         assert waste_moves, "a defect in the shelf should trigger a cover"
-        node = apply_insertion(parent, waste_moves[0])
+        node = apply_insertion(parent, waste_moves[0], inst)
         assert node.waste > parent.waste
         assert node.item_area == parent.item_area
         follow = enumerate_insertions(node, inst)
@@ -184,7 +184,7 @@ class TestApply:
             for m in enumerate_insertions(parent, inst)
             if m.kind is InsertionKind.WASTE_ONLY
         )
-        node = apply_insertion(parent, move)
+        node = apply_insertion(parent, move, inst)
         assert node.item_area == parent.item_area
         assert node.waste > parent.waste
 

@@ -140,6 +140,42 @@ class TestValidateCommand:
         assert exc.value.code == 2
 
 
+class TestBadInput:
+    """Bad input ends with an exit code and a message, never a traceback."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--growth", "1", "--threads", "2", "--algorithm", "mbastar"],
+        ["--growth", "abc", "--threads", "1", "--algorithm", "mbastar"],
+        ["--queue-size-init", "0", "--threads", "1", "--algorithm", "mbastar"],
+    ])
+    def test_solve_rejects_bad_search_settings(self, instance_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "-p", str(instance_dir / "toy"), "-t", "1",
+                 "-o", str(instance_dir / "out.csv")] + flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_bench_rejects_a_bad_growth_factor(self, instance_dir, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--dir", str(instance_dir), "-t", "1",
+                 "-o", str(tmp_path / "r.csv"), "--growth", "abc"])
+        assert exc.value.code == 2
+        assert "--growth" in capsys.readouterr().err
+
+    def test_bench_reports_a_malformed_instance(self, instance_dir, capsys, tmp_path):
+        (instance_dir / "bad_batch.csv").write_text("ITEM_ID;LENGTH\n0;x\n")
+        results = tmp_path / "r.csv"
+        code = run(["bench", "--dir", str(instance_dir), "-t", "1", "-o", str(results)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad: ")
+        assert not results.exists()  # stopped before the first run
+
+    def test_bench_reports_a_missing_directory(self, tmp_path, capsys):
+        code = run(["bench", "--dir", str(tmp_path / "nope"), "-o", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestBench:
     def test_rows_appended(self, instance_dir, capsys, tmp_path):
         results = tmp_path / "results.csv"

@@ -1,5 +1,6 @@
 """Search algorithms: guides, fringe behaviour, capacity and dominance."""
 
+import math
 import multiprocessing
 import os
 import random
@@ -17,9 +18,9 @@ from glasscut.search import (
     DominanceStore,
     Fringe,
     Incumbent,
-    Ratio,
     astar,
     dpa_star,
+    guide_scale,
     guide_value,
     iterative_beam_search,
     mba_star,
@@ -32,6 +33,7 @@ from conftest import (
     dfs_best_leaf,
     dfs_min_waste,
     make_instance,
+    midsize_instance,
     random_small_instance,
 )
 
@@ -42,44 +44,112 @@ GUIDES = (
 )
 
 
-class TestRatio:
-    def test_orders_like_fraction(self):
-        rng = random.Random(5)
-        for _ in range(10_000):
-            a = Ratio(rng.randint(0, 1000), rng.randint(1, 1000))
-            b = Ratio(rng.randint(0, 1000), rng.randint(1, 1000))
-            fa, fb = a.as_fraction(), b.as_fraction()
-            assert (a < b) == (fa < fb)
-            assert (a == b) == (fa == fb)
-            assert (a > b) == (fa > fb)
-            assert (-a < -b) == (-fa < -fb)
-
-    def test_mixed_comparisons(self):
-        assert Ratio(1, 4) == Fraction(1, 4) == 0.25
-        assert Ratio(1, 4) < 1
-        assert Ratio(5, 4) > 1
-
-
 class TestGuideValue:
     def test_root_is_zero_under_all_guides(self):
         inst = make_instance([(100, 100)])
         root = root_node(inst)
         for guide in GUIDES:
-            assert guide_value(root, guide) == 0
+            assert guide_value(root, guide, guide_scale(inst.params)) == 0
 
     def test_waste_percentage(self):
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
+        scale = guide_scale(inst.params)
         node = children(root_node(inst), inst)[0]
         node.waste, node.area, node.item_area = 500, 2000, 1500
-        assert guide_value(node, GuideKind.WASTE) == 500
-        assert guide_value(node, GuideKind.WASTE_PERCENTAGE) == Fraction(1, 4)
+        assert guide_value(node, GuideKind.WASTE, scale) == 500
+        assert guide_value(node, GuideKind.WASTE_PERCENTAGE, scale) == scale // 4
 
     def test_mean_item_area_reward(self):
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
+        scale = guide_scale(inst.params)
         node = children(root_node(inst), inst)[0]
         node.waste, node.area, node.item_area, node.n_packed = 500, 2000, 1_000_000, 2
-        value = guide_value(node, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA)
-        assert value == Fraction(1, 4) / 500_000
+        value = guide_value(node, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA, scale)
+        assert value == math.floor(Fraction(1, 4) / 500_000 * scale)
+
+
+class _KeyedNode:
+    """The four node fields a guide reads."""
+
+    def __init__(self, waste, area, item_area, n_packed):
+        self.waste, self.area, self.item_area, self.n_packed = waste, area, item_area, n_packed
+
+    def ratio(self, kind):
+        """The guide's exact value, as a Fraction."""
+        if kind is GuideKind.WASTE:
+            return Fraction(self.waste)
+        if self.area == 0 or (kind is not GuideKind.WASTE_PERCENTAGE and self.n_packed == 0):
+            return Fraction(0)
+        if kind is GuideKind.WASTE_PERCENTAGE:
+            return Fraction(self.waste, self.area)
+        return Fraction(self.waste * self.n_packed, self.area * self.item_area)
+
+
+def _keyed_nodes(rng, params):
+    """Nodes anywhere in the range ``params`` allows: the empty root, items
+    packed on no plate area, the largest areas, equal ratios written with
+    other terms and neighbouring ratios with the largest denominators."""
+    top = params.n_plates * params.plate_width * params.plate_height
+    nodes = [_KeyedNode(0, 0, 0, 0), _KeyedNode(top, top, 0, 0),
+             _KeyedNode(0, top, top, 700), _KeyedNode(top - 1, top, 1, 1)]
+    for _ in range(150):
+        area = rng.choice([rng.randint(1, 1000), rng.randint(1, top), top - rng.randint(0, 9)])
+        item_area = rng.randint(0, area)
+        n_packed = rng.randint(1, 700) if item_area else 0
+        node = _KeyedNode(area - item_area, area, item_area, n_packed)
+        nodes.append(node)
+        k = rng.randint(2, 9)
+        if area * k <= top:  # the same ratio under every guide, other terms
+            nodes.append(_KeyedNode(node.waste * k, area * k, item_area * k, n_packed * k))
+        if area < top:
+            nodes.append(_KeyedNode(node.waste + 1, area + 1, item_area, n_packed))
+        if item_area:
+            nodes.append(_KeyedNode(node.waste, area, item_area, n_packed + 1))
+        # a / area and c / d with a * d - c * area = -1: the closest two
+        # waste percentages with these denominators can be
+        d = top - rng.randint(0, 1000)
+        if 1 < area != d and math.gcd(area, d) == 1:
+            a = -pow(d, -1, area) % area
+            c = (a * d + 1) // area
+            nodes.append(_KeyedNode(a, area, area - a, n_packed or 1))
+            nodes.append(_KeyedNode(c, d, d - c, n_packed or 1))
+        # the same for the mean-item-area guide, whose denominators reach
+        # top^2: n1 * u - n2 * v = 1 puts the two ratios 1 / (a1 * i1 * a2 * i2)
+        # apart, about 1 / top^4.
+        # Such counts of packed items are far beyond any instance; the key
+        # relies only on the bound on the denominators.
+        a1, a2 = top - rng.randint(0, 1000), top - rng.randint(1001, 2000)
+        i1, i2 = rng.randint(top // 3, top // 2), rng.randint(top // 3, top // 2)
+        u, v = (a1 - i1) * a2 * i2, (a2 - i2) * a1 * i1
+        if math.gcd(u, v) == 1:
+            n1 = pow(u, -1, v)
+            nodes.append(_KeyedNode(a1 - i1, a1, i1, n1))
+            nodes.append(_KeyedNode(a2 - i2, a2, i2, (n1 * u - 1) // v))
+    return nodes
+
+
+class TestGuideKey:
+    @pytest.mark.parametrize("params", [
+        Params(),
+        Params(n_plates=1000),
+        Params(plate_width=10**5, plate_height=10**5, n_plates=500, max1=10**5),
+    ])
+    def test_orders_and_ties_like_the_exact_ratio(self, params):
+        rng = random.Random(params.n_plates)
+        scale = guide_scale(params)
+        nodes = _keyed_nodes(rng, params)
+        for kind in GUIDES:
+            keyed = sorted((n.ratio(kind), guide_value(n, kind, scale)) for n in nodes)
+            assert all(type(key) is int for _, key in keyed)
+            # sorted by the exact ratio, the key rises exactly where it does
+            for (exact_a, key_a), (exact_b, key_b) in zip(keyed, keyed[1:]):
+                assert (key_a < key_b) == (exact_a < exact_b)
+                assert (key_a == key_b) == (exact_a == exact_b)
+
+    def test_scale_squares_the_largest_denominator(self):
+        params = Params()
+        top = params.n_plates * params.plate_width * params.plate_height
+        assert guide_scale(params) == (top * top) ** 2
 
 
 class TestFringe:
@@ -266,7 +336,7 @@ class TestRestartSchedule:
         assert restarted >= 10
 
     def test_node_cap_ends_restarts_with_memory(self):
-        inst = _midsize_instance(30, 6, seed=5)
+        inst = midsize_instance(30, 6, seed=5)
         inc = Incumbent()
         res = restarting_mba_star(
             root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 60.0, inc, node_cap=10
@@ -275,9 +345,32 @@ class TestRestartSchedule:
         assert res.final_capacity > 10 and res.iterations == 4  # capacities 2, 3, 5, 8
 
     def test_default_node_cap_is_shared_between_workers(self):
-        one, four = search._default_node_cap(1), search._default_node_cap(4)
+        one = search._default_node_cap(search.NODE_BYTES, 1)
+        four = search._default_node_cap(search.NODE_BYTES, 4)
         assert four <= one
         assert four == 100_000 or abs(4 * four - one) <= one // 20  # memory moves
+
+    def test_default_node_cap_follows_the_bytes_per_node(self):
+        mba = search._default_node_cap(search.NODE_BYTES)
+        dpa = search._default_node_cap(search.DPA_NODE_BYTES)
+        ratio = search.NODE_BYTES / search.DPA_NODE_BYTES
+        clamped = mba == 100_000 or dpa == 20_000_000
+        assert clamped or abs(mba * ratio - dpa) <= dpa // 20  # memory moves
+        assert dpa >= mba
+
+    def test_each_search_asks_for_the_cap_of_its_own_nodes(self, monkeypatch):
+        asked = []
+
+        def cap(node_bytes, workers=1):
+            asked.append(node_bytes)
+            return 1000
+
+        monkeypatch.setattr(search, "_default_node_cap", cap)
+        inst = make_instance([(300, 200), (200, 100)], chains=[[0, 1]])
+        dpa_star(root_node(inst), inst, 10.0, Incumbent())
+        astar(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
+        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE, 2, 10.0, Incumbent())
+        assert asked == [search.DPA_NODE_BYTES, search.NODE_BYTES, search.NODE_BYTES]
 
 
 class TestIterativeBeamSearch:
@@ -421,7 +514,7 @@ class TestPortfolio:
         assert times == sorted(times) and times[-1] == incumbent.time_to_best <= 4.5
 
     def test_time_limit_respected_with_grace(self):
-        inst = _midsize_instance(60, 8, seed=91, low=200)
+        inst = midsize_instance(60, 8, seed=91, low=200)
         started = time.monotonic()
         portfolio_solve(inst, time_limit=1.0, algorithm="mbastar", threads=4)
         assert time.monotonic() - started <= 3.0
@@ -497,7 +590,7 @@ class TestPortfolio:
         assert incumbent.leaf is None and incumbent.history == []
 
     def test_node_cap_reaches_every_worker(self):
-        inst = _midsize_instance(30, 6, seed=5)
+        inst = midsize_instance(30, 6, seed=5)
         for threads in (1, 2):
             _, results = portfolio_solve(
                 inst, 30.0, threads=threads, algorithm="mbastar", node_cap=10
@@ -521,7 +614,7 @@ def _solve_midsize_and_validate(threads):
     from glasscut.validator import objective_of, validate
 
     defects = [Defect(0, 2500, 1500, 60, 40), Defect(1, 800, 300, 50, 50)]
-    inst = _midsize_instance(40, 6, seed=77, defects=defects)
+    inst = midsize_instance(40, 6, seed=77, defects=defects)
     incumbent, results = portfolio_solve(
         inst, time_limit=4.0, algorithm="mbastar", threads=threads
     )
@@ -532,15 +625,6 @@ def _solve_midsize_and_validate(threads):
     assert report.ok, str(report)
     assert objective_of(inst, tree) == incumbent.waste
     return incumbent
-
-
-def _midsize_instance(n_items, n_chains, seed, low=150, defects=None):
-    rngobj = random.Random(seed)
-    dims = [(rngobj.randint(low, 1800), rngobj.randint(low, 1400)) for _ in range(n_items)]
-    chains = [[] for _ in range(n_chains)]
-    for i in range(n_items):
-        chains[rngobj.randrange(n_chains)].append(i)
-    return make_instance(dims, [c for c in chains if c], defects, params=Params())
 
 
 class _CompleteRoot:
