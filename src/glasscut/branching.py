@@ -28,14 +28,21 @@ to item cells, the cut is pushed outward to ``min_waste`` past the blocking
 edge (and item columns are widened to ``min1``); insertions whose pushes
 exceed ``max1`` or the plate bounds are dropped.  Every cut position an
 insertion materializes or extends is checked against defect interiors.
+
+Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
+whose sibling sub-plates could be swapped to put the smaller item id first.
+Its cell-swap rule is applied inside the depth-3 generator: a forbidden cell
+is omitted, never built.  Its feasibility is still probed while the
+suppression tests above are undecided, because raw feasibility, not the
+emitted set, drives them; so symmetry never changes which depths are open.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .model import Defect, Instance, Node, ShelfRecord, front_key_leq
+from .model import Defect, Instance, Node, Params, ShelfRecord, front_key_leq
 
 
 class InsertionKind(Enum):
@@ -352,12 +359,18 @@ def _pair_combos_uncached(
     return out
 
 
-def enumerate_insertions(node: Node, instance: Instance) -> list[Insertion]:
+def enumerate_insertions(
+    node: Node, instance: Instance, use_symmetry: bool = False
+) -> list[Insertion]:
     """All feasible insertions at ``node``, pruning rules applied.
 
     Deeper depths are generated first so that shallower ones can be skipped
     entirely once an item move suppresses them; raw feasibility (not the
-    emitted set) drives the suppression tests.
+    emitted set) drives the suppression tests.  With ``use_symmetry`` the
+    depth-3 cells that the cell-swap rule forbids are omitted (see
+    ``_cell_swap_forbidden``); they still count as feasible for the
+    suppression tests, so the result is the unflagged list minus exactly
+    those cells, in the same order.
     """
     if node.complete:
         return []
@@ -365,31 +378,32 @@ def enumerate_insertions(node: Node, instance: Instance) -> list[Insertion]:
     combos = pair_combos(node, instance, cands) if instance.n_items - node.n_packed >= 2 else []
     allowed = _allowed_depths(node)
 
-    gen3 = _gen_depth3(node, instance, cands, combos) if 3 in allowed else []
-    no_growth = any(ins.x1_curr == node.x1_curr for ins in gen3)
+    gen3: list[Insertion] = []
+    fits3 = no_growth = False
+    if 3 in allowed:
+        gen3, fits3, no_growth = _gen_depth3(node, instance, cands, combos, use_symmetry)
     gen2: list[Insertion] = []
-    if 2 in allowed and (not gen3 or not no_growth):
-        # needed either as output or to decide the new-column suppression
-        gen2 = _gen_depth2(node, instance, cands, combos)
-        no_growth = no_growth or any(ins.x1_curr == node.x1_curr for ins in gen2)
+    if 2 in allowed and not no_growth:
+        # the output when no depth-3 cell fits, else only the new-column test
+        gen2, no_growth = _gen_new_shelf(node, instance, cands, combos, 2, emit=not fits3)
     gen1: list[Insertion] = []
     if 1 in allowed and not no_growth:
-        gen1 = _gen_depth01(node, instance, cands, combos, 1)
+        gen1 = _gen_new_shelf(node, instance, cands, combos, 1)[0]
     gen0: list[Insertion] = []
-    if 0 in allowed and not (gen3 or gen2 or gen1):
+    if 0 in allowed and not (fits3 or gen2 or gen1):
         if node.bin + 1 < instance.params.n_plates:
-            gen0 = _gen_depth01(node, instance, cands, combos, 0)
+            gen0 = _gen_new_shelf(node, instance, cands, combos, 0)[0]
 
     kept = [d for d in allowed if d != 0 or node.bin + 1 < instance.params.n_plates]
     out: list[Insertion] = []
     for d, gen in ((3, gen3), (2, gen2), (1, gen1), (0, gen0)):
         if d not in kept:
             continue
-        if d == 2 and gen3:
+        if d == 2 and fits3:
             continue
         if d == 1 and no_growth:
             continue
-        if d == 0 and (gen3 or gen2 or gen1):
+        if d == 0 and (fits3 or gen2 or gen1):
             continue
         out.extend(gen)
         w_ins = _gen_waste(node, instance, d)
@@ -407,214 +421,226 @@ def _insertion_sort_key(ins: Insertion):
     return (pls[0].item_id, -ins.depth, ins.kind._value_, orient)
 
 
-def _gen_depth3(node: Node, instance: Instance, cands: list[int], combos: list[PairCombo]) -> list[Insertion]:
+def _closing_cuts_ok(
+    defects: tuple[Defect, ...], p: Params, x_end: int, x1: int, x1_prev: int, y_lo: int, y_hi: int
+) -> bool:
+    """Cuts that appear when a cell packs the last item and the column closes
+    at x1: the strip right of the cell, the column's top strip and the 1-cut."""
+    if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
+        return False
+    if y_hi < p.plate_height and not _hcut_ok(defects, y_hi, x1_prev, x1):
+        return False
+    return x1 >= p.plate_width or _vcut_ok(defects, x1, 0, p.plate_height)
+
+
+def _gen_depth3(
+    node: Node, instance: Instance, cands: list[int], combos: list[PairCombo], use_symmetry: bool
+) -> tuple[list[Insertion], bool, bool]:
+    """Depth-3 insertions, whether some cell fits and whether some cell fits
+    without growing the column.  Under ``use_symmetry`` no insertion is built
+    for a cell the cell-swap rule forbids; such a cell is only tried until
+    some cell is known to fit without growth, which settles both facts."""
     p = instance.params
     mw = p.min_waste
-    H = p.plate_height
     defects = instance.plate_defects(node.bin)
     x = node.x3_curr
     y_lo, y_hi = node.y2_prev, node.y2_curr
     if defects and not _vcut_ok(defects, x, y_lo, y_hi):
-        return []  # the boundary with the current cell is a real 3-cut
+        return [], False, False  # the boundary with the current cell is a real 3-cut
     x1_prev, x1_curr = node.x1_prev, node.x1_curr
     x1_max = min(x1_prev + p.max1, p.plate_width)
     edges = _edge_constraints(node, closing_shelf=False)
     items_left = instance.n_items - node.n_packed
-    chain_index = instance.chain_index
+    chain_index, chain_sets = instance.chain_index, instance.chain_sets
     out: list[Insertion] = []
+    fits = no_growth = False
 
-    def try_cell(placements, x_end, split_y, kind):
-        completing = len(placements) == items_left
+    def try_cell(x_end, completing, forbidden):
+        """The final x1 of a cell to emit, or None; records the two facts."""
+        nonlocal fits, no_growth
+        if forbidden and no_growth:
+            return None
         if completing:
             x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
         else:
             x1 = _resolve_x1(x1_curr, x_end, edges, mw)
         if x1 > x1_max:
-            return
+            return None
         if defects:
             if not _growth_cuts_ok(node, x1, defects):
-                return
-            if completing:
-                if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
-                    return
-                if y_hi < H and not _hcut_ok(defects, y_hi, x1_prev, x1):
-                    return
-                if x1 < p.plate_width and not _vcut_ok(defects, x1, 0, H):
-                    return
-        out.append(Insertion(
-            kind, 3, False, completing, placements, node.bin, node.prior_area,
-            x1_prev, x1, y_lo, y_hi, x, x_end, split_y, x1 if completing else None,
-        ))
+                return None
+            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+                return None
+        fits = True
+        if x1 == x1_curr:
+            no_growth = True
+        return None if forbidden else x1
 
     h2 = y_hi - y_lo
+    completing = items_left == 1
     for j in cands:
         ci = chain_index[j]
         for w, h, rot in instance.oriented[j]:
+            x_end = x + w
+            if x_end > x1_max:
+                continue  # the final 1-cut is never left of the cell
             if h == h2:
                 kind, y_item, split_y = _ONE_ITEM, y_lo, None
             elif h > h2 - mw:
                 continue  # too tall, or the 4-cut waste would be a sliver
             else:
                 kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
-            if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
-                if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
+            if defects and not _rect_clear(defects, x, y_item, x_end, y_item + h):
+                if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x_end, y_hi):
                     continue
                 kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
-            try_cell((Placement(j, ci, x, y_item, w, h, rot),), x + w, split_y, kind)
+            forbidden = use_symmetry and _cell_swap_forbidden(
+                node, defects, j, chain_sets[ci], x_end)
+            x1 = try_cell(x_end, completing, forbidden)
+            if x1 is not None:
+                out.append(Insertion(
+                    kind, 3, False, completing, (Placement(j, ci, x, y_item, w, h, rot),),
+                    node.bin, node.prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
+                    x1 if completing else None,
+                ))
+    completing = items_left == 2
     for c in combos:
-        if c.hj + c.hk != h2:
+        x_end = x + c.width
+        if c.hj + c.hk != h2 or x_end > x1_max:
             continue
         if defects and not (
-            _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj)
-            and _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_hi)
+            _rect_clear(defects, x, y_lo, x_end, y_lo + c.hj)
+            and _rect_clear(defects, x, y_lo + c.hj, x_end, y_hi)
         ):
             continue
-        pls = (
-            Placement(c.j, chain_index[c.j], x, y_lo, c.width, c.hj, c.rj),
-            Placement(c.k, chain_index[c.k], x, y_lo + c.hj, c.width, c.hk, c.rk),
-        )
-        try_cell(pls, x + c.width, y_lo + c.hj, _TWO_ITEMS)
-    return out
+        cj, ck = chain_index[c.j], chain_index[c.k]
+        forbidden = use_symmetry and _cell_swap_forbidden(
+            node, defects, min(c.j, c.k), (cj, ck), x_end)
+        x1 = try_cell(x_end, completing, forbidden)
+        if x1 is not None:
+            pls = (
+                Placement(c.j, cj, x, y_lo, c.width, c.hj, c.rj),
+                Placement(c.k, ck, x, y_lo + c.hj, c.width, c.hk, c.rk),
+            )
+            out.append(Insertion(
+                _TWO_ITEMS, 3, False, completing, pls, node.bin, node.prior_area,
+                x1_prev, x1, y_lo, y_hi, x, x_end, y_lo + c.hj, x1 if completing else None,
+            ))
+    return out, fits, no_growth
 
 
-def _gen_depth2(node: Node, instance: Instance, cands: list[int], combos: list[PairCombo]) -> list[Insertion]:
+def _gen_new_shelf(
+    node: Node,
+    instance: Instance,
+    cands: list[int],
+    combos: list[PairCombo],
+    depth: int,
+    emit: bool = True,
+) -> tuple[list[Insertion], bool]:
+    """Insertions whose cell opens a shelf: above the current one (depth 2),
+    in a new column (depth 1) or on a new plate (depth 0); and, at depth 2,
+    whether some cell fits without growing the column.  With ``emit`` False
+    only the latter is wanted: nothing is built and the search stops at the
+    first such cell."""
     p = instance.params
-    mw = p.min_waste
-    H = p.plate_height
-    defects = instance.plate_defects(node.bin)
-    x = x1_prev = node.x1_prev
-    x1_curr = node.x1_curr
-    y_lo = node.y2_curr
-    if y_lo >= H:
-        return []
-    x1_max = min(x1_prev + p.max1, p.plate_width)
-    edges = _edge_constraints(node, closing_shelf=True)
+    mw, H, W = p.min_waste, p.plate_height, p.plate_width
+    if depth == 2:
+        x = x1_prev = node.x1_prev
+        x1_curr, y_lo = node.x1_curr, node.y2_curr
+        if y_lo >= H:
+            return [], False
+        plate, prior_area, prev_col_x1 = node.bin, node.prior_area, None
+        edges = _edge_constraints(node, closing_shelf=True)
+    else:
+        frame = _open_column_frame(node, instance, depth == 0)
+        if frame is None:
+            return [], False
+        x, plate, prev_col_x1 = frame
+        x1_prev = x1_curr = x
+        y_lo, prior_area, edges = 0, plate * W * H, []
+    defects = instance.plate_defects(plate)
+    x1_max = min(x1_prev + p.max1, W)
     items_left = instance.n_items - node.n_packed
     chain_index = instance.chain_index
     out: list[Insertion] = []
+    no_growth = False
 
-    def try_cell(placements, x_end, cell_h, split_y, kind):
+    def try_cell(x_end, cell_h, completing):
+        """The final x1 of a feasible cell, or None."""
         y_hi = y_lo + cell_h
         if y_hi > H - mw and y_hi != H:
-            return  # past the plate, or a sliver above
-        completing = len(placements) == items_left
+            return None  # past the plate, or a sliver above
         if completing:
             x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
         else:
             x1 = _resolve_x1(x1_curr, x_end, edges, mw)
         if x1 > x1_max:
-            return
+            return None
         if defects:
-            if not _growth_cuts_ok(node, x1, defects):
-                return
-            if not _close_shelf_cut_ok(node, x1, defects):
-                return
-            # 2-cut between the closed shelf and this one
-            if not _hcut_ok(defects, y_lo, x1_prev, x1):
-                return
-            if completing:
-                if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
-                    return
-                if y_hi < H and not _hcut_ok(defects, y_hi, x1_prev, x1):
-                    return
-                if x1 < p.plate_width and not _vcut_ok(defects, x1, 0, H):
-                    return
-        out.append(Insertion(
-            kind, 2, False, completing, placements, node.bin, node.prior_area,
-            x1_prev, x1, y_lo, y_hi, x, x_end, split_y, x1 if completing else None,
-        ))
+            # the column grows and the shelf below closes at the new 2-cut
+            if depth == 2 and not (
+                _growth_cuts_ok(node, x1, defects)
+                and _close_shelf_cut_ok(node, x1, defects)
+                and _hcut_ok(defects, y_lo, x1_prev, x1)
+            ):
+                return None
+            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+                return None
+        return x1
 
+    completing = items_left == 1
     for j in cands:
         ci = chain_index[j]
         for w, h, rot in instance.oriented[j]:
-            if y_lo + h > H:
-                continue
+            x_end = x + w
+            if y_lo + h > H or x_end > x1_max:
+                continue  # the final 1-cut is never left of the cell
             cell = _cell_variant_new_shelf(defects, x, y_lo, w, h, H, p.min2, mw)
-            if cell is not None:
-                kind, cell_h, y_item, split_y = cell
-                pl = (Placement(j, ci, x, y_item, w, h, rot),)
-                try_cell(pl, x + w, cell_h, split_y, kind)
+            if cell is None:
+                continue
+            kind, cell_h, y_item, split_y = cell
+            x1 = try_cell(x_end, cell_h, completing)
+            if x1 is None:
+                continue
+            no_growth = no_growth or x1 == x1_curr
+            if not emit:
+                if no_growth:
+                    return [], True
+                continue
+            out.append(Insertion(
+                kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
+                plate, prior_area, x1_prev, x1, y_lo, y_lo + cell_h, x, x_end, split_y,
+                x1 if completing and depth == 2 else prev_col_x1,
+            ))
+    completing = items_left == 2
     for c in combos:
-        if c.hj + c.hk < p.min2 or y_lo + c.hj + c.hk > H:
+        cell_h = c.hj + c.hk
+        x_end = x + c.width
+        if cell_h < p.min2 or y_lo + cell_h > H or x_end > x1_max:
             continue
         if defects and not (
-            _rect_clear(defects, x, y_lo, x + c.width, y_lo + c.hj)
-            and _rect_clear(defects, x, y_lo + c.hj, x + c.width, y_lo + c.hj + c.hk)
+            _rect_clear(defects, x, y_lo, x_end, y_lo + c.hj)
+            and _rect_clear(defects, x, y_lo + c.hj, x_end, y_lo + cell_h)
         ):
+            continue
+        x1 = try_cell(x_end, cell_h, completing)
+        if x1 is None:
+            continue
+        no_growth = no_growth or x1 == x1_curr
+        if not emit:
+            if no_growth:
+                return [], True
             continue
         pls = (
             Placement(c.j, chain_index[c.j], x, y_lo, c.width, c.hj, c.rj),
             Placement(c.k, chain_index[c.k], x, y_lo + c.hj, c.width, c.hk, c.rk),
         )
-        try_cell(pls, x + c.width, c.hj + c.hk, y_lo + c.hj, _TWO_ITEMS)
-    return out
-
-
-def _gen_depth01(
-    node: Node, instance: Instance, cands: list[int], combos: list[PairCombo], depth: int
-) -> list[Insertion]:
-    p = instance.params
-    mw = p.min_waste
-    H = p.plate_height
-    W = p.plate_width
-    new_bin = depth == 0
-    frame = _open_column_frame(node, instance, new_bin)
-    if frame is None:
-        return []
-    x_col, target_bin, prev_col_x1 = frame
-    defects = instance.plate_defects(target_bin)
-    prior_area = target_bin * W * H
-    x1_max = min(x_col + p.max1, W)
-    items_left = instance.n_items - node.n_packed
-    chain_index = instance.chain_index
-    out: list[Insertion] = []
-
-    def try_cell(placements, x_end, cell_h, split_y, kind):
-        y_hi = cell_h
-        if y_hi > H - mw and y_hi != H:
-            return  # past the plate, or a sliver above
-        completing = len(placements) == items_left
-        x1 = x_end
-        if completing:
-            x1 = _resolve_x1(x_end, max(x_end, x_col + p.min1), [x_end], mw)
-        if x1 > x1_max:
-            return
-        if defects and completing:
-            if x1 > x_end and not _vcut_ok(defects, x_end, 0, y_hi):
-                return
-            if y_hi < H and not _hcut_ok(defects, y_hi, x_col, x1):
-                return
-            if x1 < W and not _vcut_ok(defects, x1, 0, H):
-                return
         out.append(Insertion(
-            kind, depth, new_bin, completing, placements, target_bin, prior_area,
-            x_col, x1, 0, y_hi, x_col, x_end, split_y, prev_col_x1,
+            _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
+            x1_prev, x1, y_lo, y_lo + cell_h, x, x_end, y_lo + c.hj,
+            x1 if completing and depth == 2 else prev_col_x1,
         ))
-
-    for j in cands:
-        ci = chain_index[j]
-        for w, h, rot in instance.oriented[j]:
-            if h > H or x_col + w > W:
-                continue
-            cell = _cell_variant_new_shelf(defects, x_col, 0, w, h, H, p.min2, mw)
-            if cell is not None:
-                kind, cell_h, y_item, split_y = cell
-                pl = (Placement(j, ci, x_col, y_item, w, h, rot),)
-                try_cell(pl, x_col + w, cell_h, split_y, kind)
-    for c in combos:
-        if c.hj + c.hk < p.min2 or c.hj + c.hk > H or x_col + c.width > W:
-            continue
-        if defects and not (
-            _rect_clear(defects, x_col, 0, x_col + c.width, c.hj)
-            and _rect_clear(defects, x_col, c.hj, x_col + c.width, c.hj + c.hk)
-        ):
-            continue
-        pls = (
-            Placement(c.j, chain_index[c.j], x_col, 0, c.width, c.hj, c.rj),
-            Placement(c.k, chain_index[c.k], x_col, c.hj, c.width, c.hk, c.rk),
-        )
-        try_cell(pls, x_col + c.width, c.hj + c.hk, c.hj, _TWO_ITEMS)
-    return out
+    return out, no_growth
 
 
 def _open_column_frame(
@@ -762,16 +788,10 @@ def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
         shelf_min = _min_opt(node.shelf_min_item, new_min)
         shelf_chains = node.shelf_chain_ids | new_chains
     elif ins.depth == 2:
-        closed = node.closed_shelves + (
-            ShelfRecord(
-                y0=node.y2_prev,
-                y1=node.y2_curr,
-                edge=node.x3_curr,
-                edge_is_cut=node.cell_min_item is not None,
-                min_item=node.shelf_min_item,
-                chain_ids=node.shelf_chain_ids,
-            ),
-        )
+        closed = node.closed_shelves + (ShelfRecord(
+            node.y2_prev, node.y2_curr, node.x3_curr, node.cell_min_item is not None,
+            node.shelf_min_item, node.shelf_chain_ids,
+        ),)
         col_has_items = node.col_has_items or ins.has_items
         shelf_min = new_min
         shelf_chains = new_chains
@@ -831,17 +851,8 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
     defects = instance.plate_defects(node.bin)
     if ins.depth == 3:
         new_min, new_chains = _cell_items(ins, instance)
-        if (
-            new_min is not None
-            and node.cell_min_item is not None
-            and new_min < node.cell_min_item
-            and not (node.cell_chain_ids & new_chains)
-        ):
-            y0, y1 = node.y2_prev, node.y2_curr
-            if _rect_clear(defects, node.x3_prev, y0, node.x3_curr, y1) and _rect_clear(
-                defects, ins.x3_prev, y0, ins.x3_curr, y1
-            ):
-                return False
+        if _cell_swap_forbidden(node, defects, new_min, new_chains, ins.x3_curr):
+            return False
         if ins.completes:
             q_min = _min_opt(node.shelf_min_item, new_min)
             q_chains = node.shelf_chain_ids | new_chains
@@ -868,6 +879,27 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
             ) and _rect_clear(defects, node.x1_prev, ins.y2_prev, ins.x1_curr, ins.y2_curr):
                 return False
     return True
+
+
+def _cell_swap_forbidden(
+    node: Node,
+    defects: tuple[Defect, ...],
+    new_min: Optional[int],
+    new_chains: Iterable[int],
+    x_end: int,
+) -> bool:
+    """The cell-swap rule: a cell ending at ``x_end`` right of the current
+    cell is forbidden when it holds a smaller item id, shares no chain with
+    the current cell and both cells are defect-free."""
+    left_min = node.cell_min_item
+    if new_min is None or left_min is None or new_min >= left_min:
+        return False
+    if not node.cell_chain_ids.isdisjoint(new_chains):
+        return False
+    y0, y1 = node.y2_prev, node.y2_curr
+    return _rect_clear(defects, node.x3_prev, y0, node.x3_curr, y1) and _rect_clear(
+        defects, node.x3_curr, y0, x_end, y1
+    )
 
 
 def _shelf_close_allowed(
@@ -929,7 +961,7 @@ def children(
     use_dominance: bool = True,
 ) -> list[Node]:
     """Enumerate, symmetry-filter, apply, dominance-filter, in that order."""
-    ins_list = enumerate_insertions(node, instance)
+    ins_list = enumerate_insertions(node, instance, use_symmetry)
     if use_symmetry:
         ins_list = [ins for ins in ins_list if symmetry_allows(node, ins, instance)]
     kids = [apply_insertion(node, ins, instance) for ins in ins_list]

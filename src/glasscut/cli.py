@@ -80,17 +80,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """A time limit above 0 seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must exceed 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glasscut")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance within a time limit")
     solve.add_argument("-p", "--prefix", required=True, help="instance path prefix")
-    solve.add_argument("-t", "--time-limit", type=float, default=3600.0)
+    solve.add_argument("-t", "--time-limit", type=_positive_seconds, default=3600.0)
     solve.add_argument("-o", "--output", default=None, help="solution CSV path")
     solve.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_THREADS,
         help="restarting-MBA* worker processes sharing the bound; 1 searches "
         "in-process and is deterministic (default: min(4, CPUs), here %(default)s)",
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "mbastar", "astar", "ibs", "dpastar"],
         default="auto",
     )
-    solve.add_argument("--node-cap", type=int, default=None)
+    solve.add_argument("--node-cap", type=_positive_int, default=None)
     solve.add_argument("--seed", type=int, default=None, help="accepted and ignored")
     solve.add_argument(
         "--challenge-compat",
@@ -121,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run algorithm combinations over a directory")
     bench.add_argument("--dir", required=True)
-    bench.add_argument("-t", "--time-limit", type=float, default=180.0)
+    bench.add_argument("-t", "--time-limit", type=_positive_seconds, default=180.0)
     bench.add_argument("-o", "--output", default="results.csv")
     bench.add_argument("--algos", nargs="+", default=["mbastar"], choices=["mbastar", "ibs"])
     bench.add_argument("--guides", nargs="+", default=["p", "a"], choices=sorted(GUIDES))

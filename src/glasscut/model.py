@@ -27,9 +27,9 @@ minus the packed item area; the part of the last plate right of its final
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GlasscutError(Exception):
@@ -225,15 +225,14 @@ def front_leq(f1: Front, f2: Front) -> bool:
     """True iff f1's front is nowhere to the right of f2's (same plate only)."""
     if f1.bin_index != f2.bin_index:
         raise ValueError("BIN_MISMATCH fronts belong to different plates")
-    for y in (0, f1.y2_prev, f1.y2_curr, f2.y2_prev, f2.y2_curr):
-        if f1.x_at(y) > f2.x_at(y):
-            return False
-    return True
+    return front_key_leq(astuple(f1), astuple(f2))
 
 
 def front_key_leq(a: tuple, b: tuple) -> bool:
-    """front_leq on (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr) tuples;
-    the caller guarantees equal plate indexes."""
+    """The front order on (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
+    tuples: a's step function is nowhere right of b's.  Both steps only
+    change at the y2 levels, so comparing there decides it; the caller
+    guarantees equal plate indexes."""
     _, a1p, a1c, a3c, a2p, a2c = a
     _, b1p, b1c, b3c, b2p, b2c = b
     for y in (0, a2p, a2c, b2p, b2c):
@@ -244,8 +243,7 @@ def front_key_leq(a: tuple, b: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ShelfRecord:
+class ShelfRecord(NamedTuple):
     """A closed shelf of the current column, kept for strip and cut re-checks.
 
     ``edge`` is the right edge of the shelf's content when it was closed; the

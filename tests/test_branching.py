@@ -20,6 +20,7 @@ from conftest import (
     SMALL_PARAMS,
     dfs_min_waste,
     make_instance,
+    midsize_instance,
     random_small_instance,
     random_walk,
     raster_front_area,
@@ -372,3 +373,70 @@ class TestChildren:
         assert len(filter_dominated_children(dup + dup)) == len(
             filter_dominated_children(dup)
         )
+
+
+def walked_nodes(rng, min_nodes):
+    """Nodes of random walks, with and without symmetry, over small random
+    instances and over challenge-sized instances with defects."""
+    nodes = []
+    while len(nodes) < min_nodes // 2:
+        inst = random_small_instance(rng)
+        for use_symmetry in (False, True):
+            nodes += [(n, inst) for n in random_walk(rng, inst, use_symmetry=use_symmetry)]
+    seed = 0
+    while len(nodes) < min_nodes:
+        seed += 1
+        defects = []
+        for plate in range(3):
+            for _ in range(rng.randint(1, 6)):
+                defects.append(Defect(plate, rng.randrange(0, 6000, 1000) + rng.randint(0, 900),
+                                      rng.randint(0, 3000), rng.randint(5, 90), rng.randint(5, 90)))
+        defects = [d for i, d in enumerate(defects) if not any(
+            e.plate_index == d.plate_index and d.intersects(e.x, e.y, e.x + e.width, e.y + e.height)
+            for e in defects[:i])]
+        inst = midsize_instance(rng.randint(8, 40), rng.randint(2, 8), seed, defects=defects)
+        for use_symmetry in (False, True):
+            nodes += [(n, inst) for n in random_walk(rng, inst, use_symmetry=use_symmetry)]
+    return nodes
+
+
+def reference_children(node, inst, use_symmetry, use_dominance=True):
+    """The child pipeline spelled out: every raw insertion, then the filters."""
+    ins_list = enumerate_insertions(node, inst)
+    if use_symmetry:
+        ins_list = [m for m in ins_list if symmetry_allows(node, m, inst)]
+    kids = [apply_insertion(node, m, inst) for m in ins_list]
+    return filter_dominated_children(kids) if use_dominance else kids
+
+
+class TestSymmetryAwareGenerator:
+    """With symmetry on, the generator omits the cells the cell-swap rule
+    forbids, yet the search sees exactly the filtered raw insertions."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        return walked_nodes(random.Random(2024), 2400)
+
+    def test_filtered_lists_equal_the_filtered_raw_list(self, nodes):
+        omitted = 0
+        for node, inst in nodes:
+            raw = enumerate_insertions(node, inst)
+            aware = enumerate_insertions(node, inst, use_symmetry=True)
+            expected = [m for m in raw if symmetry_allows(node, m, inst)]
+            assert [m for m in aware if symmetry_allows(node, m, inst)] == expected
+            # only depth-3 cells that the filter rejects anyway are omitted
+            kept = iter(aware)
+            assert all(m in kept for m in raw if m in aware)
+            gone = [m for m in raw if m not in aware]
+            assert all(m.depth == 3 and not symmetry_allows(node, m, inst) for m in gone)
+            omitted += len(gone)
+        assert omitted > 100  # the omission is exercised
+
+    def test_children_match_the_reference_pipeline(self, nodes):
+        for node, inst in nodes:
+            for use_symmetry in (False, True):
+                for use_dominance in (False, True):
+                    got = children(node, inst, use_symmetry, use_dominance)
+                    ref = reference_children(node, inst, use_symmetry, use_dominance)
+                    assert [k.insertion for k in got] == [k.insertion for k in ref]
+                    assert [k.front_key() for k in got] == [k.front_key() for k in ref]

@@ -147,6 +147,12 @@ class TestBadInput:
         ["--growth", "1", "--threads", "2", "--algorithm", "mbastar"],
         ["--growth", "abc", "--threads", "1", "--algorithm", "mbastar"],
         ["--queue-size-init", "0", "--threads", "1", "--algorithm", "mbastar"],
+        ["--threads", "0"],
+        ["--threads", "-2"],
+        ["--node-cap", "0", "--threads", "1"],
+        ["--node-cap", "-3", "--threads", "1"],
+        ["-t", "0", "--threads", "1"],
+        ["-t", "-1", "--threads", "1"],
     ])
     def test_solve_rejects_bad_search_settings(self, instance_dir, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -161,6 +167,16 @@ class TestBadInput:
                  "-o", str(tmp_path / "r.csv"), "--growth", "abc"])
         assert exc.value.code == 2
         assert "--growth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_bench_rejects_a_time_limit_of_zero_or_less(self, instance_dir, capsys, tmp_path,
+                                                        limit):
+        results = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--dir", str(instance_dir), "-t", limit, "-o", str(results)])
+        assert exc.value.code == 2
+        assert "-t/--time-limit" in capsys.readouterr().err
+        assert not results.exists()
 
     def test_bench_reports_a_malformed_instance(self, instance_dir, capsys, tmp_path):
         (instance_dir / "bad_batch.csv").write_text("ITEM_ID;LENGTH\n0;x\n")

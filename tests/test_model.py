@@ -1,6 +1,7 @@
 """Geometry accounting: areas, waste, fronts and dominance."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from glasscut.model import (
     Params,
     area,
     dominates,
+    front_key_leq,
     front_leq,
     root_node,
     waste,
@@ -174,7 +176,9 @@ class TestFrontLeq:
     def test_matches_grid_oracle(self, rng):
         for _ in range(2000):
             f1, f2 = random_front(rng), random_front(rng)
-            assert front_leq(f1, f2) == front_leq_grid(f1, f2, 600)
+            expected = front_leq_grid(f1, f2, 600)
+            assert front_key_leq(astuple(f1), astuple(f2)) == expected
+            assert front_leq(f1, f2) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -189,10 +193,12 @@ class TestFrontLeq:
             return Front(0, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
 
         a, b, c = fronts("a"), fronts("b"), fronts("c")
-        assert front_leq(a, a)
-        if front_leq(a, b) and front_leq(b, c):
-            assert front_leq(a, c)
-        if front_leq(a, b) and front_leq(b, a):
+        ka, kb, kc = astuple(a), astuple(b), astuple(c)
+        assert front_key_leq(ka, ka)
+        assert front_leq(a, b) == front_key_leq(ka, kb)
+        if front_key_leq(ka, kb) and front_key_leq(kb, kc):
+            assert front_key_leq(ka, kc)
+        if front_key_leq(ka, kb) and front_key_leq(kb, ka):
             # equal as step functions
             for y in range(0, 301, 7):
                 assert a.x_at(y) == b.x_at(y)
