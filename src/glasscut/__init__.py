@@ -3,7 +3,6 @@ glass cutting problem (four-stage guillotine packing with leftovers)."""
 
 from .model import (
     Defect,
-    Front,
     GlasscutError,
     GuideKind,
     Instance,
@@ -13,18 +12,13 @@ from .model import (
     Params,
     ParseError,
     SolutionError,
-    area,
-    dominates,
-    front_leq,
     root_node,
-    waste,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Defect",
-    "Front",
     "GlasscutError",
     "GuideKind",
     "Instance",
@@ -34,9 +28,5 @@ __all__ = [
     "Params",
     "ParseError",
     "SolutionError",
-    "area",
-    "dominates",
-    "front_leq",
     "root_node",
-    "waste",
 ]

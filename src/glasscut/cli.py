@@ -18,14 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .fileio import load_instance, read_solution, write_solution
-from .model import GlasscutError, GuideKind, Instance, Params, root_node
-from .search import (
-    DEFAULT_THREADS,
-    Incumbent,
-    iterative_beam_search,
-    portfolio_solve,
-    restarting_mba_star,
-)
+from .model import GlasscutError, GuideKind, Params
+from .search import DEFAULT_THREADS, portfolio_solve
 from .solution import build_solution_tree
 from .validator import objective_of, validate
 
@@ -196,25 +190,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_single(
-    instance: Instance,
-    algo: str,
-    guide: GuideKind,
-    growth: str,
-    sym: bool,
-    time_limit: float,
-) -> tuple[Optional[int], Optional[float]]:
-    incumbent = Incumbent()
-    root = root_node(instance)
-    if algo == "mbastar":
-        restarting_mba_star(
-            root, instance, guide, Fraction(growth), time_limit, incumbent, use_symmetry=sym
-        )
-    else:
-        iterative_beam_search(root, instance, guide, time_limit, incumbent, use_symmetry=sym)
-    return incumbent.waste, incumbent.time_to_best
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     params = _params_from(args)
     try:
@@ -247,9 +222,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for algo in args.algos:
                 for guide_key in args.guides:
                     for sym in sym_options:
-                        waste, t_best = _bench_single(
-                            instance, algo, GUIDES[guide_key], args.growth, sym, args.time_limit
+                        incumbent, _ = portfolio_solve(
+                            instance, args.time_limit, threads=1, use_symmetry=sym,
+                            guide=GUIDES[guide_key], growth=args.growth, algorithm=algo,
                         )
+                        waste, t_best = incumbent.waste, incumbent.time_to_best
                         label = algo + ("+sym" if sym else "+nosym")
                         t_txt = "" if t_best is None else f"{t_best:.2f}"
                         w_txt = "" if waste is None else str(waste)

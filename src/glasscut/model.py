@@ -27,7 +27,7 @@ minus the packed item area; the part of the last plate right of its final
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -202,37 +202,11 @@ def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     return chains
 
 
-@dataclass(frozen=True)
-class Front:
-    """Step-function boundary of a partial solution in its last plate."""
-
-    bin_index: int
-    x1_prev: int
-    x1_curr: int
-    x3_curr: int
-    y2_prev: int
-    y2_curr: int
-
-    def x_at(self, y: int) -> int:
-        if y < self.y2_prev:
-            return self.x1_curr
-        if y < self.y2_curr:
-            return self.x3_curr
-        return self.x1_prev
-
-
-def front_leq(f1: Front, f2: Front) -> bool:
-    """True iff f1's front is nowhere to the right of f2's (same plate only)."""
-    if f1.bin_index != f2.bin_index:
-        raise ValueError("BIN_MISMATCH fronts belong to different plates")
-    return front_key_leq(astuple(f1), astuple(f2))
-
-
 def front_key_leq(a: tuple, b: tuple) -> bool:
     """The front order on (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
-    tuples: a's step function is nowhere right of b's.  Both steps only
-    change at the y2 levels, so comparing there decides it; the caller
-    guarantees equal plate indexes."""
+    tuples (``Node.front_key``): a's step function is nowhere right of b's.
+    Both steps only change at the y2 levels, so comparing there decides it;
+    the caller guarantees equal plate indexes."""
     _, a1p, a1c, a3c, a2p, a2c = a
     _, b1p, b1c, b3c, b2p, b2c = b
     for y in (0, a2p, a2c, b2p, b2c):
@@ -357,7 +331,7 @@ class Node:
         self.shelf_chain_ids = shelf_chain_ids
         self.cell_min_item = cell_min_item
         self.cell_chain_ids = cell_chain_ids
-        # front-based covered area, inlined from area() for construction speed
+        # covered area: up to the front, or left of the last 1-cut once complete
         if bin < 0:
             self.area = 0
         elif complete:
@@ -370,11 +344,6 @@ class Node:
                 + (x3_curr - x1_prev) * (y2_curr - y2_prev)
             )
         self.waste = self.area - item_area
-
-    def front(self) -> Front:
-        return Front(
-            self.bin, self.x1_prev, self.x1_curr, self.x3_curr, self.y2_prev, self.y2_curr
-        )
 
     def front_key(self) -> tuple[int, int, int, int, int, int]:
         return (
@@ -422,35 +391,3 @@ def root_node(instance: Instance) -> Node:
         cell_min_item=None,
         cell_chain_ids=frozenset(),
     )
-
-
-def area(node: Node) -> int:
-    """Covered area of a partial solution, per the front accounting.
-
-    While items remain, the current column is only committed up to its front;
-    once everything is packed the whole region left of the last 1-cut counts.
-    """
-    if node.bin < 0:
-        return 0
-    h = node.plate_height
-    if node.complete:
-        return node.prior_area + node.x1_curr * h
-    return (
-        node.prior_area
-        + node.x1_prev * h
-        + (node.x1_curr - node.x1_prev) * node.y2_prev
-        + (node.x3_curr - node.x1_prev) * (node.y2_curr - node.y2_prev)
-    )
-
-
-def waste(node: Node) -> int:
-    """Covered area not occupied by items; non-negative, non-decreasing."""
-    return area(node) - node.item_area
-
-
-def dominates(a: Node, b: Node) -> bool:
-    """True iff a packs the same items as b on the same plate with a front
-    nowhere behind b's."""
-    if a.counts != b.counts or a.bin != b.bin:
-        return False
-    return front_leq(a.front(), b.front())

@@ -1,23 +1,23 @@
 """Tree search algorithms over the insertion scheme.
 
-All searches share the same ingredients: a guide function orders the open
-nodes, complete leaves go to a common incumbent, and nodes whose waste
-already reaches the incumbent's are cut (waste never decreases along a
-branch, so this pruning is exact).
+Every search expands nodes through one child block (``_expander``): complete
+children go to the incumbent, and children whose waste already reaches the
+incumbent's are cut (waste never decreases along a branch, so this pruning
+is exact).  One best-first loop (``_best_first``) runs three searches:
 
-* ``astar`` expands the best node until the fringe is empty.
-* ``mba_star`` is A* that additionally discards the *worst* open nodes
-  whenever the fringe exceeds a capacity D: D=1 degenerates to a greedy
-  descent, unbounded D is plain A*.
-* ``restarting_mba_star`` reruns MBA* with geometrically growing D; an
-  iteration that never discarded anything and still emptied its fringe is a
-  proof of optimality within the scheme, so the loop stops.
-* ``iterative_beam_search`` is the width-doubling level-synchronous baseline.
-* ``dpa_star`` handles instances with at most two chains: it memoizes, per
-  (chain-1 consumed, chain-2 consumed) state, the non-dominated fronts seen
-  so far and prunes any newly generated node some stored front dominates.
-* ``portfolio_solve`` runs several restarting-MBA* workers, one process
-  each, that share the incumbent's waste as their pruning bound.
+* ``astar`` expands the best open node until none is left;
+* ``mba_star`` also discards the *worst* open nodes beyond a capacity D:
+  D=1 degenerates to a greedy descent, unbounded D is plain A*;
+* ``dpa_star``, for at most two chains, is waste-guided A* whose admission
+  hook, a ``DominanceStore``, keeps the non-dominated fronts seen so far per
+  (chain-1 consumed, chain-2 consumed) state and rejects dominated children.
+
+``restarting_mba_star`` reruns MBA* with geometrically growing D; an
+iteration that never discarded anything and still emptied its fringe is a
+proof of optimality within the scheme, so the loop stops.
+``iterative_beam_search`` is the width-doubling level-synchronous baseline.
+``portfolio_solve`` runs several restarting-MBA* workers, one process each,
+that share the incumbent's waste as their pruning bound.
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .model import GlasscutError, GuideKind, Instance, Node, Params, front_key_leq, root_node
-from .branching import apply_insertion, children
+from .branching import _allowed_depths, apply_insertion, children
+
+# module aliases of the guides: attribute lookups on an Enum class are slow
+_WASTE, _WASTE_PERCENTAGE, _WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA = GuideKind
+
 
 class ChainCountError(GlasscutError):
     """Raised when DPA* is asked to solve an instance with over two chains."""
@@ -52,11 +56,11 @@ def guide_value(node: Node, kind: GuideKind, scale: int) -> int:
     """Ordering key of a node: the guide's ratio times ``scale`` (see
     ``guide_scale``) rounded down, which orders and ties nodes exactly as
     the ratio does; zero on the empty root."""
-    if kind is GuideKind.WASTE:
+    if kind is _WASTE:
         return node.waste
     if node.area == 0:
         return 0
-    if kind is GuideKind.WASTE_PERCENTAGE:
+    if kind is _WASTE_PERCENTAGE:
         return node.waste * scale // node.area
     if node.n_packed == 0:
         return 0
@@ -166,6 +170,20 @@ class Fringe:
             heapify(self._max)
 
 
+class _MinHeap(list):
+    """Open list of a search without a capacity: a plain min-heap of
+    (guide, -items packed, counter, node) entries.  A ``list`` subclass, so
+    ``len()`` and the truth test run in C."""
+
+    __slots__ = ()
+
+    def push(self, key: tuple, node: Node) -> None:
+        heappush(self, key + (node,))
+
+    def pop_best(self) -> Node:
+        return heappop(self)[-1]
+
+
 # Bytes per live search node, parents included, as tracemalloc measures it
 # (perfbench's model.bytes_per_node on its MBA* and its DPA* workload); A*
 # is charged the MBA* figure.
@@ -189,6 +207,98 @@ def _default_node_cap(node_bytes: int, workers: int = 1) -> int:
     return 2_000_000
 
 
+def _expander(
+    instance: Instance,
+    incumbent: Incumbent,
+    clock: _Clock,
+    use_symmetry: bool,
+    use_dominance: bool,
+    bound_pruning: bool,
+    admit: Optional[Callable[[Node], bool]],
+) -> Callable[[Node], list[Node]]:
+    """The child block of every search: ``expand(node)`` offers the complete
+    children to the incumbent and returns the others in generation order,
+    less those the bound prunes (with ``bound_pruning``) or ``admit`` rejects."""
+    offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
+
+    def expand(node: Node) -> list[Node]:
+        kept = []
+        for child in children(node, instance, use_symmetry, use_dominance):
+            if child.complete:
+                offer(child, elapsed())
+                continue
+            if bound_pruning:
+                best = bound()
+                if best is not None and child.waste >= best:
+                    continue
+            if admit is None or admit(child):
+                kept.append(child)
+        return kept
+
+    return expand
+
+
+def _best_first(
+    root: Node,
+    instance: Instance,
+    guide: GuideKind,
+    time_limit: float,
+    incumbent: Incumbent,
+    use_symmetry: bool,
+    use_dominance: bool,
+    bound_pruning: bool,
+    capacity: Optional[int] = None,
+    node_cap: Optional[int] = None,
+    admit: Optional[Callable[[Node], bool]] = None,
+    trace: Optional[list] = None,
+    started: Optional[float] = None,
+) -> SearchResult:
+    """The best-first loop of A*, MBA* and DPA*: expand the open node of
+    smallest (guide, -items packed, age) key until none is left.  With a
+    ``capacity`` the worst open nodes beyond it are discarded, without one
+    the search ends with "memory" once more than ``node_cap`` are open.
+    Under the waste guide the popped key is the node's waste, so the first
+    node the bound prunes ends the search: the bound prunes every open node."""
+    clock = _Clock(time_limit, started)
+    if root.complete:
+        incumbent.offer(root, clock.elapsed())
+        return SearchResult("exhausted", 0)
+    scale = guide_scale(instance.params)
+    fringe = _MinHeap() if capacity is None else Fringe()
+    push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
+    expand = _expander(
+        instance, incumbent, clock, use_symmetry, use_dominance, bound_pruning, admit
+    )
+    counter = 0
+    expanded = 0
+    discarded = False
+    push((guide_value(root, guide, scale), 0, counter), root)
+    while fringe:
+        if clock.expired():
+            return SearchResult("timeout", expanded, discarded)
+        node = pop_best()
+        if bound_pruning:
+            best = bound()
+            if best is not None and node.waste >= best:
+                if guide is _WASTE:
+                    break
+                continue
+        expanded += 1
+        if trace is not None:
+            trace.append(node)
+        for child in expand(node):
+            counter += 1
+            push((guide_value(child, guide, scale), -child.n_packed, counter), child)
+        if capacity is None:
+            if len(fringe) > node_cap:
+                return SearchResult("memory", expanded)
+        else:
+            while len(fringe) > capacity:
+                fringe.pop_worst()
+                discarded = True
+    return SearchResult("exhausted", expanded, discarded)
+
+
 def astar(
     root: Node,
     instance: Instance,
@@ -200,38 +310,13 @@ def astar(
     bound_pruning: bool = True,
     node_cap: Optional[int] = None,
 ) -> SearchResult:
-    """Plain best-first search; reports "memory" when the fringe hits the cap."""
-    clock = _Clock(time_limit)
+    """Plain best-first search; reports "memory" once more than ``node_cap``
+    nodes are open (by default a share of the available memory)."""
     cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
-    scale = guide_scale(instance.params)
-    heap: list[tuple] = []
-    counter = 0
-    expanded = 0
-    if root.complete:
-        incumbent.offer(root, clock.elapsed())
-        return SearchResult("exhausted", 0)
-    heappush(heap, (guide_value(root, guide, scale), 0, counter, root))
-    while heap:
-        if clock.expired():
-            return SearchResult("timeout", expanded)
-        _, _, _, node = heappop(heap)
-        bound = incumbent.bound()
-        if bound_pruning and bound is not None and node.waste >= bound:
-            continue
-        expanded += 1
-        for child in children(node, instance, use_symmetry, use_dominance):
-            if child.complete:
-                incumbent.offer(child, clock.elapsed())
-                continue
-            if bound_pruning:
-                bound = incumbent.bound()
-                if bound is not None and child.waste >= bound:
-                    continue
-            counter += 1
-            heappush(heap, (guide_value(child, guide, scale), -child.n_packed, counter, child))
-        if len(heap) > cap:
-            return SearchResult("memory", expanded)
-    return SearchResult("exhausted", expanded)
+    return _best_first(
+        root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
+        bound_pruning, node_cap=cap,
+    )
 
 
 def mba_star(
@@ -253,40 +338,10 @@ def mba_star(
     (a ``time.monotonic()`` reading), by default since this call began."""
     if capacity < 1:
         raise ValueError("fringe capacity must be at least 1")
-    clock = _Clock(time_limit, started)
-    scale = guide_scale(instance.params)
-    fringe = Fringe()
-    counter = 0
-    expanded = 0
-    discarded = False
-    if root.complete:
-        incumbent.offer(root, clock.elapsed())
-        return SearchResult("exhausted", 0)
-    fringe.push((guide_value(root, guide, scale), 0, counter), root)
-    while len(fringe):
-        if clock.expired():
-            return SearchResult("timeout", expanded, discarded)
-        node = fringe.pop_best()
-        bound = incumbent.bound()
-        if bound_pruning and bound is not None and node.waste >= bound:
-            continue
-        expanded += 1
-        if trace is not None:
-            trace.append(node)
-        for child in children(node, instance, use_symmetry, use_dominance):
-            if child.complete:
-                incumbent.offer(child, clock.elapsed())
-                continue
-            if bound_pruning:
-                bound = incumbent.bound()
-                if bound is not None and child.waste >= bound:
-                    continue
-            counter += 1
-            fringe.push((guide_value(child, guide, scale), -child.n_packed, counter), child)
-        while len(fringe) > capacity:
-            fringe.pop_worst()
-            discarded = True
-    return SearchResult("exhausted", expanded, discarded)
+    return _best_first(
+        root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
+        bound_pruning, capacity=capacity, trace=trace, started=started,
+    )
 
 
 def next_capacity(capacity: int, growth: Fraction) -> int:
@@ -326,6 +381,7 @@ def restarting_mba_star(
     while not clock.expired():
         if capacity > cap:
             return SearchResult("memory", expanded, True, iterations, capacity)
+        # called through the module, where a tracer can count the restarts
         res = mba_star(
             root,
             instance,
@@ -356,9 +412,12 @@ def iterative_beam_search(
     width_init: int = 2,
     use_symmetry: bool = True,
     use_dominance: bool = True,
+    node_cap: Optional[int] = None,
 ) -> SearchResult:
-    """Level-synchronous beam with doubling width, restarted until timeout."""
+    """Level-synchronous beam with doubling width, restarted until timeout
+    or, with outcome "memory", until the width would exceed ``node_cap``."""
     clock = _Clock(time_limit)
+    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
     scale = guide_scale(instance.params)
     width = width_init
     expanded = 0
@@ -366,10 +425,12 @@ def iterative_beam_search(
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
+    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, True, None)
     while not clock.expired():
+        if width > cap:
+            return SearchResult("memory", expanded, True, iterations, width)
         level = [root]
         truncated = False
-        counter = 0
         while level:
             if clock.expired():
                 return SearchResult("timeout", expanded, True, iterations, width)
@@ -379,22 +440,13 @@ def iterative_beam_search(
                 if bound is not None and node.waste >= bound:
                     continue
                 expanded += 1
-                for child in children(node, instance, use_symmetry, use_dominance):
-                    if child.complete:
-                        incumbent.offer(child, clock.elapsed())
-                        continue
-                    bound = incumbent.bound()
-                    if bound is not None and child.waste >= bound:
-                        continue
-                    counter += 1
-                    scored.append(
-                        (guide_value(child, guide, scale), -child.n_packed, counter, child)
-                    )
-            scored.sort(key=lambda t: t[:3])
+                for child in expand(node):
+                    scored.append((guide_value(child, guide, scale), -child.n_packed, child))
+            scored.sort(key=lambda t: t[:2])  # stable: ties keep the generation order
             if len(scored) > width:
                 truncated = True
                 scored = scored[:width]
-            level = [t[3] for t in scored]
+            level = [t[2] for t in scored]
         iterations += 1
         if not truncated:
             return SearchResult("exhausted", expanded, False, iterations, width)
@@ -405,22 +457,13 @@ def iterative_beam_search(
 # ---------------------------------------------------------------------------
 # DPA*
 
-def _pending_mode(node: Node) -> Optional[int]:
-    """Forced next-insertion depth, if any (these restrict continuations, so
-    nodes in different modes must not dominate one another)."""
-    if node.last_was_waste:
-        return max(1, node.last_depth)
-    if node.last_was_two and node.last_depth != 3:
-        return 3
-    return None
-
-
 class DominanceStore:
     """Non-dominated fronts per (chain-1 consumed, chain-2 consumed) state.
 
-    Fronts are only compared within the same plate index and the same pending
-    insertion mode (both are part of what a front can actually reach);
-    entries dominated by a newcomer are evicted."""
+    Fronts are only compared within the same plate index and the same
+    allowed next insertion depths (both are part of what a front can
+    actually reach); entries dominated by a newcomer are evicted.  This is
+    the paper's pseudo-dominance rule: it can prune the scheme optimum."""
 
     def __init__(self) -> None:
         self._by_state: dict[tuple, list[tuple]] = {}
@@ -428,7 +471,7 @@ class DominanceStore:
 
     def admit(self, node: Node) -> bool:
         front = node.front_key()
-        bucket = (node.counts, _pending_mode(node), node.bin)
+        bucket = (node.counts, _allowed_depths(node), node.bin)
         entries = self._by_state.get(bucket)
         if entries is None:
             self._by_state[bucket] = [front]
@@ -460,40 +503,13 @@ def dpa_star(
     off leaves the result closer to the scheme optimum."""
     if len(instance.chains) > 2:
         raise ChainCountError("CHAIN_COUNT DPA* handles at most two chains")
-    clock = _Clock(time_limit)
     cap = node_cap if node_cap is not None else _default_node_cap(DPA_NODE_BYTES)
     store = DominanceStore()
-    heap: list[tuple] = []
-    counter = 0
-    expanded = 0
-    if root.complete:
-        incumbent.offer(root, clock.elapsed())
-        return SearchResult("exhausted", 0)
     store.admit(root)
-    heappush(heap, (root.waste, 0, counter, root))
-    while heap:
-        if clock.expired():
-            return SearchResult("timeout", expanded)
-        waste, _, _, node = heappop(heap)
-        bound = incumbent.bound()
-        if bound is not None and waste >= bound:
-            # the guide is the bound itself: everything left is no better
-            return SearchResult("exhausted", expanded)
-        expanded += 1
-        for child in children(node, instance, use_symmetry):
-            if child.complete:
-                incumbent.offer(child, clock.elapsed())
-                continue
-            bound = incumbent.bound()
-            if bound is not None and child.waste >= bound:
-                continue
-            if not store.admit(child):
-                continue
-            counter += 1
-            heappush(heap, (child.waste, -child.n_packed, counter, child))
-        if len(heap) > cap:
-            return SearchResult("memory", expanded)
-    return SearchResult("exhausted", expanded)
+    return _best_first(
+        root, instance, _WASTE, time_limit, incumbent, use_symmetry, True, True,
+        node_cap=cap, admit=store.admit,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +549,8 @@ def portfolio_solve(
     that share the best waste as their bound.  ``threads=1`` searches in the
     calling process and is deterministic.  Explicit ``guide`` / ``growth``
     settings override the portfolio entry of each worker; ``node_cap`` caps
-    the fringe of DPA* and A* and the capacity of each MBA* worker.
+    the open nodes of DPA* and A*, the width of IBS and the capacity of each
+    MBA* worker.
     """
     incumbent = Incumbent()
     root = root_node(instance)
@@ -542,6 +559,15 @@ def portfolio_solve(
     if algorithm == "auto":
         algorithm = "dpastar" if len(instance.chains) <= 2 else "mbastar"
 
+    if algorithm == "astar":
+        res = astar(root, instance, guide or GuideKind.WASTE, time_limit, incumbent, use_symmetry, node_cap=node_cap)
+        return incumbent, [res]
+    if algorithm == "ibs":
+        res = iterative_beam_search(
+            root, instance, guide or GuideKind.WASTE_PERCENTAGE, time_limit, incumbent,
+            use_symmetry=use_symmetry, node_cap=node_cap,
+        )
+        return incumbent, [res]
     if algorithm == "dpastar":
         try:
             res = dpa_star(root, instance, time_limit, incumbent, node_cap=node_cap)
@@ -549,27 +575,13 @@ def portfolio_solve(
             res = None
         if res is not None and res.outcome != "memory":
             return incumbent, [res]
-        # fall back to the portfolio with whatever time remains
-        return _run_portfolio(
-            instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
-            incumbent, node_cap,
-        )
-
-    if algorithm == "astar":
-        res = astar(root, instance, guide or GuideKind.WASTE, time_limit, incumbent, use_symmetry, node_cap=node_cap)
-        return incumbent, [res]
-    if algorithm == "ibs":
-        res = iterative_beam_search(
-            root, instance, guide or GuideKind.WASTE_PERCENTAGE, time_limit, incumbent,
-            use_symmetry=use_symmetry,
-        )
-        return incumbent, [res]
-    if algorithm == "mbastar":
-        return _run_portfolio(
-            instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
-            incumbent, node_cap,
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        # otherwise fall back to the portfolio with whatever time remains
+    elif algorithm != "mbastar":
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _run_portfolio(
+        instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
+        incumbent, node_cap,
+    )
 
 
 def _run_portfolio(

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from glasscut.branching import children
-from glasscut.model import Defect, Front, Instance, Item, Node, Params, root_node
+from glasscut.model import Defect, Instance, Item, Node, Params, root_node
 
 SMALL_PARAMS = Params(
     plate_width=1000,
@@ -159,19 +159,31 @@ def raster_front_area(node: Node) -> int:
     return total
 
 
-def front_leq_grid(f1: Front, f2: Front, plate_height: int) -> bool:
-    """front_leq oracle: compare the step functions on every 1 mm row."""
-    return all(f1.x_at(y) <= f2.x_at(y) for y in range(plate_height + 1))
+def front_x_at(key: tuple, y: int) -> int:
+    """The step function of a (bin, x1_prev, x1_curr, x3_curr, y2_prev,
+    y2_curr) front key at height y."""
+    _, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr = key
+    if y < y2_prev:
+        return x1_curr
+    if y < y2_curr:
+        return x3_curr
+    return x1_prev
 
 
-def random_front(rng: random.Random, bin_index: int = 0) -> Front:
+def front_leq_grid(a: tuple, b: tuple, plate_height: int) -> bool:
+    """front_key_leq oracle: compare the step functions on every 1 mm row."""
+    return all(front_x_at(a, y) <= front_x_at(b, y) for y in range(plate_height + 1))
+
+
+def random_front(rng: random.Random, bin_index: int = 0) -> tuple:
+    """A random front key on a 1000 x 600 plate."""
     W, H = 1000, 600
     x1_prev = rng.randint(0, W)
     x1_curr = rng.randint(x1_prev, W)
     x3_curr = rng.randint(x1_prev, x1_curr)
     y2_prev = rng.randint(0, H)
     y2_curr = rng.randint(y2_prev, H)
-    return Front(bin_index, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
+    return (bin_index, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
 
 
 @pytest.fixture

@@ -85,12 +85,14 @@ class TestSolve:
         assert "NO_ITEMS" in capsys.readouterr().err
 
     def test_explicit_algorithms(self, instance_dir, capsys, tmp_path):
-        for algo in ("mbastar", "astar", "ibs"):
+        for algo in ("mbastar", "astar", "ibs", "dpastar"):
             out = tmp_path / f"{algo}.csv"
             code = run(
                 ["solve", "-p", str(instance_dir / "toy"), "-t", "3",
                  "-o", str(out), "--threads", "1", "--algorithm", algo]
             )
+            assert code == 0, algo
+            code = run(["validate", "-p", str(instance_dir / "toy"), "-s", str(out)])
             assert code == 0, algo
         capsys.readouterr()
 

@@ -1,29 +1,25 @@
 """Geometry accounting: areas, waste, fronts and dominance."""
 
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glasscut.model import (
-    Front,
     Instance,
     InstanceError,
     Item,
+    Node,
     Params,
-    area,
-    dominates,
     front_key_leq,
-    front_leq,
     root_node,
-    waste,
 )
-from glasscut.branching import children
+from glasscut.branching import children, filter_dominated_children
 
 from conftest import (
     SMALL_PARAMS,
     front_leq_grid,
+    front_x_at,
     make_instance,
     random_front,
     random_small_instance,
@@ -89,23 +85,20 @@ class TestInstance:
             )
 
 
-def _node_with(instance, **coords):
-    """A bare node carrying given coordinates (area bookkeeping only)."""
-    base = root_node(instance)
-    node = root_node(instance)
-    for key, value in coords.items():
-        setattr(node, key, value)
-    node.area = area(node)
-    node.waste = node.area - node.item_area
-    assert base.area == 0
-    return node
+def _node_with(instance, **fields):
+    """A node built through ``Node(...)`` from the root's fields, with
+    ``fields`` in place of some of them."""
+    root = root_node(instance)
+    kw = {name: getattr(root, name) for name in Node.__slots__ if name not in ("area", "waste")}
+    kw.update(fields)
+    return Node(**kw)
 
 
 class TestArea:
     def test_root_is_zero(self):
         inst = make_instance([(100, 100)])
-        assert area(root_node(inst)) == 0
-        assert waste(root_node(inst)) == 0
+        assert root_node(inst).area == 0
+        assert root_node(inst).waste == 0
 
     def test_single_shelf_partial(self):
         # one 2000x1000 item in a [0,2000]x[0,1000] shelf, items remaining
@@ -114,8 +107,8 @@ class TestArea:
             inst, bin=0, x1_prev=0, x1_curr=2000, y2_prev=0, y2_curr=1000,
             x3_prev=0, x3_curr=2000, item_area=2000 * 1000,
         )
-        assert area(node) == 2_000_000
-        assert waste(node) == 0
+        assert node.area == 2_000_000
+        assert node.waste == 0
         assert raster_front_area(node) == 2_000_000
 
     def test_complete_uses_last_cut(self):
@@ -125,8 +118,8 @@ class TestArea:
             x3_prev=0, x3_curr=4000, item_area=10_000_000, complete=True,
             n_packed=1,
         )
-        assert area(node) == 12_840_000
-        assert waste(node) == 2_840_000
+        assert node.area == 12_840_000
+        assert node.waste == 2_840_000
         assert raster_front_area(node) == 12_840_000
 
     def test_area_matches_raster_on_random_walks(self, rng):
@@ -150,35 +143,27 @@ class TestWasteMonotonicity:
 class TestFrontLeq:
     def test_reflexive(self, rng):
         f = random_front(rng)
-        assert front_leq(f, f)
-
-    def test_bin_mismatch_raises(self):
-        f1 = Front(0, 0, 100, 50, 10, 20)
-        f2 = Front(1, 0, 100, 50, 10, 20)
-        with pytest.raises(ValueError, match="BIN_MISMATCH"):
-            front_leq(f1, f2)
+        assert front_key_leq(f, f)
 
     def test_flat_fronts_compare_by_width(self):
         # a column committed to x=2000 vs one committed to x=3000, both up to y=3000
-        a = Front(0, 0, 2000, 2000, 3000, 3000)
-        b = Front(0, 0, 3000, 3000, 3000, 3000)
-        assert front_leq(a, b)
-        assert not front_leq(b, a)
+        a = (0, 0, 2000, 2000, 3000, 3000)
+        b = (0, 0, 3000, 3000, 3000, 3000)
+        assert front_key_leq(a, b)
+        assert not front_key_leq(b, a)
 
     def test_spec_counterexample(self):
-        f1 = Front(0, 500, 3000, 1000, 1000, 2000)
-        f2 = Front(0, 500, 2900, 1000, 1000, 2000)
-        assert not front_leq(f1, f2)  # f1 sticks out below y=1000
-        assert front_leq(f2, f1)
+        f1 = (0, 500, 3000, 1000, 1000, 2000)
+        f2 = (0, 500, 2900, 1000, 1000, 2000)
+        assert not front_key_leq(f1, f2)  # f1 sticks out below y=1000
+        assert front_key_leq(f2, f1)
         assert front_leq_grid(f2, f1, 3210)
         assert not front_leq_grid(f1, f2, 3210)
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(2000):
             f1, f2 = random_front(rng), random_front(rng)
-            expected = front_leq_grid(f1, f2, 600)
-            assert front_key_leq(astuple(f1), astuple(f2)) == expected
-            assert front_leq(f1, f2) == expected
+            assert front_key_leq(f1, f2) == front_leq_grid(f1, f2, 600)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -190,25 +175,27 @@ class TestFrontLeq:
             x3_curr = data.draw(st.integers(x1_prev, x1_curr), label=label + "_x3")
             y2_prev = data.draw(st.integers(0, H), label=label + "_y2p")
             y2_curr = data.draw(st.integers(y2_prev, H), label=label + "_y2c")
-            return Front(0, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
+            return (0, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
 
         a, b, c = fronts("a"), fronts("b"), fronts("c")
-        ka, kb, kc = astuple(a), astuple(b), astuple(c)
-        assert front_key_leq(ka, ka)
-        assert front_leq(a, b) == front_key_leq(ka, kb)
-        if front_key_leq(ka, kb) and front_key_leq(kb, kc):
-            assert front_key_leq(ka, kc)
-        if front_key_leq(ka, kb) and front_key_leq(kb, ka):
+        assert front_key_leq(a, a)
+        if front_key_leq(a, b) and front_key_leq(b, c):
+            assert front_key_leq(a, c)
+        if front_key_leq(a, b) and front_key_leq(b, a):
             # equal as step functions
             for y in range(0, 301, 7):
-                assert a.x_at(y) == b.x_at(y)
+                assert front_x_at(a, y) == front_x_at(b, y)
 
 
 class TestDominates:
+    """Sibling dominance, as ``filter_dominated_children`` applies it."""
+
     def test_same_node(self):
         inst = make_instance([(100, 100), (200, 150)])
         node = random_walk(random.Random(1), inst)[-1]
-        assert dominates(node, node)
+        twin = random_walk(random.Random(1), inst)[-1]  # the same walk again
+        assert front_key_leq(node.front_key(), twin.front_key())
+        assert filter_dominated_children([node, twin]) == [node]  # the earliest wins ties
 
     def test_same_items_tighter_front_dominates(self):
         # in a 300-tall shelf, item 1 standing (200 wide) commits less of the
@@ -225,8 +212,9 @@ class TestDominates:
         depth3 = [k for k in kids if k.insertion.depth == 3 and k.insertion.has_items]
         upright = next(k for k in depth3 if not k.insertion.placements[0].rotated)
         flat = next(k for k in depth3 if k.insertion.placements[0].rotated)
-        assert dominates(upright, flat)
-        assert not dominates(flat, upright)
+        assert front_key_leq(upright.front_key(), flat.front_key())
+        assert not front_key_leq(flat.front_key(), upright.front_key())
+        assert filter_dominated_children([flat, upright]) == [upright]
         filtered = children(parent, inst, use_dominance=True)
         assert not any(
             k.insertion.depth == 3 and k.insertion.has_items and k.insertion.placements[0].rotated
@@ -240,5 +228,4 @@ class TestDominates:
         k0 = next(k for k in kids if k.insertion.placements[0].item_id == 0)
         k1 = next(k for k in kids if k.insertion.placements[0].item_id == 1)
         assert k0.front_key()[1:] == k1.front_key()[1:]
-        assert not dominates(k0, k1)
-        assert not dominates(k1, k0)
+        assert filter_dominated_children([k0, k1]) == [k0, k1]

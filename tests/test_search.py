@@ -405,6 +405,16 @@ class TestIterativeBeamSearch:
             )
 
 
+    def test_node_cap_ends_the_widening_with_memory(self):
+        inst = midsize_instance(40, 6, seed=77)
+        inc = Incumbent()
+        res = iterative_beam_search(
+            root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 60.0, inc, node_cap=10
+        )
+        assert res.outcome == "memory"
+        assert res.final_capacity == 16 and res.iterations == 3  # widths 2, 4, 8
+
+
 class TestDpaStar:
     def test_rejects_three_chains(self):
         inst = make_instance([(100, 100)] * 3, chains=[[0], [1], [2]])
@@ -443,6 +453,11 @@ class TestDpaStar:
                 print(f"pseudo-dominance pruned the optimum: {inc.waste} > {oracle}")
         # the rule is heuristic; discrepancies happen but must stay rare
         assert logged <= 8
+
+    def test_node_cap_reported(self):
+        inst = midsize_instance(14, 2, seed=0)
+        res = dpa_star(root_node(inst), inst, 30.0, Incumbent(), node_cap=20)
+        assert res.outcome == "memory"
 
     def test_store_prunes_dominated_fronts(self):
         inst = make_instance([(300, 200), (200, 300)], chains=[[0, 1]])
@@ -596,6 +611,25 @@ class TestPortfolio:
                 inst, 30.0, threads=threads, algorithm="mbastar", node_cap=10
             )
             assert [r.outcome for r in results] == ["memory"] * threads
+
+    def test_node_cap_bounds_the_beam(self):
+        inst = midsize_instance(40, 6, seed=77)
+        started = time.monotonic()
+        _, results = portfolio_solve(inst, 8.0, algorithm="ibs", node_cap=10)
+        assert [r.outcome for r in results] == ["memory"]
+        assert time.monotonic() - started < 4.0
+
+    def test_dpastar_memory_break_falls_back_to_the_workers(self):
+        from glasscut.solution import build_solution_tree
+        from glasscut.validator import validate
+
+        inst = midsize_instance(14, 2, seed=0)
+        incumbent, results = portfolio_solve(
+            inst, 30.0, threads=2, algorithm="dpastar", node_cap=20
+        )
+        assert len(results) == 2  # the two MBA* workers' results, not DPA*'s
+        assert incumbent.leaf is not None
+        assert validate(inst, build_solution_tree(incumbent.leaf, inst)).ok
 
     def test_single_worker_is_deterministic(self, rng):
         inst = random_small_instance(rng, max_items=5)
