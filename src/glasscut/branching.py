@@ -29,12 +29,21 @@ edge (and item columns are widened to ``min1``); insertions whose pushes
 exceed ``max1`` or the plate bounds are dropped.  Every cut position an
 insertion materializes or extends is checked against defect interiors.
 
+One generator, ``_gen_cells``, places the item cells at all four depths.
+The depth only sets its frame: the cell's left edge and floor; a shelf top
+that is fixed (depth 3) or set by the cell (depths 0-2); the column's
+1-cuts and the edges its final 1-cut must clear; the plate; and the cuts
+that the move grows or closes (the column's, at depths 2 and 3, and the
+shelf below's, at depth 2).  A cell's shape comes from ``_cell_in_shelf``
+or ``_cell_opening_shelf``; waste cells come from ``_gen_waste``.
+
 Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
 whose sibling sub-plates could be swapped to put the smaller item id first.
-Its cell-swap rule is applied inside the depth-3 generator: a forbidden cell
-is omitted, never built.  Its feasibility is still probed while the
-suppression tests above are undecided, because raw feasibility, not the
-emitted set, drives them; so symmetry never changes which depths are open.
+Its cell-swap rule is applied inside the cell generator at depth 3: a
+forbidden cell is omitted, never built.  Its feasibility is still probed
+while the suppression tests above are undecided, because raw feasibility,
+not the emitted set, drives them; so symmetry never changes which depths
+are open.
 """
 
 from __future__ import annotations
@@ -206,50 +215,43 @@ def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) 
     return True
 
 
-class _ColumnClose:
-    """Resolved close of the current column (depth 0/1 and completion)."""
-
-    __slots__ = ("final_x1", "ok")
-
-    def __init__(self, node: Node, inst: Instance, defects: tuple[Defect, ...]):
-        p = inst.params
-        self.ok = False
-        self.final_x1 = node.x1_curr
-        lower = node.x1_curr
-        if node.col_has_items:
-            lower = max(lower, node.x1_prev + p.min1)
-        edges = _edge_constraints(node, closing_shelf=True)
-        x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
-        if node.col_has_items and x1 - node.x1_prev > p.max1:
-            return
-        if x1 > p.plate_width:
-            return
-        if not _growth_cuts_ok(node, x1, defects):
-            return
-        if not _close_shelf_cut_ok(node, x1, defects):
-            return
-        # top strip of the column: absent, or at least min_waste tall (a
-        # trailing all-waste shelf merges with it and has no such limit)
-        if node.shelf_min_item is not None:
-            gap = inst.params.plate_height - node.y2_curr
-            if 0 < gap < p.min_waste:
-                return
-            if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
-                return
-        self.final_x1 = x1
-        self.ok = True
-
-    def bin_close_ok(self, node: Node, inst: Instance, defects: tuple[Defect, ...]) -> bool:
-        """Extra rules when the whole plate is being left behind."""
-        p = inst.params
-        gap = p.plate_width - self.final_x1
-        if not node.col_has_items:
-            return True  # all-waste column merges with the trailing gap
+def _open_column_frame(
+    node: Node, instance: Instance, new_bin: bool
+) -> Optional[tuple[int, int, Optional[int]]]:
+    """Close the current column (and, with ``new_bin``, its plate) and return
+    where the next column starts: (x, plate index, final x1 of the closed
+    column); None if the close is illegal."""
+    if node.bin < 0:
+        return (0, 0, None)
+    p = instance.params
+    defects = instance.plate_defects(node.bin)
+    lower = node.x1_curr
+    if node.col_has_items:
+        lower = max(lower, node.x1_prev + p.min1)
+    edges = _edge_constraints(node, closing_shelf=True)
+    x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
+    if node.col_has_items and x1 - node.x1_prev > p.max1:
+        return None
+    if x1 > p.plate_width:
+        return None
+    if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
+        return None
+    # top strip of the column: absent, or at least min_waste tall (a
+    # trailing all-waste shelf merges with it and has no such limit)
+    if node.shelf_min_item is not None:
+        gap = p.plate_height - node.y2_curr
         if 0 < gap < p.min_waste:
-            return False
-        if gap > 0 and defects and not _vcut_ok(defects, self.final_x1, 0, p.plate_height):
-            return False
-        return True
+            return None
+        if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
+            return None
+    if new_bin and node.col_has_items and 0 < p.plate_width - x1 < p.min_waste:
+        return None  # the plate's trailing gap would be a sliver
+    # the closing 1-cut is the next column's left edge, or the plate's last
+    # cut (none when an all-waste column merges with the trailing gap)
+    if defects and (not new_bin or node.col_has_items and x1 < p.plate_width):
+        if not _vcut_ok(defects, x1, 0, p.plate_height):
+            return None
+    return (0, node.bin + 1, x1) if new_bin else (x1, node.bin, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,31 +275,6 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
     if node.last_was_two and node.last_depth != 3:
         return (3,)
     return (3, 2, 1, 0)
-
-
-def _cell_variant_new_shelf(
-    defects: tuple[Defect, ...],
-    x: int,
-    y_lo: int,
-    w: int,
-    h: int,
-    plate_h: int,
-    min2: int,
-    mw: int,
-) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
-    """(kind, cell_h, item_y, split_y) of an item cell whose shelf height is
-    free, or None."""
-    if not defects or _rect_clear(defects, x, y_lo, x + w, y_lo + h):
-        if h >= min2:
-            return _ONE_ITEM, h, y_lo, None
-        # widen to min2, keep the waste >= min_waste
-        return _ITEM_WASTE_ABOVE, max(min2, h + mw), y_lo, y_lo + h
-    # bottom spot is defective: put the item at the top of a taller cell
-    y_min = max(y_lo + mw, y_lo + min2 - h)
-    y_item = _raise_item(defects, x, w, h, y_min, plate_h)
-    if y_item is None:
-        return None
-    return _ITEM_WASTE_BELOW, y_item + h - y_lo, y_item, y_item
 
 
 class PairCombo(NamedTuple):
@@ -364,51 +341,37 @@ def enumerate_insertions(
 ) -> list[Insertion]:
     """All feasible insertions at ``node``, pruning rules applied.
 
-    Deeper depths are generated first so that shallower ones can be skipped
-    entirely once an item move suppresses them; raw feasibility (not the
-    emitted set) drives the suppression tests.  With ``use_symmetry`` the
-    depth-3 cells that the cell-swap rule forbids are omitted (see
-    ``_cell_swap_forbidden``); they still count as feasible for the
-    suppression tests, so the result is the unflagged list minus exactly
-    those cells, in the same order.
+    One pass visits the allowed depths deepest first, and each depth may
+    close the shallower ones: depth-2 insertions are only emitted while no
+    depth-3 cell fits (past that, depth 2 is only probed); depths 2 and 1
+    close once some cell fits without growing the column, and depth 0 once
+    any item cell fits.  Raw feasibility, not the emitted set, drives these
+    tests.  With ``use_symmetry`` the depth-3 cells that the cell-swap rule
+    forbids are omitted (see ``_cell_swap_forbidden``); they still count as
+    feasible for the suppression tests, so the result is the unflagged list
+    minus exactly those cells, in the same order.
     """
     if node.complete:
         return []
     cands = candidate_items(node, instance)
     combos = pair_combos(node, instance, cands) if instance.n_items - node.n_packed >= 2 else []
-    allowed = _allowed_depths(node)
-
-    gen3: list[Insertion] = []
-    fits3 = no_growth = False
-    if 3 in allowed:
-        gen3, fits3, no_growth = _gen_depth3(node, instance, cands, combos, use_symmetry)
-    gen2: list[Insertion] = []
-    if 2 in allowed and not no_growth:
-        # the output when no depth-3 cell fits, else only the new-column test
-        gen2, no_growth = _gen_new_shelf(node, instance, cands, combos, 2, emit=not fits3)
-    gen1: list[Insertion] = []
-    if 1 in allowed and not no_growth:
-        gen1 = _gen_new_shelf(node, instance, cands, combos, 1)[0]
-    gen0: list[Insertion] = []
-    if 0 in allowed and not (fits3 or gen2 or gen1):
-        if node.bin + 1 < instance.params.n_plates:
-            gen0 = _gen_new_shelf(node, instance, cands, combos, 0)[0]
-
-    kept = [d for d in allowed if d != 0 or node.bin + 1 < instance.params.n_plates]
     out: list[Insertion] = []
-    for d, gen in ((3, gen3), (2, gen2), (1, gen1), (0, gen0)):
-        if d not in kept:
+    fits = no_growth = False
+    for depth in _allowed_depths(node):
+        if depth in (1, 2) and no_growth:
             continue
-        if d == 2 and fits3:
+        if depth == 0 and (fits or node.bin + 1 >= instance.params.n_plates):
             continue
-        if d == 1 and no_growth:
-            continue
-        if d == 0 and (fits3 or gen2 or gen1):
-            continue
-        out.extend(gen)
-        w_ins = _gen_waste(node, instance, d)
-        if w_ins is not None:
-            out.append(w_ins)
+        emit = depth != 2 or not fits
+        cells, fits_d, no_growth_d = _gen_cells(
+            node, instance, cands, combos, depth, use_symmetry, emit)
+        fits = fits or fits_d
+        no_growth = no_growth or no_growth_d
+        if emit:
+            out += cells
+            w_ins = _gen_waste(node, instance, depth)
+            if w_ins is not None:
+                out.append(w_ins)
     out.sort(key=_insertion_sort_key)
     return out
 
@@ -433,32 +396,99 @@ def _closing_cuts_ok(
     return x1 >= p.plate_width or _vcut_ok(defects, x1, 0, p.plate_height)
 
 
-def _gen_depth3(
-    node: Node, instance: Instance, cands: list[int], combos: list[PairCombo], use_symmetry: bool
+def _cell_in_shelf(
+    defects: tuple[Defect, ...], x: int, y_lo: int, y_hi: int, w: int, h: int, mw: int
+) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
+    """(kind, item y, cell top, split y) of an item cell between the fixed
+    cuts y_lo and y_hi of the current shelf, or None."""
+    if h == y_hi - y_lo:
+        kind, y_item, split_y = _ONE_ITEM, y_lo, None
+    elif h > y_hi - y_lo - mw:
+        return None  # too tall, or the 4-cut waste would be a sliver
+    else:
+        kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+    if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
+        if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
+            return None
+        kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
+    return kind, y_item, y_hi, split_y
+
+
+def _cell_opening_shelf(
+    defects: tuple[Defect, ...], x: int, y_lo: int, w: int, h: int, p: Params
+) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
+    """(kind, item y, cell top, split y) of an item cell that opens a shelf
+    at y_lo, so that its height sets the shelf's, or None.  The item itself
+    fits below the plate's top edge."""
+    mw, H = p.min_waste, p.plate_height
+    if not defects or _rect_clear(defects, x, y_lo, x + w, y_lo + h):
+        if h >= p.min2:
+            kind, y_item, y_hi, split_y = _ONE_ITEM, y_lo, y_lo + h, None
+        else:  # widen to min2, keep the waste >= min_waste
+            kind, y_item, y_hi, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + max(p.min2, h + mw), y_lo + h
+    else:
+        # bottom spot is defective: put the item at the top of a taller cell
+        y_item = _raise_item(defects, x, w, h, max(y_lo + mw, y_lo + p.min2 - h), H)
+        if y_item is None:
+            return None
+        kind, y_hi, split_y = _ITEM_WASTE_BELOW, y_item + h, y_item
+    if y_hi > H - mw and y_hi != H:
+        return None  # past the plate, or a sliver above
+    return kind, y_item, y_hi, split_y
+
+
+def _gen_cells(
+    node: Node,
+    instance: Instance,
+    cands: list[int],
+    combos: list[PairCombo],
+    depth: int,
+    use_symmetry: bool = False,
+    emit: bool = True,
 ) -> tuple[list[Insertion], bool, bool]:
-    """Depth-3 insertions, whether some cell fits and whether some cell fits
-    without growing the column.  Under ``use_symmetry`` no insertion is built
-    for a cell the cell-swap rule forbids; such a cell is only tried until
-    some cell is known to fit without growth, which settles both facts."""
+    """Item cells placed at ``depth``, whether some cell fits and whether
+    some cell fits without growing the column.
+
+    The depth only sets the frame: the cell's left edge and floor, a fixed
+    shelf top (depth 3) or a free one, the column's 1-cuts and edges, the
+    plate, and the extra cuts to check.  No insertion is built for a cell
+    that is not emitted: every cell when ``emit`` is False, and at depth 3
+    under ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
+    only tried until some cell is known to fit without growth, which settles
+    both facts."""
     p = instance.params
-    mw = p.min_waste
-    defects = instance.plate_defects(node.bin)
-    x = node.x3_curr
-    y_lo, y_hi = node.y2_prev, node.y2_curr
-    if defects and not _vcut_ok(defects, x, y_lo, y_hi):
-        return [], False, False  # the boundary with the current cell is a real 3-cut
-    x1_prev, x1_curr = node.x1_prev, node.x1_curr
-    x1_max = min(x1_prev + p.max1, p.plate_width)
-    edges = _edge_constraints(node, closing_shelf=False)
+    mw, W, H = p.min_waste, p.plate_width, p.plate_height
+    if depth >= 2:
+        plate, prior_area, prev_col_x1 = node.bin, node.prior_area, None
+        x1_prev, x1_curr = node.x1_prev, node.x1_curr
+        edges = _edge_constraints(node, closing_shelf=depth == 2)
+    else:
+        frame = _open_column_frame(node, instance, depth == 0)
+        if frame is None:
+            return [], False, False
+        x1_prev, plate, prev_col_x1 = frame
+        x1_curr = x1_prev
+        prior_area, edges = plate * W * H, []
+    defects = instance.plate_defects(plate)
+    # the cell's floor and the top it may not pass: the shelf's fixed top at
+    # depth 3, else the plate's, as the cell opens a shelf
+    if depth == 3:
+        x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
+        if defects and not _vcut_ok(defects, x, y_lo, y_cap):
+            return [], False, False  # the boundary with the current cell is a real 3-cut
+    else:
+        x, y_lo, y_cap = x1_prev, node.y2_curr if depth == 2 else 0, H
+    x1_max = min(x1_prev + p.max1, W)
+    swap_rule = use_symmetry and depth == 3
     items_left = instance.n_items - node.n_packed
     chain_index, chain_sets = instance.chain_index, instance.chain_sets
     out: list[Insertion] = []
     fits = no_growth = False
 
-    def try_cell(x_end, completing, forbidden):
+    def try_cell(x_end, y_hi, completing, skip):
         """The final x1 of a cell to emit, or None; records the two facts."""
         nonlocal fits, no_growth
-        if forbidden and no_growth:
+        if skip and no_growth:
             return None
         if completing:
             x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
@@ -467,202 +497,78 @@ def _gen_depth3(
         if x1 > x1_max:
             return None
         if defects:
-            if not _growth_cuts_ok(node, x1, defects):
+            # the column grows; at depth 2 the shelf below also closes at the new 2-cut
+            if depth >= 2 and not _growth_cuts_ok(node, x1, defects):
+                return None
+            if depth == 2 and not (
+                _close_shelf_cut_ok(node, x1, defects) and _hcut_ok(defects, y_lo, x1_prev, x1)
+            ):
                 return None
             if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
                 return None
         fits = True
         if x1 == x1_curr:
             no_growth = True
-        return None if forbidden else x1
+        return None if skip else x1
 
-    h2 = y_hi - y_lo
     completing = items_left == 1
     for j in cands:
         ci = chain_index[j]
         for w, h, rot in instance.oriented[j]:
             x_end = x + w
-            if x_end > x1_max:
-                continue  # the final 1-cut is never left of the cell
-            if h == h2:
-                kind, y_item, split_y = _ONE_ITEM, y_lo, None
-            elif h > h2 - mw:
-                continue  # too tall, or the 4-cut waste would be a sliver
+            if x_end > x1_max or y_lo + h > y_cap:
+                continue  # past the widest 1-cut the column may get, or above y_cap
+            if depth == 3:
+                cell = _cell_in_shelf(defects, x, y_lo, y_cap, w, h, mw)
             else:
-                kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
-            if defects and not _rect_clear(defects, x, y_item, x_end, y_item + h):
-                if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x_end, y_hi):
-                    continue
-                kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
-            forbidden = use_symmetry and _cell_swap_forbidden(
+                cell = _cell_opening_shelf(defects, x, y_lo, w, h, p)
+            if cell is None:
+                continue
+            kind, y_item, y_hi, split_y = cell
+            skip = not emit or swap_rule and _cell_swap_forbidden(
                 node, defects, j, chain_sets[ci], x_end)
-            x1 = try_cell(x_end, completing, forbidden)
-            if x1 is not None:
+            x1 = try_cell(x_end, y_hi, completing, skip)
+            if x1 is None:
+                if no_growth and not emit:
+                    return out, fits, no_growth  # a probe: nothing left to learn
+            else:
                 out.append(Insertion(
-                    kind, 3, False, completing, (Placement(j, ci, x, y_item, w, h, rot),),
-                    node.bin, node.prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
-                    x1 if completing else None,
+                    kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
+                    plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
+                    x1 if completing and depth >= 2 else prev_col_x1,
                 ))
     completing = items_left == 2
     for c in combos:
         x_end = x + c.width
-        if c.hj + c.hk != h2 or x_end > x1_max:
+        y_split = y_lo + c.hj
+        y_hi = y_split + c.hk
+        if x_end > x1_max:
+            continue
+        if depth == 3:
+            if y_hi != y_cap:
+                continue
+        elif y_hi - y_lo < p.min2 or (y_hi > H - mw and y_hi != H):
             continue
         if defects and not (
-            _rect_clear(defects, x, y_lo, x_end, y_lo + c.hj)
-            and _rect_clear(defects, x, y_lo + c.hj, x_end, y_hi)
+            _rect_clear(defects, x, y_lo, x_end, y_split)
+            and _rect_clear(defects, x, y_split, x_end, y_hi)
         ):
             continue
         cj, ck = chain_index[c.j], chain_index[c.k]
-        forbidden = use_symmetry and _cell_swap_forbidden(
+        skip = not emit or swap_rule and _cell_swap_forbidden(
             node, defects, min(c.j, c.k), (cj, ck), x_end)
-        x1 = try_cell(x_end, completing, forbidden)
+        x1 = try_cell(x_end, y_hi, completing, skip)
         if x1 is not None:
             pls = (
                 Placement(c.j, cj, x, y_lo, c.width, c.hj, c.rj),
-                Placement(c.k, ck, x, y_lo + c.hj, c.width, c.hk, c.rk),
+                Placement(c.k, ck, x, y_split, c.width, c.hk, c.rk),
             )
             out.append(Insertion(
-                _TWO_ITEMS, 3, False, completing, pls, node.bin, node.prior_area,
-                x1_prev, x1, y_lo, y_hi, x, x_end, y_lo + c.hj, x1 if completing else None,
+                _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
+                x1_prev, x1, y_lo, y_hi, x, x_end, y_split,
+                x1 if completing and depth >= 2 else prev_col_x1,
             ))
     return out, fits, no_growth
-
-
-def _gen_new_shelf(
-    node: Node,
-    instance: Instance,
-    cands: list[int],
-    combos: list[PairCombo],
-    depth: int,
-    emit: bool = True,
-) -> tuple[list[Insertion], bool]:
-    """Insertions whose cell opens a shelf: above the current one (depth 2),
-    in a new column (depth 1) or on a new plate (depth 0); and, at depth 2,
-    whether some cell fits without growing the column.  With ``emit`` False
-    only the latter is wanted: nothing is built and the search stops at the
-    first such cell."""
-    p = instance.params
-    mw, H, W = p.min_waste, p.plate_height, p.plate_width
-    if depth == 2:
-        x = x1_prev = node.x1_prev
-        x1_curr, y_lo = node.x1_curr, node.y2_curr
-        if y_lo >= H:
-            return [], False
-        plate, prior_area, prev_col_x1 = node.bin, node.prior_area, None
-        edges = _edge_constraints(node, closing_shelf=True)
-    else:
-        frame = _open_column_frame(node, instance, depth == 0)
-        if frame is None:
-            return [], False
-        x, plate, prev_col_x1 = frame
-        x1_prev = x1_curr = x
-        y_lo, prior_area, edges = 0, plate * W * H, []
-    defects = instance.plate_defects(plate)
-    x1_max = min(x1_prev + p.max1, W)
-    items_left = instance.n_items - node.n_packed
-    chain_index = instance.chain_index
-    out: list[Insertion] = []
-    no_growth = False
-
-    def try_cell(x_end, cell_h, completing):
-        """The final x1 of a feasible cell, or None."""
-        y_hi = y_lo + cell_h
-        if y_hi > H - mw and y_hi != H:
-            return None  # past the plate, or a sliver above
-        if completing:
-            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
-        else:
-            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
-        if x1 > x1_max:
-            return None
-        if defects:
-            # the column grows and the shelf below closes at the new 2-cut
-            if depth == 2 and not (
-                _growth_cuts_ok(node, x1, defects)
-                and _close_shelf_cut_ok(node, x1, defects)
-                and _hcut_ok(defects, y_lo, x1_prev, x1)
-            ):
-                return None
-            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
-                return None
-        return x1
-
-    completing = items_left == 1
-    for j in cands:
-        ci = chain_index[j]
-        for w, h, rot in instance.oriented[j]:
-            x_end = x + w
-            if y_lo + h > H or x_end > x1_max:
-                continue  # the final 1-cut is never left of the cell
-            cell = _cell_variant_new_shelf(defects, x, y_lo, w, h, H, p.min2, mw)
-            if cell is None:
-                continue
-            kind, cell_h, y_item, split_y = cell
-            x1 = try_cell(x_end, cell_h, completing)
-            if x1 is None:
-                continue
-            no_growth = no_growth or x1 == x1_curr
-            if not emit:
-                if no_growth:
-                    return [], True
-                continue
-            out.append(Insertion(
-                kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
-                plate, prior_area, x1_prev, x1, y_lo, y_lo + cell_h, x, x_end, split_y,
-                x1 if completing and depth == 2 else prev_col_x1,
-            ))
-    completing = items_left == 2
-    for c in combos:
-        cell_h = c.hj + c.hk
-        x_end = x + c.width
-        if cell_h < p.min2 or y_lo + cell_h > H or x_end > x1_max:
-            continue
-        if defects and not (
-            _rect_clear(defects, x, y_lo, x_end, y_lo + c.hj)
-            and _rect_clear(defects, x, y_lo + c.hj, x_end, y_lo + cell_h)
-        ):
-            continue
-        x1 = try_cell(x_end, cell_h, completing)
-        if x1 is None:
-            continue
-        no_growth = no_growth or x1 == x1_curr
-        if not emit:
-            if no_growth:
-                return [], True
-            continue
-        pls = (
-            Placement(c.j, chain_index[c.j], x, y_lo, c.width, c.hj, c.rj),
-            Placement(c.k, chain_index[c.k], x, y_lo + c.hj, c.width, c.hk, c.rk),
-        )
-        out.append(Insertion(
-            _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
-            x1_prev, x1, y_lo, y_lo + cell_h, x, x_end, y_lo + c.hj,
-            x1 if completing and depth == 2 else prev_col_x1,
-        ))
-    return out, no_growth
-
-
-def _open_column_frame(
-    node: Node, instance: Instance, new_bin: bool
-) -> Optional[tuple[int, int, Optional[int]]]:
-    """Close the current column (and plate) and return where the next column
-    starts: (x, plate index, final x1 of the closed column)."""
-    p = instance.params
-    if node.bin < 0:
-        return (0, 0, None)
-    defects_cur = instance.plate_defects(node.bin)
-    close = _ColumnClose(node, instance, defects_cur)
-    if not close.ok:
-        return None
-    if new_bin:
-        if not close.bin_close_ok(node, instance, defects_cur):
-            return None
-        return (0, node.bin + 1, close.final_x1)
-    # the closing 1-cut is shared with the new column's left edge
-    if defects_cur and not _vcut_ok(defects_cur, close.final_x1, 0, p.plate_height):
-        return None
-    return (close.final_x1, node.bin, close.final_x1)
 
 
 def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion]:

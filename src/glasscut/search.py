@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, nsmallest
 from typing import Callable, Optional, Union
 
 from .model import GlasscutError, GuideKind, Instance, Node, Params, front_key_leq, root_node
@@ -213,12 +213,11 @@ def _expander(
     clock: _Clock,
     use_symmetry: bool,
     use_dominance: bool,
-    bound_pruning: bool,
     admit: Optional[Callable[[Node], bool]],
 ) -> Callable[[Node], list[Node]]:
     """The child block of every search: ``expand(node)`` offers the complete
     children to the incumbent and returns the others in generation order,
-    less those the bound prunes (with ``bound_pruning``) or ``admit`` rejects."""
+    less those the bound prunes or ``admit`` rejects."""
     offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
 
     def expand(node: Node) -> list[Node]:
@@ -227,10 +226,9 @@ def _expander(
             if child.complete:
                 offer(child, elapsed())
                 continue
-            if bound_pruning:
-                best = bound()
-                if best is not None and child.waste >= best:
-                    continue
+            best = bound()
+            if best is not None and child.waste >= best:
+                continue
             if admit is None or admit(child):
                 kept.append(child)
         return kept
@@ -246,7 +244,6 @@ def _best_first(
     incumbent: Incumbent,
     use_symmetry: bool,
     use_dominance: bool,
-    bound_pruning: bool,
     capacity: Optional[int] = None,
     node_cap: Optional[int] = None,
     admit: Optional[Callable[[Node], bool]] = None,
@@ -266,9 +263,7 @@ def _best_first(
     scale = guide_scale(instance.params)
     fringe = _MinHeap() if capacity is None else Fringe()
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
-    expand = _expander(
-        instance, incumbent, clock, use_symmetry, use_dominance, bound_pruning, admit
-    )
+    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, admit)
     counter = 0
     expanded = 0
     discarded = False
@@ -277,12 +272,11 @@ def _best_first(
         if clock.expired():
             return SearchResult("timeout", expanded, discarded)
         node = pop_best()
-        if bound_pruning:
-            best = bound()
-            if best is not None and node.waste >= best:
-                if guide is _WASTE:
-                    break
-                continue
+        best = bound()
+        if best is not None and node.waste >= best:
+            if guide is _WASTE:
+                break
+            continue
         expanded += 1
         if trace is not None:
             trace.append(node)
@@ -307,15 +301,13 @@ def astar(
     incumbent: Incumbent,
     use_symmetry: bool = True,
     use_dominance: bool = True,
-    bound_pruning: bool = True,
     node_cap: Optional[int] = None,
 ) -> SearchResult:
     """Plain best-first search; reports "memory" once more than ``node_cap``
     nodes are open (by default a share of the available memory)."""
     cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
     return _best_first(
-        root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
-        bound_pruning, node_cap=cap,
+        root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance, node_cap=cap,
     )
 
 
@@ -328,7 +320,6 @@ def mba_star(
     incumbent: Incumbent,
     use_symmetry: bool = True,
     use_dominance: bool = True,
-    bound_pruning: bool = True,
     trace: Optional[list] = None,
     started: Optional[float] = None,
 ) -> SearchResult:
@@ -340,7 +331,7 @@ def mba_star(
         raise ValueError("fringe capacity must be at least 1")
     return _best_first(
         root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
-        bound_pruning, capacity=capacity, trace=trace, started=started,
+        capacity=capacity, trace=trace, started=started,
     )
 
 
@@ -415,7 +406,11 @@ def iterative_beam_search(
     node_cap: Optional[int] = None,
 ) -> SearchResult:
     """Level-synchronous beam with doubling width, restarted until timeout
-    or, with outcome "memory", until the width would exceed ``node_cap``."""
+    or, with outcome "memory", until the width would exceed ``node_cap``.
+
+    Each level keeps the best ``width`` children of the level before it,
+    selected while they are generated: at most ``width + 1`` of a level's
+    children are held at once, plus those of the node being expanded."""
     clock = _Clock(time_limit)
     cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
     scale = guide_scale(instance.params)
@@ -425,7 +420,20 @@ def iterative_beam_search(
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, True, None)
+    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, None)
+
+    def level_children(level: list[Node]):
+        nonlocal expanded
+        for node in level:
+            bound = incumbent.bound()  # read anew: expanding a node may improve it
+            if bound is not None and node.waste >= bound:
+                continue
+            expanded += 1
+            yield from expand(node)
+
+    def key(child: Node) -> tuple:
+        return guide_value(child, guide, scale), -child.n_packed
+
     while not clock.expired():
         if width > cap:
             return SearchResult("memory", expanded, True, iterations, width)
@@ -434,19 +442,12 @@ def iterative_beam_search(
         while level:
             if clock.expired():
                 return SearchResult("timeout", expanded, True, iterations, width)
-            scored: list[tuple] = []
-            for node in level:
-                bound = incumbent.bound()
-                if bound is not None and node.waste >= bound:
-                    continue
-                expanded += 1
-                for child in expand(node):
-                    scored.append((guide_value(child, guide, scale), -child.n_packed, child))
-            scored.sort(key=lambda t: t[:2])  # stable: ties keep the generation order
-            if len(scored) > width:
+            # as sorted(...)[:width + 1], ties in generation order, but holding
+            # at most width + 1 children; the extra one marks a truncated level
+            level = nsmallest(width + 1, level_children(level), key=key)
+            if len(level) > width:
                 truncated = True
-                scored = scored[:width]
-            level = [t[2] for t in scored]
+                level.pop()
         iterations += 1
         if not truncated:
             return SearchResult("exhausted", expanded, False, iterations, width)
@@ -507,7 +508,7 @@ def dpa_star(
     store = DominanceStore()
     store.admit(root)
     return _best_first(
-        root, instance, _WASTE, time_limit, incumbent, use_symmetry, True, True,
+        root, instance, _WASTE, time_limit, incumbent, use_symmetry, True,
         node_cap=cap, admit=store.admit,
     )
 
@@ -760,6 +761,7 @@ def _collect_workers(
                     except EOFError:
                         break
                 if results[i] is None:
+                    proc.join()  # its sentinel has fired: this only reaps the exit code
                     raise RuntimeError(
                         f"portfolio worker {i} exited with code {proc.exitcode} "
                         "without a result"

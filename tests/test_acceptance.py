@@ -124,7 +124,6 @@ def test_criterion_2_oracle_equivalence():
             incumbent,
             use_symmetry=False,
             use_dominance=False,
-            bound_pruning=False,
         )
         assert res.outcome == "exhausted", f"trial {trial} timed out"
         if incumbent.waste != oracle:

@@ -1,5 +1,6 @@
 """Insertion enumeration: configurations, pruning rules, repairs, symmetry."""
 
+import hashlib
 import random
 
 import pytest
@@ -375,6 +376,49 @@ class TestChildren:
         )
 
 
+# sha256 of every insertion list over walked_nodes(random.Random(2024), 2400)
+PINNED_INSERTIONS = "0f8e836117851d0baeb1fb8aad776216f1d9000e51caa80f9927ed1502ddab90"
+# and over the stackable-item walks of test_insertion_lists_are_pinned_on_stackable_items
+PINNED_STACKABLE_INSERTIONS = "01c7cfa0a8ab7dc3213479d44c4bfd6e69840e80b60c0dd3ae27ab03eb0da82b"
+STACKABLE_PARAMS = Params(plate_width=600, plate_height=400, n_plates=3, min1=40, max1=400,
+                          min2=45, min_waste=12)
+
+
+def insertions_digest(nodes) -> str:
+    """sha256 of ``enumerate_insertions`` at each node, both flags, field by
+    field (as ``_digest`` in test_golden_trace.py hashes insertions)."""
+    digest = hashlib.sha256()
+    for node, inst in nodes:
+        for use_symmetry in (False, True):
+            records = []
+            for ins in enumerate_insertions(node, inst, use_symmetry):
+                fields = list(ins)
+                fields[0] = ins.kind.name
+                fields[4] = tuple(tuple(pl) for pl in ins.placements)
+                records.append(tuple(fields))
+            digest.update(repr(records).encode())
+    return digest.hexdigest()
+
+
+def stackable_instance(rng):
+    """Up to 9 items of 4 widths and 8 heights in up to 4 chains, on small
+    plates with up to 4 defects."""
+    n = rng.randint(2, 9)
+    dims = [(rng.choice([60, 80, 100, 120]), rng.choice([20, 30, 40, 50, 70, 90, 100, 150]))
+            for _ in range(n)]
+    chains = [[] for _ in range(rng.randint(1, 4))]
+    for i in range(n):
+        chains[rng.randrange(len(chains))].append(i)
+    defects = []
+    for _ in range(rng.randint(0, 4)):
+        plate, dw, dh = rng.randint(0, 2), rng.randint(3, 40), rng.randint(3, 40)
+        cand = Defect(plate, rng.randint(0, 600 - dw), rng.randint(0, 400 - dh), dw, dh)
+        if all(d.plate_index != plate or not cand.intersects(d.x, d.y, d.x + d.width, d.y + d.height)
+               for d in defects):
+            defects.append(cand)
+    return make_instance(dims, [c for c in chains if c], defects, params=STACKABLE_PARAMS)
+
+
 def walked_nodes(rng, min_nodes):
     """Nodes of random walks, with and without symmetry, over small random
     instances and over challenge-sized instances with defects."""
@@ -440,3 +484,27 @@ class TestSymmetryAwareGenerator:
                     ref = reference_children(node, inst, use_symmetry, use_dominance)
                     assert [k.insertion for k in got] == [k.insertion for k in ref]
                     assert [k.front_key() for k in got] == [k.front_key() for k in ref]
+
+    def test_insertion_lists_are_pinned(self, nodes):
+        """Every field of every insertion list, both flags, at every walked
+        node: depths 0-2, waste cells and defect raises included, also at
+        nodes no search expands.  Pinned on the per-depth generators that the
+        single cell generator replaced."""
+        assert insertions_digest(nodes) == PINNED_INSERTIONS
+
+    def test_insertion_lists_are_pinned_on_stackable_items(self):
+        """The same pin over walks on instances whose few item sizes make
+        two-item cells, cells that pack the last items and cells lower than
+        min2 common at every depth."""
+        nodes = []
+        for seed in range(600):
+            rng = random.Random(seed)
+            inst = stackable_instance(rng)
+            for use_symmetry in (False, True):
+                use_dominance = rng.random() < 0.5
+                nodes += [(n, inst) for n in random_walk(
+                    rng, inst, use_symmetry=use_symmetry, use_dominance=use_dominance)]
+        kinds = {(m.depth, m.kind, m.completes) for node, inst in nodes
+                 for m in enumerate_insertions(node, inst)}
+        assert len(kinds) == 35  # every depth, kind and completion that occurs
+        assert insertions_digest(nodes) == PINNED_STACKABLE_INSERTIONS

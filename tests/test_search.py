@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from glasscut import search
+from glasscut import branching, search
 from glasscut.branching import children
 from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
@@ -224,7 +224,7 @@ class TestAstar:
             inc = Incumbent()
             res = astar(
                 root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 30.0, inc,
-                use_symmetry=False, use_dominance=False, bound_pruning=False,
+                use_symmetry=False, use_dominance=False,
             )
             assert res.outcome == "exhausted"
             assert inc.waste == oracle
@@ -413,6 +413,36 @@ class TestIterativeBeamSearch:
         )
         assert res.outcome == "memory"
         assert res.final_capacity == 16 and res.iterations == 3  # widths 2, 4, 8
+
+    def test_a_level_holds_about_width_nodes(self, monkeypatch):
+        """Nodes of one depth alive at once: the best width + 1 children of
+        the level so far plus the children of the node being expanded, not
+        every child of the level."""
+        live: dict[int, int] = {}
+        peak = [0]
+
+        class CountedNode(search.Node):
+            __slots__ = ("depth",)
+
+            def __init__(self, parent, *args):
+                super().__init__(parent, *args)
+                self.depth = getattr(parent, "depth", 0) + 1
+                live[self.depth] = live.get(self.depth, 0) + 1
+                peak[0] = max(peak[0], live[self.depth])
+
+            def __del__(self):
+                live[self.depth] -= 1
+
+        monkeypatch.setattr(branching, "Node", CountedNode)
+        inst = midsize_instance(40, 6, seed=77)
+        width = 64
+        res = iterative_beam_search(
+            root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 60.0, Incumbent(), node_cap=width
+        )
+        assert res.outcome == "memory" and res.final_capacity == 2 * width
+        # a node here has at most 21 raw insertions; the run peaks at 88
+        # nodes of one depth, where keeping every child of a level made 273
+        assert peak[0] <= 2 * width
 
 
 class TestDpaStar:
