@@ -29,13 +29,16 @@ edge (and item columns are widened to ``min1``); insertions whose pushes
 exceed ``max1`` or the plate bounds are dropped.  Every cut position an
 insertion materializes or extends is checked against defect interiors.
 
-One generator, ``_gen_cells``, places the item cells at all four depths.
-The depth only sets its frame: the cell's left edge and floor; a shelf top
-that is fixed (depth 3) or set by the cell (depths 0-2); the column's
-1-cuts and the edges its final 1-cut must clear; the plate; and the cuts
-that the move grows or closes (the column's, at depths 2 and 3, and the
-shelf below's, at depth 2).  A cell's shape comes from ``_cell_in_shelf``
-or ``_cell_opening_shelf``; waste cells come from ``_gen_waste``.
+Each depth has one frame, built once by ``_frame``: the plate; the column's
+1-cuts and the edges its final 1-cut must clear; the cell's left edge and
+floor; and a shelf top that is fixed (depth 3) or set by the cell (depths
+0-2).  Depths 0 and 1 close the current column to build it, and a depth
+whose move is illegal has none.  The item cells and the waste cell both
+read it.  ``_gen_cells`` places the item cells, shaped by ``_cell_in_shelf``
+or ``_cell_opening_shelf``, and checks the cuts that the move grows or
+closes (the column's, at depths 2 and 3, and the shelf below's, at depth
+2).  ``_gen_waste`` covers the nearest defect: with a band above the
+shelves at depth 2, else with a strip right of the frame's left edge.
 
 Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
 whose sibling sub-plates could be swapped to put the smaller item id first.
@@ -215,43 +218,60 @@ def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) 
     return True
 
 
-def _open_column_frame(
-    node: Node, instance: Instance, new_bin: bool
-) -> Optional[tuple[int, int, Optional[int]]]:
-    """Close the current column (and, with ``new_bin``, its plate) and return
-    where the next column starts: (x, plate index, final x1 of the closed
-    column); None if the close is illegal."""
-    if node.bin < 0:
-        return (0, 0, None)
+def _frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
+    """Where every cell placed at ``depth`` goes, or None if the move is
+    illegal: (plate, prior area, prev_col_x1, x1_prev, x1_curr, the edges
+    the final 1-cut must clear, the plate's defects, the cell's left edge x,
+    its floor y_lo and the top y_cap it may not pass).
+
+    At depth 3 the cell extends the current shelf, under its fixed top; at
+    depth 2 it opens a shelf above it.  Depths 1 and 0 close the current
+    column (depth 0 its plate too) and open a column at the closing 1-cut,
+    or at the left edge of the next plate."""
     p = instance.params
+    W, H = p.plate_width, p.plate_height
     defects = instance.plate_defects(node.bin)
-    lower = node.x1_curr
-    if node.col_has_items:
-        lower = max(lower, node.x1_prev + p.min1)
-    edges = _edge_constraints(node, closing_shelf=True)
-    x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
-    if node.col_has_items and x1 - node.x1_prev > p.max1:
-        return None
-    if x1 > p.plate_width:
-        return None
-    if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
-        return None
-    # top strip of the column: absent, or at least min_waste tall (a
-    # trailing all-waste shelf merges with it and has no such limit)
-    if node.shelf_min_item is not None:
-        gap = p.plate_height - node.y2_curr
-        if 0 < gap < p.min_waste:
+    if depth == 3:
+        x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
+        if defects and not _vcut_ok(defects, x, y_lo, y_cap):
+            return None  # the boundary with the current cell is a real 3-cut
+        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+                _edge_constraints(node, closing_shelf=False), defects, x, y_lo, y_cap)
+    if depth == 2:
+        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+                _edge_constraints(node, closing_shelf=True), defects,
+                node.x1_prev, node.y2_curr, H)
+    new_bin = depth == 0
+    x1 = None  # the final 1-cut of the closed column; none before the first plate
+    if node.bin >= 0:
+        lower = node.x1_curr
+        if node.col_has_items:
+            lower = max(lower, node.x1_prev + p.min1)
+        edges = _edge_constraints(node, closing_shelf=True)
+        x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
+        if node.col_has_items and x1 - node.x1_prev > p.max1:
             return None
-        if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
+        if x1 > W:
             return None
-    if new_bin and node.col_has_items and 0 < p.plate_width - x1 < p.min_waste:
-        return None  # the plate's trailing gap would be a sliver
-    # the closing 1-cut is the next column's left edge, or the plate's last
-    # cut (none when an all-waste column merges with the trailing gap)
-    if defects and (not new_bin or node.col_has_items and x1 < p.plate_width):
-        if not _vcut_ok(defects, x1, 0, p.plate_height):
+        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
             return None
-    return (0, node.bin + 1, x1) if new_bin else (x1, node.bin, x1)
+        # top strip of the column: absent, or at least min_waste tall (a
+        # trailing all-waste shelf merges with it and has no such limit)
+        if node.shelf_min_item is not None:
+            gap = H - node.y2_curr
+            if 0 < gap < p.min_waste:
+                return None
+            if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
+                return None
+        if new_bin and node.col_has_items and 0 < W - x1 < p.min_waste:
+            return None  # the plate's trailing gap would be a sliver
+        # the closing 1-cut is the next column's left edge, or the plate's last
+        # cut (none when an all-waste column merges with the trailing gap)
+        if defects and (not new_bin or node.col_has_items and x1 < W):
+            if not _vcut_ok(defects, x1, 0, H):
+                return None
+    plate, x = (node.bin + 1, 0) if new_bin else (node.bin, x1)
+    return (plate, plate * W * H, x1, x, x, [], instance.plate_defects(plate), x, 0, H)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +382,17 @@ def enumerate_insertions(
             continue
         if depth == 0 and (fits or node.bin + 1 >= instance.params.n_plates):
             continue
+        frame = _frame(node, instance, depth)
+        if frame is None:
+            continue
         emit = depth != 2 or not fits
         cells, fits_d, no_growth_d = _gen_cells(
-            node, instance, cands, combos, depth, use_symmetry, emit)
+            node, instance, frame, cands, combos, depth, use_symmetry, emit)
         fits = fits or fits_d
         no_growth = no_growth or no_growth_d
         if emit:
             out += cells
-            w_ins = _gen_waste(node, instance, depth)
+            w_ins = _gen_waste(node, instance, frame, depth)
             if w_ins is not None:
                 out.append(w_ins)
     out.sort(key=_insertion_sort_key)
@@ -440,44 +463,25 @@ def _cell_opening_shelf(
 def _gen_cells(
     node: Node,
     instance: Instance,
+    frame: tuple,
     cands: list[int],
     combos: list[PairCombo],
     depth: int,
     use_symmetry: bool = False,
     emit: bool = True,
 ) -> tuple[list[Insertion], bool, bool]:
-    """Item cells placed at ``depth``, whether some cell fits and whether
-    some cell fits without growing the column.
+    """Item cells placed in the ``frame`` of ``depth``, whether some cell
+    fits and whether some cell fits without growing the column.
 
-    The depth only sets the frame: the cell's left edge and floor, a fixed
-    shelf top (depth 3) or a free one, the column's 1-cuts and edges, the
-    plate, and the extra cuts to check.  No insertion is built for a cell
-    that is not emitted: every cell when ``emit`` is False, and at depth 3
-    under ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
+    The depth decides a cell's shape (in the shelf, or opening one) and the
+    extra cuts to check.  No insertion is built for a cell that is not
+    emitted: every cell when ``emit`` is False, and at depth 3 under
+    ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
     only tried until some cell is known to fit without growth, which settles
     both facts."""
+    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, W, H = p.min_waste, p.plate_width, p.plate_height
-    if depth >= 2:
-        plate, prior_area, prev_col_x1 = node.bin, node.prior_area, None
-        x1_prev, x1_curr = node.x1_prev, node.x1_curr
-        edges = _edge_constraints(node, closing_shelf=depth == 2)
-    else:
-        frame = _open_column_frame(node, instance, depth == 0)
-        if frame is None:
-            return [], False, False
-        x1_prev, plate, prev_col_x1 = frame
-        x1_curr = x1_prev
-        prior_area, edges = plate * W * H, []
-    defects = instance.plate_defects(plate)
-    # the cell's floor and the top it may not pass: the shelf's fixed top at
-    # depth 3, else the plate's, as the cell opens a shelf
-    if depth == 3:
-        x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
-        if defects and not _vcut_ok(defects, x, y_lo, y_cap):
-            return [], False, False  # the boundary with the current cell is a real 3-cut
-    else:
-        x, y_lo, y_cap = x1_prev, node.y2_curr if depth == 2 else 0, H
     x1_max = min(x1_prev + p.max1, W)
     swap_rule = use_symmetry and depth == 3
     items_left = instance.n_items - node.n_packed
@@ -571,92 +575,52 @@ def _gen_cells(
     return out, fits, no_growth
 
 
-def _gen_waste(node: Node, instance: Instance, depth: int) -> Optional[Insertion]:
-    """A waste cell covering the nearest blocking defect, if there is one."""
+def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Optional[Insertion]:
+    """A waste cell in the ``frame`` of ``depth`` covering the nearest
+    blocking defect, if there is one: at depth 2 a band above the shelves,
+    else a strip right of the frame's left edge."""
+    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
+    if not defects:
+        return None
     p = instance.params
-    mw = p.min_waste
-    H = p.plate_height
-    W = p.plate_width
-    if depth == 3:
-        defects = instance.plate_defects(node.bin)
-        x = node.x3_curr
-        y_lo, y_hi = node.y2_prev, node.y2_curr
-        ahead = [
-            d for d in defects if d.x + d.width > x and d.y < y_hi and y_lo < d.y + d.height
-        ]
-        if not ahead:
-            return None
-        first = min(ahead, key=lambda d: (d.x, d.y))
-        x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
-        edges = _edge_constraints(node, closing_shelf=False)
-        x1 = _resolve_x1(node.x1_curr, x_end, edges, mw)
-        if (node.col_has_items and x1 - node.x1_prev > p.max1) or x1 > W:
-            return None
-        if node.cell_min_item is not None and not _vcut_ok(defects, x, y_lo, y_hi):
-            return None
-        if not _vcut_ok(defects, x_end, y_lo, y_hi):
-            return None
-        if not _growth_cuts_ok(node, x1, defects):
-            return None
-        return Insertion(
-            _WASTE_ONLY, 3, False, False, (), node.bin, node.prior_area,
-            node.x1_prev, x1, y_lo, y_hi, x, x_end, None, None,
-        )
+    mw, W, H = p.min_waste, p.plate_width, p.plate_height
+    # a column reached at depth 2 or 3 holds items, so max1 bounds it
+    x1_max = min(x1_prev + p.max1, W) if depth >= 2 else W
     if depth == 2:
-        defects = instance.plate_defects(node.bin)
-        y_lo = node.y2_curr
-        if y_lo >= H:
-            return None
-        band = [
-            d
-            for d in defects
-            if d.y + d.height > y_lo and d.x < node.x1_curr and node.x1_prev < d.x + d.width
-        ]
+        band = [d for d in defects
+                if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width]
         if not band:
             return None
         first = min(band, key=lambda d: (d.y, d.x))
         y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), band, vertical=False)
         if y_end > H:
             return None
-        edges = _edge_constraints(node, closing_shelf=True)
-        x1 = _resolve_x1(node.x1_curr, node.x1_curr, edges, mw)
-        if x1 > W or (node.col_has_items and x1 - node.x1_prev > p.max1):
+        x1 = _resolve_x1(x1_curr, x1_curr, edges, mw)
+        if x1 > x1_max:
             return None
-        if not _growth_cuts_ok(node, x1, defects):
+        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
             return None
-        if not _close_shelf_cut_ok(node, x1, defects):
+        if node.shelf_min_item is not None and not _hcut_ok(defects, y_lo, x1_prev, x1):
             return None
-        if node.shelf_min_item is not None and not _hcut_ok(defects, y_lo, node.x1_prev, x1):
-            return None
-        if y_end < H and not _hcut_ok(defects, y_end, node.x1_prev, x1):
+        if y_end < H and not _hcut_ok(defects, y_end, x1_prev, x1):
             return None
         return Insertion(
-            _WASTE_ONLY, 2, False, False, (), node.bin, node.prior_area,
-            node.x1_prev, x1, y_lo, y_end, node.x1_prev, x1, None, None,
+            _WASTE_ONLY, 2, False, False, (), plate, prior_area,
+            x1_prev, x1, y_lo, y_end, x1_prev, x1, None, None,
         )
-    # depth 1 or 0: a waste column hiding a defect column
-    new_bin = depth == 0
-    if new_bin and node.bin + 1 >= p.n_plates:
-        return None
-    if not instance.plate_defects(node.bin + 1 if new_bin else node.bin):
-        return None  # no defect to hide; spares closing the column
-    frame = _open_column_frame(node, instance, new_bin)
-    if frame is None:
-        return None
-    x_col, target_bin, prev_col_x1 = frame
-    defects = instance.plate_defects(target_bin)
-    ahead = [d for d in defects if d.x + d.width > x_col]
+    ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
     if not ahead:
         return None
     first = min(ahead, key=lambda d: (d.x, d.y))
-    x_end = _extend_past(x_col, max(x_col + mw, first.x + first.width), ahead, vertical=True)
-    if x_end > W:
+    x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
+    x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+    if x1 > x1_max or not _vcut_ok(defects, x_end, y_lo, y_cap):
         return None
-    if x_end < W and not _vcut_ok(defects, x_end, 0, H):
+    if depth == 3 and not _growth_cuts_ok(node, x1, defects):
         return None
     return Insertion(
-        _WASTE_ONLY, depth, new_bin, False, (), target_bin, target_bin * W * H,
-        x_col, x_end, 0, H, x_col, x_end, None, prev_col_x1,
+        _WASTE_ONLY, depth, depth == 0, False, (), plate, prior_area,
+        x1_prev, x1, y_lo, y_cap, x, x_end, None, prev_col_x1,
     )
 
 

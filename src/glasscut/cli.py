@@ -11,6 +11,7 @@ per run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -75,13 +76,13 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_seconds(text: str) -> float:
-    """A time limit above 0 seconds."""
+    """A finite time limit above 0 seconds."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must exceed 0, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and exceed 0, got {text}")
     return value
 
 
@@ -191,10 +192,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    params = _params_from(args)
     try:
+        params = _params_from(args)
         files = sorted(os.listdir(args.dir))
-    except OSError as exc:
+    except (GlasscutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     names = []

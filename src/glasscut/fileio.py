@@ -90,10 +90,14 @@ def parse_defects(src: PathOrFile, params: Params) -> dict[int, tuple[Defect, ..
             fw, fh = float(parts[4]), float(parts[5])
         except ValueError:
             raise ParseError(f"PARSE line {line_no}: non-numeric defect geometry") from None
+        # a sum is finite only if both its terms are
+        x_end, y_end = fx + fw, fy + fh
+        if not (math.isfinite(x_end) and math.isfinite(y_end)):
+            raise ParseError(f"PARSE line {line_no}: non-finite defect geometry")
         x = math.floor(fx)
         y = math.floor(fy)
-        w = math.ceil(fx + fw) - x
-        h = math.ceil(fy + fh) - y
+        w = math.ceil(x_end) - x
+        h = math.ceil(y_end) - y
         if x < 0 or y < 0 or x + w > params.plate_width or y + h > params.plate_height:
             raise ParseError(f"OUT_OF_PLATE line {line_no}: defect exceeds plate bounds")
         per_plate.setdefault(plate, []).append(Defect(plate, x, y, w, h))

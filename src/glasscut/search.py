@@ -247,7 +247,6 @@ def _best_first(
     capacity: Optional[int] = None,
     node_cap: Optional[int] = None,
     admit: Optional[Callable[[Node], bool]] = None,
-    trace: Optional[list] = None,
     started: Optional[float] = None,
 ) -> SearchResult:
     """The best-first loop of A*, MBA* and DPA*: expand the open node of
@@ -278,8 +277,6 @@ def _best_first(
                 break
             continue
         expanded += 1
-        if trace is not None:
-            trace.append(node)
         for child in expand(node):
             counter += 1
             push((guide_value(child, guide, scale), -child.n_packed, counter), child)
@@ -320,7 +317,6 @@ def mba_star(
     incumbent: Incumbent,
     use_symmetry: bool = True,
     use_dominance: bool = True,
-    trace: Optional[list] = None,
     started: Optional[float] = None,
 ) -> SearchResult:
     """A* with a bounded fringe: worst nodes are discarded beyond ``capacity``.
@@ -331,7 +327,7 @@ def mba_star(
         raise ValueError("fringe capacity must be at least 1")
     return _best_first(
         root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
-        capacity=capacity, trace=trace, started=started,
+        capacity=capacity, started=started,
     )
 
 
@@ -529,6 +525,8 @@ DEFAULT_THREADS = min(4, os.cpu_count() or 1)
 # Seconds a worker process may take past the deadline to report its result
 # before it is terminated.
 WORKER_GRACE_S = 0.5
+# Longest single wait for a worker's message, in seconds.
+_WAIT_SLICE_S = 3600.0
 
 
 def portfolio_solve(
@@ -717,55 +715,39 @@ def _collect_workers(
     """Offer each leaf the workers send to ``incumbent``, stamped with the
     parent's clock, until every worker has reported or the grace period
     after the deadline is over.  A worker's exception is raised here, as is
-    an error for a worker that ended without a result."""
+    an error for a worker that ended without a result.
+
+    A worker holds the only write end of its pipe, so the end of the pipe
+    is the worker's exit."""
     from multiprocessing.connection import wait
 
     results: list[Optional[SearchResult]] = [None] * len(workers)
-    waiting = {}  # pipe or process sentinel -> worker index
-    for i, (proc, reader) in enumerate(workers):
-        waiting[reader] = waiting[proc.sentinel] = i
-
-    def receive(i: int) -> None:
-        kind, *payload = workers[i][1].recv()
-        if kind == "leaf":
-            leaf = root
-            for ins in payload[0]:
-                leaf = apply_insertion(leaf, ins, instance)
-            incumbent.offer(leaf, clock.elapsed())
-        elif kind == "done":
-            results[i] = payload[0]
-        else:
-            exc, text = payload
-            raise exc from RuntimeError(f"in portfolio worker {i}:\n{text}")
-
+    waiting = {reader: i for i, (_proc, reader) in enumerate(workers)}
     while waiting:
-        timeout = clock.deadline + WORKER_GRACE_S - time.monotonic()
-        ready = wait(list(waiting), max(0.0, timeout))
-        if not ready:
+        left = clock.deadline + WORKER_GRACE_S - time.monotonic()
+        # bounded slices: the wait takes whole milliseconds as a C int
+        ready = wait(list(waiting), min(max(0.0, left), _WAIT_SLICE_S))
+        if not ready and left <= _WAIT_SLICE_S:
             break  # the workers still running get terminated
-        for obj in ready:
-            i = waiting.get(obj)
-            if i is None:
-                continue
-            proc, reader = workers[i]
-            if obj is reader:
-                try:
-                    receive(i)
-                except EOFError:
-                    del waiting[reader]
+        for reader in ready:
+            i = waiting[reader]
+            try:
+                kind, *payload = reader.recv()
+            except EOFError:
+                proc = workers[i][0]
+                proc.join()
+                raise RuntimeError(
+                    f"portfolio worker {i} exited with code {proc.exitcode} without a result"
+                ) from None
+            if kind == "leaf":
+                leaf = root
+                for ins in payload[0]:
+                    leaf = apply_insertion(leaf, ins, instance)
+                incumbent.offer(leaf, clock.elapsed())
+            elif kind == "done":
+                results[i] = payload[0]
+                del waiting[reader]
             else:
-                # the process has ended, so the pipe holds all it sent
-                while results[i] is None and reader.poll():
-                    try:
-                        receive(i)
-                    except EOFError:
-                        break
-                if results[i] is None:
-                    proc.join()  # its sentinel has fired: this only reaps the exit code
-                    raise RuntimeError(
-                        f"portfolio worker {i} exited with code {proc.exitcode} "
-                        "without a result"
-                    )
-            if results[i] is not None:
-                waiting = {k: v for k, v in waiting.items() if v != i}
+                exc, text = payload
+                raise exc from RuntimeError(f"in portfolio worker {i}:\n{text}")
     return results

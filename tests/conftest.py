@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import random
 
 import pytest
 
+from glasscut import search
 from glasscut.branching import children
 from glasscut.model import Defect, Instance, Item, Node, Params, root_node
 
@@ -140,6 +142,24 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
         if best is not None and node.waste >= best:
             break
     return trace, best
+
+
+@contextlib.contextmanager
+def expansion_trace():
+    """The nodes the searches run inside the block expand, in order: every
+    search calls ``glasscut.search.children`` once per node it expands."""
+    trace: list[Node] = []
+    original = search.children
+
+    def traced(node, *args, **kwargs):
+        trace.append(node)
+        return original(node, *args, **kwargs)
+
+    search.children = traced
+    try:
+        yield trace
+    finally:
+        search.children = original
 
 
 def raster_front_area(node: Node) -> int:

@@ -33,6 +33,7 @@ from conftest import (
     front_x_at,
     make_instance,
     random_front,
+    expansion_trace,
     random_small_instance,
     random_walk,
 )
@@ -271,12 +272,9 @@ class TestCriterion7Properties:
         steps = 0
         while steps < 10_000:
             inst = random_small_instance(rng)
-            trace = []
             incumbent = Incumbent()
-            mba_star(
-                root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 1, 30.0,
-                incumbent, trace=trace,
-            )
+            with expansion_trace() as trace:
+                mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 1, 30.0, incumbent)
             expect, expect_best = greedy_trace(inst, GuideKind.WASTE_PERCENTAGE)
             assert [n.insertion for n in trace] == [n.insertion for n in expect]
             assert incumbent.waste == expect_best

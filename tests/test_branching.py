@@ -8,6 +8,7 @@ import pytest
 from glasscut.branching import (
     Insertion,
     InsertionKind,
+    _allowed_depths,
     apply_insertion,
     candidate_items,
     children,
@@ -464,6 +465,8 @@ class TestSymmetryAwareGenerator:
     def test_filtered_lists_equal_the_filtered_raw_list(self, nodes):
         omitted = 0
         for node, inst in nodes:
+            # the frames of depths 2 and 3 hold for columns with items only
+            assert node.col_has_items or not {2, 3} & set(_allowed_depths(node))
             raw = enumerate_insertions(node, inst)
             aware = enumerate_insertions(node, inst, use_symmetry=True)
             expected = [m for m in raw if symmetry_allows(node, m, inst)]
@@ -506,5 +509,7 @@ class TestSymmetryAwareGenerator:
                     rng, inst, use_symmetry=use_symmetry, use_dominance=use_dominance)]
         kinds = {(m.depth, m.kind, m.completes) for node, inst in nodes
                  for m in enumerate_insertions(node, inst)}
+        assert all(node.col_has_items or not {2, 3} & set(_allowed_depths(node))
+                   for node, _inst in nodes)
         assert len(kinds) == 35  # every depth, kind and completion that occurs
         assert insertions_digest(nodes) == PINNED_STACKABLE_INSERTIONS

@@ -155,6 +155,7 @@ class TestBadInput:
         ["--node-cap", "-3", "--threads", "1"],
         ["-t", "0", "--threads", "1"],
         ["-t", "-1", "--threads", "1"],
+        ["-t", "inf", "--threads", "1"],
     ])
     def test_solve_rejects_bad_search_settings(self, instance_dir, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -170,7 +171,7 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "--growth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("limit", ["0", "-1"])
+    @pytest.mark.parametrize("limit", ["0", "-1", "inf"])
     def test_bench_rejects_a_time_limit_of_zero_or_less(self, instance_dir, capsys, tmp_path,
                                                         limit):
         results = tmp_path / "r.csv"
@@ -179,6 +180,22 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "-t/--time-limit" in capsys.readouterr().err
         assert not results.exists()
+
+    def test_bench_reports_bad_plate_params(self, instance_dir, capsys, tmp_path):
+        results = tmp_path / "r.csv"
+        code = run(["bench", "--dir", str(instance_dir), "-t", "1", "-o", str(results),
+                    "--min1", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: BAD_PARAMS ")
+        assert not results.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_non_finite_defect_is_a_parse_error(self, instance_dir, capsys, command):
+        (instance_dir / "toy_defects.csv").write_text(DEFECTS.replace("2500.5", "nan"))
+        code = run([command, "-p", str(instance_dir / "toy"),
+                    "-o" if command == "solve" else "-s", str(instance_dir / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: PARSE line 2: non-finite")
 
     def test_bench_reports_a_malformed_instance(self, instance_dir, capsys, tmp_path):
         (instance_dir / "bad_batch.csv").write_text("ITEM_ID;LENGTH\n0;x\n")

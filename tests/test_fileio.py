@@ -92,6 +92,14 @@ class TestParseDefects:
                 io.StringIO(defects_text([(0, 0, 5995.0, 100.0, 10.0, 10.0)])), Params()
             )
 
+    @pytest.mark.parametrize("geometry", [
+        ("nan", 10, 5, 5), (10, "inf", 5, 5), (10, 10, "-inf", 5), (10, 10, 5, "1e309"),
+        (1e308, 10, 1e308, 5),  # finite fields whose far edge is not
+    ])
+    def test_non_finite_geometry_rejected(self, geometry):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_defects(io.StringIO(defects_text([(0, 0) + geometry])), Params())
+
     def test_overlapping_defects_rejected(self):
         with pytest.raises(ParseError):
             parse_defects(

@@ -24,7 +24,7 @@ from glasscut.search import (
     mba_star,
 )
 
-from conftest import midsize_instance, random_small_instance
+from conftest import expansion_trace, midsize_instance, random_small_instance
 
 NO_LIMIT = 600.0  # seconds; far above what any run here takes
 CAPACITIES = (2, 5, 17, 64)
@@ -78,10 +78,9 @@ def _summary(res, incumbent: Incumbent) -> tuple:
 
 def run_mba(name: str, guide: str, capacity: int) -> tuple:
     inst = midsize_instance(**MIDSIZE[name])
-    trace: list = []
     incumbent = Incumbent()
-    res = mba_star(root_node(inst), inst, GUIDES[guide], capacity, NO_LIMIT, incumbent,
-                   trace=trace)
+    with expansion_trace() as trace:
+        res = mba_star(root_node(inst), inst, GUIDES[guide], capacity, NO_LIMIT, incumbent)
     return (_digest(trace),) + _summary(res, incumbent)
 
 

@@ -32,6 +32,7 @@ from glasscut.search import (
 from conftest import (
     dfs_best_leaf,
     dfs_min_waste,
+    expansion_trace,
     make_instance,
     midsize_instance,
     random_small_instance,
@@ -251,9 +252,9 @@ class TestMbaStar:
             inst = random_small_instance(rng)
             for guide in GUIDES:
                 expect, expect_best = greedy_trace(inst, guide)
-                trace = []
                 inc = Incumbent()
-                mba_star(root_node(inst), inst, guide, 1, 10.0, inc, trace=trace)
+                with expansion_trace() as trace:
+                    mba_star(root_node(inst), inst, guide, 1, 10.0, inc)
                 assert [n.insertion for n in trace] == [n.insertion for n in expect]
                 assert inc.waste == expect_best
 
@@ -569,6 +570,14 @@ class TestPortfolio:
         for threads in (1, 2):
             with pytest.raises(ValueError, match="growth factor"):
                 portfolio_solve(inst, 5.0, threads=threads, algorithm="mbastar", growth="1")
+
+    def test_any_finite_time_limit(self, rng):
+        # the collector waits in bounded slices, as one wait may not take
+        # more than about 24.8 days
+        inst = random_small_instance(rng, max_items=4)
+        incumbent, results = portfolio_solve(inst, 1e7, threads=2, algorithm="mbastar")
+        assert len(results) == 2 and all(r.outcome == "proved" for r in results)
+        assert incumbent.waste is not None
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stub reaches the workers only through fork")
