@@ -47,6 +47,13 @@ forbidden cell is omitted, never built.  Its feasibility is still probed
 while the suppression tests above are undecided, because raw feasibility,
 not the emitted set, drives them; so symmetry never changes which depths
 are open.
+
+``child_insertions`` is the whole per-expansion pipeline, and it runs on
+insertions only: enumerate, apply the symmetry rule where a shelf closes,
+then drop the siblings whose fronts are dominated.  A child's chain counts,
+plate and front all follow from its parent and its insertion, so no child
+is built to decide which ones to keep.  ``children`` builds the kept ones
+for callers that want nodes.
 """
 
 from __future__ import annotations
@@ -287,14 +294,17 @@ def candidate_items(node: Node, instance: Instance) -> list[int]:
     return out
 
 
-def _allowed_depths(node: Node) -> tuple[int, ...]:
-    if node.bin < 0:
-        return (0,)
-    if node.last_was_waste:
-        return (max(1, node.last_depth),)
-    if node.last_was_two and node.last_depth != 3:
+def depths_after(ins: Insertion) -> tuple[int, ...]:
+    """Depths open to the next insertion, deepest first, after ``ins``."""
+    if ins.kind is _WASTE_ONLY:
+        return (max(1, ins.depth),)
+    if ins.kind is _TWO_ITEMS and ins.depth != 3:
         return (3,)
     return (3, 2, 1, 0)
+
+
+def _allowed_depths(node: Node) -> tuple[int, ...]:
+    return (0,) if node.insertion is None else depths_after(node.insertion)
 
 
 class PairCombo(NamedTuple):
@@ -309,21 +319,24 @@ class PairCombo(NamedTuple):
     rk: bool
 
 
-def pair_combos(node: Node, instance: Instance, cands: list[int]) -> list[PairCombo]:
-    """Two-item cell contents: the bottom item is a candidate, the top one
-    another candidate or the bottom item's chain successor, equal widths.
+def pair_combos(node: Node, instance: Instance) -> tuple[list[int], list[PairCombo]]:
+    """The candidate items (``candidate_items``) and the two-item cell
+    contents: the bottom item is a candidate, the top one another candidate
+    or the bottom item's chain successor, equal widths.
 
-    Depends only on the per-chain consumption state, so results are memoized
-    on the instance (each portfolio worker process fills its own copy)."""
+    Both depend only on the per-chain consumption state, so they are
+    memoized together on the instance (each portfolio worker process fills
+    its own copy).  The lists are shared: callers must not change them."""
     cache = instance.__dict__.setdefault("_pair_combo_cache", {})
     hit = cache.get(node.counts)
     if hit is not None:
         return hit
-    combos = _pair_combos_uncached(node, instance, cands)
+    cands = candidate_items(node, instance)
+    hit = cands, _pair_combos_uncached(node, instance, cands)
     if len(cache) > 200_000:
         cache.clear()
-    cache[node.counts] = combos
-    return combos
+    cache[node.counts] = hit
+    return hit
 
 
 def _pair_combos_uncached(
@@ -373,8 +386,7 @@ def enumerate_insertions(
     """
     if node.complete:
         return []
-    cands = candidate_items(node, instance)
-    combos = pair_combos(node, instance, cands) if instance.n_items - node.n_packed >= 2 else []
+    cands, combos = pair_combos(node, instance)
     out: list[Insertion] = []
     fits = no_growth = False
     for depth in _allowed_depths(node):
@@ -645,11 +657,9 @@ def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
     counts = node.counts
     item_area = node.item_area
     if ins.placements:
-        counts = list(counts)
+        counts = counts_after(counts, ins)
         for pl in ins.placements:
-            counts[pl.chain_idx] += 1
             item_area += pl.width * pl.height
-        counts = tuple(counts)
     new_min, new_chains = _cell_items(ins, instance)
 
     if ins.depth == 3:
@@ -687,9 +697,6 @@ def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
         item_area,
         ins.prior_area,
         ins.completes,
-        ins.depth,
-        ins.kind is _WASTE_ONLY,
-        ins.kind is _TWO_ITEMS,
         closed,
         col_has_items,
         shelf_min,
@@ -697,6 +704,19 @@ def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
         new_min,
         new_chains,
     )
+
+
+def counts_after(counts: tuple[int, ...], ins: Insertion) -> tuple[int, ...]:
+    """Items consumed per chain once ``ins`` is applied to ``counts``."""
+    out = list(counts)
+    for pl in ins.placements:
+        out[pl.chain_idx] += 1
+    return tuple(out)
+
+
+def insertion_front(ins: Insertion) -> tuple[int, int, int, int, int, int]:
+    """``Node.front_key`` of the child that ``ins`` makes."""
+    return (ins.bin, ins.x1_prev, ins.x1_curr, ins.x3_curr, ins.y2_prev, ins.y2_curr)
 
 
 def _min_opt(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -794,18 +814,28 @@ def _shelf_close_allowed(
     return False
 
 
-def filter_dominated_children(children: list[Node]) -> list[Node]:
-    """Among siblings packing the same items on the same plate, keep only
-    undominated fronts; the earliest generated wins ties."""
+def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
+    """Among sibling insertions packing the same items on the same plate,
+    keep only those whose child's front is undominated; the earliest
+    generated wins ties.  Siblings pack the same items exactly when they
+    advance the same chains, so no child is built to decide this."""
     groups: dict[tuple, list[int]] = {}
-    for i, ch in enumerate(children):
-        groups.setdefault((ch.counts, ch.bin), []).append(i)
+    for i, ins in enumerate(insertions):
+        pls = ins.placements
+        if not pls:
+            key = (ins.bin,)
+        elif len(pls) == 1:
+            key = (ins.bin, pls[0].chain_idx)
+        else:
+            a, b = pls[0].chain_idx, pls[1].chain_idx
+            key = (ins.bin, a, b) if a <= b else (ins.bin, b, a)
+        groups.setdefault(key, []).append(i)
     dropped: set[int] = set()
     for idxs in groups.values():
         if len(idxs) < 2:
             continue
         kept: list[int] = []
-        fronts = {i: children[i].front_key() for i in idxs}
+        fronts = {i: insertion_front(insertions[i]) for i in idxs}
         for i in idxs:
             fi = fronts[i]
             dead = False
@@ -821,7 +851,29 @@ def filter_dominated_children(children: list[Node]) -> list[Node]:
                 dropped.add(i)
             else:
                 kept.append(i)
-    return [ch for i, ch in enumerate(children) if i not in dropped]
+    return [ins for i, ins in enumerate(insertions) if i not in dropped]
+
+
+def child_insertions(
+    node: Node,
+    instance: Instance,
+    use_symmetry: bool = True,
+    use_dominance: bool = True,
+) -> list[Insertion]:
+    """The insertions of the children the search keeps at ``node``:
+    enumerate, symmetry-filter, dominance-filter, in that order.
+
+    With ``use_symmetry`` the generator has already omitted every depth-3
+    cell that the cell-swap rule forbids, so ``symmetry_allows`` only runs
+    where a shelf closes: below depth 3, or on a completing insertion."""
+    ins_list = enumerate_insertions(node, instance, use_symmetry)
+    if use_symmetry:
+        ins_list = [ins for ins in ins_list
+                    if ins.depth == 3 and not ins.completes
+                    or symmetry_allows(node, ins, instance)]
+    if use_dominance:
+        ins_list = filter_dominated_children(ins_list)
+    return ins_list
 
 
 def children(
@@ -830,11 +882,6 @@ def children(
     use_symmetry: bool = True,
     use_dominance: bool = True,
 ) -> list[Node]:
-    """Enumerate, symmetry-filter, apply, dominance-filter, in that order."""
-    ins_list = enumerate_insertions(node, instance, use_symmetry)
-    if use_symmetry:
-        ins_list = [ins for ins in ins_list if symmetry_allows(node, ins, instance)]
-    kids = [apply_insertion(node, ins, instance) for ins in ins_list]
-    if use_dominance:
-        kids = filter_dominated_children(kids)
-    return kids
+    """The kept children of ``node`` (``child_insertions``), each built."""
+    return [apply_insertion(node, ins, instance)
+            for ins in child_insertions(node, instance, use_symmetry, use_dominance)]

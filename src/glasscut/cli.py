@@ -29,6 +29,8 @@ GUIDES = {
     "p": GuideKind.WASTE_PERCENTAGE,
     "a": GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA,
 }
+# Longest single sleep of --challenge-compat, in seconds.
+_SLEEP_SLICE_S = 3600.0
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -169,9 +171,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name = os.path.basename(str(args.prefix))
     print(f"{name},{incumbent.waste},{incumbent.time_to_best:.2f}")
     if args.challenge_compat:
-        leftover = args.time_limit - (time.monotonic() - started)
-        if leftover > 0:
-            time.sleep(leftover)
+        # bounded slices: time.sleep overflows on a limit such as 1e308 s
+        deadline = started + args.time_limit
+        while (leftover := deadline - time.monotonic()) > 0:
+            time.sleep(min(leftover, _SLEEP_SLICE_S))
     return 0
 
 

@@ -243,6 +243,28 @@ class GuideKind(Enum):
     WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA = "a"
 
 
+def covered_area(
+    prior_area: int,
+    plate_height: int,
+    x1_prev: int,
+    x1_curr: int,
+    x3_curr: int,
+    y2_prev: int,
+    y2_curr: int,
+    complete: bool,
+) -> int:
+    """Area a partial solution covers: up to its front, or left of the last
+    1-cut once it is complete."""
+    if complete:
+        return prior_area + x1_curr * plate_height
+    return (
+        prior_area
+        + x1_prev * plate_height
+        + (x1_curr - x1_prev) * y2_prev
+        + (x3_curr - x1_prev) * (y2_curr - y2_prev)
+    )
+
+
 class Node:
     """A partial solution: parent link plus the insertion that produced it.
 
@@ -269,9 +291,6 @@ class Node:
         "area",
         "waste",
         "complete",
-        "last_depth",
-        "last_was_waste",
-        "last_was_two",
         "closed_shelves",
         "col_has_items",
         "shelf_min_item",
@@ -297,9 +316,6 @@ class Node:
         item_area: int,
         prior_area: int,
         complete: bool,
-        last_depth: int,
-        last_was_waste: bool,
-        last_was_two: bool,
         closed_shelves: tuple[ShelfRecord, ...],
         col_has_items: bool,
         shelf_min_item: Optional[int],
@@ -322,27 +338,14 @@ class Node:
         self.item_area = item_area
         self.prior_area = prior_area
         self.complete = complete
-        self.last_depth = last_depth
-        self.last_was_waste = last_was_waste
-        self.last_was_two = last_was_two
         self.closed_shelves = closed_shelves
         self.col_has_items = col_has_items
         self.shelf_min_item = shelf_min_item
         self.shelf_chain_ids = shelf_chain_ids
         self.cell_min_item = cell_min_item
         self.cell_chain_ids = cell_chain_ids
-        # covered area: up to the front, or left of the last 1-cut once complete
-        if bin < 0:
-            self.area = 0
-        elif complete:
-            self.area = prior_area + x1_curr * plate_height
-        else:
-            self.area = (
-                prior_area
-                + x1_prev * plate_height
-                + (x1_curr - x1_prev) * y2_prev
-                + (x3_curr - x1_prev) * (y2_curr - y2_prev)
-            )
+        self.area = 0 if bin < 0 else covered_area(
+            prior_area, plate_height, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr, complete)
         self.waste = self.area - item_area
 
     def front_key(self) -> tuple[int, int, int, int, int, int]:
@@ -381,9 +384,6 @@ def root_node(instance: Instance) -> Node:
         item_area=0,
         prior_area=0,
         complete=instance.n_items == 0,
-        last_depth=-1,
-        last_was_waste=False,
-        last_was_two=False,
         closed_shelves=(),
         col_has_items=False,
         shelf_min_item=None,

@@ -3,7 +3,11 @@
 Every search expands nodes through one child block (``_expander``): complete
 children go to the incumbent, and children whose waste already reaches the
 incumbent's are cut (waste never decreases along a branch, so this pruning
-is exact).  One best-first loop (``_best_first``) runs three searches:
+is exact).  A child's waste, guide key and items packed follow from its
+parent and its insertion, so an open child stays a (waste, parent,
+insertion) entry.  A ``Node`` is built only for a node the search expands
+and for a complete child that improves the incumbent.  One best-first loop
+(``_best_first``) runs three searches:
 
 * ``astar`` expands the best open node until none is left;
 * ``mba_star`` also discards the *worst* open nodes beyond a capacity D:
@@ -29,10 +33,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, nsmallest
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
-from .model import GlasscutError, GuideKind, Instance, Node, Params, front_key_leq, root_node
-from .branching import _allowed_depths, apply_insertion, children
+from . import branching
+from .branching import Insertion, _allowed_depths, counts_after, depths_after, insertion_front
+from .model import (
+    GlasscutError, GuideKind, Instance, Node, Params, covered_area, front_key_leq, root_node,
+)
+
+# The per-expansion call of every search: the insertions of the children it
+# keeps.  Searches call it, and ``branching.apply_insertion``, through their
+# modules, where a tracer or a test can wrap them.
+children = branching.child_insertions
 
 # module aliases of the guides: attribute lookups on an Enum class are slow
 _WASTE, _WASTE_PERCENTAGE, _WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA = GuideKind
@@ -52,20 +65,24 @@ def guide_scale(params: Params) -> int:
     return (params.n_plates * params.plate_width * params.plate_height) ** 4
 
 
-def guide_value(node: Node, kind: GuideKind, scale: int) -> int:
-    """Ordering key of a node: the guide's ratio times ``scale`` (see
-    ``guide_scale``) rounded down, which orders and ties nodes exactly as
-    the ratio does; zero on the empty root."""
+def guide_value(
+    waste: int, area: int, item_area: int, n_packed: int, kind: GuideKind, scale: int
+) -> int:
+    """Ordering key of a node with these figures: the guide's ratio times
+    ``scale`` (see ``guide_scale``) rounded down, which orders and ties
+    nodes exactly as the ratio does; zero on the empty root.  The figures
+    come from a ``Node`` or, for a child not built yet, from its parent and
+    its insertion."""
     if kind is _WASTE:
-        return node.waste
-    if node.area == 0:
+        return waste
+    if area == 0:
         return 0
     if kind is _WASTE_PERCENTAGE:
-        return node.waste * scale // node.area
-    if node.n_packed == 0:
+        return waste * scale // area
+    if n_packed == 0:
         return 0
     # waste percentage divided by the mean packed item area
-    return node.waste * node.n_packed * scale // (node.area * node.item_area)
+    return waste * n_packed * scale // (area * item_area)
 
 
 class Incumbent:
@@ -122,9 +139,15 @@ class _Clock:
         return time.monotonic() >= self.deadline
 
 
+# An open child: its waste, its parent and the insertion that makes it.  It
+# becomes a ``Node`` only when the search expands it; the root is
+# (waste, root, None).
+OpenChild = tuple[int, Node, Optional[Insertion]]
+
+
 class Fringe:
-    """Double-ended priority structure over integer (guide, -items packed,
-    counter) keys.
+    """Double-ended priority structure of open children over integer
+    (guide, -items packed, counter) keys.
 
     Two lazy heaps share one live-entry table; stale heap entries are skipped
     on pop and compacted away when they outnumber the live ones.
@@ -133,18 +156,18 @@ class Fringe:
     def __init__(self) -> None:
         self._min: list[tuple] = []
         self._max: list[tuple] = []
-        self._live: dict[int, tuple] = {}  # counter -> (key, node)
+        self._live: dict[int, tuple] = {}  # counter -> (key, open child)
 
     def __len__(self) -> int:
         return len(self._live)
 
-    def push(self, key: tuple, node: Node) -> None:
+    def push(self, key: tuple, child: OpenChild) -> None:
         guide, packed, counter = key
-        self._live[counter] = (key, node)
+        self._live[counter] = (key, child)
         heappush(self._min, key)
         heappush(self._max, (-guide, -packed, -counter))
 
-    def pop_best(self) -> Node:
+    def pop_best(self) -> OpenChild:
         while True:
             key = heappop(self._min)
             entry = self._live.pop(key[-1], None)
@@ -152,7 +175,7 @@ class Fringe:
                 self._maybe_compact()
                 return entry[1]
 
-    def pop_worst(self) -> Node:
+    def pop_worst(self) -> OpenChild:
         while True:
             neg = heappop(self._max)
             entry = self._live.pop(-neg[-1], None)
@@ -172,21 +195,23 @@ class Fringe:
 
 class _MinHeap(list):
     """Open list of a search without a capacity: a plain min-heap of
-    (guide, -items packed, counter, node) entries.  A ``list`` subclass, so
-    ``len()`` and the truth test run in C."""
+    (guide, -items packed, counter, open child) entries.  A ``list``
+    subclass, so ``len()`` and the truth test run in C."""
 
     __slots__ = ()
 
-    def push(self, key: tuple, node: Node) -> None:
-        heappush(self, key + (node,))
+    def push(self, key: tuple, child: OpenChild) -> None:
+        heappush(self, key + (child,))
 
-    def pop_best(self) -> Node:
+    def pop_best(self) -> OpenChild:
         return heappop(self)[-1]
 
 
-# Bytes per live search node, parents included, as tracemalloc measures it
-# (perfbench's model.bytes_per_node on its MBA* and its DPA* workload); A*
-# is charged the MBA* figure.
+# Bytes per open node that the default cap charges; A* is charged the MBA*
+# figure.  tracemalloc's peak over the peak open-list length is below
+# NODE_BYTES for MBA* and A* (1.1-1.6 KB on open lists of 10,000 and more)
+# and above DPA_NODE_BYTES for DPA* (about 3 KB: its store and expanded
+# nodes outgrow its open list).
 NODE_BYTES = 3400
 DPA_NODE_BYTES = 1200
 
@@ -211,29 +236,54 @@ def _expander(
     instance: Instance,
     incumbent: Incumbent,
     clock: _Clock,
+    guide: GuideKind,
     use_symmetry: bool,
     use_dominance: bool,
-    admit: Optional[Callable[[Node], bool]],
-) -> Callable[[Node], list[Node]]:
-    """The child block of every search: ``expand(node)`` offers the complete
-    children to the incumbent and returns the others in generation order,
-    less those the bound prunes or ``admit`` rejects."""
-    offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
+    admit: Optional[Callable[[tuple, tuple, tuple], bool]],
+) -> tuple[Callable[[Node], list[tuple[int, int, OpenChild]]], Callable[[OpenChild], Node]]:
+    """The child block of every search.
 
-    def expand(node: Node) -> list[Node]:
+    ``expand(node)`` returns the kept children of ``node`` in generation
+    order as (guide key, -items packed, open child) entries, less those
+    whose waste reaches the bound or that ``admit`` rejects; it builds and
+    offers a complete child only when it improves the incumbent.  Waste,
+    key and admission all follow from the parent and the insertion, so no
+    child is built here.  ``build(open_child)`` makes the ``Node`` that the
+    search expands."""
+    offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
+    apply = branching.apply_insertion
+    height = instance.params.plate_height
+    scale = guide_scale(instance.params)
+
+    def expand(node: Node) -> list[tuple[int, int, OpenChild]]:
         kept = []
-        for child in children(node, instance, use_symmetry, use_dominance):
-            if child.complete:
-                offer(child, elapsed())
-                continue
+        for ins in children(node, instance, use_symmetry, use_dominance):
+            item_area = node.item_area
+            for pl in ins.placements:
+                item_area += pl.width * pl.height
+            area = covered_area(ins.prior_area, height, ins.x1_prev, ins.x1_curr,
+                                ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes)
+            waste = area - item_area
             best = bound()
-            if best is not None and child.waste >= best:
+            if best is not None and waste >= best:
                 continue
-            if admit is None or admit(child):
-                kept.append(child)
+            if ins.completes:
+                offer(apply(node, ins, instance), elapsed())
+                continue
+            if admit is not None and not admit(
+                counts_after(node.counts, ins), depths_after(ins), insertion_front(ins)
+            ):
+                continue
+            n_packed = node.n_packed + len(ins.placements)
+            key = guide_value(waste, area, item_area, n_packed, guide, scale)
+            kept.append((key, -n_packed, (waste, node, ins)))
         return kept
 
-    return expand
+    def build(child: OpenChild) -> Node:
+        _, parent, ins = child
+        return parent if ins is None else apply(parent, ins, instance)
+
+    return expand, build
 
 
 def _best_first(
@@ -246,40 +296,42 @@ def _best_first(
     use_dominance: bool,
     capacity: Optional[int] = None,
     node_cap: Optional[int] = None,
-    admit: Optional[Callable[[Node], bool]] = None,
+    admit: Optional[Callable[[tuple, tuple, tuple], bool]] = None,
     started: Optional[float] = None,
 ) -> SearchResult:
     """The best-first loop of A*, MBA* and DPA*: expand the open node of
     smallest (guide, -items packed, age) key until none is left.  With a
     ``capacity`` the worst open nodes beyond it are discarded, without one
     the search ends with "memory" once more than ``node_cap`` are open.
-    Under the waste guide the popped key is the node's waste, so the first
-    node the bound prunes ends the search: the bound prunes every open node."""
+    Open nodes are children not built yet; a popped one is built only when
+    the bound does not prune it.  Under the waste guide the popped key is
+    the node's waste, so the first node the bound prunes ends the search:
+    the bound prunes every open node."""
     clock = _Clock(time_limit, started)
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    scale = guide_scale(instance.params)
     fringe = _MinHeap() if capacity is None else Fringe()
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
-    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, admit)
+    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance, admit)
     counter = 0
     expanded = 0
     discarded = False
-    push((guide_value(root, guide, scale), 0, counter), root)
+    push((0, 0, counter), (root.waste, root, None))  # the only open node: any key
     while fringe:
         if clock.expired():
             return SearchResult("timeout", expanded, discarded)
-        node = pop_best()
+        child = pop_best()
         best = bound()
-        if best is not None and node.waste >= best:
+        if best is not None and child[0] >= best:  # child[0]: its waste
             if guide is _WASTE:
                 break
             continue
+        node = build(child)
         expanded += 1
-        for child in expand(node):
+        for key, packed, open_child in expand(node):
             counter += 1
-            push((guide_value(child, guide, scale), -child.n_packed, counter), child)
+            push((key, packed, counter), open_child)
         if capacity is None:
             if len(fringe) > node_cap:
                 return SearchResult("memory", expanded)
@@ -406,44 +458,43 @@ def iterative_beam_search(
 
     Each level keeps the best ``width`` children of the level before it,
     selected while they are generated: at most ``width + 1`` of a level's
-    children are held at once, plus those of the node being expanded."""
+    children are held at once, plus those of the node being expanded.  A
+    kept child is built when it is expanded."""
     clock = _Clock(time_limit)
     cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
-    scale = guide_scale(instance.params)
     width = width_init
     expanded = 0
     iterations = 0
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    expand = _expander(instance, incumbent, clock, use_symmetry, use_dominance, None)
+    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance, None)
 
-    def level_children(level: list[Node]):
+    def level_children(level: list[OpenChild]):
         nonlocal expanded
-        for node in level:
+        for child in level:
             bound = incumbent.bound()  # read anew: expanding a node may improve it
-            if bound is not None and node.waste >= bound:
+            if bound is not None and child[0] >= bound:
                 continue
             expanded += 1
-            yield from expand(node)
-
-    def key(child: Node) -> tuple:
-        return guide_value(child, guide, scale), -child.n_packed
+            yield from expand(build(child))
 
     while not clock.expired():
         if width > cap:
             return SearchResult("memory", expanded, True, iterations, width)
-        level = [root]
+        level = [(root.waste, root, None)]
         truncated = False
         while level:
             if clock.expired():
                 return SearchResult("timeout", expanded, True, iterations, width)
-            # as sorted(...)[:width + 1], ties in generation order, but holding
-            # at most width + 1 children; the extra one marks a truncated level
-            level = nsmallest(width + 1, level_children(level), key=key)
-            if len(level) > width:
+            # as sorted(...)[:width + 1] on (guide, -items packed), ties in
+            # generation order, but holding at most width + 1 children; the
+            # extra one marks a truncated level
+            best = nsmallest(width + 1, level_children(level), key=itemgetter(0, 1))
+            if len(best) > width:
                 truncated = True
-                level.pop()
+                best.pop()
+            level = [child for _, _, child in best]
         iterations += 1
         if not truncated:
             return SearchResult("exhausted", expanded, False, iterations, width)
@@ -466,9 +517,10 @@ class DominanceStore:
         self._by_state: dict[tuple, list[tuple]] = {}
         self.size = 0
 
-    def admit(self, node: Node) -> bool:
-        front = node.front_key()
-        bucket = (node.counts, _allowed_depths(node), node.bin)
+    def admit(self, counts: tuple, depths: tuple, front: tuple) -> bool:
+        """Record ``front`` of a node with these chain ``counts`` and next
+        insertion ``depths`` unless a recorded one dominates it."""
+        bucket = (counts, depths, front[0])
         entries = self._by_state.get(bucket)
         if entries is None:
             self._by_state[bucket] = [front]
@@ -502,7 +554,7 @@ def dpa_star(
         raise ChainCountError("CHAIN_COUNT DPA* handles at most two chains")
     cap = node_cap if node_cap is not None else _default_node_cap(DPA_NODE_BYTES)
     store = DominanceStore()
-    store.admit(root)
+    store.admit(root.counts, _allowed_depths(root), root.front_key())
     return _best_first(
         root, instance, _WASTE, time_limit, incumbent, use_symmetry, True,
         node_cap=cap, admit=store.admit,
@@ -742,7 +794,7 @@ def _collect_workers(
             if kind == "leaf":
                 leaf = root
                 for ins in payload[0]:
-                    leaf = apply_insertion(leaf, ins, instance)
+                    leaf = branching.apply_insertion(leaf, ins, instance)
                 incumbent.offer(leaf, clock.elapsed())
             elif kind == "done":
                 results[i] = payload[0]

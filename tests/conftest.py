@@ -135,7 +135,8 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
                 continue
             if best is not None and kid.waste >= best:
                 continue
-            cands.append((guide_value(kid, guide, scale), -kid.n_packed, i, kid))
+            key = guide_value(kid.waste, kid.area, kid.item_area, kid.n_packed, guide, scale)
+            cands.append((key, -kid.n_packed, i, kid))
         if not cands:
             break
         node = min(cands)[3]

@@ -11,12 +11,14 @@ from glasscut.branching import (
     _allowed_depths,
     apply_insertion,
     candidate_items,
+    child_insertions,
     children,
     enumerate_insertions,
     filter_dominated_children,
+    pair_combos,
     symmetry_allows,
 )
-from glasscut.model import Defect, Params, root_node
+from glasscut.model import Defect, Params, front_key_leq, root_node
 
 from conftest import (
     SMALL_PARAMS,
@@ -62,6 +64,15 @@ class TestCandidates:
         assert leaf.complete
         assert candidate_items(leaf, inst) == []
         assert enumerate_insertions(leaf, inst) == []
+
+    def test_candidates_and_pair_combos_share_one_cache_entry(self):
+        inst = make_instance([(100, 60), (100, 40), (60, 100)], chains=[[0, 1], [2]])
+        node = kid_for(root_node(inst), inst, 2)
+        cands, combos = pair_combos(node, inst)
+        assert cands == candidate_items(node, inst) == [0]
+        assert [(c.j, c.k) for c in combos] == [(0, 1)]  # 0 below its successor
+        entry = inst._pair_combo_cache[node.counts]
+        assert entry == (cands, combos) and pair_combos(node, inst) is entry
 
 
 class TestRootEnumeration:
@@ -363,7 +374,7 @@ class TestChildren:
     def test_dominance_filter_spec_cases(self):
         inst = make_instance([(400, 300), (200, 300)], chains=[[0], [1]])
         parent = kid_for(root_node(inst), inst, 0)
-        raw = children(parent, inst, use_dominance=False)
+        raw = child_insertions(parent, inst, use_dominance=False)
         filtered = filter_dominated_children(raw)
         assert len(filtered) < len(raw)
         # different item sets always coexist
@@ -371,7 +382,7 @@ class TestChildren:
         kids2 = children(root_node(inst2), inst2)
         assert {k.insertion.placements[0].item_id for k in kids2 if k.insertion.has_items} == {0, 1}
         # identical duplicates collapse to one
-        dup = children(root_node(inst2), inst2, use_dominance=False)
+        dup = child_insertions(root_node(inst2), inst2, use_dominance=False)
         assert len(filter_dominated_children(dup + dup)) == len(
             filter_dominated_children(dup)
         )
@@ -446,12 +457,29 @@ def walked_nodes(rng, min_nodes):
 
 
 def reference_children(node, inst, use_symmetry, use_dominance=True):
-    """The child pipeline spelled out: every raw insertion, then the filters."""
+    """The child pipeline spelled out: every raw insertion, the symmetry
+    rule on each of them, then the dominance filter on the insertions."""
     ins_list = enumerate_insertions(node, inst)
     if use_symmetry:
         ins_list = [m for m in ins_list if symmetry_allows(node, m, inst)]
-    kids = [apply_insertion(node, m, inst) for m in ins_list]
-    return filter_dominated_children(kids) if use_dominance else kids
+    if use_dominance:
+        ins_list = filter_dominated_children(ins_list)
+    return [apply_insertion(node, m, inst) for m in ins_list]
+
+
+def node_level_dominance(kids):
+    """Sibling dominance decided on built children, as an oracle: among
+    children packing the same items (equal chain counts) on the same plate,
+    keep the undominated fronts, the earliest generated winning ties."""
+    kept = []
+    for kid in kids:
+        rivals = [k for k in kids if (k.counts, k.bin) == (kid.counts, kid.bin)]
+        if not any(front_key_leq(k.front_key(), kid.front_key()) and (
+                kids.index(k) < kids.index(kid)
+                or not front_key_leq(kid.front_key(), k.front_key()))
+                for k in rivals if k is not kid):
+            kept.append(kid)
+    return kept
 
 
 class TestSymmetryAwareGenerator:
@@ -476,6 +504,9 @@ class TestSymmetryAwareGenerator:
             assert all(m in kept for m in raw if m in aware)
             gone = [m for m in raw if m not in aware]
             assert all(m.depth == 3 and not symmetry_allows(node, m, inst) for m in gone)
+            # so the rule has nothing left to reject where no shelf closes
+            assert all(symmetry_allows(node, m, inst) for m in aware
+                       if m.depth == 3 and not m.completes)
             omitted += len(gone)
         assert omitted > 100  # the omission is exercised
 
@@ -487,6 +518,12 @@ class TestSymmetryAwareGenerator:
                     ref = reference_children(node, inst, use_symmetry, use_dominance)
                     assert [k.insertion for k in got] == [k.insertion for k in ref]
                     assert [k.front_key() for k in got] == [k.front_key() for k in ref]
+                    assert child_insertions(node, inst, use_symmetry, use_dominance) == [
+                        k.insertion for k in got]
+                # deciding dominance on the built children keeps the same ones
+                built = reference_children(node, inst, use_symmetry, use_dominance=False)
+                assert [k.insertion for k in node_level_dominance(built)] == child_insertions(
+                    node, inst, use_symmetry)
 
     def test_insertion_lists_are_pinned(self, nodes):
         """Every field of every insertion list, both flags, at every walked

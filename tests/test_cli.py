@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import glasscut
+from glasscut import cli
 from glasscut.cli import build_parser, main
 from glasscut.fileio import read_solution
 from glasscut.validator import validate
@@ -73,6 +74,28 @@ class TestSolve:
             outputs.append(out.read_text())
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+    def test_challenge_compat_sleeps_out_a_huge_limit_in_slices(
+            self, instance_dir, capsys, monkeypatch):
+        slept = []
+
+        class Woken(Exception):
+            pass
+
+        def sleep(seconds):
+            if seconds > 1e9:  # as time.sleep past the platform's time_t
+                raise OverflowError("timestamp out of range for platform time_t")
+            slept.append(seconds)
+            if len(slept) == 3:
+                raise Woken
+
+        monkeypatch.setattr(cli.time, "sleep", sleep)
+        out = instance_dir / "compat.csv"
+        with pytest.raises(Woken):
+            run(["solve", "-p", str(instance_dir / "toy"), "-t", "1e308", "-o", str(out),
+                 "--threads", "1", "--challenge-compat"])
+        assert out.exists()
+        assert slept == [cli._SLEEP_SLICE_S] * 3
 
     def test_missing_instance_fails(self, tmp_path, capsys):
         code = run(["solve", "-p", str(tmp_path / "nope"), "-t", "1"])

@@ -188,14 +188,16 @@ class TestFrontLeq:
 
 
 class TestDominates:
-    """Sibling dominance, as ``filter_dominated_children`` applies it."""
+    """Sibling dominance, as ``filter_dominated_children`` applies it to the
+    insertions of sibling children."""
 
     def test_same_node(self):
         inst = make_instance([(100, 100), (200, 150)])
         node = random_walk(random.Random(1), inst)[-1]
         twin = random_walk(random.Random(1), inst)[-1]  # the same walk again
         assert front_key_leq(node.front_key(), twin.front_key())
-        assert filter_dominated_children([node, twin]) == [node]  # the earliest wins ties
+        kept = filter_dominated_children([node.insertion, twin.insertion])
+        assert len(kept) == 1 and kept[0] is node.insertion  # the earliest wins ties
 
     def test_same_items_tighter_front_dominates(self):
         # in a 300-tall shelf, item 1 standing (200 wide) commits less of the
@@ -214,7 +216,7 @@ class TestDominates:
         flat = next(k for k in depth3 if k.insertion.placements[0].rotated)
         assert front_key_leq(upright.front_key(), flat.front_key())
         assert not front_key_leq(flat.front_key(), upright.front_key())
-        assert filter_dominated_children([flat, upright]) == [upright]
+        assert filter_dominated_children([flat.insertion, upright.insertion]) == [upright.insertion]
         filtered = children(parent, inst, use_dominance=True)
         assert not any(
             k.insertion.depth == 3 and k.insertion.has_items and k.insertion.placements[0].rotated
@@ -228,4 +230,4 @@ class TestDominates:
         k0 = next(k for k in kids if k.insertion.placements[0].item_id == 0)
         k1 = next(k for k in kids if k.insertion.placements[0].item_id == 1)
         assert k0.front_key()[1:] == k1.front_key()[1:]
-        assert filter_dominated_children([k0, k1]) == [k0, k1]
+        assert filter_dominated_children([k0.insertion, k1.insertion]) == [k0.insertion, k1.insertion]

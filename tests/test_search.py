@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from glasscut import branching, search
-from glasscut.branching import children
+from glasscut.branching import _allowed_depths, children
 from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
     ChainCountError,
@@ -45,27 +45,32 @@ GUIDES = (
 )
 
 
+def _guide(node, kind, scale):
+    """``guide_value`` on the four figures of ``node``."""
+    return guide_value(node.waste, node.area, node.item_area, node.n_packed, kind, scale)
+
+
 class TestGuideValue:
     def test_root_is_zero_under_all_guides(self):
         inst = make_instance([(100, 100)])
         root = root_node(inst)
         for guide in GUIDES:
-            assert guide_value(root, guide, guide_scale(inst.params)) == 0
+            assert _guide(root, guide, guide_scale(inst.params)) == 0
 
     def test_waste_percentage(self):
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
         scale = guide_scale(inst.params)
         node = children(root_node(inst), inst)[0]
         node.waste, node.area, node.item_area = 500, 2000, 1500
-        assert guide_value(node, GuideKind.WASTE, scale) == 500
-        assert guide_value(node, GuideKind.WASTE_PERCENTAGE, scale) == scale // 4
+        assert _guide(node, GuideKind.WASTE, scale) == 500
+        assert _guide(node, GuideKind.WASTE_PERCENTAGE, scale) == scale // 4
 
     def test_mean_item_area_reward(self):
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
         scale = guide_scale(inst.params)
         node = children(root_node(inst), inst)[0]
         node.waste, node.area, node.item_area, node.n_packed = 500, 2000, 1_000_000, 2
-        value = guide_value(node, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA, scale)
+        value = _guide(node, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA, scale)
         assert value == math.floor(Fraction(1, 4) / 500_000 * scale)
 
 
@@ -140,7 +145,7 @@ class TestGuideKey:
         scale = guide_scale(params)
         nodes = _keyed_nodes(rng, params)
         for kind in GUIDES:
-            keyed = sorted((n.ratio(kind), guide_value(n, kind, scale)) for n in nodes)
+            keyed = sorted((n.ratio(kind), _guide(n, kind, scale)) for n in nodes)
             assert all(type(key) is int for _, key in keyed)
             # sorted by the exact ratio, the key rises exactly where it does
             for (exact_a, key_a), (exact_b, key_b) in zip(keyed, keyed[1:]):
@@ -416,9 +421,10 @@ class TestIterativeBeamSearch:
         assert res.final_capacity == 16 and res.iterations == 3  # widths 2, 4, 8
 
     def test_a_level_holds_about_width_nodes(self, monkeypatch):
-        """Nodes of one depth alive at once: the best width + 1 children of
-        the level so far plus the children of the node being expanded, not
-        every child of the level."""
+        """Nodes of one depth alive at once: a level's children are built
+        only when expanded, so about width of them are, the parents of the
+        best width + 1 open children of the next level; not every child of
+        the level."""
         live: dict[int, int] = {}
         peak = [0]
 
@@ -441,8 +447,9 @@ class TestIterativeBeamSearch:
             root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 60.0, Incumbent(), node_cap=width
         )
         assert res.outcome == "memory" and res.final_capacity == 2 * width
-        # a node here has at most 21 raw insertions; the run peaks at 88
-        # nodes of one depth, where keeping every child of a level made 273
+        # a node here has at most 21 raw insertions; the run peaks at 63
+        # nodes of one depth, where building every kept child made 88 and
+        # keeping every child of a level made 273
         assert peak[0] <= 2 * width
 
 
@@ -494,9 +501,45 @@ class TestDpaStar:
         inst = make_instance([(300, 200), (200, 300)], chains=[[0, 1]])
         store = DominanceStore()
         kids = children(root_node(inst), inst)
-        admitted = [store.admit(k) for k in kids]
+        states = [(k.counts, _allowed_depths(k), k.front_key()) for k in kids]
+        admitted = [store.admit(*state) for state in states]
         assert all(admitted)  # distinct states or incomparable fronts
-        assert all(not store.admit(k) for k in kids)  # replay is dominated
+        assert all(not store.admit(*state) for state in states)  # replay is dominated
+
+
+class TestBuildOnlyWhatIsExpanded:
+    """Open children stay (parent, insertion) pairs: a search builds a
+    ``Node`` for each node it expands, the root aside, and for each complete
+    leaf that improves the incumbent, and for no other child."""
+
+    @pytest.mark.parametrize("algorithm", ["mba_star", "dpa_star"])
+    def test_apply_insertion_builds_expanded_nodes_and_improving_leaves(
+            self, monkeypatch, algorithm):
+        built = [0]
+        kept = [0]
+        apply, kept_insertions = branching.apply_insertion, search.children
+
+        def counted_apply(*args):
+            built[0] += 1
+            return apply(*args)
+
+        def counted_children(*args):
+            out = kept_insertions(*args)
+            kept[0] += len(out)
+            return out
+
+        monkeypatch.setattr(branching, "apply_insertion", counted_apply)
+        monkeypatch.setattr(search, "children", counted_children)
+        inst = midsize_instance(20, 2, seed=1)
+        inc = Incumbent()
+        if algorithm == "mba_star":
+            res = mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 32, 60.0, inc)
+        else:
+            res = dpa_star(root_node(inst), inst, 60.0, inc)
+        assert res.outcome == "exhausted" and len(inc.history) > 1
+        assert built[0] == res.nodes_expanded - 1 + len(inc.history)
+        # far fewer than the children it kept
+        assert kept[0] > 1.3 * built[0]
 
 
 class TestIncumbent:
