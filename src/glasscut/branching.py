@@ -61,7 +61,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
-from .model import Defect, Instance, Node, Params, ShelfRecord, front_key_leq
+from .model import Defect, Instance, Node, Params, _cell_items, _min_opt, front_key_leq
 
 
 class InsertionKind(Enum):
@@ -74,7 +74,6 @@ class InsertionKind(Enum):
 
 # module aliases of the kinds: attribute lookups on an Enum class are slow
 _ONE_ITEM, _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _TWO_ITEMS, _WASTE_ONLY = InsertionKind
-_NO_CHAINS: frozenset[int] = frozenset()
 
 
 class Placement(NamedTuple):
@@ -116,17 +115,6 @@ class Insertion(NamedTuple):
     @property
     def has_items(self) -> bool:
         return bool(self.placements)
-
-
-def _cell_items(ins: Insertion, instance: Instance) -> tuple[Optional[int], frozenset[int]]:
-    """Smallest item id (None for a waste cell) and chain indexes of a cell."""
-    pls = ins.placements
-    if not pls:
-        return None, _NO_CHAINS
-    if len(pls) == 1:
-        return pls[0].item_id, instance.chain_sets[pls[0].chain_idx]
-    a, b = pls
-    return min(a.item_id, b.item_id), frozenset((a.chain_idx, b.chain_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -653,78 +641,15 @@ def _extend_past(start: int, end: int, defects: list[Defect], vertical: bool) ->
 # applying an insertion
 
 def apply_insertion(node: Node, ins: Insertion, instance: Instance) -> Node:
-    """Child node for a feasible insertion (geometry was settled upstream)."""
-    counts = node.counts
-    item_area = node.item_area
-    if ins.placements:
-        counts = counts_after(counts, ins)
-        for pl in ins.placements:
-            item_area += pl.width * pl.height
-    new_min, new_chains = _cell_items(ins, instance)
-
-    if ins.depth == 3:
-        closed = node.closed_shelves
-        col_has_items = node.col_has_items or ins.has_items
-        shelf_min = _min_opt(node.shelf_min_item, new_min)
-        shelf_chains = node.shelf_chain_ids | new_chains
-    elif ins.depth == 2:
-        closed = node.closed_shelves + (ShelfRecord(
-            node.y2_prev, node.y2_curr, node.x3_curr, node.cell_min_item is not None,
-            node.shelf_min_item, node.shelf_chain_ids,
-        ),)
-        col_has_items = node.col_has_items or ins.has_items
-        shelf_min = new_min
-        shelf_chains = new_chains
-    else:
-        closed = ()
-        col_has_items = ins.has_items
-        shelf_min = new_min
-        shelf_chains = new_chains
-
-    return Node(
-        node,
-        ins,
-        node.plate_height,
-        ins.bin,
-        ins.x1_prev,
-        ins.x1_curr,
-        ins.y2_prev,
-        ins.y2_curr,
-        ins.x3_prev,
-        ins.x3_curr,
-        counts,
-        node.n_packed + len(ins.placements),
-        item_area,
-        ins.prior_area,
-        ins.completes,
-        closed,
-        col_has_items,
-        shelf_min,
-        shelf_chains,
-        new_min,
-        new_chains,
-    )
-
-
-def counts_after(counts: tuple[int, ...], ins: Insertion) -> tuple[int, ...]:
-    """Items consumed per chain once ``ins`` is applied to ``counts``."""
-    out = list(counts)
-    for pl in ins.placements:
-        out[pl.chain_idx] += 1
-    return tuple(out)
+    """Child node for a feasible insertion: ``Node`` derives its state.
+    Searches build every node through this name, where a tracer or a test
+    can wrap it."""
+    return Node(node, ins, instance)
 
 
 def insertion_front(ins: Insertion) -> tuple[int, int, int, int, int, int]:
     """``Node.front_key`` of the child that ``ins`` makes."""
     return (ins.bin, ins.x1_prev, ins.x1_curr, ins.x3_curr, ins.y2_prev, ins.y2_curr)
-
-
-def _min_opt(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a < b else b
 
 
 # ---------------------------------------------------------------------------
@@ -816,41 +741,24 @@ def _shelf_close_allowed(
 
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     """Among sibling insertions packing the same items on the same plate,
-    keep only those whose child's front is undominated; the earliest
-    generated wins ties.  Siblings pack the same items exactly when they
-    advance the same chains, so no child is built to decide this."""
-    groups: dict[tuple, list[int]] = {}
+    drop each one that a sibling dominates: its child's front is
+    ``front_key_leq`` to this one's, and it is strictly better or generated
+    earlier (so the earliest of equal fronts is kept).  Siblings pack the
+    same items exactly when they advance the same chains, so no child is
+    built to decide this."""
+    groups: dict[tuple, list[tuple[int, tuple]]] = {}
     for i, ins in enumerate(insertions):
-        pls = ins.placements
-        if not pls:
-            key = (ins.bin,)
-        elif len(pls) == 1:
-            key = (ins.bin, pls[0].chain_idx)
-        else:
-            a, b = pls[0].chain_idx, pls[1].chain_idx
-            key = (ins.bin, a, b) if a <= b else (ins.bin, b, a)
-        groups.setdefault(key, []).append(i)
+        key = (ins.bin, *sorted([pl.chain_idx for pl in ins.placements]))
+        groups.setdefault(key, []).append((i, insertion_front(ins)))
     dropped: set[int] = set()
-    for idxs in groups.values():
-        if len(idxs) < 2:
+    for members in groups.values():
+        if len(members) < 2:
             continue
-        kept: list[int] = []
-        fronts = {i: insertion_front(insertions[i]) for i in idxs}
-        for i in idxs:
-            fi = fronts[i]
-            dead = False
-            for j in list(kept):
-                fj = fronts[j]
-                if front_key_leq(fj, fi):
-                    dead = True
+        for i, fi in members:
+            for j, fj in members:
+                if j != i and front_key_leq(fj, fi) and (j < i or not front_key_leq(fi, fj)):
+                    dropped.add(i)
                     break
-                if front_key_leq(fi, fj):
-                    kept.remove(j)
-                    dropped.add(j)
-            if dead:
-                dropped.add(i)
-            else:
-                kept.append(i)
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
 
 

@@ -265,98 +265,119 @@ def covered_area(
     )
 
 
-class Node:
-    """A partial solution: parent link plus the insertion that produced it.
+_NO_CHAINS: frozenset[int] = frozenset()
 
-    Immutable after construction.  ``prior_area`` is the full area of every
-    plate before the current one; ``area``/``waste`` follow the front-based
-    accounting (leftover right of the last 1-cut is free once complete).
+
+def counts_after(counts: tuple[int, ...], ins) -> tuple[int, ...]:
+    """Items consumed per chain once the insertion ``ins`` is applied to
+    ``counts``."""
+    out = list(counts)
+    for pl in ins.placements:
+        out[pl.chain_idx] += 1
+    return tuple(out)
+
+
+def _cell_items(ins, instance: Instance) -> tuple[Optional[int], frozenset[int]]:
+    """Smallest item id (None for a waste cell) and chain indexes of the cell
+    that the insertion ``ins`` packs."""
+    pls = ins.placements
+    if not pls:
+        return None, _NO_CHAINS
+    if len(pls) == 1:
+        return pls[0].item_id, instance.chain_sets[pls[0].chain_idx]
+    a, b = pls
+    return min(a.item_id, b.item_id), frozenset((a.chain_idx, b.chain_idx))
+
+
+def _min_opt(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a < b else b
+
+
+class Node:
+    """A partial solution: its parent plus the insertion that produced it.
+
+    ``Node(parent, insertion, instance)`` derives the child's whole state
+    from its parent and a feasible insertion (``branching.Insertion``, read
+    by field name; its geometry was settled when it was generated);
+    ``Node(None, None, instance)`` is the empty root, before any plate is
+    opened.  Immutable after construction.  ``prior_area`` is the full area
+    of every plate before the current one; ``area``/``waste`` follow the
+    front-based accounting (leftover right of the last 1-cut is free once
+    complete).
     """
 
     __slots__ = (
-        "parent",
-        "insertion",
-        "plate_height",
-        "bin",
-        "x1_prev",
-        "x1_curr",
-        "y2_prev",
-        "y2_curr",
-        "x3_prev",
-        "x3_curr",
-        "counts",
-        "n_packed",
-        "item_area",
-        "prior_area",
-        "area",
-        "waste",
-        "complete",
-        "closed_shelves",
-        "col_has_items",
-        "shelf_min_item",
-        "shelf_chain_ids",
-        "cell_min_item",
-        "cell_chain_ids",
+        "parent", "insertion", "bin", "x1_prev", "x1_curr", "y2_prev", "y2_curr",
+        "x3_prev", "x3_curr", "counts", "n_packed", "item_area", "prior_area", "area",
+        "waste", "complete", "closed_shelves", "col_has_items", "shelf_min_item",
+        "shelf_chain_ids", "cell_min_item", "cell_chain_ids",
     )
 
-    def __init__(
-        self,
-        parent: Optional["Node"],
-        insertion,
-        plate_height: int,
-        bin: int,
-        x1_prev: int,
-        x1_curr: int,
-        y2_prev: int,
-        y2_curr: int,
-        x3_prev: int,
-        x3_curr: int,
-        counts: tuple[int, ...],
-        n_packed: int,
-        item_area: int,
-        prior_area: int,
-        complete: bool,
-        closed_shelves: tuple[ShelfRecord, ...],
-        col_has_items: bool,
-        shelf_min_item: Optional[int],
-        shelf_chain_ids: frozenset[int],
-        cell_min_item: Optional[int],
-        cell_chain_ids: frozenset[int],
-    ):
+    def __init__(self, parent: Optional["Node"], insertion, instance: Instance):
         self.parent = parent
-        self.insertion = insertion
-        self.plate_height = plate_height
-        self.bin = bin
-        self.x1_prev = x1_prev
-        self.x1_curr = x1_curr
-        self.y2_prev = y2_prev
-        self.y2_curr = y2_curr
-        self.x3_prev = x3_prev
-        self.x3_curr = x3_curr
+        self.insertion = ins = insertion
+        if parent is None:
+            self.bin = -1
+            self.x1_prev = self.x1_curr = self.y2_prev = self.y2_curr = 0
+            self.x3_prev = self.x3_curr = 0
+            self.counts = (0,) * len(instance.chains)
+            self.n_packed = self.item_area = self.prior_area = self.area = self.waste = 0
+            self.complete = instance.n_items == 0
+            self.closed_shelves = ()
+            self.col_has_items = False
+            self.shelf_min_item = self.cell_min_item = None
+            self.shelf_chain_ids = self.cell_chain_ids = _NO_CHAINS
+            return
+        pls = ins.placements
+        counts, item_area = parent.counts, parent.item_area
+        if pls:
+            counts = counts_after(counts, ins)
+            for pl in pls:
+                item_area += pl.width * pl.height
+        cell_min, cell_chains = _cell_items(ins, instance)
+        if ins.depth == 3:
+            self.closed_shelves = parent.closed_shelves
+            self.col_has_items = parent.col_has_items or bool(pls)
+            self.shelf_min_item = _min_opt(parent.shelf_min_item, cell_min)
+            self.shelf_chain_ids = parent.shelf_chain_ids | cell_chains
+        else:
+            if ins.depth == 2:  # the current shelf closes below the new one
+                self.closed_shelves = parent.closed_shelves + (ShelfRecord(
+                    parent.y2_prev, parent.y2_curr, parent.x3_curr,
+                    parent.cell_min_item is not None, parent.shelf_min_item,
+                    parent.shelf_chain_ids,
+                ),)
+                self.col_has_items = parent.col_has_items or bool(pls)
+            else:  # a new column
+                self.closed_shelves = ()
+                self.col_has_items = bool(pls)
+            self.shelf_min_item = cell_min
+            self.shelf_chain_ids = cell_chains
+        self.cell_min_item = cell_min
+        self.cell_chain_ids = cell_chains
+        self.bin = ins.bin
+        self.x1_prev = ins.x1_prev
+        self.x1_curr = ins.x1_curr
+        self.y2_prev = ins.y2_prev
+        self.y2_curr = ins.y2_curr
+        self.x3_prev = ins.x3_prev
+        self.x3_curr = ins.x3_curr
         self.counts = counts
-        self.n_packed = n_packed
+        self.n_packed = parent.n_packed + len(pls)
         self.item_area = item_area
-        self.prior_area = prior_area
-        self.complete = complete
-        self.closed_shelves = closed_shelves
-        self.col_has_items = col_has_items
-        self.shelf_min_item = shelf_min_item
-        self.shelf_chain_ids = shelf_chain_ids
-        self.cell_min_item = cell_min_item
-        self.cell_chain_ids = cell_chain_ids
-        self.area = 0 if bin < 0 else covered_area(
-            prior_area, plate_height, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr, complete)
+        self.prior_area = ins.prior_area
+        self.complete = ins.completes
+        self.area = covered_area(
+            ins.prior_area, instance.params.plate_height, ins.x1_prev, ins.x1_curr,
+            ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes)
         self.waste = self.area - item_area
 
     def front_key(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.bin,
-            self.x1_prev,
-            self.x1_curr,
-            self.x3_curr,
-            self.y2_prev,
-            self.y2_curr,
-        )
+        return (self.bin, self.x1_prev, self.x1_curr, self.x3_curr, self.y2_prev, self.y2_curr)
 
     def __repr__(self) -> str:  # debugging aid only
         return (
@@ -368,26 +389,4 @@ class Node:
 
 def root_node(instance: Instance) -> Node:
     """Empty partial solution: no plate opened yet."""
-    return Node(
-        parent=None,
-        insertion=None,
-        plate_height=instance.params.plate_height,
-        bin=-1,
-        x1_prev=0,
-        x1_curr=0,
-        y2_prev=0,
-        y2_curr=0,
-        x3_prev=0,
-        x3_curr=0,
-        counts=(0,) * len(instance.chains),
-        n_packed=0,
-        item_area=0,
-        prior_area=0,
-        complete=instance.n_items == 0,
-        closed_shelves=(),
-        col_has_items=False,
-        shelf_min_item=None,
-        shelf_chain_ids=frozenset(),
-        cell_min_item=None,
-        cell_chain_ids=frozenset(),
-    )
+    return Node(None, None, instance)

@@ -37,9 +37,10 @@ from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from . import branching
-from .branching import Insertion, _allowed_depths, counts_after, depths_after, insertion_front
+from .branching import Insertion, _allowed_depths, depths_after, insertion_front
 from .model import (
-    GlasscutError, GuideKind, Instance, Node, Params, covered_area, front_key_leq, root_node,
+    GlasscutError, GuideKind, Instance, Node, Params, counts_after, covered_area, front_key_leq,
+    root_node,
 )
 
 # The per-expansion call of every search: the insertions of the children it
@@ -207,25 +208,24 @@ class _MinHeap(list):
         return heappop(self)[-1]
 
 
-# Bytes per open node that the default cap charges; A* is charged the MBA*
-# figure.  tracemalloc's peak over the peak open-list length is below
-# NODE_BYTES for MBA* and A* (1.1-1.6 KB on open lists of 10,000 and more)
-# and above DPA_NODE_BYTES for DPA* (about 3 KB: its store and expanded
-# nodes outgrow its open list).
+# Bytes per open node that the default cap charges every search.
+# tracemalloc's peak over the peak open-list length (2 vCPUs, CPython 3.11):
+# A* 1.2-1.4 KB on open lists of 15,000-42,000; DPA* 3.4-5.4 KB, but its open
+# lists stayed at 1,800-3,400 in 20-30 s runs, as its store and expanded
+# nodes, not its open list, grow with the run.
 NODE_BYTES = 3400
-DPA_NODE_BYTES = 1200
 
 
-def _default_node_cap(node_bytes: int, workers: int = 1) -> int:
+def _default_node_cap(workers: int = 1) -> int:
     """Fringe size cap derived from available memory (coarse) at
-    ``node_bytes`` per node; each of ``workers`` processes gets an equal
+    ``NODE_BYTES`` per node; each of ``workers`` processes gets an equal
     share."""
     try:
         with open("/proc/meminfo") as f:
             for line in f:
                 if line.startswith("MemAvailable:"):
                     kib = int(line.split()[1])
-                    nodes = kib * 1024 // (node_bytes * workers)
+                    nodes = kib * 1024 // (NODE_BYTES * workers)
                     return max(100_000, min(nodes, 20_000_000))
     except OSError:
         pass
@@ -354,7 +354,7 @@ def astar(
 ) -> SearchResult:
     """Plain best-first search; reports "memory" once more than ``node_cap``
     nodes are open (by default a share of the available memory)."""
-    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
+    cap = node_cap if node_cap is not None else _default_node_cap()
     return _best_first(
         root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance, node_cap=cap,
     )
@@ -413,7 +413,7 @@ def restarting_mba_star(
     if growth <= 1:
         raise ValueError("growth factor must exceed 1")
     clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
+    cap = node_cap if node_cap is not None else _default_node_cap()
     capacity = capacity_init
     expanded = 0
     iterations = 0
@@ -461,7 +461,7 @@ def iterative_beam_search(
     children are held at once, plus those of the node being expanded.  A
     kept child is built when it is expanded."""
     clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES)
+    cap = node_cap if node_cap is not None else _default_node_cap()
     width = width_init
     expanded = 0
     iterations = 0
@@ -542,7 +542,6 @@ def dpa_star(
     instance: Instance,
     time_limit: float,
     incumbent: Incumbent,
-    use_symmetry: bool = False,
     node_cap: Optional[int] = None,
 ) -> SearchResult:
     """Waste-guided A* with front memoization, for at most two chains.
@@ -552,11 +551,11 @@ def dpa_star(
     off leaves the result closer to the scheme optimum."""
     if len(instance.chains) > 2:
         raise ChainCountError("CHAIN_COUNT DPA* handles at most two chains")
-    cap = node_cap if node_cap is not None else _default_node_cap(DPA_NODE_BYTES)
+    cap = node_cap if node_cap is not None else _default_node_cap()
     store = DominanceStore()
     store.admit(root.counts, _allowed_depths(root), root.front_key())
     return _best_first(
-        root, instance, _WASTE, time_limit, incumbent, use_symmetry, True,
+        root, instance, _WASTE, time_limit, incumbent, use_symmetry=False, use_dominance=True,
         node_cap=cap, admit=store.admit,
     )
 
@@ -669,7 +668,7 @@ def _run_portfolio(
     # the best waste of any worker, -1 before the first solution; it starts
     # from the caller's incumbent (DPA*'s, after a fallback)
     shared = ctx.Value("q", -1 if incumbent.waste is None else incumbent.waste)
-    cap = node_cap if node_cap is not None else _default_node_cap(NODE_BYTES, len(configs))
+    cap = node_cap if node_cap is not None else _default_node_cap(len(configs))
     workers: list[tuple] = []
     try:
         for g, gr in configs:

@@ -163,14 +163,15 @@ def expansion_trace():
         search.children = original
 
 
-def raster_front_area(node: Node) -> int:
-    """Area oracle: sum the front's step function row by row (1 mm rows)."""
+def raster_front_area(node: Node, plate_height: int) -> int:
+    """Area oracle: sum the front's step function row by row (1 mm rows) on
+    plates ``plate_height`` tall."""
     if node.bin < 0:
         return 0
     if node.complete:
-        return node.prior_area + node.x1_curr * node.plate_height
+        return node.prior_area + node.x1_curr * plate_height
     total = node.prior_area
-    for y in range(node.plate_height):
+    for y in range(plate_height):
         if y < node.y2_prev:
             total += node.x1_curr
         elif y < node.y2_curr:

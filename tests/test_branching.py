@@ -185,7 +185,7 @@ class TestApply:
         assert child.x3_prev == 300
         assert child.x3_curr == 500
         assert child.x1_curr == 500  # the 1-cut follows the cell
-        assert child.area == raster_front_area(child)
+        assert child.area == raster_front_area(child, inst.params.plate_height)
         assert child.waste >= parent.waste
 
     def test_waste_only_strictly_increases_waste(self):

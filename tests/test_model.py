@@ -14,7 +14,9 @@ from glasscut.model import (
     front_key_leq,
     root_node,
 )
-from glasscut.branching import children, filter_dominated_children
+from glasscut.branching import (
+    Insertion, InsertionKind, Placement, children, filter_dominated_children,
+)
 
 from conftest import (
     SMALL_PARAMS,
@@ -85,13 +87,20 @@ class TestInstance:
             )
 
 
-def _node_with(instance, **fields):
-    """A node built through ``Node(...)`` from the root's fields, with
-    ``fields`` in place of some of them."""
-    root = root_node(instance)
-    kw = {name: getattr(root, name) for name in Node.__slots__ if name not in ("area", "waste")}
-    kw.update(fields)
-    return Node(**kw)
+def _first_cell(instance, x1_curr, y2_curr, completes=False):
+    """The root's child, built through ``Node(root, insertion, instance)``,
+    whose first cell packs item 0 unrotated at the plate's origin, in a
+    column ``x1_curr`` wide and a shelf ``y2_curr`` tall."""
+    item = instance.items[0]
+    split_y = None if item.height == y2_curr else item.height
+    ins = Insertion(
+        kind=InsertionKind.ONE_ITEM if split_y is None else InsertionKind.ITEM_WASTE_ABOVE,
+        depth=0, new_bin=True, completes=completes,
+        placements=(Placement(0, instance.chain_index[0], 0, 0, item.width, item.height, False),),
+        bin=0, prior_area=0, x1_prev=0, x1_curr=x1_curr, y2_prev=0, y2_curr=y2_curr,
+        x3_prev=0, x3_curr=x1_curr, split_y=split_y, prev_col_x1=None,
+    )
+    return Node(root_node(instance), ins, instance)
 
 
 class TestArea:
@@ -103,30 +112,26 @@ class TestArea:
     def test_single_shelf_partial(self):
         # one 2000x1000 item in a [0,2000]x[0,1000] shelf, items remaining
         inst = make_instance([(2000, 1000), (500, 500)], params=Params())
-        node = _node_with(
-            inst, bin=0, x1_prev=0, x1_curr=2000, y2_prev=0, y2_curr=1000,
-            x3_prev=0, x3_curr=2000, item_area=2000 * 1000,
-        )
+        node = _first_cell(inst, x1_curr=2000, y2_curr=1000)
+        assert node.item_area == 2000 * 1000 and not node.complete
         assert node.area == 2_000_000
         assert node.waste == 0
-        assert raster_front_area(node) == 2_000_000
+        assert raster_front_area(node, inst.params.plate_height) == 2_000_000
 
     def test_complete_uses_last_cut(self):
-        inst = make_instance([(2000, 1000)], params=Params())
-        node = _node_with(
-            inst, bin=0, x1_prev=0, x1_curr=4000, y2_prev=0, y2_curr=3210,
-            x3_prev=0, x3_curr=4000, item_area=10_000_000, complete=True,
-            n_packed=1,
-        )
+        # the last 1-cut at 4000 on a 3210-tall plate; a 4000 x 2500 item
+        inst = make_instance([(4000, 2500)], params=Params())
+        node = _first_cell(inst, x1_curr=4000, y2_curr=3210, completes=True)
+        assert node.item_area == 10_000_000 and node.n_packed == 1 and node.complete
         assert node.area == 12_840_000
         assert node.waste == 2_840_000
-        assert raster_front_area(node) == 12_840_000
+        assert raster_front_area(node, inst.params.plate_height) == 12_840_000
 
     def test_area_matches_raster_on_random_walks(self, rng):
         for _ in range(40):
             inst = random_small_instance(rng)
             for node in random_walk(rng, inst):
-                assert node.area == raster_front_area(node)
+                assert node.area == raster_front_area(node, inst.params.plate_height)
 
 
 class TestWasteMonotonicity:

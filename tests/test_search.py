@@ -36,6 +36,7 @@ from conftest import (
     make_instance,
     midsize_instance,
     random_small_instance,
+    random_walk,
 )
 
 GUIDES = (
@@ -351,24 +352,18 @@ class TestRestartSchedule:
         assert res.final_capacity > 10 and res.iterations == 4  # capacities 2, 3, 5, 8
 
     def test_default_node_cap_is_shared_between_workers(self):
-        one = search._default_node_cap(search.NODE_BYTES, 1)
-        four = search._default_node_cap(search.NODE_BYTES, 4)
+        one = search._default_node_cap(1)
+        four = search._default_node_cap(4)
         assert four <= one
         assert four == 100_000 or abs(4 * four - one) <= one // 20  # memory moves
 
-    def test_default_node_cap_follows_the_bytes_per_node(self):
-        mba = search._default_node_cap(search.NODE_BYTES)
-        dpa = search._default_node_cap(search.DPA_NODE_BYTES)
-        ratio = search.NODE_BYTES / search.DPA_NODE_BYTES
-        clamped = mba == 100_000 or dpa == 20_000_000
-        assert clamped or abs(mba * ratio - dpa) <= dpa // 20  # memory moves
-        assert dpa >= mba
-
     def test_each_search_asks_for_the_cap_of_its_own_nodes(self, monkeypatch):
+        """Every search is charged the same NODE_BYTES per open node, so
+        each one asks for the single default cap of one process."""
         asked = []
 
-        def cap(node_bytes, workers=1):
-            asked.append(node_bytes)
+        def cap(workers=1):
+            asked.append(workers)
             return 1000
 
         monkeypatch.setattr(search, "_default_node_cap", cap)
@@ -376,7 +371,8 @@ class TestRestartSchedule:
         dpa_star(root_node(inst), inst, 10.0, Incumbent())
         astar(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
         restarting_mba_star(root_node(inst), inst, GuideKind.WASTE, 2, 10.0, Incumbent())
-        assert asked == [search.DPA_NODE_BYTES, search.NODE_BYTES, search.NODE_BYTES]
+        iterative_beam_search(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
+        assert asked == [1, 1, 1, 1]
 
 
 class TestIterativeBeamSearch:
@@ -540,6 +536,50 @@ class TestBuildOnlyWhatIsExpanded:
         assert built[0] == res.nodes_expanded - 1 + len(inc.history)
         # far fewer than the children it kept
         assert kept[0] > 1.3 * built[0]
+
+    @pytest.mark.parametrize("guide, use_symmetry", [
+        *((guide, True) for guide in GUIDES),
+        (GuideKind.WASTE, False),  # DPA*'s configuration
+    ])
+    def test_open_children_agree_with_their_built_nodes(self, rng, guide, use_symmetry):
+        """What ``expand`` works out from the parent and the insertion (the
+        waste, the guide key, -items packed and the DPA* store's admission
+        arguments) is what the built child has."""
+
+        class NoBound:
+            def offer(self, leaf, elapsed):
+                return False
+
+            def bound(self):
+                return None
+
+        admitted = []
+
+        def admit(counts, depths, front):
+            admitted.append((counts, depths, front))
+            return True
+
+        instances = [random_small_instance(rng) for _ in range(40)]
+        instances += [midsize_instance(40, chains, seed) for chains in (2, 8) for seed in (1, 2, 3)]
+        checked = 0
+        for inst in instances:
+            scale = guide_scale(inst.params)
+            expand, build = search._expander(
+                inst, NoBound(), search._Clock(60.0), guide, use_symmetry, True, admit)
+            walked = [node for _ in range(3)
+                      for node in random_walk(rng, inst, use_symmetry=use_symmetry)]
+            for node in walked:
+                admitted.clear()
+                entries = expand(node)
+                assert len(admitted) == len(entries)
+                for (key, packed, child), args in zip(entries, admitted):
+                    built = build(child)
+                    assert child[0] == built.waste
+                    assert key == _guide(built, guide, scale)
+                    assert packed == -built.n_packed
+                    assert args == (built.counts, _allowed_depths(built), built.front_key())
+                    checked += 1
+        assert checked > 1000, checked
 
 
 class TestIncumbent:
