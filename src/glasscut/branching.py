@@ -54,12 +54,20 @@ then drop the siblings whose fronts are dominated.  A child's chain counts,
 plate and front all follow from its parent and its insertion, so no child
 is built to decide which ones to keep.  ``children`` builds the kept ones
 for callers that want nodes.
+
+Two per-instance caches bound their size with one least-recently-used table
+(``LRUCache``): ``pair_combos`` keyed on the chain counts, and the child
+memo of ``child_insertions(..., memoize=True)`` keyed on every node field
+the pipeline reads (``CHILD_MEMO_FIELDS``).  The memo serves searches that
+meet a state again: MBA* restarts from the root with a larger fringe, and
+the iterative beam with a wider beam.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from operator import attrgetter
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import Defect, Instance, Node, Params, _cell_items, _min_opt, front_key_leq
 
@@ -295,6 +303,52 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
     return (0,) if node.insertion is None else depths_after(node.insertion)
 
 
+class LRUCache:
+    """A table of at most ``entries`` values: ``get`` marks an entry as the
+    one used last, and ``put`` evicts the least recently used entry beyond
+    the bound.  Values are shared: callers must not change them, and None
+    is not a value.  A plain dict keeps the order of use: a hit moves its
+    entry to the end, and the first entry is the one to evict."""
+
+    __slots__ = ("entries", "_table")
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self._table: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, key: Hashable):
+        return self._table[key]
+
+    def get(self, key: Hashable):
+        table = self._table
+        value = table.pop(key, None)
+        if value is not None:
+            table[key] = value
+        return value
+
+    def put(self, key: Hashable, value) -> None:
+        table = self._table
+        table[key] = value
+        if len(table) > self.entries:
+            del table[next(iter(table))]
+
+
+def _instance_cache(instance: Instance, name: str, entries: int) -> LRUCache:
+    """The cache ``name`` of ``instance``, made on first use.  Each
+    portfolio worker process fills its own copy."""
+    cache = instance.__dict__.get(name)
+    if cache is None:
+        cache = instance.__dict__[name] = LRUCache(entries)
+    return cache
+
+
+# Entries of the pair_combos cache: about 460 B each, so at most 7.5 MB.
+PAIR_COMBO_ENTRIES = 16_384
+
+
 class PairCombo(NamedTuple):
     """A width-matched two-item stack: j at the bottom, k on top."""
 
@@ -313,17 +367,16 @@ def pair_combos(node: Node, instance: Instance) -> tuple[list[int], list[PairCom
     or the bottom item's chain successor, equal widths.
 
     Both depend only on the per-chain consumption state, so they are
-    memoized together on the instance (each portfolio worker process fills
-    its own copy).  The lists are shared: callers must not change them."""
-    cache = instance.__dict__.setdefault("_pair_combo_cache", {})
+    memoized together in one entry of a per-instance ``LRUCache`` of
+    ``PAIR_COMBO_ENTRIES``.  The lists are shared: callers must not change
+    them."""
+    cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_ENTRIES)
     hit = cache.get(node.counts)
     if hit is not None:
         return hit
     cands = candidate_items(node, instance)
     hit = cands, _pair_combos_uncached(node, instance, cands)
-    if len(cache) > 200_000:
-        cache.clear()
-    cache[node.counts] = hit
+    cache.put(node.counts, hit)
     return hit
 
 
@@ -762,18 +815,66 @@ def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
 
 
+# Entries of the child memo: 1.0-1.8 KB each under tracemalloc, so at most
+# about 0.7 MB.  On the benchmark's mba_many_chains (2 vCPUs, CPython 3.11),
+# against no memo: 256 entries gave +7-15% expansions/s for +3.0-4.1% peak
+# RSS, 384 gave +11-26% for +4.3-6.2%, and 512 gave +22-28% for +5.6-8.7%,
+# past that workload's 7% memory allowance.  Re-measure before raising it.
+CHILD_MEMO_ENTRIES = 384
+
+# The node fields that the child pipeline reads, which key the child memo
+# along with the open depths and both flags.  A node's other fields follow
+# from these or are never read here (see tests/test_branching.py).
+CHILD_MEMO_FIELDS = (
+    "bin", "x1_prev", "x1_curr", "y2_prev", "y2_curr", "x3_prev", "x3_curr", "counts",
+    "closed_shelves", "col_has_items", "shelf_min_item", "shelf_chain_ids", "cell_min_item",
+    "cell_chain_ids",
+)
+_memo_fields = attrgetter(*CHILD_MEMO_FIELDS)
+
+
+def child_memo_key(node: Node, use_symmetry: bool, use_dominance: bool) -> tuple:
+    """The child memo's key of ``node``: equal keys give equal kept
+    insertions."""
+    return _memo_fields(node) + (_allowed_depths(node), use_symmetry, use_dominance)
+
+
+def child_memo(instance: Instance) -> LRUCache:
+    """The child memo of ``instance``: the kept insertions of the last
+    ``CHILD_MEMO_ENTRIES`` states that ``child_insertions`` memoized."""
+    return _instance_cache(instance, "_child_memo", CHILD_MEMO_ENTRIES)
+
+
 def child_insertions(
     node: Node,
     instance: Instance,
     use_symmetry: bool = True,
     use_dominance: bool = True,
-) -> list[Insertion]:
+    memoize: bool = False,
+) -> Sequence[Insertion]:
     """The insertions of the children the search keeps at ``node``:
     enumerate, symmetry-filter, dominance-filter, in that order.
 
     With ``use_symmetry`` the generator has already omitted every depth-3
     cell that the cell-swap rule forbids, so ``symmetry_allows`` only runs
-    where a shelf closes: below depth 3, or on a completing insertion."""
+    where a shelf closes: below depth 3, or on a completing insertion.
+
+    With ``memoize`` the result is a tuple, looked up in or added to the
+    instance's ``child_memo``, which other callers share."""
+    if not memoize:
+        return _child_insertions(node, instance, use_symmetry, use_dominance)
+    memo = child_memo(instance)
+    key = child_memo_key(node, use_symmetry, use_dominance)
+    kept = memo.get(key)
+    if kept is None:
+        kept = tuple(_child_insertions(node, instance, use_symmetry, use_dominance))
+        memo.put(key, kept)
+    return kept
+
+
+def _child_insertions(
+    node: Node, instance: Instance, use_symmetry: bool, use_dominance: bool
+) -> list[Insertion]:
     ins_list = enumerate_insertions(node, instance, use_symmetry)
     if use_symmetry:
         ins_list = [ins for ins in ins_list

@@ -240,6 +240,7 @@ def _expander(
     use_symmetry: bool,
     use_dominance: bool,
     admit: Optional[Callable[[tuple, tuple, tuple], bool]],
+    memoize: bool = False,
 ) -> tuple[Callable[[Node], list[tuple[int, int, OpenChild]]], Callable[[OpenChild], Node]]:
     """The child block of every search.
 
@@ -249,7 +250,9 @@ def _expander(
     offers a complete child only when it improves the incumbent.  Waste,
     key and admission all follow from the parent and the insertion, so no
     child is built here.  ``build(open_child)`` makes the ``Node`` that the
-    search expands."""
+    search expands.  ``memoize`` takes the kept insertions from the
+    instance's child memo (``branching.child_memo``), for the searches that
+    restart from the root."""
     offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
     apply = branching.apply_insertion
     height = instance.params.plate_height
@@ -257,7 +260,7 @@ def _expander(
 
     def expand(node: Node) -> list[tuple[int, int, OpenChild]]:
         kept = []
-        for ins in children(node, instance, use_symmetry, use_dominance):
+        for ins in children(node, instance, use_symmetry, use_dominance, memoize):
             item_area = node.item_area
             for pl in ins.placements:
                 item_area += pl.width * pl.height
@@ -303,8 +306,10 @@ def _best_first(
     smallest (guide, -items packed, age) key until none is left.  With a
     ``capacity`` the worst open nodes beyond it are discarded, without one
     the search ends with "memory" once more than ``node_cap`` are open.
-    Open nodes are children not built yet; a popped one is built only when
-    the bound does not prune it.  Under the waste guide the popped key is
+    Only a search with a ``capacity`` uses the child memo: MBA* is restarted
+    from the same root, while DPA*'s store already rejects every front it
+    meets again.  Open nodes are children not built yet; a popped one is
+    built only when the bound does not prune it.  Under the waste guide the popped key is
     the node's waste, so the first node the bound prunes ends the search:
     the bound prunes every open node."""
     clock = _Clock(time_limit, started)
@@ -313,7 +318,8 @@ def _best_first(
         return SearchResult("exhausted", 0)
     fringe = _MinHeap() if capacity is None else Fringe()
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
-    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance, admit)
+    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
+                              admit, memoize=capacity is not None)
     counter = 0
     expanded = 0
     discarded = False
@@ -468,7 +474,8 @@ def iterative_beam_search(
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance, None)
+    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
+                              None, memoize=True)
 
     def level_children(level: list[OpenChild]):
         nonlocal expanded
@@ -594,7 +601,8 @@ def portfolio_solve(
     """Entry point mirroring the competition setup.
 
     ``auto`` runs DPA* on instances with at most two chains (falling back to
-    the MBA* portfolio on a memory break) and otherwise the restarting-MBA*
+    the MBA* portfolio on a memory break, with an INFO event on the
+    ``glasscut.search`` logger) and otherwise the restarting-MBA*
     portfolio: ``threads`` workers, one process each when there are several,
     that share the best waste as their bound.  ``threads=1`` searches in the
     calling process and is deterministic.  Explicit ``guide`` / ``growth``
@@ -621,11 +629,21 @@ def portfolio_solve(
     if algorithm == "dpastar":
         try:
             res = dpa_star(root, instance, time_limit, incumbent, node_cap=node_cap)
-        except ChainCountError:
-            res = None
-        if res is not None and res.outcome != "memory":
-            return incumbent, [res]
-        # otherwise fall back to the portfolio with whatever time remains
+        except ChainCountError as exc:
+            reason = str(exc)
+        else:
+            if res.outcome != "memory":
+                return incumbent, [res]
+            reason = "memory"
+        # fall back to the portfolio with whatever time remains, as an INFO
+        # event, off unless the caller configures logging; imported here, as
+        # only a fallback needs it: the logging module adds about 0.7 MB to a
+        # process's memory
+        import logging
+
+        logging.getLogger(__name__).info(
+            "DPA* falls back to the MBA* portfolio (%s) with %.3f s left",
+            reason, max(0.0, clock.deadline - time.monotonic()))
     elif algorithm != "mbastar":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return _run_portfolio(

@@ -1,24 +1,30 @@
 """Insertion enumeration: configurations, pruning rules, repairs, symmetry."""
 
 import hashlib
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from glasscut.branching import (
+    CHILD_MEMO_FIELDS,
+    PAIR_COMBO_ENTRIES,
     Insertion,
     InsertionKind,
     _allowed_depths,
     apply_insertion,
     candidate_items,
     child_insertions,
+    child_memo,
+    child_memo_key,
     children,
     enumerate_insertions,
     filter_dominated_children,
     pair_combos,
     symmetry_allows,
 )
-from glasscut.model import Defect, Params, front_key_leq, root_node
+from glasscut.model import Defect, Node, Params, front_key_leq, root_node
 
 from conftest import (
     SMALL_PARAMS,
@@ -73,6 +79,25 @@ class TestCandidates:
         assert [(c.j, c.k) for c in combos] == [(0, 1)]  # 0 below its successor
         entry = inst._pair_combo_cache[node.counts]
         assert entry == (cands, combos) and pair_combos(node, inst) is entry
+
+    def test_pair_combo_cache_keeps_its_bound_and_the_entry_used_last(self):
+        """Past PAIR_COMBO_ENTRIES chain states the least recently used
+        entry goes: one state used after every other stays, and the state
+        used once, second, is evicted."""
+        inst = make_instance([(100, 100)] * 24, chains=[[3 * c, 3 * c + 1, 3 * c + 2]
+                                                        for c in range(8)])
+        states = itertools.islice(itertools.product(range(4), repeat=8), PAIR_COMBO_ENTRIES + 50)
+        kept, second = next(states), next(states)
+        entry = pair_combos(SimpleNamespace(counts=kept), inst)
+        pair_combos(SimpleNamespace(counts=second), inst)
+        cache = inst._pair_combo_cache
+        for counts in states:
+            pair_combos(SimpleNamespace(counts=counts), inst)
+            assert pair_combos(SimpleNamespace(counts=kept), inst) is entry
+            assert len(cache) <= PAIR_COMBO_ENTRIES
+        assert len(cache) == PAIR_COMBO_ENTRIES
+        with pytest.raises(KeyError):
+            cache[second]
 
 
 class TestRootEnumeration:
@@ -482,6 +507,51 @@ def node_level_dominance(kids):
     return kept
 
 
+# The Node fields that the child memo's key leaves out, each with the reason
+# that leaving it out cannot merge two states with different children.
+DERIVED_NODE_FIELDS = {
+    "parent": "the child pipeline never reads it",
+    "insertion": "the pipeline reads only the depths it opens, _allowed_depths(node), in the key",
+    "prior_area": "follows from bin: the full area of the plates before it",
+    "n_packed": "follows from counts",
+    "item_area": "follows from counts",
+    "area": "follows from prior_area, the front and complete; the pipeline never reads it",
+    "waste": "area less item_area; the pipeline never reads it",
+    "complete": "complete nodes are never expanded",
+}
+
+
+def test_child_memo_key_covers_every_node_field():
+    """A node field is in the memo's key or derived, with its reason, so
+    that a new field the pipeline reads cannot be left out of the key."""
+    assert not set(CHILD_MEMO_FIELDS) & set(DERIVED_NODE_FIELDS)
+    assert sorted(Node.__slots__) == sorted([*CHILD_MEMO_FIELDS, *DERIVED_NODE_FIELDS])
+
+
+def test_child_memo_tells_closed_shelves_apart():
+    """Two states that differ only in the order of their closed shelves:
+    the shelf-close rule forbids closing the current shelf (item 1) over
+    item 2 but not over item 0, so neither state may take the other's
+    memo entry."""
+    params = Params(plate_width=1000, plate_height=600, n_plates=3, min1=50, max1=250,
+                    min2=30, min_waste=10)
+    inst = make_instance([(200, 150)] * 4, params=params)
+
+    def stacked(order):
+        node = kid_for(root_node(inst), inst, order[0], use_symmetry=False)
+        for item in order[1:]:
+            node = kid_for(node, inst, item, depth=2, use_symmetry=False)
+        return node
+
+    over_2, over_0 = stacked([0, 2, 1]), stacked([2, 0, 1])
+    others = [f for f in CHILD_MEMO_FIELDS if f != "closed_shelves"]
+    assert [getattr(over_2, f) for f in others] == [getattr(over_0, f) for f in others]
+    assert child_insertions(over_2, inst) == []
+    assert child_insertions(over_0, inst) != []
+    for node in (over_2, over_0):
+        assert list(child_insertions(node, inst, memoize=True)) == child_insertions(node, inst)
+
+
 class TestSymmetryAwareGenerator:
     """With symmetry on, the generator omits the cells the cell-swap rule
     forbids, yet the search sees exactly the filtered raw insertions."""
@@ -524,6 +594,26 @@ class TestSymmetryAwareGenerator:
                 built = reference_children(node, inst, use_symmetry, use_dominance=False)
                 assert [k.insertion for k in node_level_dominance(built)] == child_insertions(
                     node, inst, use_symmetry)
+
+    def test_memoized_children_equal_the_uncached_ones(self, nodes):
+        """Under both flags, at every walked node, the memo gives what the
+        pipeline gives, also where another node of the same state filled
+        the entry."""
+        first_node = {}
+        shared_hits = 0
+        for node, inst in nodes:
+            for use_symmetry in (False, True):
+                for use_dominance in (False, True):
+                    key = child_memo_key(node, use_symmetry, use_dominance)
+                    filler = first_node.setdefault((id(inst), key), node)
+                    if filler is not node and child_memo(inst).get(key) is not None:
+                        shared_hits += 1
+                    memoized = child_insertions(
+                        node, inst, use_symmetry, use_dominance, memoize=True)
+                    assert isinstance(memoized, tuple)
+                    assert list(memoized) == child_insertions(
+                        node, inst, use_symmetry, use_dominance)
+        assert shared_hits > 500, shared_hits
 
     def test_insertion_lists_are_pinned(self, nodes):
         """Every field of every insertion list, both flags, at every walked

@@ -1,5 +1,6 @@
 """Search algorithms: guides, fringe behaviour, capacity and dominance."""
 
+import logging
 import math
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from glasscut import branching, search
-from glasscut.branching import _allowed_depths, children
+from glasscut.branching import CHILD_MEMO_ENTRIES, _allowed_depths, child_memo, children
 from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
     ChainCountError,
@@ -503,6 +504,48 @@ class TestDpaStar:
         assert all(not store.admit(*state) for state in states)  # replay is dominated
 
 
+class TestChildMemo:
+    """MBA* and IBS take kept insertions from the instance's child memo; A*
+    and DPA* do not use it."""
+
+    def test_restarts_stay_within_the_bound(self):
+        inst = midsize_instance(30, 8, seed=100)
+        res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
+                                  Incumbent())
+        assert res.nodes_expanded > 2 * CHILD_MEMO_ENTRIES
+        assert len(child_memo(inst)) == CHILD_MEMO_ENTRIES
+
+    def test_astar_and_dpa_star_leave_no_entries(self):
+        inst = midsize_instance(14, 2, seed=0)
+        astar(root_node(inst), inst, GuideKind.WASTE, 0.5, Incumbent())
+        dpa_star(root_node(inst), inst, 0.5, Incumbent())
+        assert len(child_memo(inst)) == 0
+
+    def test_iterative_beam_search_fills_it(self):
+        inst = midsize_instance(14, 2, seed=0)
+        iterative_beam_search(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 0.3, Incumbent())
+        assert 0 < len(child_memo(inst)) <= CHILD_MEMO_ENTRIES
+
+    def test_a_second_call_repeats_the_first_from_the_memo(self, monkeypatch):
+        inst = midsize_instance(20, 8, seed=5)
+        root = root_node(inst)
+        original = branching.enumerate_insertions
+        calls = []  # one per memo miss
+        monkeypatch.setattr(branching, "enumerate_insertions",
+                            lambda *args: calls.append(1) or original(*args))
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            incumbent = Incumbent()
+            with expansion_trace() as trace:
+                mba_star(root, inst, GuideKind.WASTE_PERCENTAGE, 6, 60.0, incumbent)
+            states = [(n.front_key(), n.counts, n.waste) for n in trace]
+            runs.append((states, incumbent.waste, len(calls)))
+        (first, waste, misses), (again, waste_again, misses_again) = runs
+        assert again == first and waste_again == waste and waste is not None
+        assert misses <= len(first) and misses_again < len(again)
+
+
 class TestBuildOnlyWhatIsExpanded:
     """Open children stay (parent, insertion) pairs: a search builds a
     ``Node`` for each node it expands, the root aside, and for each complete
@@ -752,6 +795,21 @@ class TestPortfolio:
         assert len(results) == 2  # the two MBA* workers' results, not DPA*'s
         assert incumbent.leaf is not None
         assert validate(inst, build_solution_tree(incumbent.leaf, inst)).ok
+
+    @pytest.mark.parametrize("chains, node_cap, reason", [
+        (3, None, "CHAIN_COUNT"),
+        (2, 1, "memory"),
+    ])
+    def test_dpastar_fallback_is_logged(self, caplog, chains, node_cap, reason):
+        inst = midsize_instance(8, chains, seed=3)
+        portfolio_solve(inst, 1.0, threads=1, algorithm="dpastar", node_cap=node_cap)
+        assert not caplog.records  # off by default
+        with caplog.at_level(logging.INFO, logger="glasscut.search"):
+            portfolio_solve(inst, 1.0, threads=1, algorithm="dpastar", node_cap=node_cap)
+        [record] = caplog.records
+        assert record.name == "glasscut.search" and record.levelno == logging.INFO
+        assert reason in record.getMessage()
+        assert 0.0 <= record.args[-1] <= 1.0  # the seconds left
 
     def test_single_worker_is_deterministic(self, rng):
         inst = random_small_instance(rng, max_items=5)
