@@ -69,7 +69,9 @@ from enum import Enum
 from operator import attrgetter
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
-from .model import Defect, Instance, Node, Params, _cell_items, _min_opt, front_key_leq
+from .model import (
+    Defect, Instance, Node, Params, _cell_items, _min_opt, front_order, front_profile,
+)
 
 
 class InsertionKind(Enum):
@@ -794,24 +796,41 @@ def _shelf_close_allowed(
 
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     """Among sibling insertions packing the same items on the same plate,
-    drop each one that a sibling dominates: its child's front is
-    ``front_key_leq`` to this one's, and it is strictly better or generated
-    earlier (so the earliest of equal fronts is kept).  Siblings pack the
-    same items exactly when they advance the same chains, so no child is
-    built to decide this."""
-    groups: dict[tuple, list[tuple[int, tuple]]] = {}
+    drop each one that a sibling dominates: its child's front is at or
+    right of the sibling's (``front_order``), and strictly so or the
+    sibling was generated earlier (so the earliest of equal fronts is
+    kept).  Siblings pack the same items exactly when they advance the same
+    chains, so no child is built to decide this.  Each pair of a group is
+    compared once; the input itself is returned when nothing is dropped."""
+    groups: dict[tuple, list[int]] = {}
     for i, ins in enumerate(insertions):
-        key = (ins.bin, *sorted([pl.chain_idx for pl in ins.placements]))
-        groups.setdefault(key, []).append((i, insertion_front(ins)))
+        pls = ins.placements
+        if not pls:
+            key = (ins.bin,)
+        elif len(pls) == 1:
+            key = (ins.bin, pls[0].chain_idx)
+        else:
+            a, b = pls[0].chain_idx, pls[1].chain_idx
+            key = (ins.bin, a, b) if a <= b else (ins.bin, b, a)
+        groups.setdefault(key, []).append(i)
+    if len(groups) == len(insertions):
+        return insertions
     dropped: set[int] = set()
     for members in groups.values():
-        if len(members) < 2:
+        n = len(members)
+        if n < 2:
             continue
-        for i, fi in members:
-            for j, fj in members:
-                if j != i and front_key_leq(fj, fi) and (j < i or not front_key_leq(fi, fj)):
-                    dropped.add(i)
-                    break
+        fronts = [front_profile(insertion_front(insertions[i])) for i in members]
+        for p in range(n - 1):
+            fp = fronts[p]
+            for q in range(p + 1, n):
+                order = front_order(fp, fronts[q])
+                if order & 1:  # the earlier one is at most the later one
+                    dropped.add(members[q])
+                elif order:  # the later one is strictly smaller
+                    dropped.add(members[p])
+    if not dropped:
+        return insertions
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
 
 

@@ -88,6 +88,17 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _output_error(path: str) -> Optional[str]:
+    """Why no file can be written at ``path``, or None.  Checked before a
+    command spends its time on results that it could not save."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        return f"BAD_OUTPUT no such directory: {directory}"
+    if os.path.isdir(path):
+        return f"BAD_OUTPUT is a directory: {path}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glasscut")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,6 +161,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if instance.n_items == 0:
         print("error: NO_ITEMS instance has no items", file=sys.stderr)
         return 1
+    out_path = args.output or f"{os.path.basename(args.prefix)}_solution.csv"
+    problem = _output_error(out_path)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
 
     incumbent, _results = portfolio_solve(
         instance,
@@ -166,8 +182,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("error: no feasible solution found", file=sys.stderr)
         return 1
     tree = build_solution_tree(incumbent.leaf, instance)
-    out_path = args.output or f"{os.path.basename(args.prefix)}_solution.csv"
-    write_solution(tree, out_path)
+    try:
+        write_solution(tree, out_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     name = os.path.basename(str(args.prefix))
     print(f"{name},{incumbent.waste},{incumbent.time_to_best:.2f}")
     if args.challenge_compat:
@@ -201,6 +220,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (GlasscutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    problem = _output_error(args.output)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     names = []
     for fn in files:
         if fn.endswith("_batch.csv"):
@@ -219,7 +242,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
     sym_options = {"on": [True], "off": [False], "both": [True, False]}[args.symmetry]
     new_file = not os.path.exists(args.output)
-    with open(args.output, "a", encoding="utf-8") as out:
+    try:
+        out = open(args.output, "a", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    with out:
         if new_file:
             out.write("instance,algorithm,guide,growth,waste,time_to_best\n")
         for name, instance in instances.items():

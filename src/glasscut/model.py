@@ -202,19 +202,50 @@ def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     return chains
 
 
-def front_key_leq(a: tuple, b: tuple) -> bool:
-    """The front order on (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
-    tuples (``Node.front_key``): a's step function is nowhere right of b's.
-    Both steps only change at the y2 levels, so comparing there decides it;
-    the caller guarantees equal plate indexes."""
-    _, a1p, a1c, a3c, a2p, a2c = a
-    _, b1p, b1c, b3c, b2p, b2c = b
-    for y in (0, a2p, a2c, b2p, b2c):
-        if (a1c if y < a2p else (a3c if y < a2c else a1p)) > (
-            b1c if y < b2p else (b3c if y < b2c else b1p)
-        ):
-            return False
-    return True
+def front_profile(front: tuple) -> tuple:
+    """A (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr) front
+    (``Node.front_key``) followed by its step function's values at its own
+    levels 0, y2_prev and y2_curr: the operand of ``front_order``, so that a
+    front compared many times evaluates these once."""
+    bin_, x1p, x1c, x3c, y2p, y2c = front
+    return (bin_, x1p, x1c, x3c, y2p, y2c,
+            x1c if 0 < y2p else (x3c if 0 < y2c else x1p),
+            x3c if y2p < y2c else x1p,
+            x1c if y2c < y2p else x1p)
+
+
+def front_order(a: tuple, b: tuple) -> int:
+    """The front order on two ``front_profile`` tuples, both directions at
+    once: bit 1 is set when a's step function is nowhere right of b's
+    (a <= b), bit 2 when b <= a; equal fronts give 3 and incomparable ones 0.
+
+    Both steps only change at the y2 levels, so comparing at 0 and at the
+    y2 levels of both fronts decides it.  Each front brings its values at
+    its own levels; only its values at the other's levels are evaluated
+    here.  The level 0 tells which directions remain possible, and each
+    one stops at its first failing level (the levels are tried in the
+    order that fails soonest in DPA*'s store).  The caller guarantees equal
+    plate indexes."""
+    _, a1p, a1c, a3c, a2p, a2c, a0, ap, ac = a
+    _, b1p, b1c, b3c, b2p, b2c, b0, bp, bc = b
+    if a0 < b0:  # only a <= b is possible
+        return 1 if (
+            (a1c if b2c < a2p else (a3c if b2c < a2c else a1p)) <= bc
+            and (a1c if b2p < a2p else (a3c if b2p < a2c else a1p)) <= bp
+            and ap <= (b1c if a2p < b2p else (b3c if a2p < b2c else b1p))
+            and ac <= (b1c if a2c < b2p else (b3c if a2c < b2c else b1p))) else 0
+    if a0 > b0:  # only b <= a is possible
+        return 2 if (
+            ac >= (b1c if a2c < b2p else (b3c if a2c < b2c else b1p))
+            and ap >= (b1c if a2p < b2p else (b3c if a2p < b2c else b1p))
+            and (a1c if b2p < a2p else (a3c if b2p < a2c else a1p)) >= bp
+            and (a1c if b2c < a2p else (a3c if b2c < a2c else a1p)) >= bc) else 0
+    a_bp = a1c if b2p < a2p else (a3c if b2p < a2c else a1p)
+    a_bc = a1c if b2c < a2p else (a3c if b2c < a2c else a1p)
+    b_ap = b1c if a2p < b2p else (b3c if a2p < b2c else b1p)
+    b_ac = b1c if a2c < b2p else (b3c if a2c < b2c else b1p)
+    return ((ap <= b_ap and ac <= b_ac and a_bp <= bp and a_bc <= bc)
+            | (ap >= b_ap and ac >= b_ac and a_bp >= bp and a_bc >= bc) << 1)
 
 
 class ShelfRecord(NamedTuple):

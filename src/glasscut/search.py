@@ -39,8 +39,8 @@ from typing import Callable, Optional, Union
 from . import branching
 from .branching import Insertion, _allowed_depths, depths_after, insertion_front
 from .model import (
-    GlasscutError, GuideKind, Instance, Node, Params, counts_after, covered_area, front_key_leq,
-    root_node,
+    GlasscutError, GuideKind, Instance, Node, Params, counts_after, covered_area, front_order,
+    front_profile, root_node,
 )
 
 # The per-expansion call of every search: the insertions of the children it
@@ -517,30 +517,42 @@ class DominanceStore:
 
     Fronts are only compared within the same plate index and the same
     allowed next insertion depths (both are part of what a front can
-    actually reach); entries dominated by a newcomer are evicted.  This is
-    the paper's pseudo-dominance rule: it can prune the scheme optimum."""
+    actually reach); entries dominated by a newcomer are evicted, so the
+    fronts of a bucket are pairwise incomparable.  Each is kept as its
+    ``front_profile``.  This is the paper's pseudo-dominance rule: it can
+    prune the scheme optimum."""
 
     def __init__(self) -> None:
         self._by_state: dict[tuple, list[tuple]] = {}
-        self.size = 0
+        self.size = 0  # fronts recorded, over all buckets
 
     def admit(self, counts: tuple, depths: tuple, front: tuple) -> bool:
         """Record ``front`` of a node with these chain ``counts`` and next
-        insertion ``depths`` unless a recorded one dominates it."""
+        insertion ``depths`` unless a recorded one dominates it.
+
+        One pass compares each recorded front with the newcomer once.  A
+        bucket holds no two comparable fronts, so a front that the newcomer
+        dominates never meets one that dominates the newcomer: the pass can
+        reject at once, and evicts only once it is over."""
         bucket = (counts, depths, front[0])
+        new = front_profile(front)
         entries = self._by_state.get(bucket)
         if entries is None:
-            self._by_state[bucket] = [front]
+            self._by_state[bucket] = [new]
             self.size += 1
             return True
+        dominated = []
         for e in entries:
-            if front_key_leq(e, front):
-                return False
-        kept = [e for e in entries if not front_key_leq(front, e)]
-        self.size -= len(entries) - len(kept)
-        kept.append(front)
+            order = front_order(e, new)
+            if order:
+                if order & 1:  # e <= new
+                    return False
+                dominated.append(e)  # new <= e
+        if dominated:
+            entries[:] = [e for e in entries if e not in dominated]
+            self.size -= len(dominated)
+        entries.append(new)
         self.size += 1
-        self._by_state[bucket] = kept
         return True
 
 

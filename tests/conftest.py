@@ -9,8 +9,10 @@ import random
 import pytest
 
 from glasscut import search
-from glasscut.branching import children
-from glasscut.model import Defect, Instance, Item, Node, Params, root_node
+from glasscut.branching import children, insertion_front
+from glasscut.model import (
+    Defect, Instance, Item, Node, Params, front_order, front_profile, root_node,
+)
 
 SMALL_PARAMS = Params(
     plate_width=1000,
@@ -193,8 +195,75 @@ def front_x_at(key: tuple, y: int) -> int:
 
 
 def front_leq_grid(a: tuple, b: tuple, plate_height: int) -> bool:
-    """front_key_leq oracle: compare the step functions on every 1 mm row."""
+    """Front order oracle: compare the step functions on every 1 mm row."""
     return all(front_x_at(a, y) <= front_x_at(b, y) for y in range(plate_height + 1))
+
+
+def front_leq(a: tuple, b: tuple) -> bool:
+    """a <= b for two (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
+    fronts, through ``front_order``."""
+    return bool(front_order(front_profile(a), front_profile(b)) & 1)
+
+
+def reference_front_leq(a: tuple, b: tuple) -> bool:
+    """The front order as a five-level loop, the form it had before
+    ``front_order``: evaluate both step functions at 0 and at the y2 levels
+    of both fronts."""
+    _, a1p, a1c, a3c, a2p, a2c = a
+    _, b1p, b1c, b3c, b2p, b2c = b
+    for y in (0, a2p, a2c, b2p, b2c):
+        if (a1c if y < a2p else (a3c if y < a2c else a1p)) > (
+            b1c if y < b2p else (b3c if y < b2c else b1p)
+        ):
+            return False
+    return True
+
+
+class ReferenceDominanceStore:
+    """``search.DominanceStore`` as two scans over the bucket: one for a
+    recorded front that dominates the newcomer, then one that drops the
+    fronts the newcomer dominates; fronts are kept as given."""
+
+    def __init__(self) -> None:
+        self.by_state: dict[tuple, list[tuple]] = {}
+        self.size = 0
+
+    def admit(self, counts: tuple, depths: tuple, front: tuple) -> bool:
+        bucket = (counts, depths, front[0])
+        entries = self.by_state.get(bucket)
+        if entries is None:
+            self.by_state[bucket] = [front]
+            self.size += 1
+            return True
+        for e in entries:
+            if reference_front_leq(e, front):
+                return False
+        kept = [e for e in entries if not reference_front_leq(front, e)]
+        self.size -= len(entries) - len(kept)
+        kept.append(front)
+        self.size += 1
+        self.by_state[bucket] = kept
+        return True
+
+
+def reference_filter_dominated_children(insertions: list) -> list:
+    """``branching.filter_dominated_children`` with every ordered pair of
+    siblings compared: a sibling is dropped when another one of its group
+    (plate and sorted chains advanced) is at most it, and is strictly
+    smaller or earlier."""
+    groups: dict[tuple, list[tuple[int, tuple]]] = {}
+    for i, ins in enumerate(insertions):
+        key = (ins.bin, *sorted([pl.chain_idx for pl in ins.placements]))
+        groups.setdefault(key, []).append((i, insertion_front(ins)))
+    dropped: set[int] = set()
+    for members in groups.values():
+        for i, fi in members:
+            for j, fj in members:
+                if j != i and reference_front_leq(fj, fi) and (
+                        j < i or not reference_front_leq(fi, fj)):
+                    dropped.add(i)
+                    break
+    return [ins for i, ins in enumerate(insertions) if i not in dropped]
 
 
 def random_front(rng: random.Random, bin_index: int = 0) -> tuple:

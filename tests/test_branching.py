@@ -21,19 +21,22 @@ from glasscut.branching import (
     children,
     enumerate_insertions,
     filter_dominated_children,
+    insertion_front,
     pair_combos,
     symmetry_allows,
 )
-from glasscut.model import Defect, Node, Params, front_key_leq, root_node
+from glasscut.model import Defect, Node, Params, root_node
 
 from conftest import (
     SMALL_PARAMS,
     dfs_min_waste,
+    front_leq,
     make_instance,
     midsize_instance,
     random_small_instance,
     random_walk,
     raster_front_area,
+    reference_filter_dominated_children,
 )
 
 
@@ -456,6 +459,38 @@ def stackable_instance(rng):
     return make_instance(dims, [c for c in chains if c], defects, params=STACKABLE_PARAMS)
 
 
+class TestDominanceFilter:
+    """The filter, which compares each pair of a group once, against the
+    reference that compares every ordered pair
+    (``conftest.reference_filter_dominated_children``)."""
+
+    def test_matches_the_reference_on_walked_insertion_lists(self):
+        # raw insertion lists (both prunings off) on stackable items, whose
+        # two-item cells give equal fronts, and on instances with defects,
+        # which give waste cells; also each list reversed and doubled
+        seen = {"group of 3+": 0, "equal fronts": 0, "waste cell in a group": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            inst = stackable_instance(rng) if seed % 2 else random_small_instance(rng)
+            for node in random_walk(rng, inst, use_symmetry=False, use_dominance=False):
+                raw = enumerate_insertions(node, inst)
+                groups = {}
+                for ins in raw:
+                    key = (ins.bin, *sorted(pl.chain_idx for pl in ins.placements))
+                    groups.setdefault(key, []).append(ins)
+                for members in groups.values():
+                    fronts = [insertion_front(ins) for ins in members]
+                    seen["group of 3+"] += len(members) >= 3
+                    seen["equal fronts"] += len(set(fronts)) < len(fronts)
+                    seen["waste cell in a group"] += len(members) >= 2 and not members[0].placements
+                if all(len(members) < 2 for members in groups.values()):
+                    assert filter_dominated_children(raw) is raw
+                for ins_list in (raw, raw[::-1], raw + raw):
+                    assert filter_dominated_children(ins_list) == (
+                        reference_filter_dominated_children(ins_list))
+        assert min(seen.values()) >= 10, seen
+
+
 def walked_nodes(rng, min_nodes):
     """Nodes of random walks, with and without symmetry, over small random
     instances and over challenge-sized instances with defects."""
@@ -499,9 +534,9 @@ def node_level_dominance(kids):
     kept = []
     for kid in kids:
         rivals = [k for k in kids if (k.counts, k.bin) == (kid.counts, kid.bin)]
-        if not any(front_key_leq(k.front_key(), kid.front_key()) and (
+        if not any(front_leq(k.front_key(), kid.front_key()) and (
                 kids.index(k) < kids.index(kid)
-                or not front_key_leq(kid.front_key(), k.front_key()))
+                or not front_leq(kid.front_key(), k.front_key()))
                 for k in rivals if k is not kid):
             kept.append(kid)
     return kept

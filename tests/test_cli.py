@@ -101,6 +101,23 @@ class TestSolve:
         code = run(["solve", "-p", str(tmp_path / "nope"), "-t", "1"])
         assert code == 1
 
+    def test_output_in_a_missing_directory_fails_before_the_search(
+            self, instance_dir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        out = instance_dir / "missing" / "toy_solution.csv"
+        code = run(["solve", "-p", str(instance_dir / "toy"), "-t", "3600", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: BAD_OUTPUT no such directory")
+        assert not out.parent.exists()
+
+    def test_output_that_is_a_directory_fails_before_the_search(
+            self, instance_dir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        code = run(["solve", "-p", str(instance_dir / "toy"), "-t", "3600", "-o",
+                    str(instance_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: BAD_OUTPUT is a directory")
+
     def test_empty_batch_rejected(self, tmp_path, capsys):
         (tmp_path / "void_batch.csv").write_text("ITEM_ID;LENGTH;WIDTH;STACK;SEQUENCE\n")
         code = run(["solve", "-p", str(tmp_path / "void"), "-t", "1"])
@@ -227,6 +244,15 @@ class TestBadInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad: ")
         assert not results.exists()  # stopped before the first run
+
+    def test_bench_output_in_a_missing_directory_fails_before_any_run(
+            self, instance_dir, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        results = tmp_path / "missing" / "results.csv"
+        code = run(["bench", "--dir", str(instance_dir), "-t", "1", "-o", str(results)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: BAD_OUTPUT no such directory")
+        assert not results.parent.exists()
 
     def test_bench_reports_a_missing_directory(self, tmp_path, capsys):
         code = run(["bench", "--dir", str(tmp_path / "nope"), "-o", str(tmp_path / "r.csv")])

@@ -5,8 +5,9 @@ incumbent sees, compared exactly against values recorded with the rational
 A change that only makes expansion cheaper must leave every figure here
 unchanged: the sha256 of the expansion trace of ``mba_star`` under each guide
 and capacity, the number of nodes expanded, the incumbent's waste history
-and the insertions leading to its best leaf.  The searches are single
-threaded and have no time limit in effect, so they are deterministic.
+and the insertions leading to its best leaf; ``dpa_star`` is pinned the same
+way.  The searches are single threaded and have no time limit in effect, so
+they are deterministic.
 """
 
 import hashlib
@@ -46,6 +47,7 @@ MIDSIZE = {
     "20x3": dict(n_items=20, n_chains=3, seed=9),
 }
 SMALL_SEEDS = (5, 12, 17, 23, 24, 27)
+DPA_SEEDS = (0, 1, 2)  # midsize_instance(14, 2, seed=s): 770-937 expansions
 
 
 def _digest(nodes) -> str:
@@ -81,6 +83,14 @@ def run_mba(name: str, guide: str, capacity: int) -> tuple:
     incumbent = Incumbent()
     with expansion_trace() as trace:
         res = mba_star(root_node(inst), inst, GUIDES[guide], capacity, NO_LIMIT, incumbent)
+    return (_digest(trace),) + _summary(res, incumbent)
+
+
+def run_dpa(seed: int) -> tuple:
+    inst = midsize_instance(14, 2, seed=seed)
+    incumbent = Incumbent()
+    with expansion_trace() as trace:
+        res = dpa_star(root_node(inst), inst, NO_LIMIT, incumbent)
     return (_digest(trace),) + _summary(res, incumbent)
 
 
@@ -172,6 +182,13 @@ MBA_EXPECTED = {
     ('20x3', 'a', 64): ('f0cc213781b1ecba3d243d60ad941b1c711b1f69314768b8d07c0f0b08ba3f7e', 'exhausted', 1461, [4611296, 3661136], 'd53c3f409d93d309'),
 }
 
+# Full DPA* expansion traces: each run evicts 58-113 fronts from its store.
+DPA_EXPECTED = {
+    0: ('36f2b62eaa4c574a3ab59a0377362c2e1fea58992e985c96432ff9961f4328a4', 'exhausted', 937, [7670237, 5346197, 3375257, 3140927], '4ec8517081810ce6'),
+    1: ('1b7fd49eba20fca1a9dd6bdab62cbab1fe1a5b5c1c501c835b9ebd21a725c271', 'exhausted', 819, [5603452, 5417272, 5365912, 5179732, 5109112, 4871572], '5ed450841e36673c'),
+    2: ('c5fe080ecf03766ae3cf821ffc79e1882e47ad14488cfd68feb95184aed937c4', 'exhausted', 770, [6017511, 5770341, 2977641], 'a71df2f6850045d5'),
+}
+
 SMALL_EXPECTED = {
     ('astar', 5, 'w'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
     ('astar', 5, 'p'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
@@ -223,6 +240,11 @@ def test_mba_star_trace_is_pinned(name, guide, capacity):
     assert run_mba(name, guide, capacity) == MBA_EXPECTED[name, guide, capacity]
 
 
+@pytest.mark.parametrize("seed", sorted(DPA_EXPECTED))
+def test_dpa_star_trace_is_pinned(seed):
+    assert run_dpa(seed) == DPA_EXPECTED[seed]
+
+
 @pytest.mark.parametrize("algorithm,seed,guide", sorted(SMALL_EXPECTED))
 def test_other_searches_are_pinned(algorithm, seed, guide):
     assert run_small(algorithm, seed, guide) == SMALL_EXPECTED[algorithm, seed, guide]
@@ -232,6 +254,7 @@ def test_every_run_is_pinned():
     assert set(MBA_EXPECTED) == {
         (name, guide, cap) for name in MIDSIZE for guide in GUIDES for cap in CAPACITIES
     }
+    assert set(DPA_EXPECTED) == set(DPA_SEEDS)
     assert set(SMALL_EXPECTED) == {
         (algo, seed, guide)
         for seed in SMALL_SEEDS

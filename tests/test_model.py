@@ -11,7 +11,8 @@ from glasscut.model import (
     Item,
     Node,
     Params,
-    front_key_leq,
+    front_order,
+    front_profile,
     root_node,
 )
 from glasscut.branching import (
@@ -20,6 +21,7 @@ from glasscut.branching import (
 
 from conftest import (
     SMALL_PARAMS,
+    front_leq,
     front_leq_grid,
     front_x_at,
     make_instance,
@@ -27,6 +29,7 @@ from conftest import (
     random_small_instance,
     random_walk,
     raster_front_area,
+    reference_front_leq,
 )
 
 
@@ -148,27 +151,27 @@ class TestWasteMonotonicity:
 class TestFrontLeq:
     def test_reflexive(self, rng):
         f = random_front(rng)
-        assert front_key_leq(f, f)
+        assert front_leq(f, f)
 
     def test_flat_fronts_compare_by_width(self):
         # a column committed to x=2000 vs one committed to x=3000, both up to y=3000
         a = (0, 0, 2000, 2000, 3000, 3000)
         b = (0, 0, 3000, 3000, 3000, 3000)
-        assert front_key_leq(a, b)
-        assert not front_key_leq(b, a)
+        assert front_leq(a, b)
+        assert not front_leq(b, a)
 
     def test_spec_counterexample(self):
         f1 = (0, 500, 3000, 1000, 1000, 2000)
         f2 = (0, 500, 2900, 1000, 1000, 2000)
-        assert not front_key_leq(f1, f2)  # f1 sticks out below y=1000
-        assert front_key_leq(f2, f1)
+        assert not front_leq(f1, f2)  # f1 sticks out below y=1000
+        assert front_leq(f2, f1)
         assert front_leq_grid(f2, f1, 3210)
         assert not front_leq_grid(f1, f2, 3210)
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(2000):
             f1, f2 = random_front(rng), random_front(rng)
-            assert front_key_leq(f1, f2) == front_leq_grid(f1, f2, 600)
+            assert front_leq(f1, f2) == front_leq_grid(f1, f2, 600)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -183,13 +186,66 @@ class TestFrontLeq:
             return (0, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
 
         a, b, c = fronts("a"), fronts("b"), fronts("c")
-        assert front_key_leq(a, a)
-        if front_key_leq(a, b) and front_key_leq(b, c):
-            assert front_key_leq(a, c)
-        if front_key_leq(a, b) and front_key_leq(b, a):
+        assert front_leq(a, a)
+        if front_leq(a, b) and front_leq(b, c):
+            assert front_leq(a, c)
+        if front_leq(a, b) and front_leq(b, a):
             # equal as step functions
             for y in range(0, 301, 7):
                 assert front_x_at(a, y) == front_x_at(b, y)
+
+
+class TestFrontOrder:
+    """``front_order`` gives both directions of the order in one call."""
+
+    @staticmethod
+    def order(a, b):
+        return front_order(front_profile(a), front_profile(b))
+
+    def test_bits_match_grid_oracle(self, rng):
+        for _ in range(3000):
+            f1, f2 = random_front(rng), random_front(rng)
+            order = self.order(f1, f2)
+            assert bool(order & 1) == front_leq_grid(f1, f2, 600)
+            assert bool(order & 2) == front_leq_grid(f2, f1, 600)
+
+    def test_bits_match_grid_oracle_on_coarse_fronts(self, rng):
+        # coordinates on a 100 mm grid: many ties, equal and nested fronts
+        def coarse():
+            return tuple(v // 100 * 100 for v in random_front(rng))
+
+        seen = set()
+        for _ in range(3000):
+            f1, f2 = coarse(), coarse()
+            order = self.order(f1, f2)
+            seen.add(order)
+            assert bool(order & 1) == front_leq_grid(f1, f2, 600)
+            assert bool(order & 2) == front_leq_grid(f2, f1, 600)
+        assert seen == {0, 1, 2, 3}
+
+    def test_profile_is_the_step_function_at_its_own_levels(self, rng):
+        for _ in range(500):
+            f = random_front(rng)
+            assert front_profile(f) == (*f, front_x_at(f, 0), front_x_at(f, f[4]), front_x_at(f, f[5]))
+
+    @pytest.mark.parametrize("high", [3, 8, 1000])
+    def test_matches_the_five_level_loop_on_any_tuple(self, high):
+        # arbitrary 6-tuples, most breaking x1_prev <= x3_curr <= x1_curr or
+        # y2_prev <= y2_curr; small ranges make ties and equal levels common
+        rng = random.Random(high)
+        for _ in range(20_000):
+            f1 = (0, *(rng.randint(-1, high) for _ in range(5)))
+            f2 = (0, *(rng.randint(-1, high) for _ in range(5)))
+            order = self.order(f1, f2)
+            assert bool(order & 1) == reference_front_leq(f1, f2)
+            assert bool(order & 2) == reference_front_leq(f2, f1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[st.integers(-3, 12)] * 6), st.tuples(*[st.integers(-3, 12)] * 6))
+    def test_matches_the_five_level_loop_on_drawn_tuples(self, f1, f2):
+        order = self.order(f1, f2)
+        assert bool(order & 1) == reference_front_leq(f1, f2)
+        assert bool(order & 2) == reference_front_leq(f2, f1)
 
 
 class TestDominates:
@@ -200,7 +256,7 @@ class TestDominates:
         inst = make_instance([(100, 100), (200, 150)])
         node = random_walk(random.Random(1), inst)[-1]
         twin = random_walk(random.Random(1), inst)[-1]  # the same walk again
-        assert front_key_leq(node.front_key(), twin.front_key())
+        assert front_leq(node.front_key(), twin.front_key())
         kept = filter_dominated_children([node.insertion, twin.insertion])
         assert len(kept) == 1 and kept[0] is node.insertion  # the earliest wins ties
 
@@ -219,8 +275,8 @@ class TestDominates:
         depth3 = [k for k in kids if k.insertion.depth == 3 and k.insertion.has_items]
         upright = next(k for k in depth3 if not k.insertion.placements[0].rotated)
         flat = next(k for k in depth3 if k.insertion.placements[0].rotated)
-        assert front_key_leq(upright.front_key(), flat.front_key())
-        assert not front_key_leq(flat.front_key(), upright.front_key())
+        assert front_leq(upright.front_key(), flat.front_key())
+        assert not front_leq(flat.front_key(), upright.front_key())
         assert filter_dominated_children([flat.insertion, upright.insertion]) == [upright.insertion]
         filtered = children(parent, inst, use_dominance=True)
         assert not any(

@@ -13,7 +13,7 @@ import pytest
 
 from glasscut import branching, search
 from glasscut.branching import CHILD_MEMO_ENTRIES, _allowed_depths, child_memo, children
-from glasscut.model import Defect, GuideKind, Params, root_node
+from glasscut.model import Defect, GuideKind, Params, front_order, root_node
 from glasscut.search import (
     ChainCountError,
     DominanceStore,
@@ -31,11 +31,13 @@ from glasscut.search import (
 )
 
 from conftest import (
+    ReferenceDominanceStore,
     dfs_best_leaf,
     dfs_min_waste,
     expansion_trace,
     make_instance,
     midsize_instance,
+    random_front,
     random_small_instance,
     random_walk,
 )
@@ -502,6 +504,68 @@ class TestDpaStar:
         admitted = [store.admit(*state) for state in states]
         assert all(admitted)  # distinct states or incomparable fronts
         assert all(not store.admit(*state) for state in states)  # replay is dominated
+
+
+def _bucket_fronts(store: DominanceStore) -> dict:
+    """The fronts a store holds, as a set per bucket."""
+    return {bucket: {p[:6] for p in entries} for bucket, entries in store._by_state.items()}
+
+
+def _check_store(store: DominanceStore) -> None:
+    """``size`` counts the entries, and no bucket holds two comparable
+    fronts."""
+    assert store.size == sum(len(entries) for entries in store._by_state.values())
+    for entries in store._by_state.values():
+        for i, a in enumerate(entries):
+            assert not any(front_order(a, b) for b in entries[i + 1:])
+
+
+class TestDominanceStore:
+    """The one-pass store against the two-scan reference
+    (``conftest.ReferenceDominanceStore``)."""
+
+    @pytest.mark.parametrize("grid", [1, 50, 200])
+    def test_random_admissions_match_the_reference(self, grid):
+        # fronts on a coarse grid compare (and tie) often; a few buckets
+        rng = random.Random(grid)
+        evicted = rejected = 0
+        for _ in range(40):
+            store, ref = DominanceStore(), ReferenceDominanceStore()
+            for _ in range(150):
+                bucket = (rng.choice([(0, 0), (1, 0), (1, 1)]), rng.choice([(3,), (2, 3)]))
+                front = tuple(v // grid * grid for v in random_front(rng, rng.randint(0, 1)))
+                size = store.size
+                got = store.admit(*bucket, front)
+                assert got == ref.admit(*bucket, front)
+                assert store.size == ref.size
+                rejected += not got
+                evicted += got and store.size <= size
+            assert _bucket_fronts(store) == {b: set(e) for b, e in ref.by_state.items()}
+            _check_store(store)
+        assert evicted > 50 and rejected > 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dpa_star_admissions_match_the_reference(self, seed, monkeypatch):
+        stores = []
+
+        class Twin(DominanceStore):
+            def __init__(self):
+                super().__init__()
+                self.ref = ReferenceDominanceStore()
+                stores.append(self)
+
+            def admit(self, counts, depths, front):
+                got = super().admit(counts, depths, front)
+                assert got == self.ref.admit(counts, depths, front)
+                assert self.size == self.ref.size
+                return got
+
+        monkeypatch.setattr(search, "DominanceStore", Twin)
+        inst = midsize_instance(14, 2, seed=seed)
+        dpa_star(root_node(inst), inst, 600.0, Incumbent())
+        (store,) = stores
+        assert _bucket_fronts(store) == {b: set(e) for b, e in store.ref.by_state.items()}
+        _check_store(store)
 
 
 class TestChildMemo:
