@@ -34,11 +34,21 @@ Each depth has one frame, built once by ``_frame``: the plate; the column's
 floor; and a shelf top that is fixed (depth 3) or set by the cell (depths
 0-2).  Depths 0 and 1 close the current column to build it, and a depth
 whose move is illegal has none.  The item cells and the waste cell both
-read it.  ``_gen_cells`` places the item cells, shaped by ``_cell_in_shelf``
-or ``_cell_opening_shelf``, and checks the cuts that the move grows or
-closes (the column's, at depths 2 and 3, and the shelf below's, at depth
-2).  ``_gen_waste`` covers the nearest defect: with a band above the
+read it.  ``_gen_cells`` places the item cells, in the shelf at depth 3 or
+opening one (``_cell_opening_shelf``), and checks the cuts that the move
+grows or closes (the column's, at depths 2 and 3, and the shelf below's, at
+depth 2).  ``_gen_waste`` covers the nearest defect: with a band above the
 shelves at depth 2, else with a strip right of the frame's left edge.
+
+The cell trials are straight-line code behind a set-up done once per frame.
+Whatever does not depend on the cell is read there, or on the first trial
+that needs it: the final 1-cut of every cell that keeps the column's
+width, whether such a cell passes the defect checks, the widest 1-cut a
+growing cell may reach past them (``_grow_max``), and the cell-swap rule's
+facts about the left cell.  A trial then resolves its own 1-cut only when
+it grows the column or completes the solution, and compares it with those
+bounds.  Insertions and placements are built with ``tuple.__new__``,
+without the Python-level constructor of the NamedTuple.
 
 Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
 whose sibling sub-plates could be swapped to put the smaller item id first.
@@ -202,16 +212,44 @@ def _resolve_x1(cur: int, lower: int, edges: list[int], min_waste: int) -> int:
 
 
 def _growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
-    """Re-check cuts that widen or materialize when x1 grows."""
+    """Re-check cuts that widen or materialize when x1 grows to
+    ``final_x1`` (at least x1_curr): see ``_grow_max``."""
     if final_x1 == node.x1_curr or not defects:
         return True
+    return final_x1 <= _grow_max(node, defects, 3, final_x1)
+
+
+def _grow_max(node: Node, defects: tuple[Defect, ...], depth: int, x1_max: int) -> int:
+    """The largest final 1-cut x1 > x1_curr, up to ``x1_max``, that a move
+    at depth 2 or 3 may give the column without a cut crossing a defect, or
+    at most x1_curr if there is none.
+
+    Growing the column widens the top cuts of its closed shelves to x1 and
+    makes their edges at x1_curr real cuts.  At depth
+    2 the shelf being closed also leaves its strip cut
+    (``_close_shelf_cut_ok``), and the new shelf's floor is cut from x1_prev
+    to x1.  A horizontal cut from x1_prev to x1 clears the defects while x1
+    is at most the left edge of every defect it crosses."""
+    x1_prev, x1_curr = node.x1_prev, node.x1_curr
+    if depth == 2 and node.cell_min_item is not None and not _vcut_ok(
+            defects, node.x3_curr, node.y2_prev, node.y2_curr):
+        return x1_curr  # every x1 > x1_curr >= x3_curr makes the strip cut
+    levels = []
     for rec in node.closed_shelves:
-        if not _hcut_ok(defects, rec.y1, node.x1_prev, final_x1):
-            return False
-        if rec.edge_is_cut and rec.edge == node.x1_curr:
-            if not _vcut_ok(defects, rec.edge, rec.y0, rec.y1):
-                return False
-    return True
+        if rec.edge_is_cut and rec.edge == x1_curr and not _vcut_ok(
+                defects, x1_curr, rec.y0, rec.y1):
+            return x1_curr
+        levels.append(rec.y1)
+    if depth == 2:
+        levels.append(node.y2_curr)
+    grow_max = x1_max
+    for d in defects:
+        if d.x < grow_max and x1_prev < d.x + d.width:
+            for y in levels:
+                if d.y < y < d.y + d.height:
+                    grow_max = d.x
+                    break
+    return grow_max
 
 
 def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
@@ -233,8 +271,6 @@ def _frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
     depth 2 it opens a shelf above it.  Depths 1 and 0 close the current
     column (depth 0 its plate too) and open a column at the closing 1-cut,
     or at the left edge of the next plate."""
-    p = instance.params
-    W, H = p.plate_width, p.plate_height
     defects = instance.plate_defects(node.bin)
     if depth == 3:
         x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
@@ -242,6 +278,8 @@ def _frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
             return None  # the boundary with the current cell is a real 3-cut
         return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
                 _edge_constraints(node, closing_shelf=False), defects, x, y_lo, y_cap)
+    p = instance.params
+    W, H = p.plate_width, p.plate_height
     if depth == 2:
         return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
                 _edge_constraints(node, closing_shelf=True), defects,
@@ -458,8 +496,12 @@ def _insertion_sort_key(ins: Insertion):
     pls = ins.placements
     if not pls:
         return (1 << 30, -ins.depth, ins.kind._value_, ())
-    orient = tuple([(pl.item_id, pl.rotated) for pl in pls])
-    return (pls[0].item_id, -ins.depth, ins.kind._value_, orient)
+    first = pls[0]
+    if len(pls) == 1:
+        return (first.item_id, -ins.depth, ins.kind._value_, ((first.item_id, first.rotated),))
+    second = pls[1]
+    return (first.item_id, -ins.depth, ins.kind._value_,
+            ((first.item_id, first.rotated), (second.item_id, second.rotated)))
 
 
 def _closing_cuts_ok(
@@ -472,24 +514,6 @@ def _closing_cuts_ok(
     if y_hi < p.plate_height and not _hcut_ok(defects, y_hi, x1_prev, x1):
         return False
     return x1 >= p.plate_width or _vcut_ok(defects, x1, 0, p.plate_height)
-
-
-def _cell_in_shelf(
-    defects: tuple[Defect, ...], x: int, y_lo: int, y_hi: int, w: int, h: int, mw: int
-) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
-    """(kind, item y, cell top, split y) of an item cell between the fixed
-    cuts y_lo and y_hi of the current shelf, or None."""
-    if h == y_hi - y_lo:
-        kind, y_item, split_y = _ONE_ITEM, y_lo, None
-    elif h > y_hi - y_lo - mw:
-        return None  # too tall, or the 4-cut waste would be a sliver
-    else:
-        kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
-    if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
-        if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
-            return None
-        kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
-    return kind, y_item, y_hi, split_y
 
 
 def _cell_opening_shelf(
@@ -533,100 +557,164 @@ def _gen_cells(
     emitted: every cell when ``emit`` is False, and at depth 3 under
     ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
     only tried until some cell is known to fit without growth, which settles
-    both facts."""
+    both facts.
+
+    A trial is the same straight-line code in both loops.  It resolves the
+    cell's final x1 (``_resolve_x1``; a cell that ends left of x1_curr and
+    does not complete shares one x1 per frame, and without edges a cell
+    that grows the column and does not complete takes its own right edge),
+    compares it with the bounds the frame's cuts set (``keeps`` for x1 =
+    x1_curr, ``_grow_max`` past it), and checks the cuts that close the
+    column after a completing cell (``_closing_cuts_ok``).  The cell-swap
+    rule's facts about the left cell (``_cell_swap_forbidden``) are read
+    once per frame."""
     plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
-    mw, W, H = p.min_waste, p.plate_width, p.plate_height
-    x1_max = min(x1_prev + p.max1, W)
-    swap_rule = use_symmetry and depth == 3
+    mw, H, min2 = p.min_waste, p.plate_height, p.min2
+    x1_max = min(x1_prev + p.max1, p.plate_width)
+    new_bin = depth == 0
     items_left = instance.n_items - node.n_packed
-    chain_index, chain_sets = instance.chain_index, instance.chain_sets
+    chain_index = instance.chain_index
+    new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+    # the final x1 of every cell that ends left of x1_curr and does not
+    # complete, and the largest x1 > x1_curr whose cuts clear the defects:
+    # each is worked out on the first trial that needs it
+    x1_kept = None if edges else x1_curr
+    grow_max = None if defects and depth >= 2 else x1_max
+    # whether a cell may leave the 1-cut at x1_curr: only at depth 2 does
+    # that close a shelf, whose strip cut and the new shelf's floor appear
+    keeps = x1_curr <= x1_max and (depth != 2 or not defects or (
+        _close_shelf_cut_ok(node, x1_curr, defects) and _hcut_ok(defects, y_lo, x1_prev, x1_curr)))
+    # the cell-swap rule forbids nothing unless the left cell holds an item
+    # and is defect-free; a cell is then forbidden when it holds a smaller
+    # item id, shares no chain with the left cell and is defect-free
+    swap_min = None
+    if use_symmetry and depth == 3 and node.cell_min_item is not None and (
+            not defects or _rect_clear(defects, node.x3_prev, y_lo, x, y_cap)):
+        swap_min, left_chains = node.cell_min_item, node.cell_chain_ids
     out: list[Insertion] = []
     fits = no_growth = False
 
-    def try_cell(x_end, y_hi, completing, skip):
-        """The final x1 of a cell to emit, or None; records the two facts."""
-        nonlocal fits, no_growth
-        if skip and no_growth:
-            return None
-        if completing:
-            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
-        else:
-            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
-        if x1 > x1_max:
-            return None
-        if defects:
-            # the column grows; at depth 2 the shelf below also closes at the new 2-cut
-            if depth >= 2 and not _growth_cuts_ok(node, x1, defects):
-                return None
-            if depth == 2 and not (
-                _close_shelf_cut_ok(node, x1, defects) and _hcut_ok(defects, y_lo, x1_prev, x1)
-            ):
-                return None
-            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
-                return None
-        fits = True
-        if x1 == x1_curr:
-            no_growth = True
-        return None if skip else x1
-
     completing = items_left == 1
+    closed_x1 = prev_col_x1
     for j in cands:
         ci = chain_index[j]
+        swap = swap_min is not None and j < swap_min and ci not in left_chains
         for w, h, rot in instance.oriented[j]:
             x_end = x + w
             if x_end > x1_max or y_lo + h > y_cap:
                 continue  # past the widest 1-cut the column may get, or above y_cap
-            if depth == 3:
-                cell = _cell_in_shelf(defects, x, y_lo, y_cap, w, h, mw)
+            if depth == 3:  # between the fixed cuts y_lo and y_cap of the shelf
+                y_hi = y_cap
+                if h == y_cap - y_lo:
+                    kind, y_item, split_y = _ONE_ITEM, y_lo, None
+                elif h > y_cap - y_lo - mw:
+                    continue  # the 4-cut waste would be a sliver
+                else:
+                    kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+                if defects and not _rect_clear(defects, x, y_lo, x_end, y_lo + h):
+                    if kind is _ONE_ITEM or not _rect_clear(defects, x, y_cap - h, x_end, y_cap):
+                        continue
+                    kind, y_item, split_y = _ITEM_WASTE_BELOW, y_cap - h, y_cap - h
             else:
                 cell = _cell_opening_shelf(defects, x, y_lo, w, h, p)
-            if cell is None:
+                if cell is None:
+                    continue
+                kind, y_item, y_hi, split_y = cell
+            skip = not emit or swap and (not defects or _rect_clear(defects, x, y_lo, x_end, y_cap))
+            if skip and no_growth:
                 continue
-            kind, y_item, y_hi, split_y = cell
-            skip = not emit or swap_rule and _cell_swap_forbidden(
-                node, defects, j, chain_sets[ci], x_end)
-            x1 = try_cell(x_end, y_hi, completing, skip)
-            if x1 is None:
+            if completing:
+                x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
+                if depth >= 2:
+                    closed_x1 = x1
+            elif x_end <= x1_curr:
+                if x1_kept is None:
+                    x1_kept = _resolve_x1(x1_curr, x1_curr, edges, mw)
+                x1 = x1_kept
+            elif edges:
+                x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+            else:
+                x1 = x_end
+            if x1 > x1_curr:
+                if grow_max is None:
+                    grow_max = _grow_max(node, defects, depth, x1_max)
+                if x1 > grow_max:
+                    continue
+            elif not keeps:
+                continue
+            if completing and defects and not _closing_cuts_ok(
+                    defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+                continue
+            fits = True
+            if x1 == x1_curr:
+                no_growth = True
+            if skip:
                 if no_growth and not emit:
                     return out, fits, no_growth  # a probe: nothing left to learn
-            else:
-                out.append(Insertion(
-                    kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
-                    plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
-                    x1 if completing and depth >= 2 else prev_col_x1,
-                ))
+                continue
+            out.append(new(Insertion, (
+                kind, depth, new_bin, completing, (new(Placement, (j, ci, x, y_item, w, h, rot)),),
+                plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y, closed_x1,
+            )))
+
     completing = items_left == 2
-    for c in combos:
-        x_end = x + c.width
-        y_split = y_lo + c.hj
-        y_hi = y_split + c.hk
+    closed_x1 = prev_col_x1
+    for j, k, width, hj, rj, hk, rk in combos:
+        x_end = x + width
+        y_split = y_lo + hj
+        y_hi = y_split + hk
         if x_end > x1_max:
             continue
         if depth == 3:
             if y_hi != y_cap:
                 continue
-        elif y_hi - y_lo < p.min2 or (y_hi > H - mw and y_hi != H):
+        elif y_hi - y_lo < min2 or (y_hi > H - mw and y_hi != H):
             continue
         if defects and not (
             _rect_clear(defects, x, y_lo, x_end, y_split)
             and _rect_clear(defects, x, y_split, x_end, y_hi)
         ):
             continue
-        cj, ck = chain_index[c.j], chain_index[c.k]
-        skip = not emit or swap_rule and _cell_swap_forbidden(
-            node, defects, min(c.j, c.k), (cj, ck), x_end)
-        x1 = try_cell(x_end, y_hi, completing, skip)
-        if x1 is not None:
-            pls = (
-                Placement(c.j, cj, x, y_lo, c.width, c.hj, c.rj),
-                Placement(c.k, ck, x, y_split, c.width, c.hk, c.rk),
-            )
-            out.append(Insertion(
-                _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
-                x1_prev, x1, y_lo, y_hi, x, x_end, y_split,
-                x1 if completing and depth >= 2 else prev_col_x1,
-            ))
+        cj, ck = chain_index[j], chain_index[k]
+        # both items are clear, so the cell is: an instance has no empty defect
+        skip = not emit or swap_min is not None and (j if j < k else k) < swap_min and (
+            cj not in left_chains and ck not in left_chains)
+        if skip and no_growth:
+            continue
+        if completing:
+            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
+            if depth >= 2:
+                closed_x1 = x1
+        elif x_end <= x1_curr:
+            if x1_kept is None:
+                x1_kept = _resolve_x1(x1_curr, x1_curr, edges, mw)
+            x1 = x1_kept
+        elif edges:
+            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+        else:
+            x1 = x_end
+        if x1 > x1_curr:
+            if grow_max is None:
+                grow_max = _grow_max(node, defects, depth, x1_max)
+            if x1 > grow_max:
+                continue
+        elif not keeps:
+            continue
+        if completing and defects and not _closing_cuts_ok(
+                defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+            continue
+        fits = True
+        if x1 == x1_curr:
+            no_growth = True
+        if skip:
+            continue
+        out.append(new(Insertion, (
+            _TWO_ITEMS, depth, new_bin, completing,
+            (new(Placement, (j, cj, x, y_lo, width, hj, rj)),
+             new(Placement, (k, ck, x, y_split, width, hk, rk))),
+            plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, y_split, closed_x1,
+        )))
     return out, fits, no_growth
 
 
@@ -637,15 +725,21 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
     plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     if not defects:
         return None
-    p = instance.params
-    mw, W, H = p.min_waste, p.plate_width, p.plate_height
-    # a column reached at depth 2 or 3 holds items, so max1 bounds it
-    x1_max = min(x1_prev + p.max1, W) if depth >= 2 else W
     if depth == 2:
         band = [d for d in defects
                 if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width]
         if not band:
             return None
+    else:
+        ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
+        if not ahead:
+            return None
+    p = instance.params
+    mw = p.min_waste
+    # a column reached at depth 2 or 3 holds items, so max1 bounds it
+    x1_max = min(x1_prev + p.max1, p.plate_width) if depth >= 2 else p.plate_width
+    if depth == 2:
+        H = p.plate_height
         first = min(band, key=lambda d: (d.y, d.x))
         y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), band, vertical=False)
         if y_end > H:
@@ -659,13 +753,10 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
             return None
         if y_end < H and not _hcut_ok(defects, y_end, x1_prev, x1):
             return None
-        return Insertion(
+        return tuple.__new__(Insertion, (
             _WASTE_ONLY, 2, False, False, (), plate, prior_area,
             x1_prev, x1, y_lo, y_end, x1_prev, x1, None, None,
-        )
-    ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
-    if not ahead:
-        return None
+        ))
     first = min(ahead, key=lambda d: (d.x, d.y))
     x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
     x1 = _resolve_x1(x1_curr, x_end, edges, mw)
@@ -673,10 +764,10 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
         return None
     if depth == 3 and not _growth_cuts_ok(node, x1, defects):
         return None
-    return Insertion(
+    return tuple.__new__(Insertion, (
         _WASTE_ONLY, depth, depth == 0, False, (), plate, prior_area,
         x1_prev, x1, y_lo, y_cap, x, x_end, None, prev_col_x1,
-    )
+    ))
 
 
 def _extend_past(start: int, end: int, defects: list[Defect], vertical: bool) -> int:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .fileio import load_instance, read_solution, write_solution
 from .model import GlasscutError, GuideKind, Params
-from .search import DEFAULT_THREADS, portfolio_solve
+from .search import DEFAULT_THREADS, SearchResult, portfolio_solve
 from .solution import build_solution_tree
 from .validator import objective_of, validate
 
@@ -99,6 +99,19 @@ def _output_error(path: str) -> Optional[str]:
     return None
 
 
+def _no_solution_reason(results: list[SearchResult]) -> str:
+    """Why ``solve`` has no solution to write: how its searches ended
+    (``SearchResult.outcome``) and the nodes they expanded."""
+    outcomes = sorted({r.outcome for r in results})
+    expanded = sum(r.nodes_expanded for r in results)
+    reason = (f"no feasible solution found: search outcome {'/'.join(outcomes) or 'none'}, "
+              f"{expanded} nodes expanded")
+    if "memory" in outcomes:
+        reason += ("; a capacity, beam width or open list passed the node cap "
+                   "(--node-cap, by default a share of the free memory)")
+    return reason
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glasscut")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,7 +180,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 1
 
-    incumbent, _results = portfolio_solve(
+    incumbent, results = portfolio_solve(
         instance,
         time_limit=args.time_limit,
         threads=args.threads,
@@ -179,7 +192,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         node_cap=args.node_cap,
     )
     if incumbent.leaf is None:
-        print("error: no feasible solution found", file=sys.stderr)
+        print(f"error: {_no_solution_reason(results)}", file=sys.stderr)
         return 1
     tree = build_solution_tree(incumbent.leaf, instance)
     try:

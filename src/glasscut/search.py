@@ -150,48 +150,53 @@ class Fringe:
     """Double-ended priority structure of open children over integer
     (guide, -items packed, counter) keys.
 
-    Two lazy heaps share one live-entry table; stale heap entries are skipped
-    on pop and compacted away when they outnumber the live ones.
+    Two lazy heaps share one live-entry table, ``live``, whose length is the
+    number of open children; stale heap entries are skipped on pop, and a
+    pop compacts them away when they outnumber the live entries.
     """
 
     def __init__(self) -> None:
         self._min: list[tuple] = []
         self._max: list[tuple] = []
-        self._live: dict[int, tuple] = {}  # counter -> (key, open child)
+        self.live: dict[int, tuple] = {}  # counter -> (key, open child)
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self.live)
 
     def push(self, key: tuple, child: OpenChild) -> None:
         guide, packed, counter = key
-        self._live[counter] = (key, child)
+        self.live[counter] = (key, child)
         heappush(self._min, key)
         heappush(self._max, (-guide, -packed, -counter))
 
     def pop_best(self) -> OpenChild:
+        live = self.live
         while True:
             key = heappop(self._min)
-            entry = self._live.pop(key[-1], None)
+            entry = live.pop(key[-1], None)
             if entry is not None:
-                self._maybe_compact()
+                # stale entries outnumber the live ones (two per open child)
+                # by more than 1024
+                if len(self._min) + len(self._max) > 4 * len(live) + 1024:
+                    self._compact()
                 return entry[1]
 
     def pop_worst(self) -> OpenChild:
+        live = self.live
         while True:
             neg = heappop(self._max)
-            entry = self._live.pop(-neg[-1], None)
+            entry = live.pop(-neg[-1], None)
             if entry is not None:
-                self._maybe_compact()
+                if len(self._min) + len(self._max) > 4 * len(live) + 1024:
+                    self._compact()
                 return entry[1]
 
-    def _maybe_compact(self) -> None:
-        dead = len(self._min) + len(self._max) - 2 * len(self._live)
-        if dead > 2 * len(self._live) + 1024:
-            keys = [key for key, _ in self._live.values()]
-            self._min = keys[:]
-            self._max = [(-guide, -packed, -counter) for guide, packed, counter in keys]
-            heapify(self._min)
-            heapify(self._max)
+    def _compact(self) -> None:
+        keys = [key for key, _ in self.live.values()]
+        self._min = keys[:]
+        self._max = [(-guide, -packed, -counter) for guide, packed, counter in keys]
+        heapify(self._min)
+        heapify(self._max)
 
 
 class _MinHeap(list):
@@ -318,6 +323,7 @@ def _best_first(
         return SearchResult("exhausted", 0)
     fringe = _MinHeap() if capacity is None else Fringe()
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
+    live = None if capacity is None else fringe.live
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               admit, memoize=capacity is not None)
     counter = 0
@@ -342,7 +348,7 @@ def _best_first(
             if len(fringe) > node_cap:
                 return SearchResult("memory", expanded)
         else:
-            while len(fringe) > capacity:
+            while len(live) > capacity:
                 fringe.pop_worst()
                 discarded = True
     return SearchResult("exhausted", expanded, discarded)

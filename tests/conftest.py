@@ -5,11 +5,17 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import random
+from typing import Optional
 
 import pytest
 
 from glasscut import search
-from glasscut.branching import children, insertion_front
+from glasscut.branching import (
+    _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
+    PairCombo, Placement, _cell_opening_shelf, _cell_swap_forbidden, _close_shelf_cut_ok,
+    _closing_cuts_ok, _hcut_ok, _rect_clear, _resolve_x1, _vcut_ok, children,
+    insertion_front,
+)
 from glasscut.model import (
     Defect, Instance, Item, Node, Params, front_order, front_profile, root_node,
 )
@@ -264,6 +270,158 @@ def reference_filter_dominated_children(insertions: list) -> list:
                     dropped.add(i)
                     break
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
+
+
+def reference_growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
+    """Re-check cuts that widen or materialize when x1 grows:
+    ``branching._growth_cuts_ok`` as a loop over the closed shelves, before
+    ``_grow_max`` gave the widest growth at once."""
+    if final_x1 == node.x1_curr or not defects:
+        return True
+    for rec in node.closed_shelves:
+        if not _hcut_ok(defects, rec.y1, node.x1_prev, final_x1):
+            return False
+        if rec.edge_is_cut and rec.edge == node.x1_curr:
+            if not _vcut_ok(defects, rec.edge, rec.y0, rec.y1):
+                return False
+    return True
+
+
+def reference_cell_in_shelf(
+    defects: tuple[Defect, ...], x: int, y_lo: int, y_hi: int, w: int, h: int, mw: int
+) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
+    """(kind, item y, cell top, split y) of an item cell between the fixed
+    cuts y_lo and y_hi of the current shelf, or None: ``_cell_in_shelf``
+    as it was before the generator took its shape inline."""
+    if h == y_hi - y_lo:
+        kind, y_item, split_y = _ONE_ITEM, y_lo, None
+    elif h > y_hi - y_lo - mw:
+        return None  # too tall, or the 4-cut waste would be a sliver
+    else:
+        kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+    if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
+        if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
+            return None
+        kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
+    return kind, y_item, y_hi, split_y
+
+
+def reference_gen_cells(
+    node: Node,
+    instance: Instance,
+    frame: tuple,
+    cands: list[int],
+    combos: list[PairCombo],
+    depth: int,
+    use_symmetry: bool = False,
+    emit: bool = True,
+) -> tuple[list[Insertion], bool, bool]:
+    """Item cells placed in the ``frame`` of ``depth``, whether some cell
+    fits and whether some cell fits without growing the column.
+
+    The depth decides a cell's shape (in the shelf, or opening one) and the
+    extra cuts to check.  No insertion is built for a cell that is not
+    emitted: every cell when ``emit`` is False, and at depth 3 under
+    ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
+    only tried until some cell is known to fit without growth, which settles
+    both facts.
+
+    ``branching._gen_cells`` as it was before its trials became straight-line
+    code: one closure per call tries each cell, calling the helpers anew."""
+    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
+    p = instance.params
+    mw, W, H = p.min_waste, p.plate_width, p.plate_height
+    x1_max = min(x1_prev + p.max1, W)
+    swap_rule = use_symmetry and depth == 3
+    items_left = instance.n_items - node.n_packed
+    chain_index, chain_sets = instance.chain_index, instance.chain_sets
+    out: list[Insertion] = []
+    fits = no_growth = False
+
+    def try_cell(x_end, y_hi, completing, skip):
+        """The final x1 of a cell to emit, or None; records the two facts."""
+        nonlocal fits, no_growth
+        if skip and no_growth:
+            return None
+        if completing:
+            x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
+        else:
+            x1 = _resolve_x1(x1_curr, x_end, edges, mw)
+        if x1 > x1_max:
+            return None
+        if defects:
+            # the column grows; at depth 2 the shelf below also closes at the new 2-cut
+            if depth >= 2 and not reference_growth_cuts_ok(node, x1, defects):
+                return None
+            if depth == 2 and not (
+                _close_shelf_cut_ok(node, x1, defects) and _hcut_ok(defects, y_lo, x1_prev, x1)
+            ):
+                return None
+            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+                return None
+        fits = True
+        if x1 == x1_curr:
+            no_growth = True
+        return None if skip else x1
+
+    completing = items_left == 1
+    for j in cands:
+        ci = chain_index[j]
+        for w, h, rot in instance.oriented[j]:
+            x_end = x + w
+            if x_end > x1_max or y_lo + h > y_cap:
+                continue  # past the widest 1-cut the column may get, or above y_cap
+            if depth == 3:
+                cell = reference_cell_in_shelf(defects, x, y_lo, y_cap, w, h, mw)
+            else:
+                cell = _cell_opening_shelf(defects, x, y_lo, w, h, p)
+            if cell is None:
+                continue
+            kind, y_item, y_hi, split_y = cell
+            skip = not emit or swap_rule and _cell_swap_forbidden(
+                node, defects, j, chain_sets[ci], x_end)
+            x1 = try_cell(x_end, y_hi, completing, skip)
+            if x1 is None:
+                if no_growth and not emit:
+                    return out, fits, no_growth  # a probe: nothing left to learn
+            else:
+                out.append(Insertion(
+                    kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
+                    plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
+                    x1 if completing and depth >= 2 else prev_col_x1,
+                ))
+    completing = items_left == 2
+    for c in combos:
+        x_end = x + c.width
+        y_split = y_lo + c.hj
+        y_hi = y_split + c.hk
+        if x_end > x1_max:
+            continue
+        if depth == 3:
+            if y_hi != y_cap:
+                continue
+        elif y_hi - y_lo < p.min2 or (y_hi > H - mw and y_hi != H):
+            continue
+        if defects and not (
+            _rect_clear(defects, x, y_lo, x_end, y_split)
+            and _rect_clear(defects, x, y_split, x_end, y_hi)
+        ):
+            continue
+        cj, ck = chain_index[c.j], chain_index[c.k]
+        skip = not emit or swap_rule and _cell_swap_forbidden(
+            node, defects, min(c.j, c.k), (cj, ck), x_end)
+        x1 = try_cell(x_end, y_hi, completing, skip)
+        if x1 is not None:
+            pls = (
+                Placement(c.j, cj, x, y_lo, c.width, c.hj, c.rj),
+                Placement(c.k, ck, x, y_split, c.width, c.hk, c.rk),
+            )
+            out.append(Insertion(
+                _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
+                x1_prev, x1, y_lo, y_hi, x, x_end, y_split,
+                x1 if completing and depth >= 2 else prev_col_x1,
+            ))
+    return out, fits, no_growth
 
 
 def random_front(rng: random.Random, bin_index: int = 0) -> tuple:

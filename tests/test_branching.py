@@ -12,7 +12,11 @@ from glasscut.branching import (
     PAIR_COMBO_ENTRIES,
     Insertion,
     InsertionKind,
+    Placement,
     _allowed_depths,
+    _frame,
+    _gen_cells,
+    _growth_cuts_ok,
     apply_insertion,
     candidate_items,
     child_insertions,
@@ -37,6 +41,8 @@ from conftest import (
     random_walk,
     raster_front_area,
     reference_filter_dominated_children,
+    reference_gen_cells,
+    reference_growth_cuts_ok,
 )
 
 
@@ -440,9 +446,9 @@ def insertions_digest(nodes) -> str:
     return digest.hexdigest()
 
 
-def stackable_instance(rng):
+def stackable_instance(rng, dense_defects=False):
     """Up to 9 items of 4 widths and 8 heights in up to 4 chains, on small
-    plates with up to 4 defects."""
+    plates with up to 4 defects, or up to 30 with ``dense_defects``."""
     n = rng.randint(2, 9)
     dims = [(rng.choice([60, 80, 100, 120]), rng.choice([20, 30, 40, 50, 70, 90, 100, 150]))
             for _ in range(n)]
@@ -450,7 +456,7 @@ def stackable_instance(rng):
     for i in range(n):
         chains[rng.randrange(len(chains))].append(i)
     defects = []
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(30 if dense_defects else rng.randint(0, 4)):
         plate, dw, dh = rng.randint(0, 2), rng.randint(3, 40), rng.randint(3, 40)
         cand = Defect(plate, rng.randint(0, 600 - dw), rng.randint(0, 400 - dh), dw, dh)
         if all(d.plate_index != plate or not cand.intersects(d.x, d.y, d.x + d.width, d.y + d.height)
@@ -675,3 +681,74 @@ class TestSymmetryAwareGenerator:
                    for node, _inst in nodes)
         assert len(kinds) == 35  # every depth, kind and completion that occurs
         assert insertions_digest(nodes) == PINNED_STACKABLE_INSERTIONS
+
+
+class TestCellGenerator:
+    """The cell generator, whose trials are straight-line code behind a
+    set-up read once per frame, against the generator that tried each cell
+    in a closure (``conftest.reference_gen_cells``)."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        """The walked nodes of the insertion pins, and walks on stackable
+        items with few defects and with many."""
+        nodes = walked_nodes(random.Random(2024), 2400)
+        for seed in range(300):
+            rng = random.Random(seed)
+            inst = stackable_instance(rng, dense_defects=seed % 3 == 0)
+            for use_symmetry in (False, True):
+                nodes += [(n, inst) for n in random_walk(rng, inst, use_symmetry=use_symmetry)]
+        return nodes
+
+    def test_every_frame_matches_the_reference(self, nodes):
+        """Every open depth's frame at every walked node, under both
+        symmetry flags, emitting and probing: the same insertions in the
+        same order, and the same two facts."""
+        seen = {f"depth {d}": 0 for d in range(4)}
+        seen.update({"completing": 0, "two items": 0, "swap-forbidden": 0, "probe fits": 0,
+                     "growth": 0, "no cell": 0})
+        for node, inst in nodes:
+            if node.complete:
+                continue
+            cands, combos = pair_combos(node, inst)
+            for depth in _allowed_depths(node):
+                frame = _frame(node, inst, depth)
+                if frame is None:
+                    continue
+                seen[f"depth {depth}"] += 1
+                results = {}
+                for use_symmetry in (False, True):
+                    for emit in (True, False):
+                        args = (node, inst, frame, cands, combos, depth, use_symmetry, emit)
+                        got, ref = _gen_cells(*args), reference_gen_cells(*args)
+                        assert got == ref
+                        assert [m.kind for m in got[0]] == [m.kind for m in ref[0]]
+                        assert all(type(m) is Insertion and all(
+                            type(pl) is Placement for pl in m.placements) for m in got[0])
+                        results[use_symmetry, emit] = got
+                raw, fits, _ = results[False, True]
+                seen["swap-forbidden"] += len(raw) - len(results[True, True][0])
+                seen["completing"] += sum(m.completes for m in raw)
+                seen["two items"] += sum(len(m.placements) == 2 for m in raw)
+                seen["growth"] += sum(m.x1_curr > node.x1_curr for m in raw if depth >= 2)
+                seen["probe fits"] += fits
+                seen["no cell"] += not fits
+        assert min(seen.values()) >= 1000, seen
+
+    def test_growth_cuts_match_the_reference_loop(self, nodes):
+        """``_growth_cuts_ok``, which compares x1 with ``_grow_max``, against
+        the loop over the closed shelves, at every walked node with defects,
+        for x1 at and around every defect edge right of x1_curr."""
+        checked = {True: 0, False: 0}
+        for node, inst in nodes:
+            defects = inst.plate_defects(node.bin)
+            if node.complete or not defects:
+                continue
+            xs = {node.x1_curr, node.x1_curr + 1, inst.params.plate_width}
+            for d in defects:
+                xs.update((d.x - 1, d.x, d.x + 1, d.x + d.width))
+            for x1 in sorted(x for x in xs if x >= node.x1_curr):
+                ok = _growth_cuts_ok(node, x1, defects)
+                assert ok == reference_growth_cuts_ok(node, x1, defects)
+                checked[ok] += 1
+        assert min(checked.values()) >= 100, checked

@@ -124,6 +124,24 @@ class TestSolve:
         assert code == 1
         assert "NO_ITEMS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "mbastar", "--queue-size-init", "5000", "--node-cap", "1000"],
+        ["--algorithm", "ibs", "--node-cap", "1"],
+    ])
+    def test_a_search_stopped_before_any_expansion_says_why(
+            self, instance_dir, capsys, flags):
+        """The first capacity or beam width is already over the cap: no
+        node is expanded, and the message names the outcome."""
+        out = instance_dir / "none.csv"
+        code = run(["solve", "-p", str(instance_dir / "toy"), "-t", "5", "-o", str(out),
+                    "--threads", "1"] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no feasible solution found: search outcome memory, "
+                              "0 nodes expanded; ")
+        assert "--node-cap" in err
+        assert not out.exists()
+
     def test_explicit_algorithms(self, instance_dir, capsys, tmp_path):
         for algo in ("mbastar", "astar", "ibs", "dpastar"):
             out = tmp_path / f"{algo}.csv"

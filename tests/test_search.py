@@ -196,6 +196,36 @@ class TestFringe:
         assert len(fr) == 64
         assert len(fr._min) + len(fr._max) < 4 * 64 + 3000
 
+    def test_compaction_bounds_both_heaps_under_churn_at_both_ends(self):
+        """Pops from both ends leave stale entries in both heaps; each pop
+        compacts once they outnumber the live ones, so after every push and
+        pop the two heaps hold at most 4 entries per open child plus 1024."""
+        fr = Fringe()
+        rng = random.Random(17)
+        reference: dict[int, tuple] = {}
+        stale_peak = {"min": 0, "max": 0}
+        counter = 0
+        for step in range(60_000):
+            size = 64 if step % 20_000 < 15_000 else 8  # shrink now and then
+            key = (rng.randint(0, 10**6), -rng.randint(0, 3), counter)
+            fr.push(key, counter)
+            reference[counter] = key
+            counter += 1
+            while len(fr) > size:
+                if rng.random() < 0.5:
+                    got = fr.pop_best()
+                    assert reference[got] == min(reference.values())
+                else:
+                    got = fr.pop_worst()
+                    assert reference[got] == max(reference.values())
+                del reference[got]
+            assert len(fr) == len(reference)
+            assert len(fr._min) + len(fr._max) <= 4 * len(fr) + 1024
+            stale_peak["min"] = max(stale_peak["min"], len(fr._min) - len(fr))
+            stale_peak["max"] = max(stale_peak["max"], len(fr._max) - len(fr))
+        # stale entries did pile up in both heaps before each compaction
+        assert min(stale_peak.values()) > 300, stale_peak
+
     def test_lazy_deletion_survives_churn(self):
         fr = Fringe()
         rng = random.Random(11)
