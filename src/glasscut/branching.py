@@ -32,13 +32,17 @@ insertion materializes or extends is checked against defect interiors.
 Each depth has one frame, built once by ``_frame``: the plate; the column's
 1-cuts and the edges its final 1-cut must clear; the cell's left edge and
 floor; and a shelf top that is fixed (depth 3) or set by the cell (depths
-0-2).  Depths 0 and 1 close the current column to build it, and a depth
-whose move is illegal has none.  The item cells and the waste cell both
-read it.  ``_gen_cells`` places the item cells, in the shelf at depth 3 or
-opening one (``_cell_opening_shelf``), and checks the cuts that the move
-grows or closes (the column's, at depths 2 and 3, and the shelf below's, at
-depth 2).  ``_gen_waste`` covers the nearest defect: with a band above the
-shelves at depth 2, else with a strip right of the frame's left edge.
+0-2).  What the depths of a node share is read once per node and handed to
+every frame: the plate's defects and the edges of the closed shelves
+(``_closed_edges``); the current shelf's edge joins them only at the depths
+that close it.  Depths 0 and 1 close the current column to build it, and a
+depth whose move is illegal has none.  The item cells and the waste cell
+both read it.  ``_gen_cells`` places the item cells, in the shelf at depth
+3 or opening one (``_cell_opening_shelf``), and checks the cuts that the
+move grows or closes (the column's, at depths 2 and 3, and the shelf
+below's, at depth 2).  ``_gen_waste`` covers the nearest defect: with a
+band above the shelves at depth 2, else with a strip right of the frame's
+left edge; it is not called on a plate without defects.
 
 The cell trials are straight-line code behind a set-up done once per frame.
 Whatever does not depend on the cell is read there, or on the first trial
@@ -80,7 +84,7 @@ from operator import attrgetter
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
-    Defect, Instance, Node, Params, _cell_items, _min_opt, front_order, front_profile,
+    Defect, Instance, Node, Params, _cell_items, _min_opt, admit_front,
 )
 
 
@@ -185,18 +189,16 @@ def _raise_item(
 # ---------------------------------------------------------------------------
 # growth and closing of the current column
 
-def _edge_constraints(node: Node, closing_shelf: bool) -> list[int]:
-    """Cut edges the final x1 may not approach closer than min_waste.
+def _closed_edges(node: Node) -> list[int]:
+    """Cut edges of the closed shelves that the final x1 may not approach
+    closer than min_waste.
 
     Closed shelves that ended with an item cell keep their content edge as a
-    constraint (a zero-width strip is fine, a sliver is not), and the current
-    shelf contributes its edge when it is being closed.  A cell that packs
-    the last item adds its own right edge.
+    constraint (a zero-width strip is fine, a sliver is not).  ``_frame``
+    adds the current shelf's edge at the depths that close it, and a cell
+    that packs the last item adds its own right edge.
     """
-    edges = [r.edge for r in node.closed_shelves if r.edge_is_cut]
-    if closing_shelf and node.cell_min_item is not None:
-        edges.append(node.x3_curr)
-    return edges
+    return [r.edge for r in node.closed_shelves if r.edge_is_cut]
 
 
 def _resolve_x1(cur: int, lower: int, edges: list[int], min_waste: int) -> int:
@@ -261,36 +263,40 @@ def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) 
     return True
 
 
-def _frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
+def _frame(
+    node: Node, instance: Instance, depth: int, defects: tuple[Defect, ...], closed: list[int]
+) -> Optional[tuple]:
     """Where every cell placed at ``depth`` goes, or None if the move is
     illegal: (plate, prior area, prev_col_x1, x1_prev, x1_curr, the edges
     the final 1-cut must clear, the plate's defects, the cell's left edge x,
     its floor y_lo and the top y_cap it may not pass).
 
-    At depth 3 the cell extends the current shelf, under its fixed top; at
-    depth 2 it opens a shelf above it.  Depths 1 and 0 close the current
-    column (depth 0 its plate too) and open a column at the closing 1-cut,
-    or at the left edge of the next plate."""
-    defects = instance.plate_defects(node.bin)
+    ``defects`` are those of the node's plate and ``closed`` the edges of
+    its closed shelves (``_closed_edges``), both read once per node; the
+    frame shares them, and callers must not change them.  At depth 3 the
+    cell extends the current shelf, under its fixed top; at depth 2 it
+    opens a shelf above it.  Depths 1 and 0 close the current column (depth
+    0 its plate too) and open a column at the closing 1-cut, or at the left
+    edge of the next plate."""
     if depth == 3:
         x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
         if defects and not _vcut_ok(defects, x, y_lo, y_cap):
             return None  # the boundary with the current cell is a real 3-cut
         return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
-                _edge_constraints(node, closing_shelf=False), defects, x, y_lo, y_cap)
+                closed, defects, x, y_lo, y_cap)
+    # the current shelf closes: an item cell ending it adds its edge
+    edges = closed + [node.x3_curr] if node.cell_min_item is not None else closed
     p = instance.params
     W, H = p.plate_width, p.plate_height
     if depth == 2:
         return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
-                _edge_constraints(node, closing_shelf=True), defects,
-                node.x1_prev, node.y2_curr, H)
+                edges, defects, node.x1_prev, node.y2_curr, H)
     new_bin = depth == 0
     x1 = None  # the final 1-cut of the closed column; none before the first plate
     if node.bin >= 0:
         lower = node.x1_curr
         if node.col_has_items:
             lower = max(lower, node.x1_prev + p.min1)
-        edges = _edge_constraints(node, closing_shelf=True)
         x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
         if node.col_has_items and x1 - node.x1_prev > p.max1:
             return None
@@ -313,8 +319,11 @@ def _frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
         if defects and (not new_bin or node.col_has_items and x1 < W):
             if not _vcut_ok(defects, x1, 0, H):
                 return None
-    plate, x = (node.bin + 1, 0) if new_bin else (node.bin, x1)
-    return (plate, plate * W * H, x1, x, x, [], instance.plate_defects(plate), x, 0, H)
+    if new_bin:
+        plate, x, defects = node.bin + 1, 0, instance.plate_defects(node.bin + 1)
+    else:
+        plate, x = node.bin, x1
+    return (plate, plate * W * H, x1, x, x, [], defects, x, 0, H)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +473,15 @@ def enumerate_insertions(
     forbids are omitted (see ``_cell_swap_forbidden``); they still count as
     feasible for the suppression tests, so the result is the unflagged list
     minus exactly those cells, in the same order.
+
+    What the depths share is read once per node: the plate's defects and
+    the edges of the closed shelves (see ``_frame``).
     """
     if node.complete:
         return []
     cands, combos = pair_combos(node, instance)
+    defects = instance.plate_defects(node.bin)
+    closed = _closed_edges(node)
     out: list[Insertion] = []
     fits = no_growth = False
     for depth in _allowed_depths(node):
@@ -475,7 +489,7 @@ def enumerate_insertions(
             continue
         if depth == 0 and (fits or node.bin + 1 >= instance.params.n_plates):
             continue
-        frame = _frame(node, instance, depth)
+        frame = _frame(node, instance, depth, defects, closed)
         if frame is None:
             continue
         emit = depth != 2 or not fits
@@ -485,10 +499,12 @@ def enumerate_insertions(
         no_growth = no_growth or no_growth_d
         if emit:
             out += cells
-            w_ins = _gen_waste(node, instance, frame, depth)
-            if w_ins is not None:
-                out.append(w_ins)
-    out.sort(key=_insertion_sort_key)
+            if frame[6]:  # without defects there is no waste cell
+                w_ins = _gen_waste(node, instance, frame, depth)
+                if w_ins is not None:
+                    out.append(w_ins)
+    if len(out) > 1:
+        out.sort(key=_insertion_sort_key)
     return out
 
 
@@ -888,11 +904,17 @@ def _shelf_close_allowed(
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     """Among sibling insertions packing the same items on the same plate,
     drop each one that a sibling dominates: its child's front is at or
-    right of the sibling's (``front_order``), and strictly so or the
-    sibling was generated earlier (so the earliest of equal fronts is
-    kept).  Siblings pack the same items exactly when they advance the same
-    chains, so no child is built to decide this.  Each pair of a group is
-    compared once; the input itself is returned when nothing is dropped."""
+    right of the sibling's, and strictly so or the sibling was generated
+    earlier (so the earliest of equal fronts is kept).  Siblings pack the
+    same items exactly when they advance the same chains, so no child is
+    built to decide this.  The input itself is returned when nothing is
+    dropped.
+
+    A group is admitted in generation order into a list of undominated
+    fronts (``admit_front``), each labelled with its sibling's position in
+    place of the plate: a sibling that an earlier one is at most is
+    rejected, and one that a later one strictly dominates is evicted, so
+    the list ends with the kept siblings."""
     groups: dict[tuple, list[int]] = {}
     for i, ins in enumerate(insertions):
         pls = ins.placements
@@ -908,18 +930,15 @@ def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
         return insertions
     dropped: set[int] = set()
     for members in groups.values():
-        n = len(members)
-        if n < 2:
+        if len(members) < 2:
             continue
-        fronts = [front_profile(insertion_front(insertions[i])) for i in members]
-        for p in range(n - 1):
-            fp = fronts[p]
-            for q in range(p + 1, n):
-                order = front_order(fp, fronts[q])
-                if order & 1:  # the earlier one is at most the later one
-                    dropped.add(members[q])
-                elif order:  # the later one is strictly smaller
-                    dropped.add(members[p])
+        kept: list[tuple] = []
+        for i in members:
+            ins = insertions[i]
+            admit_front(kept, (i, ins.x1_prev, ins.x1_curr, ins.x3_curr, ins.y2_prev, ins.y2_curr))
+        if len(kept) < len(members):
+            dropped.update(members)
+            dropped.difference_update(profile[0] for profile in kept)
     if not dropped:
         return insertions
     return [ins for i, ins in enumerate(insertions) if i not in dropped]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fileio import load_instance, read_solution, write_solution
-from .model import GlasscutError, GuideKind, Params
+from .model import GlasscutError, GuideKind, Instance, Params
 from .search import DEFAULT_THREADS, SearchResult, portfolio_solve
 from .solution import build_solution_tree
 from .validator import objective_of, validate
@@ -99,6 +99,18 @@ def _output_error(path: str) -> Optional[str]:
     return None
 
 
+def _capacity_error(args: argparse.Namespace, instance: Instance) -> Optional[str]:
+    """Why the MBA* portfolio could not expand a node, if it runs (``mbastar``,
+    or ``auto`` on more than two chains) and its first fringe capacity,
+    ``--queue-size-init``, is already above ``--node-cap``: each worker
+    would stop with outcome memory before its first expansion."""
+    mba = args.algorithm == "mbastar" or args.algorithm == "auto" and len(instance.chains) > 2
+    if mba and args.node_cap is not None and args.queue_size_init > args.node_cap:
+        return (f"BAD_ARGS --queue-size-init {args.queue_size_init} is above --node-cap "
+                f"{args.node_cap}: no MBA* worker could expand a node")
+    return None
+
+
 def _no_solution_reason(results: list[SearchResult]) -> str:
     """Why ``solve`` has no solution to write: how its searches ended
     (``SearchResult.outcome``) and the nodes they expanded."""
@@ -175,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("error: NO_ITEMS instance has no items", file=sys.stderr)
         return 1
     out_path = args.output or f"{os.path.basename(args.prefix)}_solution.csv"
-    problem = _output_error(out_path)
+    problem = _output_error(out_path) or _capacity_error(args, instance)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 1

@@ -202,50 +202,62 @@ def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     return chains
 
 
-def front_profile(front: tuple) -> tuple:
-    """A (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr) front
-    (``Node.front_key``) followed by its step function's values at its own
-    levels 0, y2_prev and y2_curr: the operand of ``front_order``, so that a
-    front compared many times evaluates these once."""
-    bin_, x1p, x1c, x3c, y2p, y2c = front
-    return (bin_, x1p, x1c, x3c, y2p, y2c,
-            x1c if 0 < y2p else (x3c if 0 < y2c else x1p),
-            x3c if y2p < y2c else x1p,
-            x1c if y2c < y2p else x1p)
+def admit_front(entries: list, front: tuple) -> int:
+    """The front order, between a newcomer and a whole list in one scan.
 
-
-def front_order(a: tuple, b: tuple) -> int:
-    """The front order on two ``front_profile`` tuples, both directions at
-    once: bit 1 is set when a's step function is nowhere right of b's
-    (a <= b), bit 2 when b <= a; equal fronts give 3 and incomparable ones 0.
+    A front is a (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr) tuple
+    (``Node.front_key``), and a is at most b (a <= b) when a's step
+    function is nowhere right of b's.  ``entries`` holds the profiles of
+    fronts no two of which are comparable: each front followed by its step
+    function's values at its own levels 0, y2_prev and y2_curr.  When one
+    of them is at most ``front``, the result is -1 and ``entries`` stays
+    as it was.  Otherwise the entries that ``front`` is at most are
+    removed, its profile is appended, and the result is how many were
+    removed.  An entry that the newcomer is at most never meets one that
+    is at most the newcomer, as the two would be comparable; so the scan
+    rejects at once, and removes only once it is over.
 
     Both steps only change at the y2 levels, so comparing at 0 and at the
-    y2 levels of both fronts decides it.  Each front brings its values at
-    its own levels; only its values at the other's levels are evaluated
-    here.  The level 0 tells which directions remain possible, and each
-    one stops at its first failing level (the levels are tried in the
-    order that fails soonest in DPA*'s store).  The caller guarantees equal
-    plate indexes."""
-    _, a1p, a1c, a3c, a2p, a2c, a0, ap, ac = a
-    _, b1p, b1c, b3c, b2p, b2c, b0, bp, bc = b
-    if a0 < b0:  # only a <= b is possible
-        return 1 if (
-            (a1c if b2c < a2p else (a3c if b2c < a2c else a1p)) <= bc
-            and (a1c if b2p < a2p else (a3c if b2p < a2c else a1p)) <= bp
-            and ap <= (b1c if a2p < b2p else (b3c if a2p < b2c else b1p))
-            and ac <= (b1c if a2c < b2p else (b3c if a2c < b2c else b1p))) else 0
-    if a0 > b0:  # only b <= a is possible
-        return 2 if (
-            ac >= (b1c if a2c < b2p else (b3c if a2c < b2c else b1p))
-            and ap >= (b1c if a2p < b2p else (b3c if a2p < b2c else b1p))
-            and (a1c if b2p < a2p else (a3c if b2p < a2c else a1p)) >= bp
-            and (a1c if b2c < a2p else (a3c if b2c < a2c else a1p)) >= bc) else 0
-    a_bp = a1c if b2p < a2p else (a3c if b2p < a2c else a1p)
-    a_bc = a1c if b2c < a2p else (a3c if b2c < a2c else a1p)
-    b_ap = b1c if a2p < b2p else (b3c if a2p < b2c else b1p)
-    b_ac = b1c if a2c < b2p else (b3c if a2c < b2c else b1p)
-    return ((ap <= b_ap and ac <= b_ac and a_bp <= bp and a_bc <= bc)
-            | (ap >= b_ap and ac >= b_ac and a_bp >= bp and a_bc >= bc) << 1)
+    y2 levels of both fronts decides the order.  Each entry brings its
+    values at its own levels, and the newcomer's are evaluated once; only
+    the values at the other front's levels are evaluated per entry.  The
+    level 0 tells which directions remain possible, and each one stops at
+    its first failing level (the levels are tried in the order that fails
+    soonest in DPA*'s store).  The first field is carried into the
+    profile, never compared: the caller guarantees equal plate indexes, or
+    puts a label of its own there."""
+    _, n1p, n1c, n3c, n2p, n2c = front
+    n0 = n1c if 0 < n2p else (n3c if 0 < n2c else n1p)
+    np_ = n3c if n2p < n2c else n1p
+    nc = n1c if n2c < n2p else n1p
+    dominated = []
+    for e in entries:
+        _, e1p, e1c, e3c, e2p, e2c, e0, ep, ec = e
+        if e0 < n0:  # only e <= front is possible
+            if ((e1c if n2c < e2p else (e3c if n2c < e2c else e1p)) <= nc
+                    and (e1c if n2p < e2p else (e3c if n2p < e2c else e1p)) <= np_
+                    and ep <= (n1c if e2p < n2p else (n3c if e2p < n2c else n1p))
+                    and ec <= (n1c if e2c < n2p else (n3c if e2c < n2c else n1p))):
+                return -1
+        elif e0 > n0:  # only front <= e is possible
+            if (ec >= (n1c if e2c < n2p else (n3c if e2c < n2c else n1p))
+                    and ep >= (n1c if e2p < n2p else (n3c if e2p < n2c else n1p))
+                    and (e1c if n2p < e2p else (e3c if n2p < e2c else e1p)) >= np_
+                    and (e1c if n2c < e2p else (e3c if n2c < e2c else e1p)) >= nc):
+                dominated.append(e)
+        else:
+            e_np = e1c if n2p < e2p else (e3c if n2p < e2c else e1p)
+            e_nc = e1c if n2c < e2p else (e3c if n2c < e2c else e1p)
+            n_ep = n1c if e2p < n2p else (n3c if e2p < n2c else n1p)
+            n_ec = n1c if e2c < n2p else (n3c if e2c < n2c else n1p)
+            if ep <= n_ep and ec <= n_ec and e_np <= np_ and e_nc <= nc:
+                return -1
+            if ep >= n_ep and ec >= n_ec and e_np >= np_ and e_nc >= nc:
+                dominated.append(e)
+    if dominated:
+        entries[:] = [e for e in entries if e not in dominated]
+    entries.append((front[0], n1p, n1c, n3c, n2p, n2c, n0, np_, nc))
+    return len(dominated)
 
 
 class ShelfRecord(NamedTuple):

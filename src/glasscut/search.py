@@ -39,8 +39,8 @@ from typing import Callable, Optional, Union
 from . import branching
 from .branching import Insertion, _allowed_depths, depths_after, insertion_front
 from .model import (
-    GlasscutError, GuideKind, Instance, Node, Params, counts_after, covered_area, front_order,
-    front_profile, root_node,
+    GlasscutError, GuideKind, Instance, Node, Params, admit_front, counts_after, covered_area,
+    root_node,
 )
 
 # The per-expansion call of every search: the insertions of the children it
@@ -524,9 +524,9 @@ class DominanceStore:
     Fronts are only compared within the same plate index and the same
     allowed next insertion depths (both are part of what a front can
     actually reach); entries dominated by a newcomer are evicted, so the
-    fronts of a bucket are pairwise incomparable.  Each is kept as its
-    ``front_profile``.  This is the paper's pseudo-dominance rule: it can
-    prune the scheme optimum."""
+    fronts of a bucket are pairwise incomparable.  Each is kept as the
+    profile that ``admit_front`` records.  This is the paper's
+    pseudo-dominance rule: it can prune the scheme optimum."""
 
     def __init__(self) -> None:
         self._by_state: dict[tuple, list[tuple]] = {}
@@ -534,31 +534,17 @@ class DominanceStore:
 
     def admit(self, counts: tuple, depths: tuple, front: tuple) -> bool:
         """Record ``front`` of a node with these chain ``counts`` and next
-        insertion ``depths`` unless a recorded one dominates it.
-
-        One pass compares each recorded front with the newcomer once.  A
-        bucket holds no two comparable fronts, so a front that the newcomer
-        dominates never meets one that dominates the newcomer: the pass can
-        reject at once, and evicts only once it is over."""
+        insertion ``depths`` unless a recorded one dominates it: one scan of
+        the bucket (``admit_front``) rejects it or evicts the fronts it
+        dominates."""
         bucket = (counts, depths, front[0])
-        new = front_profile(front)
         entries = self._by_state.get(bucket)
         if entries is None:
-            self._by_state[bucket] = [new]
-            self.size += 1
-            return True
-        dominated = []
-        for e in entries:
-            order = front_order(e, new)
-            if order:
-                if order & 1:  # e <= new
-                    return False
-                dominated.append(e)  # new <= e
-        if dominated:
-            entries[:] = [e for e in entries if e not in dominated]
-            self.size -= len(dominated)
-        entries.append(new)
-        self.size += 1
+            entries = self._by_state[bucket] = []
+        evicted = admit_front(entries, front)
+        if evicted < 0:
+            return False
+        self.size += 1 - evicted
         return True
 
 

@@ -12,12 +12,13 @@ import pytest
 from glasscut import search
 from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
-    PairCombo, Placement, _cell_opening_shelf, _cell_swap_forbidden, _close_shelf_cut_ok,
-    _closing_cuts_ok, _hcut_ok, _rect_clear, _resolve_x1, _vcut_ok, children,
-    insertion_front,
+    PairCombo, Placement, _allowed_depths, _cell_opening_shelf, _cell_swap_forbidden,
+    _close_shelf_cut_ok, _closing_cuts_ok, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
+    _insertion_sort_key, _rect_clear, _resolve_x1, _vcut_ok, children, insertion_front,
+    pair_combos,
 )
 from glasscut.model import (
-    Defect, Instance, Item, Node, Params, front_order, front_profile, root_node,
+    Defect, Instance, Item, Node, Params, admit_front, root_node,
 )
 
 SMALL_PARAMS = Params(
@@ -205,15 +206,43 @@ def front_leq_grid(a: tuple, b: tuple, plate_height: int) -> bool:
     return all(front_x_at(a, y) <= front_x_at(b, y) for y in range(plate_height + 1))
 
 
+def front_profile(front: tuple) -> tuple:
+    """The entry that ``admit_front`` records for ``front``: the front
+    followed by its step function's values at its own levels 0, y2_prev
+    and y2_curr."""
+    entries: list = []
+    assert admit_front(entries, front) == 0
+    return entries[0]
+
+
+def front_order_bits(a: tuple, b: tuple) -> int:
+    """Both directions of the front order on two (bin, x1_prev, x1_curr,
+    x3_curr, y2_prev, y2_curr) fronts, through ``admit_front``: bit 1 is
+    set when a <= b, bit 2 when b <= a.
+
+    The list holding a alone rejects b exactly when a <= b, and is then
+    left as it was; otherwise b evicts a exactly when b <= a.  So both
+    outcomes of the scan are read, and the second direction is asked anew
+    only after a rejection."""
+    pa, pb = front_profile(a), front_profile(b)
+    entries = [pa]
+    evicted = admit_front(entries, b)
+    if evicted < 0:
+        assert entries == [pa]
+        return 1 | (admit_front([pb], a) < 0) << 1
+    assert evicted in (0, 1) and entries == ([pb] if evicted else [pa, pb])
+    return evicted << 1
+
+
 def front_leq(a: tuple, b: tuple) -> bool:
     """a <= b for two (bin, x1_prev, x1_curr, x3_curr, y2_prev, y2_curr)
-    fronts, through ``front_order``."""
-    return bool(front_order(front_profile(a), front_profile(b)) & 1)
+    fronts, through ``admit_front``."""
+    return admit_front([front_profile(a)], b) < 0
 
 
 def reference_front_leq(a: tuple, b: tuple) -> bool:
-    """The front order as a five-level loop, the form it had before
-    ``front_order``: evaluate both step functions at 0 and at the y2 levels
+    """The front order as a five-level loop, the form it had before it
+    became a scan (``admit_front``): evaluate both step functions at 0 and at the y2 levels
     of both fronts."""
     _, a1p, a1c, a3c, a2p, a2c = a
     _, b1p, b1c, b3c, b2p, b2c = b
@@ -270,6 +299,115 @@ def reference_filter_dominated_children(insertions: list) -> list:
                     dropped.add(i)
                     break
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
+
+
+def reference_edge_constraints(node: Node, closing_shelf: bool) -> list[int]:
+    """Cut edges the final x1 may not approach closer than min_waste.
+
+    Closed shelves that ended with an item cell keep their content edge as a
+    constraint (a zero-width strip is fine, a sliver is not), and the current
+    shelf contributes its edge when it is being closed.  A cell that packs
+    the last item adds its own right edge.
+
+    ``branching._edge_constraints`` as it was while every depth's frame
+    built its own edge list.
+    """
+    edges = [r.edge for r in node.closed_shelves if r.edge_is_cut]
+    if closing_shelf and node.cell_min_item is not None:
+        edges.append(node.x3_curr)
+    return edges
+
+
+def reference_frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
+    """Where every cell placed at ``depth`` goes, or None if the move is
+    illegal: (plate, prior area, prev_col_x1, x1_prev, x1_curr, the edges
+    the final 1-cut must clear, the plate's defects, the cell's left edge x,
+    its floor y_lo and the top y_cap it may not pass).
+
+    At depth 3 the cell extends the current shelf, under its fixed top; at
+    depth 2 it opens a shelf above it.  Depths 1 and 0 close the current
+    column (depth 0 its plate too) and open a column at the closing 1-cut,
+    or at the left edge of the next plate.
+
+    ``branching._frame`` as it was while it read the defects and built the
+    edges anew for every depth."""
+    defects = instance.plate_defects(node.bin)
+    if depth == 3:
+        x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
+        if defects and not _vcut_ok(defects, x, y_lo, y_cap):
+            return None  # the boundary with the current cell is a real 3-cut
+        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+                reference_edge_constraints(node, closing_shelf=False), defects, x, y_lo, y_cap)
+    p = instance.params
+    W, H = p.plate_width, p.plate_height
+    if depth == 2:
+        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+                reference_edge_constraints(node, closing_shelf=True), defects,
+                node.x1_prev, node.y2_curr, H)
+    new_bin = depth == 0
+    x1 = None  # the final 1-cut of the closed column; none before the first plate
+    if node.bin >= 0:
+        lower = node.x1_curr
+        if node.col_has_items:
+            lower = max(lower, node.x1_prev + p.min1)
+        edges = reference_edge_constraints(node, closing_shelf=True)
+        x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
+        if node.col_has_items and x1 - node.x1_prev > p.max1:
+            return None
+        if x1 > W:
+            return None
+        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
+            return None
+        # top strip of the column: absent, or at least min_waste tall (a
+        # trailing all-waste shelf merges with it and has no such limit)
+        if node.shelf_min_item is not None:
+            gap = H - node.y2_curr
+            if 0 < gap < p.min_waste:
+                return None
+            if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
+                return None
+        if new_bin and node.col_has_items and 0 < W - x1 < p.min_waste:
+            return None  # the plate's trailing gap would be a sliver
+        # the closing 1-cut is the next column's left edge, or the plate's last
+        # cut (none when an all-waste column merges with the trailing gap)
+        if defects and (not new_bin or node.col_has_items and x1 < W):
+            if not _vcut_ok(defects, x1, 0, H):
+                return None
+    plate, x = (node.bin + 1, 0) if new_bin else (node.bin, x1)
+    return (plate, plate * W * H, x1, x, x, [], instance.plate_defects(plate), x, 0, H)
+
+
+def reference_enumerate_insertions(
+    node: Node, instance: Instance, use_symmetry: bool = False
+) -> list[Insertion]:
+    """``branching.enumerate_insertions`` as it was while every depth built
+    its frame from the node alone (``reference_frame``), every emitting
+    depth called ``_gen_waste`` and every list was sorted."""
+    if node.complete:
+        return []
+    cands, combos = pair_combos(node, instance)
+    out: list[Insertion] = []
+    fits = no_growth = False
+    for depth in _allowed_depths(node):
+        if depth in (1, 2) and no_growth:
+            continue
+        if depth == 0 and (fits or node.bin + 1 >= instance.params.n_plates):
+            continue
+        frame = reference_frame(node, instance, depth)
+        if frame is None:
+            continue
+        emit = depth != 2 or not fits
+        cells, fits_d, no_growth_d = _gen_cells(
+            node, instance, frame, cands, combos, depth, use_symmetry, emit)
+        fits = fits or fits_d
+        no_growth = no_growth or no_growth_d
+        if emit:
+            out += cells
+            w_ins = _gen_waste(node, instance, frame, depth)
+            if w_ins is not None:
+                out.append(w_ins)
+    out.sort(key=_insertion_sort_key)
+    return out
 
 
 def reference_growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:

@@ -14,6 +14,7 @@ from glasscut.branching import (
     InsertionKind,
     Placement,
     _allowed_depths,
+    _closed_edges,
     _frame,
     _gen_cells,
     _growth_cuts_ok,
@@ -40,7 +41,9 @@ from conftest import (
     random_small_instance,
     random_walk,
     raster_front_area,
+    reference_enumerate_insertions,
     reference_filter_dominated_children,
+    reference_frame,
     reference_gen_cells,
     reference_growth_cuts_ok,
 )
@@ -446,6 +449,19 @@ def insertions_digest(nodes) -> str:
     return digest.hexdigest()
 
 
+def stackable_walks():
+    """The walked nodes of the stackable-item pin."""
+    nodes = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        inst = stackable_instance(rng)
+        for use_symmetry in (False, True):
+            use_dominance = rng.random() < 0.5
+            nodes += [(n, inst) for n in random_walk(
+                rng, inst, use_symmetry=use_symmetry, use_dominance=use_dominance)]
+    return nodes
+
+
 def stackable_instance(rng, dense_defects=False):
     """Up to 9 items of 4 widths and 8 heights in up to 4 chains, on small
     plates with up to 4 defects, or up to 30 with ``dense_defects``."""
@@ -466,9 +482,9 @@ def stackable_instance(rng, dense_defects=False):
 
 
 class TestDominanceFilter:
-    """The filter, which compares each pair of a group once, against the
-    reference that compares every ordered pair
-    (``conftest.reference_filter_dominated_children``)."""
+    """The filter, which admits the siblings of a group in generation order
+    (``admit_front``), against the reference that compares every ordered
+    pair (``conftest.reference_filter_dominated_children``)."""
 
     def test_matches_the_reference_on_walked_insertion_lists(self):
         # raw insertion lists (both prunings off) on stackable items, whose
@@ -667,14 +683,7 @@ class TestSymmetryAwareGenerator:
         """The same pin over walks on instances whose few item sizes make
         two-item cells, cells that pack the last items and cells lower than
         min2 common at every depth."""
-        nodes = []
-        for seed in range(600):
-            rng = random.Random(seed)
-            inst = stackable_instance(rng)
-            for use_symmetry in (False, True):
-                use_dominance = rng.random() < 0.5
-                nodes += [(n, inst) for n in random_walk(
-                    rng, inst, use_symmetry=use_symmetry, use_dominance=use_dominance)]
+        nodes = stackable_walks()
         kinds = {(m.depth, m.kind, m.completes) for node, inst in nodes
                  for m in enumerate_insertions(node, inst)}
         assert all(node.col_has_items or not {2, 3} & set(_allowed_depths(node))
@@ -711,8 +720,9 @@ class TestCellGenerator:
             if node.complete:
                 continue
             cands, combos = pair_combos(node, inst)
+            defects, closed = inst.plate_defects(node.bin), _closed_edges(node)
             for depth in _allowed_depths(node):
-                frame = _frame(node, inst, depth)
+                frame = _frame(node, inst, depth, defects, closed)
                 if frame is None:
                     continue
                 seen[f"depth {depth}"] += 1
@@ -734,6 +744,35 @@ class TestCellGenerator:
                 seen["probe fits"] += fits
                 seen["no cell"] += not fits
         assert min(seen.values()) >= 1000, seen
+
+    def test_insertion_lists_match_the_per_depth_reference(self, nodes):
+        """``enumerate_insertions``, which reads the plate's defects and the
+        closed shelves' edges once per node, skips the waste cell on plates
+        without defects and sorts only lists of two or more, against the
+        loop that built each depth's frame from the node alone
+        (``conftest.reference_enumerate_insertions``): the same plain
+        insertions in the same order, under both symmetry flags, and the
+        same frames.  On the walked nodes of both insertion pins and on
+        the walks with dense defects."""
+        seen = {"closing edge": 0, "closed edges": 0, "waste cell": 0, "at most one": 0}
+        for node, inst in nodes + stackable_walks():
+            defects, closed = inst.plate_defects(node.bin), _closed_edges(node)
+            for depth in _allowed_depths(node):
+                frame = None if node.complete else _frame(node, inst, depth, defects, closed)
+                assert frame == (None if node.complete else reference_frame(node, inst, depth))
+                if frame is not None and depth < 3 and node.cell_min_item is not None:
+                    seen["closing edge"] += 1
+                    seen["closed edges"] += bool(closed)
+            for use_symmetry in (False, True):
+                got = enumerate_insertions(node, inst, use_symmetry)
+                ref = reference_enumerate_insertions(node, inst, use_symmetry)
+                assert got == ref
+                assert [m.kind for m in got] == [m.kind for m in ref]
+                assert all(type(m) is Insertion and all(
+                    type(pl) is Placement for pl in m.placements) for m in got)
+                seen["waste cell"] += sum(not m.placements for m in got)
+                seen["at most one"] += len(got) <= 1
+        assert min(seen.values()) >= 100, seen
 
     def test_growth_cuts_match_the_reference_loop(self, nodes):
         """``_growth_cuts_ok``, which compares x1 with ``_grow_max``, against

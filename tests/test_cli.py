@@ -130,17 +130,54 @@ class TestSolve:
     ])
     def test_a_search_stopped_before_any_expansion_says_why(
             self, instance_dir, capsys, flags):
-        """The first capacity or beam width is already over the cap: no
-        node is expanded, and the message names the outcome."""
+        """The first capacity or beam width is already over the cap, so no
+        node could be expanded: the MBA* portfolio is refused before it
+        starts, and IBS expands nothing and names the outcome."""
         out = instance_dir / "none.csv"
         code = run(["solve", "-p", str(instance_dir / "toy"), "-t", "5", "-o", str(out),
                     "--threads", "1"] + flags)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: no feasible solution found: search outcome memory, "
-                              "0 nodes expanded; ")
+        if "mbastar" in flags:
+            assert err.startswith("error: BAD_ARGS --queue-size-init 5000 is above --node-cap ")
+        else:
+            assert err.startswith("error: no feasible solution found: search outcome memory, "
+                                  "0 nodes expanded; ")
         assert "--node-cap" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("prefix, algorithm", [
+        ("toy", "mbastar"), ("three_chains", "mbastar"), ("three_chains", "auto")])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_first_capacity_over_the_node_cap_fails_before_the_search(
+            self, instance_dir, capsys, monkeypatch, prefix, algorithm, threads):
+        """Where the MBA* portfolio runs, a --queue-size-init above
+        --node-cap is refused before any worker starts."""
+        (instance_dir / "three_chains_batch.csv").write_text(
+            BATCH + "4;500;400;2;1\n")
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        out = instance_dir / "none.csv"
+        code = run(["solve", "-p", str(instance_dir / prefix), "-t", "5", "-o", str(out),
+                    "--threads", threads, "--algorithm", algorithm,
+                    "--queue-size-init", "5000", "--node-cap", "1000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: BAD_ARGS --queue-size-init 5000 is above --node-cap 1000: "
+            "no MBA* worker could expand a node\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "auto"], ["--algorithm", "mbastar", "--queue-size-init", "1000"]])
+    def test_a_first_capacity_within_the_node_cap_or_dpa_star_searches(
+            self, instance_dir, capsys, flags):
+        """``auto`` on two chains runs DPA*, which has no first capacity,
+        and a first capacity equal to the cap is allowed."""
+        out = instance_dir / "ok.csv"
+        code = run(["solve", "-p", str(instance_dir / "toy"), "-t", "5", "-o", str(out),
+                    "--threads", "1", "--queue-size-init", "5000", "--node-cap", "1000"] + flags)
+        assert code == 0
+        assert out.exists()
+        capsys.readouterr()
 
     def test_explicit_algorithms(self, instance_dir, capsys, tmp_path):
         for algo in ("mbastar", "astar", "ibs", "dpastar"):

@@ -11,8 +11,6 @@ from glasscut.model import (
     Item,
     Node,
     Params,
-    front_order,
-    front_profile,
     root_node,
 )
 from glasscut.branching import (
@@ -23,6 +21,8 @@ from conftest import (
     SMALL_PARAMS,
     front_leq,
     front_leq_grid,
+    front_order_bits,
+    front_profile,
     front_x_at,
     make_instance,
     random_front,
@@ -196,11 +196,11 @@ class TestFrontLeq:
 
 
 class TestFrontOrder:
-    """``front_order`` gives both directions of the order in one call."""
+    """``admit_front``, the one front order, read in both directions on
+    pairs of fronts (``conftest.front_order_bits``): a rejection gives
+    a <= b, an eviction b <= a."""
 
-    @staticmethod
-    def order(a, b):
-        return front_order(front_profile(a), front_profile(b))
+    order = staticmethod(front_order_bits)
 
     def test_bits_match_grid_oracle(self, rng):
         for _ in range(3000):
