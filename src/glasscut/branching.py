@@ -44,15 +44,19 @@ below's, at depth 2).  ``_gen_waste`` covers the nearest defect: with a
 band above the shelves at depth 2, else with a strip right of the frame's
 left edge; it is not called on a plate without defects.
 
-The cell trials are straight-line code behind a set-up done once per frame.
-Whatever does not depend on the cell is read there, or on the first trial
-that needs it: the final 1-cut of every cell that keeps the column's
-width, whether such a cell passes the defect checks, the widest 1-cut a
-growing cell may reach past them (``_grow_max``), and the cell-swap rule's
-facts about the left cell.  A trial then resolves its own 1-cut only when
-it grows the column or completes the solution, and compares it with those
-bounds.  Insertions and placements are built with ``tuple.__new__``,
-without the Python-level constructor of the NamedTuple.
+The cell trials are one loop over the cell contents of the chain state
+(``pair_combos``): each candidate item alone, in each orientation, then the
+width-matched two-item stacks.  A trial's shape step places one item or a
+stack, and the rest of the trial is the same code for both.  The loop runs
+behind a set-up done once per frame.  Whatever does not depend on the cell
+is read there, or on the first trial that needs it: the final 1-cut of
+every cell that keeps the column's width, whether such a cell passes the
+defect checks, the widest 1-cut a growing cell may reach past them
+(``_grow_max``), and the cell-swap rule's facts about the left cell.  A
+trial then resolves its own 1-cut only when it grows the column or
+completes the solution, and compares it with those bounds.  Insertions and
+placements are built with ``tuple.__new__``, without the Python-level
+constructor of the NamedTuple.
 
 Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
 whose sibling sub-plates could be swapped to put the smaller item id first.
@@ -70,11 +74,12 @@ is built to decide which ones to keep.  ``children`` builds the kept ones
 for callers that want nodes.
 
 Two per-instance caches bound their size with one least-recently-used table
-(``LRUCache``): ``pair_combos`` keyed on the chain counts, and the child
-memo of ``child_insertions(..., memoize=True)`` keyed on every node field
-the pipeline reads (``CHILD_MEMO_FIELDS``).  The memo serves searches that
-meet a state again: MBA* restarts from the root with a larger fringe, and
-the iterative beam with a wider beam.
+(``LRUCache``): the cell contents of ``pair_combos`` keyed on the chain
+counts, whose one-item cells every entry shares (``item_cells``), and the
+child memo of ``child_insertions(..., memoize=True)`` keyed on every node
+field the pipeline reads (``CHILD_MEMO_FIELDS``).  The memo serves searches
+that meet a state again: MBA* restarts from the root with a larger fringe,
+and the iterative beam with a wider beam.
 """
 
 from __future__ import annotations
@@ -394,68 +399,75 @@ def _instance_cache(instance: Instance, name: str, entries: int) -> LRUCache:
     return cache
 
 
-# Entries of the pair_combos cache: about 460 B each, so at most 7.5 MB.
+# Entries of the pair_combos cache: about 360 B each under tracemalloc on the
+# benchmark's 8-chain instances (220 B on its 2-chain ones), so at most about
+# 6 MB, besides the one-item cells of ``item_cells`` (about 7 KB an instance).
 PAIR_COMBO_ENTRIES = 16_384
 
 
-class PairCombo(NamedTuple):
-    """A width-matched two-item stack: j at the bottom, k on top."""
+def item_cells(instance: Instance) -> list[tuple[tuple, ...]]:
+    """The one-item cell contents of every item, one per orientation
+    (``Instance.oriented``), built once per instance and shared by every
+    entry of the ``pair_combos`` cache.
 
-    j: int
-    k: int
-    width: int
-    hj: int
-    rj: bool
-    hk: int
-    rk: bool
+    A cell's contents are (j, chain of j, width, h_j, rot_j, k, chain of k,
+    h_k, rot_k): item j at the bottom, item k on top of the 4-cut, or k and
+    its fields None for a one-item cell."""
+    cells = instance.__dict__.get("_item_cells")
+    if cells is None:
+        chain_index = instance.chain_index
+        cells = instance.__dict__["_item_cells"] = [
+            tuple((j, chain_index[j], w, h, rot, None, None, None, None) for w, h, rot in orients)
+            for j, orients in enumerate(instance.oriented)]
+    return cells
 
 
-def pair_combos(node: Node, instance: Instance) -> tuple[list[int], list[PairCombo]]:
-    """The candidate items (``candidate_items``) and the two-item cell
-    contents: the bottom item is a candidate, the top one another candidate
-    or the bottom item's chain successor, equal widths.
+def pair_combos(node: Node, instance: Instance) -> list[tuple]:
+    """The contents of every cell the chain state ``node.counts`` can
+    place, in trial order: each candidate item (``candidate_items``) alone,
+    in each orientation, then the two-item stacks, whose bottom item is a
+    candidate and whose top one is another candidate or the bottom item's
+    chain successor, of equal widths.
 
-    Both depend only on the per-chain consumption state, so they are
-    memoized together in one entry of a per-instance ``LRUCache`` of
-    ``PAIR_COMBO_ENTRIES``.  The lists are shared: callers must not change
-    them."""
+    The list depends only on the per-chain consumption state, so it is
+    memoized in a per-instance ``LRUCache`` of ``PAIR_COMBO_ENTRIES``; its
+    one-item contents are those of ``item_cells``.  The list is shared:
+    callers must not change it."""
     cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_ENTRIES)
     hit = cache.get(node.counts)
-    if hit is not None:
-        return hit
-    cands = candidate_items(node, instance)
-    hit = cands, _pair_combos_uncached(node, instance, cands)
-    cache.put(node.counts, hit)
+    if hit is None:
+        hit = _cell_contents(node, instance)
+        cache.put(node.counts, hit)
     return hit
 
 
-def _pair_combos_uncached(
-    node: Node, instance: Instance, cands: list[int]
-) -> list[PairCombo]:
-    oriented = instance.oriented
-    by_width: dict[int, list[tuple[int, int, bool]]] = {}
+def _cell_contents(node: Node, instance: Instance) -> list[tuple]:
+    cands = candidate_items(node, instance)
+    singles = item_cells(instance)
+    out = [cell for j in cands for cell in singles[j]]
+    oriented, chain_index = instance.oriented, instance.chain_index
+    by_width: dict[int, list[tuple[int, int, int, bool]]] = {}
     for k in cands:
         for w, h, rot in oriented[k]:
-            by_width.setdefault(w, []).append((k, h, rot))
+            by_width.setdefault(w, []).append((k, chain_index[k], h, rot))
     cset = set(cands)
-    out: list[PairCombo] = []
     for j in cands:
         successor = None
-        ci = instance.chain_index[j]
-        chain = instance.chains[ci]
-        pos = node.counts[ci]
+        cj = chain_index[j]
+        chain = instance.chains[cj]
+        pos = node.counts[cj]
         if pos + 1 < len(chain) and chain[pos] == j:
             nxt = chain[pos + 1]
             if nxt not in cset:
                 successor = nxt
         for wj, hj, rj in oriented[j]:
-            for k, hk, rk in by_width.get(wj, ()):
+            for k, ck, hk, rk in by_width.get(wj, ()):
                 if k != j:
-                    out.append(PairCombo(j, k, wj, hj, rj, hk, rk))
+                    out.append((j, cj, wj, hj, rj, k, ck, hk, rk))
             if successor is not None:
                 for wk, hk, rk in oriented[successor]:
                     if wk == wj:
-                        out.append(PairCombo(j, successor, wj, hj, rj, hk, rk))
+                        out.append((j, cj, wj, hj, rj, successor, cj, hk, rk))
     return out
 
 
@@ -479,7 +491,7 @@ def enumerate_insertions(
     """
     if node.complete:
         return []
-    cands, combos = pair_combos(node, instance)
+    cells = pair_combos(node, instance)
     defects = instance.plate_defects(node.bin)
     closed = _closed_edges(node)
     out: list[Insertion] = []
@@ -493,12 +505,12 @@ def enumerate_insertions(
         if frame is None:
             continue
         emit = depth != 2 or not fits
-        cells, fits_d, no_growth_d = _gen_cells(
-            node, instance, frame, cands, combos, depth, use_symmetry, emit)
+        placed, fits_d, no_growth_d = _gen_cells(
+            node, instance, frame, cells, depth, use_symmetry, emit)
         fits = fits or fits_d
         no_growth = no_growth or no_growth_d
         if emit:
-            out += cells
+            out += placed
             if frame[6]:  # without defects there is no waste cell
                 w_ins = _gen_waste(node, instance, frame, depth)
                 if w_ins is not None:
@@ -559,8 +571,7 @@ def _gen_cells(
     node: Node,
     instance: Instance,
     frame: tuple,
-    cands: list[int],
-    combos: list[PairCombo],
+    cells: list[tuple],
     depth: int,
     use_symmetry: bool = False,
     emit: bool = True,
@@ -568,29 +579,29 @@ def _gen_cells(
     """Item cells placed in the ``frame`` of ``depth``, whether some cell
     fits and whether some cell fits without growing the column.
 
-    The depth decides a cell's shape (in the shelf, or opening one) and the
-    extra cuts to check.  No insertion is built for a cell that is not
-    emitted: every cell when ``emit`` is False, and at depth 3 under
-    ``use_symmetry`` a cell the cell-swap rule forbids.  Such a cell is
-    only tried until some cell is known to fit without growth, which settles
-    both facts.
+    ``cells`` are the contents the chain state can place (``pair_combos``),
+    tried in order.  The depth decides a cell's shape (in the shelf, or
+    opening one) and the extra cuts to check.  No insertion is built for a
+    cell that is not emitted: every cell when ``emit`` is False, and at
+    depth 3 under ``use_symmetry`` a cell the cell-swap rule forbids.  Such
+    a cell is only tried until some cell is known to fit without growth,
+    which settles both facts.
 
-    A trial is the same straight-line code in both loops.  It resolves the
-    cell's final x1 (``_resolve_x1``; a cell that ends left of x1_curr and
-    does not complete shares one x1 per frame, and without edges a cell
-    that grows the column and does not complete takes its own right edge),
-    compares it with the bounds the frame's cuts set (``keeps`` for x1 =
-    x1_curr, ``_grow_max`` past it), and checks the cuts that close the
-    column after a completing cell (``_closing_cuts_ok``).  The cell-swap
-    rule's facts about the left cell (``_cell_swap_forbidden``) are read
-    once per frame."""
+    A trial is one loop body: a shape step, for one item or for a stack,
+    then one tail.  The tail resolves the cell's final x1 (``_resolve_x1``;
+    a cell that ends left of x1_curr and does not complete shares one x1
+    per frame, and without edges a cell that grows the column and does not
+    complete takes its own right edge), compares it with the bounds the
+    frame's cuts set (``keeps`` for x1 = x1_curr, ``_grow_max`` past it),
+    and checks the cuts that close the column after a completing cell
+    (``_closing_cuts_ok``).  The cell-swap rule's facts about the left cell
+    (``_cell_swap_forbidden``) are read once per frame."""
     plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, H, min2 = p.min_waste, p.plate_height, p.min2
     x1_max = min(x1_prev + p.max1, p.plate_width)
     new_bin = depth == 0
     items_left = instance.n_items - node.n_packed
-    chain_index = instance.chain_index
     new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
     # the final x1 of every cell that ends left of x1_curr and does not
     # complete, and the largest x1 > x1_curr whose cuts clear the defects:
@@ -611,15 +622,13 @@ def _gen_cells(
     out: list[Insertion] = []
     fits = no_growth = False
 
-    completing = items_left == 1
-    closed_x1 = prev_col_x1
-    for j in cands:
-        ci = chain_index[j]
-        swap = swap_min is not None and j < swap_min and ci not in left_chains
-        for w, h, rot in instance.oriented[j]:
-            x_end = x + w
-            if x_end > x1_max or y_lo + h > y_cap:
-                continue  # past the widest 1-cut the column may get, or above y_cap
+    for j, cj, w, h, rot, k, ck, hk, rk in cells:
+        x_end = x + w
+        if x_end > x1_max:
+            continue  # past the widest 1-cut the column may get
+        if k is None:
+            if y_lo + h > y_cap:
+                continue  # above the shelf's top, or the plate's
             if depth == 3:  # between the fixed cuts y_lo and y_cap of the shelf
                 y_hi = y_cap
                 if h == y_cap - y_lo:
@@ -637,71 +646,30 @@ def _gen_cells(
                 if cell is None:
                     continue
                 kind, y_item, y_hi, split_y = cell
-            skip = not emit or swap and (not defects or _rect_clear(defects, x, y_lo, x_end, y_cap))
-            if skip and no_growth:
-                continue
-            if completing:
-                x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
-                if depth >= 2:
-                    closed_x1 = x1
-            elif x_end <= x1_curr:
-                if x1_kept is None:
-                    x1_kept = _resolve_x1(x1_curr, x1_curr, edges, mw)
-                x1 = x1_kept
-            elif edges:
-                x1 = _resolve_x1(x1_curr, x_end, edges, mw)
-            else:
-                x1 = x_end
-            if x1 > x1_curr:
-                if grow_max is None:
-                    grow_max = _grow_max(node, defects, depth, x1_max)
-                if x1 > grow_max:
+            completing = items_left == 1
+            skip = not emit or swap_min is not None and j < swap_min and cj not in left_chains and (
+                not defects or _rect_clear(defects, x, y_lo, x_end, y_cap))
+        else:  # j below the 4-cut, k above it: the pair fills the shelf, or sets it
+            split_y = y_lo + h
+            y_hi = split_y + hk
+            if depth == 3:
+                if y_hi != y_cap:
                     continue
-            elif not keeps:
+            elif y_hi - y_lo < min2 or (y_hi > H - mw and y_hi != H):
                 continue
-            if completing and defects and not _closing_cuts_ok(
-                    defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+            if defects and not (
+                _rect_clear(defects, x, y_lo, x_end, split_y)
+                and _rect_clear(defects, x, split_y, x_end, y_hi)
+            ):
                 continue
-            fits = True
-            if x1 == x1_curr:
-                no_growth = True
-            if skip:
-                if no_growth and not emit:
-                    return out, fits, no_growth  # a probe: nothing left to learn
-                continue
-            out.append(new(Insertion, (
-                kind, depth, new_bin, completing, (new(Placement, (j, ci, x, y_item, w, h, rot)),),
-                plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y, closed_x1,
-            )))
-
-    completing = items_left == 2
-    closed_x1 = prev_col_x1
-    for j, k, width, hj, rj, hk, rk in combos:
-        x_end = x + width
-        y_split = y_lo + hj
-        y_hi = y_split + hk
-        if x_end > x1_max:
-            continue
-        if depth == 3:
-            if y_hi != y_cap:
-                continue
-        elif y_hi - y_lo < min2 or (y_hi > H - mw and y_hi != H):
-            continue
-        if defects and not (
-            _rect_clear(defects, x, y_lo, x_end, y_split)
-            and _rect_clear(defects, x, y_split, x_end, y_hi)
-        ):
-            continue
-        cj, ck = chain_index[j], chain_index[k]
-        # both items are clear, so the cell is: an instance has no empty defect
-        skip = not emit or swap_min is not None and (j if j < k else k) < swap_min and (
-            cj not in left_chains and ck not in left_chains)
+            kind, completing = _TWO_ITEMS, items_left == 2
+            # both items are clear, so the cell is: an instance has no empty defect
+            skip = not emit or swap_min is not None and (j if j < k else k) < swap_min and (
+                cj not in left_chains and ck not in left_chains)
         if skip and no_growth:
             continue
         if completing:
             x1 = _resolve_x1(x1_curr, max(x_end, x1_prev + p.min1), edges + [x_end], mw)
-            if depth >= 2:
-                closed_x1 = x1
         elif x_end <= x1_curr:
             if x1_kept is None:
                 x1_kept = _resolve_x1(x1_curr, x1_curr, edges, mw)
@@ -724,12 +692,17 @@ def _gen_cells(
         if x1 == x1_curr:
             no_growth = True
         if skip:
+            if no_growth and not emit:
+                return out, fits, no_growth  # a probe: nothing left to learn
             continue
+        if k is None:
+            pls = (new(Placement, (j, cj, x, y_item, w, h, rot)),)
+        else:
+            pls = (new(Placement, (j, cj, x, y_lo, w, h, rot)),
+                   new(Placement, (k, ck, x, split_y, w, hk, rk)))
         out.append(new(Insertion, (
-            _TWO_ITEMS, depth, new_bin, completing,
-            (new(Placement, (j, cj, x, y_lo, width, hj, rj)),
-             new(Placement, (k, ck, x, y_split, width, hk, rk))),
-            plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, y_split, closed_x1,
+            kind, depth, new_bin, completing, pls, plate, prior_area, x1_prev, x1, y_lo, y_hi,
+            x, x_end, split_y, x1 if completing and depth >= 2 else prev_col_x1,
         )))
     return out, fits, no_growth
 

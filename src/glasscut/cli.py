@@ -136,8 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=DEFAULT_THREADS,
-        help="restarting-MBA* worker processes sharing the bound; 1 searches "
-        "in-process and is deterministic (default: min(4, CPUs), here %(default)s)",
+        help="restarting-MBA* worker processes sharing the bound, one per distinct "
+        "guide and growth factor, so at most 4 (fewer with --guide or --growth); "
+        "one worker searches in-process and is deterministic "
+        "(default: min(4, CPUs), here %(default)s)",
     )
     solve.add_argument("--guide", choices=sorted(GUIDES), default=None)
     solve.add_argument("--growth", type=_growth_factor, default=None,

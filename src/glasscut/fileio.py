@@ -1,9 +1,9 @@
 """Challenge file formats: instance CSVs in, solution CSV out (and back).
 
-All files are semicolon-separated with a mandatory header, ``.`` decimal
-point and ``\\n`` or ``\\r\\n`` line endings.  An instance is a path prefix
-``<name>``: items come from ``<name>_batch.csv``, defects (optional) from
-``<name>_defects.csv``.
+All files are UTF-8 text, semicolon-separated with a mandatory header,
+``.`` decimal point and ``\\n`` or ``\\r\\n`` line endings.  An instance is a
+path prefix ``<name>``: items come from ``<name>_batch.csv``, defects
+(optional) from ``<name>_defects.csv``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,14 @@ PathOrFile = Union[str, os.PathLike, TextIO]
 
 
 def _read_lines(src: PathOrFile) -> list[str]:
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src, "r", encoding="utf-8") as f:
-            text = f.read()
+    try:
+        if hasattr(src, "read"):
+            text = src.read()
+        else:
+            with open(src, "r", encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"PARSE {getattr(src, 'name', src)} is not UTF-8 text") from None
     return [ln.rstrip("\r") for ln in text.split("\n") if ln.strip("\r").strip()]
 
 
@@ -85,6 +88,8 @@ def parse_defects(src: PathOrFile, params: Params) -> dict[int, tuple[Defect, ..
         if len(parts) != 6:
             raise ParseError(f"PARSE line {line_no}: expected 6 fields, got {len(parts)}")
         plate = _int_field(parts[1], "PLATE_ID", line_no)
+        if plate < 0:
+            raise ParseError(f"OUT_OF_PLATE line {line_no}: PLATE_ID {plate} is negative")
         try:
             fx, fy = float(parts[2]), float(parts[3])
             fw, fh = float(parts[4]), float(parts[5])

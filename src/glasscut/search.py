@@ -607,12 +607,14 @@ def portfolio_solve(
     ``auto`` runs DPA* on instances with at most two chains (falling back to
     the MBA* portfolio on a memory break, with an INFO event on the
     ``glasscut.search`` logger) and otherwise the restarting-MBA*
-    portfolio: ``threads`` workers, one process each when there are several,
-    that share the best waste as their bound.  ``threads=1`` searches in the
-    calling process and is deterministic.  Explicit ``guide`` / ``growth``
-    settings override the portfolio entry of each worker; ``node_cap`` caps
-    the open nodes of DPA* and A*, the width of IBS and the capacity of each
-    MBA* worker.
+    portfolio: one worker for each of the first ``threads`` entries of
+    ``PORTFOLIO`` (at most its four), one process each when there are
+    several, that share the best waste as their bound.  Explicit ``guide``
+    / ``growth`` settings override every entry, and entries made equal by
+    them run once; a single worker searches in the calling process, as
+    ``threads=1`` does, and is deterministic.  ``node_cap`` caps the open
+    nodes of DPA* and A*, the width of IBS and the capacity of each MBA*
+    worker.
     """
     incumbent = Incumbent()
     root = root_node(instance)
@@ -668,10 +670,14 @@ def _run_portfolio(
     incumbent: Incumbent,
     node_cap: Optional[int],
 ) -> tuple[Incumbent, list[SearchResult]]:
+    # one worker per distinct configuration: a second worker with the same
+    # guide, growth, root and bound would repeat the first one's search
+    fixed_growth = Fraction(str(growth)) if growth is not None else None
     configs = []
-    for i in range(max(1, threads)):
-        g, gr = PORTFOLIO[i % len(PORTFOLIO)]
-        configs.append((guide or g, Fraction(str(growth)) if growth is not None else gr))
+    for g, gr in PORTFOLIO[:max(1, threads)]:
+        config = (guide or g, gr if fixed_growth is None else fixed_growth)
+        if config not in configs:
+            configs.append(config)
 
     if len(configs) == 1:
         res = restarting_mba_star(

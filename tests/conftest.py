@@ -5,14 +5,14 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
 from glasscut import search
 from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
-    PairCombo, Placement, _allowed_depths, _cell_opening_shelf, _cell_swap_forbidden,
+    Placement, _allowed_depths, _cell_opening_shelf, _cell_swap_forbidden,
     _close_shelf_cut_ok, _closing_cuts_ok, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
     _insertion_sort_key, _rect_clear, _resolve_x1, _vcut_ok, children, insertion_front,
     pair_combos,
@@ -385,7 +385,7 @@ def reference_enumerate_insertions(
     depth called ``_gen_waste`` and every list was sorted."""
     if node.complete:
         return []
-    cands, combos = pair_combos(node, instance)
+    cells = pair_combos(node, instance)
     out: list[Insertion] = []
     fits = no_growth = False
     for depth in _allowed_depths(node):
@@ -397,12 +397,12 @@ def reference_enumerate_insertions(
         if frame is None:
             continue
         emit = depth != 2 or not fits
-        cells, fits_d, no_growth_d = _gen_cells(
-            node, instance, frame, cands, combos, depth, use_symmetry, emit)
+        placed, fits_d, no_growth_d = _gen_cells(
+            node, instance, frame, cells, depth, use_symmetry, emit)
         fits = fits or fits_d
         no_growth = no_growth or no_growth_d
         if emit:
-            out += cells
+            out += placed
             w_ins = _gen_waste(node, instance, frame, depth)
             if w_ins is not None:
                 out.append(w_ins)
@@ -442,6 +442,51 @@ def reference_cell_in_shelf(
             return None
         kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
     return kind, y_item, y_hi, split_y
+
+
+class PairCombo(NamedTuple):
+    """A width-matched two-item stack: j at the bottom, k on top."""
+
+    j: int
+    k: int
+    width: int
+    hj: int
+    rj: bool
+    hk: int
+    rk: bool
+
+
+def reference_pair_combos(
+    node: Node, instance: Instance, cands: list[int]
+) -> list[PairCombo]:
+    """The two-item cell contents, for ``reference_gen_cells``:
+    ``branching._pair_combos_uncached`` as it was before the candidates'
+    one-item cells and the stacks became one list of cell contents."""
+    oriented = instance.oriented
+    by_width: dict[int, list[tuple[int, int, bool]]] = {}
+    for k in cands:
+        for w, h, rot in oriented[k]:
+            by_width.setdefault(w, []).append((k, h, rot))
+    cset = set(cands)
+    out: list[PairCombo] = []
+    for j in cands:
+        successor = None
+        ci = instance.chain_index[j]
+        chain = instance.chains[ci]
+        pos = node.counts[ci]
+        if pos + 1 < len(chain) and chain[pos] == j:
+            nxt = chain[pos + 1]
+            if nxt not in cset:
+                successor = nxt
+        for wj, hj, rj in oriented[j]:
+            for k, hk, rk in by_width.get(wj, ()):
+                if k != j:
+                    out.append(PairCombo(j, k, wj, hj, rj, hk, rk))
+            if successor is not None:
+                for wk, hk, rk in oriented[successor]:
+                    if wk == wj:
+                        out.append(PairCombo(j, successor, wj, hj, rj, hk, rk))
+    return out
 
 
 def reference_gen_cells(

@@ -27,6 +27,7 @@ from glasscut.branching import (
     enumerate_insertions,
     filter_dominated_children,
     insertion_front,
+    item_cells,
     pair_combos,
     symmetry_allows,
 )
@@ -46,6 +47,7 @@ from conftest import (
     reference_frame,
     reference_gen_cells,
     reference_growth_cuts_ok,
+    reference_pair_combos,
 )
 
 
@@ -86,11 +88,37 @@ class TestCandidates:
     def test_candidates_and_pair_combos_share_one_cache_entry(self):
         inst = make_instance([(100, 60), (100, 40), (60, 100)], chains=[[0, 1], [2]])
         node = kid_for(root_node(inst), inst, 2)
-        cands, combos = pair_combos(node, inst)
+        cells = pair_combos(node, inst)
+        cands = list(dict.fromkeys(c[0] for c in cells if c[5] is None))
+        combos = [c for c in cells if c[5] is not None]
         assert cands == candidate_items(node, inst) == [0]
-        assert [(c.j, c.k) for c in combos] == [(0, 1)]  # 0 below its successor
+        assert [(c[0], c[5]) for c in combos] == [(0, 1)]  # 0 below its successor
+        assert cells == [(0, 0, 100, 60, False, None, None, None, None),
+                         (0, 0, 60, 100, True, None, None, None, None),
+                         (0, 0, 100, 60, False, 1, 0, 40, False)]
         entry = inst._pair_combo_cache[node.counts]
-        assert entry == (cands, combos) and pair_combos(node, inst) is entry
+        assert entry == cells and pair_combos(node, inst) is entry
+
+    def test_cache_entries_share_the_one_item_cells_of_the_instance(self):
+        """Every one-item cell in every entry of the pair_combos cache is the
+        instance's own (``item_cells``), not a copy: the one-item cells of
+        an entry are those of its candidates, in order, by identity."""
+        seen = {"entries": 0, "one-item cells": 0, "stacks": 0}
+        for seed in range(100):
+            rng = random.Random(seed)
+            inst = stackable_instance(rng)
+            for use_symmetry in (False, True):
+                random_walk(rng, inst, use_symmetry=use_symmetry)
+            singles = item_cells(inst)
+            assert item_cells(inst) is singles
+            for counts, entry in inst._pair_combo_cache._table.items():
+                cands = candidate_items(SimpleNamespace(counts=counts), inst)
+                got = [id(c) for c in entry if c[5] is None]
+                assert got == [id(c) for j in cands for c in singles[j]]
+                seen["entries"] += 1
+                seen["one-item cells"] += len(got)
+                seen["stacks"] += len(entry) - len(got)
+        assert min(seen.values()) >= 500, seen
 
     def test_pair_combo_cache_keeps_its_bound_and_the_entry_used_last(self):
         """Past PAIR_COMBO_ENTRIES chain states the least recently used
@@ -693,9 +721,10 @@ class TestSymmetryAwareGenerator:
 
 
 class TestCellGenerator:
-    """The cell generator, whose trials are straight-line code behind a
-    set-up read once per frame, against the generator that tried each cell
-    in a closure (``conftest.reference_gen_cells``)."""
+    """The cell generator, one trial loop over the chain state's cell
+    contents behind a set-up read once per frame, against the generator
+    that tried each candidate item and then each stack in a closure
+    (``conftest.reference_gen_cells``)."""
 
     @pytest.fixture(scope="class")
     def nodes(self):
@@ -719,7 +748,9 @@ class TestCellGenerator:
         for node, inst in nodes:
             if node.complete:
                 continue
-            cands, combos = pair_combos(node, inst)
+            cells = pair_combos(node, inst)
+            cands = candidate_items(node, inst)
+            combos = reference_pair_combos(node, inst, cands)
             defects, closed = inst.plate_defects(node.bin), _closed_edges(node)
             for depth in _allowed_depths(node):
                 frame = _frame(node, inst, depth, defects, closed)
@@ -729,8 +760,9 @@ class TestCellGenerator:
                 results = {}
                 for use_symmetry in (False, True):
                     for emit in (True, False):
-                        args = (node, inst, frame, cands, combos, depth, use_symmetry, emit)
-                        got, ref = _gen_cells(*args), reference_gen_cells(*args)
+                        got = _gen_cells(node, inst, frame, cells, depth, use_symmetry, emit)
+                        ref = reference_gen_cells(
+                            node, inst, frame, cands, combos, depth, use_symmetry, emit)
                         assert got == ref
                         assert [m.kind for m in got[0]] == [m.kind for m in ref[0]]
                         assert all(type(m) is Insertion and all(

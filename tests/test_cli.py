@@ -292,6 +292,31 @@ class TestBadInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: PARSE line 2: non-finite")
 
+    @pytest.mark.parametrize("command, bad_file", [
+        ("solve", "toy_batch.csv"),
+        ("solve", "toy_defects.csv"),
+        ("validate", "toy_batch.csv"),
+        ("validate", "sol.csv"),
+    ])
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, instance_dir, command, bad_file):
+        solution = instance_dir / "sol.csv"
+        solution.write_text("PLATE_ID;NODE_ID;X;Y;WIDTH;HEIGHT;TYPE;CUT;PARENT\n")
+        path = instance_dir / bad_file
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        argv = [command, "-p", str(instance_dir / "toy")]
+        if command == "solve":
+            argv += ["-o", str(instance_dir / "out.csv"), "-t", "1", "--threads", "1"]
+        else:
+            argv += ["-s", str(solution)]
+        done = subprocess.run(
+            [sys.executable, "-m", "glasscut.cli"] + argv,
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(glasscut.__file__))},
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: PARSE {path} is not UTF-8 text\n"
+        assert "Traceback" not in done.stderr + done.stdout
+
     def test_bench_reports_a_malformed_instance(self, instance_dir, capsys, tmp_path):
         (instance_dir / "bad_batch.csv").write_text("ITEM_ID;LENGTH\n0;x\n")
         results = tmp_path / "r.csv"

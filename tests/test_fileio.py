@@ -92,6 +92,13 @@ class TestParseDefects:
                 io.StringIO(defects_text([(0, 0, 5995.0, 100.0, 10.0, 10.0)])), Params()
             )
 
+    def test_negative_plate_id_is_out_of_plate(self):
+        with pytest.raises(ParseError, match="OUT_OF_PLATE line 2: PLATE_ID -1 is negative"):
+            parse_defects(io.StringIO(defects_text([(0, -1, 100.0, 100.0, 10.0, 10.0)])), Params())
+        (d,) = parse_defects(
+            io.StringIO(defects_text([(0, 0, 100.0, 100.0, 10.0, 10.0)])), Params())[0]
+        assert d.plate_index == 0
+
     @pytest.mark.parametrize("geometry", [
         ("nan", 10, 5, 5), (10, "inf", 5, 5), (10, 10, "-inf", 5), (10, 10, 5, "1e309"),
         (1e308, 10, 1e308, 5),  # finite fields whose far edge is not

@@ -772,6 +772,29 @@ class TestPortfolio:
         assert len(results) == 4
         assert incumbent.waste is not None
 
+    def test_no_two_workers_share_a_configuration(self, rng, monkeypatch):
+        """One worker per distinct (guide, growth) pair, in portfolio order:
+        threads past the portfolio's four add none, and overrides that make
+        entries equal leave one of each; a single one searches in-process."""
+        inst = random_small_instance(rng, max_items=5)
+        _, results = portfolio_solve(inst, 5.0, algorithm="mbastar", threads=6)
+        assert len(results) == 4
+        in_process = []
+        mba = search.restarting_mba_star
+
+        def record(root, instance, guide, growth, *args, **kwargs):
+            in_process.append((guide, growth))
+            return mba(root, instance, guide, growth, *args, **kwargs)
+
+        monkeypatch.setattr(search, "restarting_mba_star", record)
+        _, results = portfolio_solve(inst, 5.0, algorithm="mbastar", threads=3,
+                                     guide=GuideKind.WASTE_PERCENTAGE, growth="1.5")
+        assert len(results) == 1
+        assert in_process == [(GuideKind.WASTE_PERCENTAGE, Fraction(3, 2))]
+        _, results = portfolio_solve(inst, 5.0, algorithm="mbastar", threads=3,
+                                     guide=GuideKind.WASTE_PERCENTAGE)
+        assert len(results) == 2
+
     def test_midsize_output_validates(self):
         _solve_midsize_and_validate(threads=1)
 
