@@ -60,18 +60,22 @@ constructor of the NamedTuple.
 
 Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
 whose sibling sub-plates could be swapped to put the smaller item id first.
-Its cell-swap rule is applied inside the cell generator at depth 3: a
-forbidden cell is omitted, never built.  Its feasibility is still probed
-while the suppression tests above are undecided, because raw feasibility,
-not the emitted set, drives them; so symmetry never changes which depths
-are open.
+The swapped pattern is not always reachable in the scheme, so the rule can
+remove the optimum: on the 150 small random instances of the README's
+table it loses it on 23, the sibling filter below on 5, and both together
+on 27 (``tests/test_search.py::TestPruningLosses``).  Its cell-swap rule
+is applied inside the cell generator at depth 3: a forbidden cell is
+omitted, never built.  Its feasibility is still probed while the
+suppression tests above are undecided, because raw feasibility, not the
+emitted set, drives them; so symmetry never changes which depths are open.
 
 ``child_insertions`` is the whole per-expansion pipeline, and it runs on
 insertions only: enumerate, apply the symmetry rule where a shelf closes,
-then drop the siblings whose fronts are dominated.  A child's chain counts,
-plate and front all follow from its parent and its insertion, so no child
-is built to decide which ones to keep.  ``children`` builds the kept ones
-for callers that want nodes.
+then drop the siblings whose fronts are dominated.  This is a
+pseudo-dominance: it ignores which depths stay open to a sibling's
+children.  A child's chain counts, plate and front all follow from its
+parent and its insertion, so no child is built to decide which ones to
+keep.  ``children`` builds the kept ones for callers that want nodes.
 
 Two per-instance caches bound their size with one least-recently-used table
 (``LRUCache``): the cell contents of ``pair_combos`` keyed on the chain

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
@@ -24,35 +25,19 @@ from .search import DEFAULT_THREADS, SearchResult, portfolio_solve
 from .solution import build_solution_tree
 from .validator import objective_of, validate
 
-GUIDES = {
-    "w": GuideKind.WASTE,
-    "p": GuideKind.WASTE_PERCENTAGE,
-    "a": GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA,
-}
+GUIDES = {g.value: g for g in GuideKind}
 # Longest single sleep of --challenge-compat, in seconds.
 _SLEEP_SLICE_S = 3600.0
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--plate-width", type=int, default=6000)
-    sub.add_argument("--plate-height", type=int, default=3210)
-    sub.add_argument("--n-plates", type=int, default=100)
-    sub.add_argument("--min1", type=int, default=100)
-    sub.add_argument("--max1", type=int, default=3500)
-    sub.add_argument("--min2", type=int, default=100)
-    sub.add_argument("--min-waste", type=int, default=20)
+    """One integer flag per ``Params`` field: ``--plate-width`` and so on."""
+    for f in fields(Params):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
 
 def _params_from(args: argparse.Namespace) -> Params:
-    return Params(
-        plate_width=args.plate_width,
-        plate_height=args.plate_height,
-        n_plates=args.n_plates,
-        min1=args.min1,
-        max1=args.max1,
-        min2=args.min2,
-        min_waste=args.min_waste,
-    )
+    return Params(**{f.name: getattr(args, f.name) for f in fields(Params)})
 
 
 def _growth_factor(text: str) -> str:

@@ -1,9 +1,10 @@
 """Challenge file formats: instance CSVs in, solution CSV out (and back).
 
-All files are UTF-8 text, semicolon-separated with a mandatory header,
-``.`` decimal point and ``\\n`` or ``\\r\\n`` line endings.  An instance is a
-path prefix ``<name>``: items come from ``<name>_batch.csv``, defects
-(optional) from ``<name>_defects.csv``.
+All files are UTF-8 text, with or without a leading byte-order mark,
+semicolon-separated with a mandatory header, ``.`` decimal point and
+``\\n`` or ``\\r\\n`` line endings.  An instance is a path prefix
+``<name>``: items come from ``<name>_batch.csv``, defects (optional) from
+``<name>_defects.csv``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ def _read_lines(src: PathOrFile) -> list[str]:
                 text = f.read()
     except UnicodeDecodeError:
         raise ParseError(f"PARSE {getattr(src, 'name', src)} is not UTF-8 text") from None
+    if text.startswith("\ufeff"):  # a byte-order mark, as spreadsheet exports write
+        text = text[1:]
     return [ln.rstrip("\r") for ln in text.split("\n") if ln.strip("\r").strip()]
 
 

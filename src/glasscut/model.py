@@ -163,6 +163,8 @@ class Instance:
             if not fits:
                 raise InstanceError(f"BAD_ITEM item {it.id} does not fit any plate")
         for plate, defs in self.defects.items():
+            if plate < 0:
+                raise InstanceError(f"OUT_OF_PLATE defects on plate {plate}")
             for d in defs:
                 if d.width <= 0 or d.height <= 0:
                     raise InstanceError(f"BAD_DEFECT empty defect on plate {plate}")

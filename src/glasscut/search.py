@@ -472,6 +472,8 @@ def iterative_beam_search(
     selected while they are generated: at most ``width + 1`` of a level's
     children are held at once, plus those of the node being expanded.  A
     kept child is built when it is expanded."""
+    if width_init < 1:
+        raise ValueError("beam width must be at least 1")
     clock = _Clock(time_limit)
     cap = node_cap if node_cap is not None else _default_node_cap()
     width = width_init

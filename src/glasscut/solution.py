@@ -5,6 +5,12 @@ exactly; the split direction alternates with the cut level (1-cuts and
 3-cuts vertical, 2-cuts and the single 4-cut horizontal).  Leaf types:
 item id >= 0, -1 waste, -3 the leftover right of the last 1-cut of the last
 plate; -2 marks internal branches.
+
+A solution is the sequence of insertions that built it, and each insertion
+fixes its cell's plate, column and shelf edges, cell edges, kind, items and
+4-cut.  ``build_solution_tree`` groups a leaf's insertions into columns and
+shelves and drafts every piece straight from them; ``_normalize`` then
+collapses single-child branches and fuses adjacent waste pieces.
 """
 
 from __future__ import annotations
@@ -91,35 +97,6 @@ class _Draft:
         self.kids: list[_Draft] = kids or []
 
 
-class _Cell:
-    __slots__ = ("x0", "x1", "kind", "placements", "split_y")
-
-    def __init__(self, ins: Insertion):
-        self.x0 = ins.x3_prev
-        self.x1 = ins.x3_curr
-        self.kind = ins.kind
-        self.placements = ins.placements
-        self.split_y = ins.split_y
-
-
-class _Shelf:
-    __slots__ = ("y0", "y1", "cells")
-
-    def __init__(self, ins: Insertion):
-        self.y0 = ins.y2_prev
-        self.y1 = ins.y2_curr
-        self.cells = [_Cell(ins)]
-
-
-class _Column:
-    __slots__ = ("x0", "x1", "shelves")
-
-    def __init__(self, ins: Insertion):
-        self.x0 = ins.x1_prev
-        self.x1 = None  # fixed when the column closes
-        self.shelves = [_Shelf(ins)]
-
-
 def build_solution_tree(leaf: Node, instance: Instance) -> SolutionTree:
     """Replay the insertion sequence of a complete leaf into a cut tree."""
     if not leaf.complete:
@@ -133,20 +110,21 @@ def build_solution_tree(leaf: Node, instance: Instance) -> SolutionTree:
     if not insertions:
         raise SolutionError("NO_ITEMS nothing to materialize")
 
-    plates: list[list[_Column]] = []
+    # per plate, columns [x0, final 1-cut, shelves]; a shelf is the list of
+    # the insertions that placed its cells, and the first one opened it
+    plates: list[list[list]] = []
     for ins in insertions:
-        if ins.depth == 0:
-            if plates and ins.prev_col_x1 is not None:
-                plates[-1][-1].x1 = ins.prev_col_x1
-            plates.append([_Column(ins)])
-        elif ins.depth == 1:
-            plates[-1][-1].x1 = ins.prev_col_x1
-            plates[-1].append(_Column(ins))
+        if ins.depth <= 1:
+            if ins.depth == 1 or plates and ins.prev_col_x1 is not None:
+                plates[-1][-1][1] = ins.prev_col_x1
+            if ins.depth == 0:
+                plates.append([])
+            plates[-1].append([ins.x1_prev, None, [[ins]]])
         elif ins.depth == 2:
-            plates[-1][-1].shelves.append(_Shelf(ins))
+            plates[-1][-1][2].append([ins])
         else:
-            plates[-1][-1].shelves[-1].cells.append(_Cell(ins))
-    plates[-1][-1].x1 = leaf.x1_curr
+            plates[-1][-1][2][-1].append(ins)
+    plates[-1][-1][1] = leaf.x1_curr
 
     W = instance.params.plate_width
     H = instance.params.plate_height
@@ -165,13 +143,26 @@ def build_solution_tree(leaf: Node, instance: Instance) -> SolutionTree:
 
     for plate_id, columns in enumerate(plates):
         root = _Draft(0, 0, W, H, TYPE_BRANCH)
-        for col in columns:
-            root.kids.append(_draft_column(col, H))
-        gap = W - columns[-1].x1
-        if gap > 0:
+        for x0, x1, shelves in columns:
+            assert x1 is not None, "column never closed"
+            column = _Draft(x0, 0, x1 - x0, H, TYPE_BRANCH)
+            for shelf in shelves:
+                y0, y1 = shelf[0].y2_prev, shelf[0].y2_curr
+                row = _Draft(x0, y0, x1 - x0, y1 - y0, TYPE_BRANCH,
+                             [_draft_cell(ins, y0, y1) for ins in shelf])
+                edge = shelf[-1].x3_curr
+                if edge < x1:
+                    row.kids.append(_Draft(edge, y0, x1 - edge, y1 - y0, TYPE_WASTE))
+                column.kids.append(row)
+            y_top = shelves[-1][0].y2_curr
+            if y_top < H:
+                column.kids.append(_Draft(x0, y_top, x1 - x0, H - y_top, TYPE_WASTE))
+            root.kids.append(column)
+        right = columns[-1][1]
+        if right < W:
             last_plate = plate_id == len(plates) - 1
             root.kids.append(
-                _Draft(columns[-1].x1, 0, gap, H, TYPE_RESIDUAL if last_plate else TYPE_WASTE)
+                _Draft(right, 0, W - right, H, TYPE_RESIDUAL if last_plate else TYPE_WASTE)
             )
         _normalize(root)
         emit(plate_id, root, None, 0)
@@ -179,58 +170,23 @@ def build_solution_tree(leaf: Node, instance: Instance) -> SolutionTree:
     return SolutionTree(rows)
 
 
-def _draft_column(col: _Column, plate_h: int) -> _Draft:
-    x0, x1 = col.x0, col.x1
-    assert x1 is not None, "column never closed"
-    node = _Draft(x0, 0, x1 - x0, plate_h, TYPE_BRANCH)
-    for shelf in col.shelves:
-        node.kids.append(_draft_shelf(shelf, x0, x1))
-    y_top = col.shelves[-1].y1
-    if y_top < plate_h:
-        node.kids.append(_Draft(x0, y_top, x1 - x0, plate_h - y_top, TYPE_WASTE))
-    return node
-
-
-def _draft_shelf(shelf: _Shelf, col_x0: int, col_x1: int) -> _Draft:
-    y0, y1 = shelf.y0, shelf.y1
-    node = _Draft(col_x0, y0, col_x1 - col_x0, y1 - y0, TYPE_BRANCH)
-    for cell in shelf.cells:
-        node.kids.append(_draft_cell(cell, y0, y1))
-    edge = shelf.cells[-1].x1
-    if edge < col_x1:
-        node.kids.append(_Draft(edge, y0, col_x1 - edge, y1 - y0, TYPE_WASTE))
-    return node
-
-
-def _draft_cell(cell: _Cell, y0: int, y1: int) -> _Draft:
-    w = cell.x1 - cell.x0
-    if cell.kind is InsertionKind.WASTE_ONLY:
-        return _Draft(cell.x0, y0, w, y1 - y0, TYPE_WASTE)
-    if cell.kind is InsertionKind.ONE_ITEM:
-        pl = cell.placements[0]
-        assert (pl.x, pl.y, pl.width, pl.height) == (cell.x0, y0, w, y1 - y0)
-        return _Draft(pl.x, pl.y, pl.width, pl.height, pl.item_id)
-    node = _Draft(cell.x0, y0, w, y1 - y0, TYPE_BRANCH)
-    split = cell.split_y
-    if cell.kind is InsertionKind.ITEM_WASTE_ABOVE:
-        pl = cell.placements[0]
-        node.kids = [
-            _Draft(pl.x, pl.y, pl.width, pl.height, pl.item_id),
-            _Draft(cell.x0, split, w, y1 - split, TYPE_WASTE),
-        ]
-    elif cell.kind is InsertionKind.ITEM_WASTE_BELOW:
-        pl = cell.placements[0]
-        node.kids = [
-            _Draft(cell.x0, y0, w, split - y0, TYPE_WASTE),
-            _Draft(pl.x, pl.y, pl.width, pl.height, pl.item_id),
-        ]
-    else:  # TWO_ITEMS
-        a, b = cell.placements
-        node.kids = [
-            _Draft(a.x, a.y, a.width, a.height, a.item_id),
-            _Draft(b.x, b.y, b.width, b.height, b.item_id),
-        ]
-    return node
+def _draft_cell(ins: Insertion, y0: int, y1: int) -> _Draft:
+    x0 = ins.x3_prev
+    w = ins.x3_curr - x0
+    kind = ins.kind
+    if kind is InsertionKind.WASTE_ONLY:
+        return _Draft(x0, y0, w, y1 - y0, TYPE_WASTE)
+    pieces = [_Draft(pl.x, pl.y, pl.width, pl.height, pl.item_id) for pl in ins.placements]
+    if kind is InsertionKind.ONE_ITEM:
+        pl = pieces[0]
+        assert (pl.x, pl.y, pl.w, pl.h) == (x0, y0, w, y1 - y0)
+        return pl
+    split = ins.split_y
+    if kind is InsertionKind.ITEM_WASTE_ABOVE:
+        pieces.append(_Draft(x0, split, w, y1 - split, TYPE_WASTE))
+    elif kind is InsertionKind.ITEM_WASTE_BELOW:
+        pieces.insert(0, _Draft(x0, y0, w, split - y0, TYPE_WASTE))
+    return _Draft(x0, y0, w, y1 - y0, TYPE_BRANCH, pieces)
 
 
 def _normalize(node: _Draft) -> None:

@@ -18,8 +18,9 @@ from glasscut.branching import (
     pair_combos,
 )
 from glasscut.model import (
-    Defect, Instance, Item, Node, Params, admit_front, root_node,
+    Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node,
 )
+from glasscut.solution import TYPE_BRANCH, TYPE_RESIDUAL, TYPE_WASTE, SolutionTree, TreeNode
 
 SMALL_PARAMS = Params(
     plate_width=1000,
@@ -605,6 +606,194 @@ def reference_gen_cells(
                 x1 if completing and depth >= 2 else prev_col_x1,
             ))
     return out, fits, no_growth
+
+
+# ---------------------------------------------------------------------------
+# ``solution.build_solution_tree`` and its helpers as they were while the
+# builder first copied the insertions into columns, shelves and cells:
+# verbatim but for the prefixed names, for the old-versus-new CSV test in
+# test_solution.py
+
+
+class _RefDraft:
+    __slots__ = ("x", "y", "w", "h", "type", "kids")
+
+    def __init__(self, x, y, w, h, type_, kids=None):
+        self.x, self.y, self.w, self.h = x, y, w, h
+        self.type = type_
+        self.kids: list[_RefDraft] = kids or []
+
+
+class _RefCell:
+    __slots__ = ("x0", "x1", "kind", "placements", "split_y")
+
+    def __init__(self, ins: Insertion):
+        self.x0 = ins.x3_prev
+        self.x1 = ins.x3_curr
+        self.kind = ins.kind
+        self.placements = ins.placements
+        self.split_y = ins.split_y
+
+
+class _RefShelf:
+    __slots__ = ("y0", "y1", "cells")
+
+    def __init__(self, ins: Insertion):
+        self.y0 = ins.y2_prev
+        self.y1 = ins.y2_curr
+        self.cells = [_RefCell(ins)]
+
+
+class _RefColumn:
+    __slots__ = ("x0", "x1", "shelves")
+
+    def __init__(self, ins: Insertion):
+        self.x0 = ins.x1_prev
+        self.x1 = None  # fixed when the column closes
+        self.shelves = [_RefShelf(ins)]
+
+
+def reference_build_solution_tree(leaf: Node, instance: Instance) -> SolutionTree:
+    """Replay the insertion sequence of a complete leaf into a cut tree."""
+    if not leaf.complete:
+        raise SolutionError("INCOMPLETE leaf does not pack all items")
+    insertions: list[Insertion] = []
+    node = leaf
+    while node.parent is not None:
+        insertions.append(node.insertion)
+        node = node.parent
+    insertions.reverse()
+    if not insertions:
+        raise SolutionError("NO_ITEMS nothing to materialize")
+
+    plates: list[list[_RefColumn]] = []
+    for ins in insertions:
+        if ins.depth == 0:
+            if plates and ins.prev_col_x1 is not None:
+                plates[-1][-1].x1 = ins.prev_col_x1
+            plates.append([_RefColumn(ins)])
+        elif ins.depth == 1:
+            plates[-1][-1].x1 = ins.prev_col_x1
+            plates[-1].append(_RefColumn(ins))
+        elif ins.depth == 2:
+            plates[-1][-1].shelves.append(_RefShelf(ins))
+        else:
+            plates[-1][-1].shelves[-1].cells.append(_RefCell(ins))
+    plates[-1][-1].x1 = leaf.x1_curr
+
+    W = instance.params.plate_width
+    H = instance.params.plate_height
+    rows: list[TreeNode] = []
+    next_id = 0
+
+    def emit(plate_id: int, draft: _RefDraft, parent_id: Optional[int], level: int) -> None:
+        nonlocal next_id
+        nid = next_id
+        next_id += 1
+        rows.append(
+            TreeNode(nid, plate_id, draft.x, draft.y, draft.w, draft.h, draft.type, level, parent_id)
+        )
+        for kid in draft.kids:
+            emit(plate_id, kid, nid, level + 1)
+
+    for plate_id, columns in enumerate(plates):
+        root = _RefDraft(0, 0, W, H, TYPE_BRANCH)
+        for col in columns:
+            root.kids.append(_ref_draft_column(col, H))
+        gap = W - columns[-1].x1
+        if gap > 0:
+            last_plate = plate_id == len(plates) - 1
+            root.kids.append(
+                _RefDraft(columns[-1].x1, 0, gap, H, TYPE_RESIDUAL if last_plate else TYPE_WASTE)
+            )
+        _ref_normalize(root)
+        emit(plate_id, root, None, 0)
+
+    return SolutionTree(rows)
+
+
+def _ref_draft_column(col: _RefColumn, plate_h: int) -> _RefDraft:
+    x0, x1 = col.x0, col.x1
+    assert x1 is not None, "column never closed"
+    node = _RefDraft(x0, 0, x1 - x0, plate_h, TYPE_BRANCH)
+    for shelf in col.shelves:
+        node.kids.append(_ref_draft_shelf(shelf, x0, x1))
+    y_top = col.shelves[-1].y1
+    if y_top < plate_h:
+        node.kids.append(_RefDraft(x0, y_top, x1 - x0, plate_h - y_top, TYPE_WASTE))
+    return node
+
+
+def _ref_draft_shelf(shelf: _RefShelf, col_x0: int, col_x1: int) -> _RefDraft:
+    y0, y1 = shelf.y0, shelf.y1
+    node = _RefDraft(col_x0, y0, col_x1 - col_x0, y1 - y0, TYPE_BRANCH)
+    for cell in shelf.cells:
+        node.kids.append(_ref_draft_cell(cell, y0, y1))
+    edge = shelf.cells[-1].x1
+    if edge < col_x1:
+        node.kids.append(_RefDraft(edge, y0, col_x1 - edge, y1 - y0, TYPE_WASTE))
+    return node
+
+
+def _ref_draft_cell(cell: _RefCell, y0: int, y1: int) -> _RefDraft:
+    w = cell.x1 - cell.x0
+    if cell.kind is InsertionKind.WASTE_ONLY:
+        return _RefDraft(cell.x0, y0, w, y1 - y0, TYPE_WASTE)
+    if cell.kind is InsertionKind.ONE_ITEM:
+        pl = cell.placements[0]
+        assert (pl.x, pl.y, pl.width, pl.height) == (cell.x0, y0, w, y1 - y0)
+        return _RefDraft(pl.x, pl.y, pl.width, pl.height, pl.item_id)
+    node = _RefDraft(cell.x0, y0, w, y1 - y0, TYPE_BRANCH)
+    split = cell.split_y
+    if cell.kind is InsertionKind.ITEM_WASTE_ABOVE:
+        pl = cell.placements[0]
+        node.kids = [
+            _RefDraft(pl.x, pl.y, pl.width, pl.height, pl.item_id),
+            _RefDraft(cell.x0, split, w, y1 - split, TYPE_WASTE),
+        ]
+    elif cell.kind is InsertionKind.ITEM_WASTE_BELOW:
+        pl = cell.placements[0]
+        node.kids = [
+            _RefDraft(cell.x0, y0, w, split - y0, TYPE_WASTE),
+            _RefDraft(pl.x, pl.y, pl.width, pl.height, pl.item_id),
+        ]
+    else:  # TWO_ITEMS
+        a, b = cell.placements
+        node.kids = [
+            _RefDraft(a.x, a.y, a.width, a.height, a.item_id),
+            _RefDraft(b.x, b.y, b.width, b.height, b.item_id),
+        ]
+    return node
+
+
+def _ref_normalize(node: _RefDraft) -> None:
+    """Bottom-up cleanup: a branch whose sole child is a leaf becomes that
+    leaf, and runs of adjacent waste leaves fuse into one (the plate root is
+    never collapsed, so a full-plate item stays root + leaf)."""
+    for kid in node.kids:
+        _ref_normalize(kid)
+        if kid.type == TYPE_BRANCH and len(kid.kids) == 1 and not kid.kids[0].kids:
+            only = kid.kids[0]
+            assert (only.x, only.y, only.w, only.h) == (kid.x, kid.y, kid.w, kid.h)
+            kid.type = only.type
+            kid.kids = []
+    if len(node.kids) < 2:
+        return
+    merged: list[_RefDraft] = []
+    for kid in node.kids:
+        prev = merged[-1] if merged else None
+        if (
+            prev is not None
+            and prev.type == TYPE_WASTE
+            and kid.type == TYPE_WASTE
+            and not prev.kids
+            and not kid.kids
+        ):
+            prev.w = max(prev.x + prev.w, kid.x + kid.w) - prev.x
+            prev.h = max(prev.y + prev.h, kid.y + kid.h) - prev.y
+        else:
+            merged.append(kid)
+    node.kids = merged
 
 
 def random_front(rng: random.Random, bin_index: int = 0) -> tuple:

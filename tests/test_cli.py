@@ -237,6 +237,21 @@ class TestValidateCommand:
         assert exc.value.code == 2
 
 
+class TestByteOrderMark:
+    def test_files_that_start_with_the_mark_load(self, instance_dir, capsys):
+        # a UTF-8 byte-order mark, as spreadsheet exports write, on all three files
+        for name in ("toy_batch.csv", "toy_defects.csv"):
+            path = instance_dir / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = instance_dir / "toy_solution.csv"
+        prefix = str(instance_dir / "toy")
+        assert run(["solve", "-p", prefix, "-t", "5", "-o", str(out), "--threads", "1"]) == 0
+        waste = capsys.readouterr().out.strip().split(",")[1]
+        out.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        assert run(["validate", "-p", prefix, "-s", str(out)]) == 0
+        assert capsys.readouterr().out == f"feasible, objective {waste}\n"
+
+
 class TestBadInput:
     """Bad input ends with an exit code and a message, never a traceback."""
 

@@ -59,6 +59,15 @@ class TestParseBatch:
         with pytest.raises(ParseError, match="NONCONTIGUOUS_IDS"):
             parse_batch(io.StringIO(batch_text([(0, 100, 100, 0, 1), (2, 100, 100, 0, 2)])))
 
+    def test_a_leading_byte_order_mark_is_dropped(self):
+        # spreadsheet exports start UTF-8 files with U+FEFF
+        items = parse_batch(io.StringIO("\ufeff" + batch_text([(0, 1500, 500, 0, 1)])))
+        assert [(it.id, it.width, it.height) for it in items] == [(0, 500, 1500)]
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        with pytest.raises(ParseError, match="wrong batch header"):
+            parse_batch(io.StringIO("\ufeff\ufeff" + batch_text([(0, 1500, 500, 0, 1)])))
+
     def test_duplicate_sequence_in_stack(self):
         with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE"):
             parse_batch(

@@ -89,6 +89,13 @@ class TestInstance:
                 defects={0: (Defect(0, 990, 0, 50, 50),)},
             )
 
+    def test_rejects_defects_on_a_negative_plate(self):
+        # the root node's plate is -1, so such a defect would be read there
+        from glasscut.model import Defect
+
+        with pytest.raises(InstanceError, match="OUT_OF_PLATE defects on plate -1"):
+            make_instance([(100, 100)], defects=[Defect(-1, 10, 10, 5, 5)])
+
 
 def _first_cell(instance, x1_curr, y2_curr, completes=False):
     """The root's child, built through ``Node(root, insertion, instance)``,

@@ -440,6 +440,13 @@ class TestIterativeBeamSearch:
                 inst, use_symmetry=True, use_dominance=True
             )
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_a_width_below_one_is_rejected(self, width):
+        # a width of 0 keeps no child, so every pass would end at once
+        inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
+        with pytest.raises(ValueError, match="beam width must be at least 1"):
+            iterative_beam_search(root_node(inst), inst, GuideKind.WASTE, 1.0, Incumbent(),
+                                  width_init=width)
 
     def test_node_cap_ends_the_widening_with_memory(self):
         inst = midsize_instance(40, 6, seed=77)
@@ -549,6 +556,33 @@ def _check_store(store: DominanceStore) -> None:
     for entries in store._by_state.values():
         for i, a in enumerate(entries):
             assert not any(front_order_bits(a[:6], b[:6]) for b in entries[i + 1:])
+
+
+class TestPruningLosses:
+    # How often each pruning rule loses the optimum of the scheme on the
+    # 150 draws, as the README states: none of the rules is exact.
+    README_LOSSES = {"symmetry": 23, "sibling dominance": 5, "both": 27, "DPA*": 12}
+
+    def test_losses_against_the_unpruned_search_match_the_readme(self):
+        rng = random.Random(1)
+        lost = dict.fromkeys(self.README_LOSSES, 0)
+        for _ in range(150):
+            inst = random_small_instance(rng, max_items=5)
+            oracle = dfs_min_waste(inst)
+            assert oracle is not None
+            found = {
+                "symmetry": dfs_min_waste(inst, use_symmetry=True),
+                "sibling dominance": dfs_min_waste(inst, use_dominance=True),
+                "both": dfs_min_waste(inst, use_symmetry=True, use_dominance=True),
+            }
+            inc = Incumbent()
+            assert dpa_star(root_node(inst), inst, 60.0, inc).outcome == "exhausted"
+            found["DPA*"] = inc.waste
+            for rule, waste in found.items():
+                assert waste is None or waste >= oracle  # pruning never invents
+                lost[rule] += waste != oracle
+        print(f"optimum lost on 150 draws: {lost}")
+        assert lost == self.README_LOSSES
 
 
 class TestDominanceStore:

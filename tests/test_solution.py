@@ -1,10 +1,13 @@
 """Cut-tree materialization and the waste objective."""
 
+import io
 import random
 
 import pytest
 
+from glasscut import solution
 from glasscut.branching import InsertionKind, children
+from glasscut.fileio import write_solution
 from glasscut.model import Defect, Params, SolutionError, root_node
 from glasscut.solution import (
     SolutionTree,
@@ -17,7 +20,10 @@ from glasscut.solution import (
 )
 from glasscut.validator import objective_of, validate
 
-from conftest import dfs_best_leaf, make_instance, random_small_instance
+from conftest import (
+    dfs_best_leaf, make_instance, random_small_instance, random_walk,
+    reference_build_solution_tree,
+)
 
 
 def solve_exhaustively(inst):
@@ -194,3 +200,72 @@ class TestObjective:
         ]
         with pytest.raises(SolutionError, match="INCOMPLETE"):
             objective(SolutionTree(rows), inst)
+
+
+def _csv(tree):
+    buf = io.StringIO()
+    write_solution(tree, buf)
+    return buf.getvalue()
+
+
+class TestBuilderMatchesReference:
+    """The builder drafts each piece from the leaf's insertions; the
+    reference (conftest) first copied them into columns, shelves and cells.
+    Both must write the same CSV, byte for byte."""
+
+    # walk draws whose plate roots have two adjacent full-height waste
+    # pieces, which _normalize fuses
+    FUSING_DRAWS = (198, 474, 503)
+
+    def _assert_same(self, leaf, inst, label):
+        assert _csv(build_solution_tree(leaf, inst)) == _csv(
+            reference_build_solution_tree(leaf, inst)
+        ), label
+
+    def test_walked_leaves_including_fused_waste(self, monkeypatch):
+        # one rng draws each instance and then walks it to a leaf; the spy
+        # notes a plate root whose children _normalize fused
+        depth, root_fused = [0], [False]
+        normalize = solution._normalize
+
+        def spy(node):
+            depth[0] += 1
+            before = len(node.kids)
+            normalize(node)
+            depth[0] -= 1
+            if depth[0] == 0 and len(node.kids) < before:
+                root_fused[0] = True
+
+        monkeypatch.setattr(solution, "_normalize", spy)
+        rng = random.Random(3)
+        fusing, leaves = [], 0
+        for draw in range(600):
+            inst = random_small_instance(rng, max_items=6)
+            path = random_walk(rng, inst, use_symmetry=False, use_dominance=False)
+            if not path[-1].complete:
+                continue
+            leaves += 1
+            root_fused[0] = False
+            self._assert_same(path[-1], inst, f"draw {draw}")
+            if root_fused[0]:
+                fusing.append(draw)
+        assert leaves == 524
+        assert tuple(fusing) == self.FUSING_DRAWS
+
+    def test_solver_leaves(self, rng):
+        for inst in (
+            make_instance([(500, 400)], params=Params(
+                plate_width=500, plate_height=400, n_plates=2,
+                min1=50, max1=500, min2=30, min_waste=10)),
+            make_instance([(300, 200)]),
+            make_instance([(300, 200), (250, 300), (100, 80)], chains=[[0, 1], [2]]),
+        ):
+            self._assert_same(solve_exhaustively(inst), inst, "fixed instance")
+        five = TestFiveConfigurations()
+        inst = five._instance()
+        self._assert_same(five._solve(inst), inst, "five configurations")
+        for draw in range(60):
+            inst = random_small_instance(rng)
+            leaf = dfs_best_leaf(inst)
+            if leaf is not None:
+                self._assert_same(leaf, inst, f"draw {draw}")

@@ -1,5 +1,7 @@
 """Independent solution checking: every constraint as a report entry."""
 
+import dataclasses
+
 import pytest
 
 from glasscut.model import Defect, Params, SolutionError
@@ -11,9 +13,9 @@ from glasscut.solution import (
     TYPE_WASTE,
     build_solution_tree,
 )
-from glasscut.validator import objective_of, validate
+from glasscut.validator import Violation, objective_of, validate
 
-from conftest import dfs_best_leaf, make_instance, random_small_instance
+from conftest import SMALL_PARAMS, dfs_best_leaf, make_instance, random_small_instance
 
 PARAMS_4M = Params(plate_width=4000, plate_height=3210, n_plates=3)
 
@@ -233,3 +235,146 @@ class TestObjectiveOf:
         tree.nodes[2].width -= 1
         with pytest.raises(SolutionError, match="INFEASIBLE"):
             objective_of(inst, tree)
+
+
+# Two trees that build_solution_tree made from DFS optima on 1000 x 600
+# plates, frozen here so that a change to the search does not move them.
+# One plate, items 300x250 and 200x150 in one chain: item 0 and a cell
+# that a 4-cut splits into item 1 and waste above it share the bottom shelf
+# of the only column.
+ONE_PLATE = ([(300, 250), (200, 150)], [[0, 1]], [
+    (0, 0, 0, 0, 1000, 600, TYPE_BRANCH, 0, None),
+    (1, 0, 0, 0, 400, 600, TYPE_BRANCH, 1, 0),
+    (2, 0, 0, 0, 400, 300, TYPE_BRANCH, 2, 1),
+    (3, 0, 0, 0, 250, 300, 0, 3, 2),
+    (4, 0, 250, 0, 150, 300, TYPE_BRANCH, 3, 2),
+    (5, 0, 250, 0, 150, 200, 1, 4, 4),
+    (6, 0, 250, 200, 150, 100, TYPE_WASTE, 4, 4),
+    (7, 0, 0, 300, 400, 300, TYPE_WASTE, 2, 1),
+    (8, 0, 400, 0, 600, 600, TYPE_RESIDUAL, 1, 0),
+])
+# Two plates, items 900x600 and 300x200 in one chain.
+TWO_PLATES = ([(900, 600), (300, 200)], [[0, 1]], [
+    (0, 0, 0, 0, 1000, 600, TYPE_BRANCH, 0, None),
+    (1, 0, 0, 0, 900, 600, 0, 1, 0),
+    (2, 0, 900, 0, 100, 600, TYPE_WASTE, 1, 0),
+    (3, 1, 0, 0, 1000, 600, TYPE_BRANCH, 0, None),
+    (4, 1, 0, 0, 200, 600, TYPE_BRANCH, 1, 3),
+    (5, 1, 0, 0, 200, 300, 1, 2, 4),
+    (6, 1, 0, 300, 200, 300, TYPE_WASTE, 2, 4),
+    (7, 1, 200, 0, 800, 600, TYPE_RESIDUAL, 1, 3),
+])
+
+
+def _set(node_id, **fields):
+    def change(rows):
+        rows[node_id] = dataclasses.replace(rows[node_id], **fields)
+    return change
+
+
+def _drop(*node_ids):
+    def change(rows):
+        rows[:] = [r for r in rows if r.node_id not in node_ids]
+    return change
+
+
+def _add(*row):
+    def change(rows):
+        rows.append(TreeNode(*row))
+    return change
+
+
+def _report(base, change, **instance_kw):
+    """The report on ``base``'s tree after ``change``; the tree itself is
+    feasible."""
+    dims, chains, rows = base
+    inst = make_instance(dims, chains=chains, **instance_kw)
+    rows = [TreeNode(*r) for r in rows]
+    if change is not None:
+        change(rows)
+    return validate(inst, SolutionTree(rows))
+
+
+def _violations(base, change, **instance_kw):
+    return _report(base, change, **instance_kw).violations
+
+
+class TestRejections:
+    """Each rejection message of the validator, on the smallest change to a
+    feasible tree that breaks its rule."""
+
+    @pytest.mark.parametrize("base", [ONE_PLATE, TWO_PLATES])
+    def test_the_unchanged_trees_are_feasible(self, base):
+        assert _violations(base, None) == []
+
+    @pytest.mark.parametrize("base, change, code, message, nodes", [
+        pytest.param(ONE_PLATE, _set(3, plate_id=1), "CUT_LEVEL",
+                     "child on a different plate than its parent", (3,), id="child-plate"),
+        pytest.param(ONE_PLATE, _set(3, cut_level=4), "CUT_LEVEL",
+                     "child level must be parent level + 1", (3,), id="child-level"),
+        pytest.param(ONE_PLATE, _set(5, cut_level=5), "CUT_LEVEL",
+                     "more than four cutting stages", (5,), id="five-stages"),
+        pytest.param(ONE_PLATE, _add(9, 0, 250, 200, 150, 100, TYPE_WASTE, 5, 6), "CUT_LEVEL",
+                     "a level-4 piece cannot be subdivided", (6,), id="level-4-split"),
+        pytest.param(ONE_PLATE, _add(9, 0, 0, 0, 250, 300, TYPE_WASTE, 4, 3), "ITEM_NODE",
+                     "an item node cannot have children", (3,), id="item-node"),
+        pytest.param(ONE_PLATE, _set(6, height=0), "GEOMETRY",
+                     "empty node rectangle", (6,), id="empty-rectangle"),
+        pytest.param(ONE_PLATE, _set(7, type=TYPE_BRANCH), "TILING",
+                     "branch node without children", (7,), id="childless-branch"),
+        pytest.param(ONE_PLATE, _drop(6), "TILING",
+                     "single child does not cover its parent", (4,), id="single-child"),
+        pytest.param(ONE_PLATE, _set(8, width=599), "TILING",
+                     "children leave the parent uncovered", (0,), id="uncovered-vertical"),
+        pytest.param(ONE_PLATE, _set(7, height=290), "TILING",
+                     "children leave the parent uncovered", (1,), id="uncovered-horizontal"),
+        pytest.param(ONE_PLATE, _set(5, type=2), "UNKNOWN_ITEM",
+                     "no item with id 2", (5,), id="unknown-item"),
+        pytest.param(TWO_PLATES, _set(2, type=TYPE_RESIDUAL), "RESIDUAL",
+                     "more than one residual node", (2, 7), id="two-residuals"),
+        pytest.param(TWO_PLATES, _set(2, type=TYPE_RESIDUAL), "RESIDUAL",
+                     "residual not on the last plate", (2,), id="residual-plate"),
+        pytest.param(TWO_PLATES, _set(6, type=TYPE_RESIDUAL), "RESIDUAL",
+                     "residual must be a first-level piece", (6,), id="residual-level"),
+        pytest.param(ONE_PLATE, _set(0, width=999), "PLATE_GEOMETRY",
+                     "plate root does not span the plate", (0,), id="root-span"),
+        pytest.param(ONE_PLATE, _set(0, cut_level=1), "PLATE_GEOMETRY",
+                     "plate root must have cut level 0", (0,), id="root-level"),
+    ])
+    def test_message(self, base, change, code, message, nodes):
+        assert Violation(code, message, nodes) in _violations(base, change)
+
+    def test_no_plates(self):
+        inst = make_instance(*ONE_PLATE[:2])
+        assert validate(inst, SolutionTree([])).violations == [
+            Violation("NO_PLATES", "solution uses no plate")
+        ]
+
+    def test_plates_out_of_order(self):
+        def plate_one(rows):
+            rows[:] = [dataclasses.replace(r, plate_id=1) for r in rows]
+
+        assert _violations(ONE_PLATE, plate_one) == [
+            Violation("PLATE_ORDER", "plates out of order or skipped")
+        ]
+
+    def test_more_plates_than_the_stock(self):
+        params = dataclasses.replace(SMALL_PARAMS, n_plates=1)
+        assert _violations(TWO_PLATES, None, params=params) == [
+            Violation("PLATE_ORDER", "2 plates exceed the stock of 1")
+        ]
+
+    def test_a_2_cut_through_a_defect(self):
+        # the defect straddles the 2-cut at y=300 between two waste pieces
+        defect = Defect(0, 300, 290, 10, 20)
+        assert _violations(ONE_PLATE, None, defects=[defect]) == [
+            Violation("CUT_DEFECT", "2/4-cut at y=300 crosses a defect", (1, 2))
+        ]
+
+    def test_a_failing_report_prints_one_line_per_violation(self):
+        report = _report(ONE_PLATE, _set(5, type=2))
+        assert not report.ok
+        assert str(report) == (
+            "UNKNOWN_ITEM: no item with id 2 [nodes 5]\n"
+            "MISSING_ITEM: item 1 is not produced"
+        )
