@@ -77,8 +77,9 @@ children.  A child's chain counts, plate and front all follow from its
 parent and its insertion, so no child is built to decide which ones to
 keep.  ``children`` builds the kept ones for callers that want nodes.
 
-Two per-instance caches bound their size with one least-recently-used table
-(``LRUCache``): the cell contents of ``pair_combos`` keyed on the chain
+Two per-instance caches bound their bytes with one least-recently-used
+table (``LRUCache``), which charges each entry a size worked out from its
+lengths: the cell contents of ``pair_combos`` keyed on the chain
 counts, whose one-item cells every entry shares (``item_cells``), and the
 child memo of ``child_insertions(..., memoize=True)`` keyed on every node
 field the pipeline reads (``CHILD_MEMO_FIELDS``).  The memo serves searches
@@ -89,8 +90,8 @@ and the iterative beam with a wider beam.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     Defect, Instance, Node, Params, _cell_items, _min_opt, admit_front,
@@ -362,16 +363,22 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
 
 
 class LRUCache:
-    """A table of at most ``entries`` values: ``get`` marks an entry as the
-    one used last, and ``put`` evicts the least recently used entry beyond
-    the bound.  Values are shared: callers must not change them, and None
-    is not a value.  A plain dict keeps the order of use: a hit moves its
-    entry to the end, and the first entry is the one to evict."""
+    """A table of values whose charged bytes stay within ``budget``:
+    ``charge(key, value)`` is an entry's size in bytes, worked out from
+    their lengths.  ``get`` marks an entry as the one used last, and ``put``
+    adds a key that ``get`` missed, then evicts the least recently used
+    entries until the total charged fits the budget.  Values are shared:
+    callers must not change them, and None is not a value.  A plain dict
+    keeps the order of use: a hit moves its entry to the end, and the first
+    entry is the one to evict.  An entry's charge is worked out again when
+    it is evicted, so the table holds the values only."""
 
-    __slots__ = ("entries", "_table")
+    __slots__ = ("budget", "charge", "charged", "_table")
 
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
+    def __init__(self, budget: int, charge: Callable[[Hashable, object], int]) -> None:
+        self.budget = budget
+        self.charge = charge
+        self.charged = 0  # bytes charged for the entries held
         self._table: dict = {}
 
     def __len__(self) -> int:
@@ -388,25 +395,55 @@ class LRUCache:
         return value
 
     def put(self, key: Hashable, value) -> None:
-        table = self._table
+        table, charge = self._table, self.charge
         table[key] = value
-        if len(table) > self.entries:
-            del table[next(iter(table))]
+        self.charged += charge(key, value)
+        while self.charged > self.budget:
+            first = next(iter(table))
+            self.charged -= charge(first, table.pop(first))
 
 
-def _instance_cache(instance: Instance, name: str, entries: int) -> LRUCache:
+def _instance_cache(
+    instance: Instance, name: str, budget: int, charge: Callable[[Hashable, object], int]
+) -> LRUCache:
     """The cache ``name`` of ``instance``, made on first use.  Each
     portfolio worker process fills its own copy."""
     cache = instance.__dict__.get(name)
     if cache is None:
-        cache = instance.__dict__[name] = LRUCache(entries)
+        cache = instance.__dict__[name] = LRUCache(budget, charge)
     return cache
 
 
-# Entries of the pair_combos cache: about 360 B each under tracemalloc on the
-# benchmark's 8-chain instances (220 B on its 2-chain ones), so at most about
-# 6 MB, besides the one-item cells of ``item_cells`` (about 7 KB an instance).
-PAIR_COMBO_ENTRIES = 16_384
+# Entry sizes of both caches, in bytes under tracemalloc (CPython 3.11), of
+# the objects an entry adds to its node and its instance: the entry's key
+# with its chain counts, and its value.  Fitted by least squares to 1,800
+# entries of restarting MBA* on 8-, 30- and 60-chain instances, each
+# measured twice with the free lists emptied by gc.collect(); the charges
+# are within 9% of every one of them.  The counts tuple takes a slot per
+# chain.  Neither charge counts the table's own slots (about 50 B an
+# entry), nor a memo key's shelf records and chain-id sets, which its node
+# shares with its relatives.  Dropping a full cache after such a run freed
+# 0.93-1.16 times its charged total (the memo, most on 8 chains) and
+# 0.98-1.04 times (pair_combos).
+CHAIN_BYTES = 8
+# pair_combos: a list of cells.  A one-item cell is one of ``item_cells``, so
+# it costs the list's slot only; a two-item stack is a tuple of its own.
+# Entries average 360 B on the benchmark's 8-chain instances, 1.6 KB on 30
+# chains and 3.8 KB on 60.
+PAIR_ENTRY_BYTES = 200
+PAIR_CELL_BYTES = 8
+PAIR_STACK_BYTES = 116
+# Six MB: about 17,000 chain states of 8 chains, which no benchmark run
+# fills; about 1,600 of 60 chains.
+PAIR_COMBO_BYTES = 6 << 20
+_cell_top = itemgetter(5)  # k: None in a one-item cell
+
+
+def pair_combo_charge(counts: tuple[int, ...], cells: list[tuple]) -> int:
+    """Bytes charged for the ``pair_combos`` entry of ``counts``."""
+    stacks = len(cells) - list(map(_cell_top, cells)).count(None)
+    return (PAIR_ENTRY_BYTES + CHAIN_BYTES * len(counts) + PAIR_CELL_BYTES * len(cells)
+            + PAIR_STACK_BYTES * stacks)
 
 
 def item_cells(instance: Instance) -> list[tuple[tuple, ...]]:
@@ -434,10 +471,10 @@ def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     chain successor, of equal widths.
 
     The list depends only on the per-chain consumption state, so it is
-    memoized in a per-instance ``LRUCache`` of ``PAIR_COMBO_ENTRIES``; its
+    memoized in a per-instance ``LRUCache`` of ``PAIR_COMBO_BYTES``; its
     one-item contents are those of ``item_cells``.  The list is shared:
     callers must not change it."""
-    cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_ENTRIES)
+    cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_BYTES, pair_combo_charge)
     hit = cache.get(node.counts)
     if hit is None:
         hit = _cell_contents(node, instance)
@@ -716,17 +753,22 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
     blocking defect, if there is one: at depth 2 a band above the shelves,
     else a strip right of the frame's left edge."""
     plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
-    if not defects:
-        return None
+    # most frames have no defect ahead: find the first one before listing them
     if depth == 2:
+        for d in defects:
+            if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width:
+                break
+        else:
+            return None
         band = [d for d in defects
                 if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width]
-        if not band:
-            return None
     else:
-        ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
-        if not ahead:
+        for d in defects:
+            if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height:
+                break
+        else:
             return None
+        ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
     p = instance.params
     mw = p.min_waste
     # a column reached at depth 2 or 3 holds items, so max1 bounds it
@@ -921,13 +963,6 @@ def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     return [ins for i, ins in enumerate(insertions) if i not in dropped]
 
 
-# Entries of the child memo: 1.0-1.8 KB each under tracemalloc, so at most
-# about 0.7 MB.  On the benchmark's mba_many_chains (2 vCPUs, CPython 3.11),
-# against no memo: 256 entries gave +7-15% expansions/s for +3.0-4.1% peak
-# RSS, 384 gave +11-26% for +4.3-6.2%, and 512 gave +22-28% for +5.6-8.7%,
-# past that workload's 7% memory allowance.  Re-measure before raising it.
-CHILD_MEMO_ENTRIES = 384
-
 # The node fields that the child pipeline reads, which key the child memo
 # along with the open depths and both flags.  A node's other fields follow
 # from these or are never read here (see tests/test_branching.py).
@@ -937,6 +972,22 @@ CHILD_MEMO_FIELDS = (
     "cell_chain_ids",
 )
 _memo_fields = attrgetter(*CHILD_MEMO_FIELDS)
+_MEMO_COUNTS = CHILD_MEMO_FIELDS.index("counts")
+
+# Child memo entries (see CHAIN_BYTES): a key tuple and the tuple of kept
+# insertions, each insertion with its placements and the coordinates it
+# made.  Entries average 1.45 KB on the benchmark's 8-chain instances, 4.7 KB
+# on 30 chains and 10.6 KB on 60.
+MEMO_ENTRY_BYTES = 320
+MEMO_INSERTION_BYTES = 272
+MEMO_PLACEMENT_BYTES = 128
+# 1.5 MB: 825-1,381 states (median 1,150) on the instances of the benchmark's
+# mba_many_chains, whose restarts then hit the memo on 27-28% of lookups
+# (36-37% with no bound, 15-16% at 384 states).  On that workload (2 vCPUs,
+# CPython 3.11), against a bound of 384 states, it gained 9-21% expansions/s
+# for 3-5% more peak RSS; 1.75 MB gained nothing more in 3 pairs, for 1.4%
+# more peak RSS.
+CHILD_MEMO_BYTES = 1_500_000
 
 
 def child_memo_key(node: Node, use_symmetry: bool, use_dominance: bool) -> tuple:
@@ -945,10 +996,19 @@ def child_memo_key(node: Node, use_symmetry: bool, use_dominance: bool) -> tuple
     return _memo_fields(node) + (_allowed_depths(node), use_symmetry, use_dominance)
 
 
+def child_memo_charge(key: tuple, kept: tuple[Insertion, ...]) -> int:
+    """Bytes charged for the child memo's entry of ``key``."""
+    placed = 0
+    for ins in kept:
+        placed += len(ins.placements)
+    return (MEMO_ENTRY_BYTES + CHAIN_BYTES * len(key[_MEMO_COUNTS])
+            + MEMO_INSERTION_BYTES * len(kept) + MEMO_PLACEMENT_BYTES * placed)
+
+
 def child_memo(instance: Instance) -> LRUCache:
-    """The child memo of ``instance``: the kept insertions of the last
-    ``CHILD_MEMO_ENTRIES`` states that ``child_insertions`` memoized."""
-    return _instance_cache(instance, "_child_memo", CHILD_MEMO_ENTRIES)
+    """The child memo of ``instance``: the kept insertions of the states
+    that ``child_insertions`` memoized last, within ``CHILD_MEMO_BYTES``."""
+    return _instance_cache(instance, "_child_memo", CHILD_MEMO_BYTES, child_memo_charge)
 
 
 def child_insertions(

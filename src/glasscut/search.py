@@ -169,6 +169,25 @@ class Fringe:
         heappush(self._min, key)
         heappush(self._max, (-guide, -packed, -counter))
 
+    def push_within(self, capacity: int, key: tuple, child: OpenChild) -> bool:
+        """Push ``child`` and keep the best ``capacity`` open entries: a
+        child worse than every open entry of a full fringe is not pushed,
+        and otherwise the worst entry makes room for it.  True when the
+        child or an entry was discarded."""
+        live = self.live
+        if len(live) < capacity:
+            self.push(key, child)
+            return False
+        top = self._max
+        while -top[0][-1] not in live:  # a stale entry
+            heappop(top)
+        guide, packed, counter = key
+        if (-guide, -packed, -counter) < top[0]:
+            return True
+        self.push(key, child)
+        self.pop_worst()
+        return True
+
     def pop_best(self) -> OpenChild:
         live = self.live
         while True:
@@ -309,8 +328,10 @@ def _best_first(
 ) -> SearchResult:
     """The best-first loop of A*, MBA* and DPA*: expand the open node of
     smallest (guide, -items packed, age) key until none is left.  With a
-    ``capacity`` the worst open nodes beyond it are discarded, without one
-    the search ends with "memory" once more than ``node_cap`` are open.
+    ``capacity`` only the best ``capacity`` open nodes are kept: a child
+    that a full fringe would discard at once is never pushed
+    (``Fringe.push_within``).  Without one the search ends with "memory"
+    once more than ``node_cap`` are open.
     Only a search with a ``capacity`` uses the child memo: MBA* is restarted
     from the same root, while DPA*'s store already rejects every front it
     meets again.  Open nodes are children not built yet; a popped one is
@@ -323,7 +344,7 @@ def _best_first(
         return SearchResult("exhausted", 0)
     fringe = _MinHeap() if capacity is None else Fringe()
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
-    live = None if capacity is None else fringe.live
+    push_within = None if capacity is None else fringe.push_within
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               admit, memoize=capacity is not None)
     counter = 0
@@ -341,16 +362,17 @@ def _best_first(
             continue
         node = build(child)
         expanded += 1
-        for key, packed, open_child in expand(node):
-            counter += 1
-            push((key, packed, counter), open_child)
         if capacity is None:
+            for key, packed, open_child in expand(node):
+                counter += 1
+                push((key, packed, counter), open_child)
             if len(fringe) > node_cap:
                 return SearchResult("memory", expanded)
         else:
-            while len(live) > capacity:
-                fringe.pop_worst()
-                discarded = True
+            for key, packed, open_child in expand(node):
+                counter += 1
+                if push_within(capacity, (key, packed, counter), open_child):
+                    discarded = True
     return SearchResult("exhausted", expanded, discarded)
 
 

@@ -226,12 +226,13 @@ def _check_residual(instance: Instance, tree: SolutionTree, rep: ValidationRepor
         return
     plates = tree.plates()
     last = plates[-1]
+    roots = {p.plate_id: p.node_id for p in plates}
     if len(residuals) > 1:
         rep.add("RESIDUAL", "more than one residual node", *(n.node_id for n in residuals))
     for n in residuals:
         if n.plate_id != last.plate_id:
             rep.add("RESIDUAL", "residual not on the last plate", n.node_id)
-        if n.parent_id != last.node_id or n.cut_level != 1:
+        if n.parent_id != roots.get(n.plate_id) or n.cut_level != 1:
             rep.add("RESIDUAL", "residual must be a first-level piece", n.node_id)
         if n.x + n.width != last.x + last.width:
             rep.add("RESIDUAL", "residual is not the rightmost piece", n.node_id)

@@ -282,6 +282,19 @@ class ReferenceDominanceStore:
         return True
 
 
+def reference_push_then_trim(fringe: search.Fringe, capacity: int, batch: list) -> bool:
+    """MBA*'s capped fringe step before ``Fringe.push_within``: push every
+    (key, child) of an expansion's batch, then pop the worst open entries
+    beyond ``capacity``.  True when one was popped."""
+    for key, child in batch:
+        fringe.push(key, child)
+    discarded = False
+    while len(fringe) > capacity:
+        fringe.pop_worst()
+        discarded = True
+    return discarded
+
+
 def reference_filter_dominated_children(insertions: list) -> list:
     """``branching.filter_dominated_children`` with every ordered pair of
     siblings compared: a sibling is dropped when another one of its group

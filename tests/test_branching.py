@@ -9,7 +9,7 @@ import pytest
 
 from glasscut.branching import (
     CHILD_MEMO_FIELDS,
-    PAIR_COMBO_ENTRIES,
+    PAIR_COMBO_BYTES,
     Insertion,
     InsertionKind,
     Placement,
@@ -28,6 +28,7 @@ from glasscut.branching import (
     filter_dominated_children,
     insertion_front,
     item_cells,
+    pair_combo_charge,
     pair_combos,
     symmetry_allows,
 )
@@ -121,21 +122,25 @@ class TestCandidates:
         assert min(seen.values()) >= 500, seen
 
     def test_pair_combo_cache_keeps_its_bound_and_the_entry_used_last(self):
-        """Past PAIR_COMBO_ENTRIES chain states the least recently used
-        entry goes: one state used after every other stays, and the state
-        used once, second, is evicted."""
+        """Past PAIR_COMBO_BYTES of chain states the least recently used
+        entries go: one state used after every other stays, and the state
+        used once, second, is evicted.  The charged total is the sum of the
+        entries' charges and never passes the budget."""
         inst = make_instance([(100, 100)] * 24, chains=[[3 * c, 3 * c + 1, 3 * c + 2]
                                                         for c in range(8)])
-        states = itertools.islice(itertools.product(range(4), repeat=8), PAIR_COMBO_ENTRIES + 50)
+        states = itertools.product(range(4), repeat=8)
         kept, second = next(states), next(states)
         entry = pair_combos(SimpleNamespace(counts=kept), inst)
         pair_combos(SimpleNamespace(counts=second), inst)
         cache = inst._pair_combo_cache
-        for counts in states:
-            pair_combos(SimpleNamespace(counts=counts), inst)
+        put = 2
+        while len(cache) == put or put < len(cache) + 50:
+            pair_combos(SimpleNamespace(counts=next(states)), inst)
+            put += 1
             assert pair_combos(SimpleNamespace(counts=kept), inst) is entry
-            assert len(cache) <= PAIR_COMBO_ENTRIES
-        assert len(cache) == PAIR_COMBO_ENTRIES
+            assert cache.charged <= PAIR_COMBO_BYTES
+        assert cache.charged == sum(pair_combo_charge(*item) for item in cache._table.items())
+        assert cache.charged > 0.99 * PAIR_COMBO_BYTES  # full, to within a few entries
         with pytest.raises(KeyError):
             cache[second]
 

@@ -1,5 +1,6 @@
 """Search algorithms: guides, fringe behaviour, capacity and dominance."""
 
+import gc
 import logging
 import math
 import multiprocessing
@@ -7,12 +8,16 @@ import os
 import random
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from glasscut import branching, search
-from glasscut.branching import CHILD_MEMO_ENTRIES, _allowed_depths, child_memo, children
+from glasscut.branching import (
+    CHILD_MEMO_BYTES, PAIR_COMBO_BYTES, _MEMO_COUNTS, LRUCache,
+    _allowed_depths, child_memo, child_memo_charge, child_memo_key, children, pair_combo_charge,
+)
 from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
     ChainCountError,
@@ -41,6 +46,7 @@ from conftest import (
     random_front,
     random_small_instance,
     random_walk,
+    reference_push_then_trim,
 )
 
 GUIDES = (
@@ -248,6 +254,31 @@ class TestFringe:
                 reference[name] = key
                 counter += 1
             assert len(fr) == len(reference)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_push_within_keeps_what_push_then_trim_keeps(self, seed):
+        """Each step pops the best entry, as an expansion does, then offers
+        a batch of children: pushing each within the capacity leaves the
+        same open entries and the same discard flag as pushing them all and
+        popping the worst beyond it."""
+        rng = random.Random(seed)
+        capacity = rng.choice([1, 2, 3, 5, 8, 13, 40])
+        new, old = Fringe(), Fringe()
+        counter = dropped = 0
+        for _ in range(600):
+            if new:
+                assert new.pop_best() == old.pop_best()
+            batch = []
+            for _ in range(rng.randint(0, 3 * capacity)):
+                counter += 1
+                batch.append(((rng.randint(0, 40), -rng.randint(0, 3), counter), counter))
+            discarded = False
+            for key, child in batch:
+                discarded |= new.push_within(capacity, key, child)
+                dropped += child not in new.live
+            assert discarded == reference_push_then_trim(old, capacity, batch)
+            assert new.live == old.live
+        assert dropped > 100  # children never pushed
 
 
 class TestAstar:
@@ -637,12 +668,21 @@ class TestChildMemo:
     """MBA* and IBS take kept insertions from the instance's child memo; A*
     and DPA* do not use it."""
 
-    def test_restarts_stay_within_the_bound(self):
+    def test_restarts_stay_within_the_bound(self, monkeypatch):
+        """Restarts fill the memo to its byte budget and then evict: far
+        more states missed than it holds, and a total within a few entries
+        of the budget but not past it."""
+        missed = []
+        original = branching._child_insertions
+        monkeypatch.setattr(branching, "_child_insertions",
+                            lambda *args: missed.append(1) or original(*args))
         inst = midsize_instance(30, 8, seed=100)
-        res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
-                                  Incumbent())
-        assert res.nodes_expanded > 2 * CHILD_MEMO_ENTRIES
-        assert len(child_memo(inst)) == CHILD_MEMO_ENTRIES
+        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
+                            Incumbent())
+        memo = child_memo(inst)
+        assert len(missed) > 2 * len(memo) > 1000
+        assert 0.99 * CHILD_MEMO_BYTES < memo.charged <= CHILD_MEMO_BYTES
+        assert memo.charged == sum(child_memo_charge(*item) for item in memo._table.items())
 
     def test_astar_and_dpa_star_leave_no_entries(self):
         inst = midsize_instance(14, 2, seed=0)
@@ -653,7 +693,8 @@ class TestChildMemo:
     def test_iterative_beam_search_fills_it(self):
         inst = midsize_instance(14, 2, seed=0)
         iterative_beam_search(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 0.3, Incumbent())
-        assert 0 < len(child_memo(inst)) <= CHILD_MEMO_ENTRIES
+        memo = child_memo(inst)
+        assert len(memo) > 0 and 0 < memo.charged <= CHILD_MEMO_BYTES
 
     def test_a_second_call_repeats_the_first_from_the_memo(self, monkeypatch):
         inst = midsize_instance(20, 8, seed=5)
@@ -673,6 +714,89 @@ class TestChildMemo:
         (first, waste, misses), (again, waste_again, misses_again) = runs
         assert again == first and waste_again == waste and waste is not None
         assert misses <= len(first) and misses_again < len(again)
+
+
+def _traced_size(build):
+    """Bytes under tracemalloc of what ``build()`` returns and nothing else
+    holds: the least of two builds, each between two full collections,
+    which also empty the free lists, after one build that makes whatever
+    the instance builds lazily."""
+    build()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    sizes = []
+    try:
+        for _ in range(2):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            built = build()
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0] - before)
+            del built
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return min(sizes)
+
+
+def _fresh(counts):
+    """A copy of ``counts`` that shares nothing with it."""
+    return tuple(list(counts))
+
+
+class TestCacheBudgets:
+    """Both caches charge each entry a size worked out from its lengths and
+    keep their total within a byte budget, whatever the chain count."""
+
+    @pytest.mark.parametrize("n_items, n_chains", [(24, 8), (120, 30), (300, 60)])
+    def test_restarts_keep_both_caches_within_their_budgets(self, monkeypatch, n_items,
+                                                            n_chains):
+        """After every put the charged total is the sum of the entries'
+        charges and within the budget; the memo fills and evicts."""
+        put, evicted = LRUCache.put, []
+
+        def checked_put(cache, key, value):
+            held = len(cache)
+            put(cache, key, value)
+            evicted.append((cache.budget, held + 1 - len(cache)))
+            assert cache.charged <= cache.budget
+
+        monkeypatch.setattr(LRUCache, "put", checked_put)
+        inst = midsize_instance(n_items, n_chains, seed=n_chains)
+        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
+                            Incumbent())
+        for cache, budget, charge in ((child_memo(inst), CHILD_MEMO_BYTES, child_memo_charge),
+                                      (inst._pair_combo_cache, PAIR_COMBO_BYTES,
+                                       pair_combo_charge)):
+            assert cache.budget == budget
+            assert 0 < cache.charged == sum(charge(*item) for item in cache._table.items())
+        assert sum(n for budget, n in evicted if budget == CHILD_MEMO_BYTES) > 0
+
+    @pytest.mark.parametrize("n_items, n_chains", [(24, 8), (120, 30), (300, 60)])
+    def test_each_charge_is_within_a_quarter_of_the_entry_size(self, n_items, n_chains):
+        """An entry's size is what building its key, with the key's own
+        chain counts, and its value allocates (``_traced_size``): for the
+        memo a key tuple and the kept insertions, for ``pair_combos`` the
+        chain counts and the list of cells."""
+        inst = midsize_instance(n_items, n_chains, seed=n_chains)
+        with expansion_trace() as trace:
+            restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 0.3,
+                                Incumbent())
+        assert len(trace) > 12
+        for node in trace[::len(trace) // 12]:
+            key = child_memo_key(node, True, True)
+
+            def memo_entry():
+                return (key[:_MEMO_COUNTS] + (_fresh(node.counts),) + key[_MEMO_COUNTS + 1:],
+                        tuple(branching._child_insertions(node, inst, True, True)))
+
+            def pair_entry():
+                return _fresh(node.counts), branching._cell_contents(node, inst)
+
+            for build, charge in ((memo_entry, child_memo_charge), (pair_entry, pair_combo_charge)):
+                size = _traced_size(build)
+                assert 0.75 * size <= charge(*build()) <= 1.25 * size, (build.__name__, size)
 
 
 class TestBuildOnlyWhatIsExpanded:

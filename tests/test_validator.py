@@ -344,6 +344,15 @@ class TestRejections:
     def test_message(self, base, change, code, message, nodes):
         assert Violation(code, message, nodes) in _violations(base, change)
 
+    def test_a_residual_on_an_earlier_plate_is_reported_once(self):
+        """The residual-plate case in full: node 2, plate 0's right-edge
+        waste, is a first-level piece of its own plate, so only its plate
+        and the second residual are wrong."""
+        assert _violations(TWO_PLATES, _set(2, type=TYPE_RESIDUAL)) == [
+            Violation("RESIDUAL", "more than one residual node", (2, 7)),
+            Violation("RESIDUAL", "residual not on the last plate", (2,)),
+        ]
+
     def test_no_plates(self):
         inst = make_instance(*ONE_PLATE[:2])
         assert validate(inst, SolutionTree([])).violations == [
