@@ -77,14 +77,16 @@ children.  A child's chain counts, plate and front all follow from its
 parent and its insertion, so no child is built to decide which ones to
 keep.  ``children`` builds the kept ones for callers that want nodes.
 
-Two per-instance caches bound their bytes with one least-recently-used
-table (``LRUCache``), which charges each entry a size worked out from its
-lengths: the cell contents of ``pair_combos`` keyed on the chain
-counts, whose one-item cells every entry shares (``item_cells``), and the
-child memo of ``child_insertions(..., memoize=True)`` keyed on every node
-field the pipeline reads (``CHILD_MEMO_FIELDS``).  The memo serves searches
-that meet a state again: MBA* restarts from the root with a larger fringe,
-and the iterative beam with a wider beam.
+Two per-instance caches bound their bytes with one table
+(``ByteBoundedCache``), which charges each entry a size worked out from its
+lengths and evicts the entries put first: the cell contents of
+``pair_combos`` keyed on the chain counts, whose one-item cells every entry
+shares (``item_cells``), and the child memo of ``child_insertions(...,
+memoize=True)`` keyed on every node field the pipeline reads
+(``CHILD_MEMO_FIELDS``).  The memo serves searches that meet a state again:
+MBA* restarts from the root with a larger fringe, and the iterative beam
+with a wider beam.  A lookup is the table's own ``dict.get``: no order of
+use is kept.
 """
 
 from __future__ import annotations
@@ -362,37 +364,26 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
     return (0,) if node.insertion is None else depths_after(node.insertion)
 
 
-class LRUCache:
+class ByteBoundedCache:
     """A table of values whose charged bytes stay within ``budget``:
     ``charge(key, value)`` is an entry's size in bytes, worked out from
-    their lengths.  ``get`` marks an entry as the one used last, and ``put``
-    adds a key that ``get`` missed, then evicts the least recently used
-    entries until the total charged fits the budget.  Values are shared:
-    callers must not change them, and None is not a value.  A plain dict
-    keeps the order of use: a hit moves its entry to the end, and the first
-    entry is the one to evict.  An entry's charge is worked out again when
-    it is evicted, so the table holds the values only."""
+    their lengths.  ``get`` is the table's own ``dict.get``, and ``put``
+    adds a key that ``get`` missed, then evicts the entries put first until
+    the total charged fits the budget.  Values are shared: callers must not
+    change them, and None is not a value.  An entry's charge is worked out
+    again when it is evicted, so the table holds the values only."""
 
-    __slots__ = ("budget", "charge", "charged", "_table")
+    __slots__ = ("budget", "charge", "charged", "_table", "get")
 
     def __init__(self, budget: int, charge: Callable[[Hashable, object], int]) -> None:
         self.budget = budget
         self.charge = charge
         self.charged = 0  # bytes charged for the entries held
         self._table: dict = {}
+        self.get = self._table.get
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __getitem__(self, key: Hashable):
-        return self._table[key]
-
-    def get(self, key: Hashable):
-        table = self._table
-        value = table.pop(key, None)
-        if value is not None:
-            table[key] = value
-        return value
 
     def put(self, key: Hashable, value) -> None:
         table, charge = self._table, self.charge
@@ -405,12 +396,12 @@ class LRUCache:
 
 def _instance_cache(
     instance: Instance, name: str, budget: int, charge: Callable[[Hashable, object], int]
-) -> LRUCache:
+) -> ByteBoundedCache:
     """The cache ``name`` of ``instance``, made on first use.  Each
     portfolio worker process fills its own copy."""
     cache = instance.__dict__.get(name)
     if cache is None:
-        cache = instance.__dict__[name] = LRUCache(budget, charge)
+        cache = instance.__dict__[name] = ByteBoundedCache(budget, charge)
     return cache
 
 
@@ -471,9 +462,9 @@ def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     chain successor, of equal widths.
 
     The list depends only on the per-chain consumption state, so it is
-    memoized in a per-instance ``LRUCache`` of ``PAIR_COMBO_BYTES``; its
-    one-item contents are those of ``item_cells``.  The list is shared:
-    callers must not change it."""
+    memoized in a per-instance ``ByteBoundedCache`` of ``PAIR_COMBO_BYTES``,
+    which evicts the states put first; its one-item contents are those of
+    ``item_cells``.  The list is shared: callers must not change it."""
     cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_BYTES, pair_combo_charge)
     hit = cache.get(node.counts)
     if hit is None:
@@ -982,7 +973,7 @@ MEMO_ENTRY_BYTES = 320
 MEMO_INSERTION_BYTES = 272
 MEMO_PLACEMENT_BYTES = 128
 # 1.5 MB: 825-1,381 states (median 1,150) on the instances of the benchmark's
-# mba_many_chains, whose restarts then hit the memo on 27-28% of lookups
+# mba_many_chains, whose restarts then hit the memo on 25-28% of lookups
 # (36-37% with no bound, 15-16% at 384 states).  On that workload (2 vCPUs,
 # CPython 3.11), against a bound of 384 states, it gained 9-21% expansions/s
 # for 3-5% more peak RSS; 1.75 MB gained nothing more in 3 pairs, for 1.4%
@@ -1005,9 +996,10 @@ def child_memo_charge(key: tuple, kept: tuple[Insertion, ...]) -> int:
             + MEMO_INSERTION_BYTES * len(kept) + MEMO_PLACEMENT_BYTES * placed)
 
 
-def child_memo(instance: Instance) -> LRUCache:
+def child_memo(instance: Instance) -> ByteBoundedCache:
     """The child memo of ``instance``: the kept insertions of the states
-    that ``child_insertions`` memoized last, within ``CHILD_MEMO_BYTES``."""
+    that ``child_insertions`` put last, within ``CHILD_MEMO_BYTES``; the
+    states put first are evicted first, however often they were read."""
     return _instance_cache(instance, "_child_memo", CHILD_MEMO_BYTES, child_memo_charge)
 
 

@@ -67,24 +67,6 @@ class SolutionTree:
         return sorted(self.roots, key=lambda n: n.plate_id)
 
 
-def objective(tree: SolutionTree, instance: Optional[Instance] = None) -> int:
-    """Total waste: used plate area minus the leftover and the item areas."""
-    plates = tree.plates()
-    if not plates:
-        raise SolutionError("INCOMPLETE empty solution tree")
-    if instance is not None:
-        want = {it.id for it in instance.items}
-        got = [n.type for n in tree.item_nodes()]
-        if sorted(got) != sorted(want):
-            raise SolutionError("INCOMPLETE solution does not produce every item once")
-    last = plates[-1]
-    width, height = last.width, last.height
-    residuals = [n for n in tree.children_of[last.node_id] if n.type == TYPE_RESIDUAL]
-    w_last = residuals[0].x if residuals else width
-    item_area = sum(n.width * n.height for n in tree.item_nodes())
-    return len(plates) * width * height - height * (width - w_last) - item_area
-
-
 # ---------------------------------------------------------------------------
 # building the tree from a completed search node
 

@@ -85,6 +85,10 @@ def validate(instance: Instance, tree: SolutionTree) -> ValidationReport:
             rep.add("FOUR_CUTS", "multiple 4-cuts in one third-level sub-plate", n.node_id)
         if n.type >= 0 and tree.children_of[n.node_id]:
             rep.add("ITEM_NODE", "an item node cannot have children", n.node_id)
+        if n.type < TYPE_RESIDUAL:
+            rep.add("NODE_TYPE", f"TYPE {n.type} is not an item id, -1, -2 or -3", n.node_id)
+        elif n.type in (TYPE_WASTE, TYPE_RESIDUAL) and tree.children_of[n.node_id]:
+            rep.add("NODE_TYPE", "a waste or residual piece cannot have children", n.node_id)
         if n.width <= 0 or n.height <= 0:
             rep.add("GEOMETRY", "empty node rectangle", n.node_id)
 

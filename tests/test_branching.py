@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -97,7 +98,7 @@ class TestCandidates:
         assert cells == [(0, 0, 100, 60, False, None, None, None, None),
                          (0, 0, 60, 100, True, None, None, None, None),
                          (0, 0, 100, 60, False, 1, 0, 40, False)]
-        entry = inst._pair_combo_cache[node.counts]
+        entry = inst._pair_combo_cache.get(node.counts)
         assert entry == cells and pair_combos(node, inst) is entry
 
     def test_cache_entries_share_the_one_item_cells_of_the_instance(self):
@@ -121,28 +122,42 @@ class TestCandidates:
                 seen["stacks"] += len(entry) - len(got)
         assert min(seen.values()) >= 500, seen
 
-    def test_pair_combo_cache_keeps_its_bound_and_the_entry_used_last(self):
-        """Past PAIR_COMBO_BYTES of chain states the least recently used
-        entries go: one state used after every other stays, and the state
-        used once, second, is evicted.  The charged total is the sum of the
+    def test_pair_combo_cache_keeps_its_bound_and_evicts_in_put_order(self):
+        """Past PAIR_COMBO_BYTES of chain states the states put first go
+        first, however often they were read: the state put first, read
+        after every later put, is the first one evicted, and the states held
+        are always the ones put last.  The charged total is the sum of the
         entries' charges and never passes the budget."""
         inst = make_instance([(100, 100)] * 24, chains=[[3 * c, 3 * c + 1, 3 * c + 2]
                                                         for c in range(8)])
         states = itertools.product(range(4), repeat=8)
-        kept, second = next(states), next(states)
-        entry = pair_combos(SimpleNamespace(counts=kept), inst)
-        pair_combos(SimpleNamespace(counts=second), inst)
+        put = [next(states)]
+        entry = pair_combos(SimpleNamespace(counts=put[0]), inst)
         cache = inst._pair_combo_cache
-        put = 2
-        while len(cache) == put or put < len(cache) + 50:
-            pair_combos(SimpleNamespace(counts=next(states)), inst)
-            put += 1
-            assert pair_combos(SimpleNamespace(counts=kept), inst) is entry
+        while cache.get(put[0]) is entry:
+            assert len(put) < 4 ** 8, "the state put first is never evicted"
+            put.append(next(states))
+            pair_combos(SimpleNamespace(counts=put[-1]), inst)
             assert cache.charged <= PAIR_COMBO_BYTES
+        assert list(cache._table) == put[-len(cache):] == put[1:]
         assert cache.charged == sum(pair_combo_charge(*item) for item in cache._table.items())
         assert cache.charged > 0.99 * PAIR_COMBO_BYTES  # full, to within a few entries
-        with pytest.raises(KeyError):
-            cache[second]
+
+    def test_a_pickled_cache_reads_its_own_table(self):
+        """Spawned portfolio workers receive the instance pickled, its
+        caches included: the copy's ``get`` reads the copy's table, not the
+        original's."""
+        inst = make_instance([(100, 100)] * 6, chains=[[0, 1, 2], [3, 4, 5]])
+        for counts in itertools.product(range(3), repeat=2):
+            pair_combos(SimpleNamespace(counts=counts), inst)
+        cache = inst._pair_combo_cache
+        copy = pickle.loads(pickle.dumps(inst))._pair_combo_cache
+        assert copy is not cache and len(copy) == len(cache) == 9
+        assert copy.charged == cache.charged and copy.budget == cache.budget
+        for counts, cells in cache._table.items():
+            assert copy.get(counts) == cells and copy.get(counts) is copy._table[counts]
+        copy.put((3, 3), [])
+        assert copy.get((3, 3)) == [] and cache.get((3, 3)) is None
 
 
 class TestRootEnumeration:

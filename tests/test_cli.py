@@ -24,6 +24,24 @@ DEFECTS = """DEFECT_ID;PLATE_ID;X;Y;WIDTH;HEIGHT
 """
 
 
+# Two items in one chain, and the solution `solve -p two -t 5 --threads 1`
+# writes for them
+TWO_BATCH = """ITEM_ID;LENGTH;WIDTH;STACK;SEQUENCE
+0;300;200;0;0
+1;250;400;1;0
+"""
+TWO_SOLUTION = """PLATE_ID;NODE_ID;X;Y;WIDTH;HEIGHT;TYPE;CUT;PARENT
+0;0;0;0;6000;3210;-2;0;
+0;1;0;0;300;3210;-2;1;0
+0;2;0;0;300;200;0;2;1
+0;3;0;200;300;400;-2;2;1
+0;4;0;200;250;400;1;3;3
+0;5;250;200;50;400;-1;3;3
+0;6;0;600;300;2610;-1;2;1
+0;7;300;0;5700;3210;-3;1;0
+"""
+
+
 @pytest.fixture
 def instance_dir(tmp_path):
     (tmp_path / "toy_batch.csv").write_text(BATCH)
@@ -230,6 +248,33 @@ class TestValidateCommand:
         code = run(["validate", "-p", str(instance_dir / "toy"), "-s", str(out)])
         assert code == 1
         assert "wrong item dimensions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edits, violations", [
+        ({5: "-5", 6: "-5"}, ["NODE_TYPE: TYPE -5 is not an item id, -1, -2 or -3 [nodes 5]",
+                              "NODE_TYPE: TYPE -5 is not an item id, -1, -2 or -3 [nodes 6]"]),
+        ({3: "-1"}, ["NODE_TYPE: a waste or residual piece cannot have children [nodes 3]"]),
+    ], ids=["unknown-type", "waste-with-children"])
+    def test_a_tree_whose_waste_sum_breaks_lists_its_violations(self, tmp_path, edits,
+                                                               violations):
+        """The solution ``solve -p two --threads 1`` writes for TWO_BATCH,
+        with TYPEs changed (node id: TYPE) so that the objective's formula
+        and its waste-leaf sum would disagree: exit 1, the violations, no
+        traceback."""
+        (tmp_path / "two_batch.csv").write_text(TWO_BATCH)
+        rows = [line.split(";") for line in TWO_SOLUTION.splitlines()]
+        for node_id, node_type in edits.items():
+            rows[node_id + 1][6] = node_type
+        solution = tmp_path / "sol.csv"
+        solution.write_text("".join(";".join(row) + "\n" for row in rows))
+        done = subprocess.run(
+            [sys.executable, "-m", "glasscut.cli", "validate", "-p", str(tmp_path / "two"),
+             "-s", str(solution)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(glasscut.__file__))},
+        )
+        assert done.returncode == 1
+        assert done.stdout.splitlines() == violations
+        assert done.stderr == ""
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

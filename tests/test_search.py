@@ -15,7 +15,7 @@ import pytest
 
 from glasscut import branching, search
 from glasscut.branching import (
-    CHILD_MEMO_BYTES, PAIR_COMBO_BYTES, _MEMO_COUNTS, LRUCache,
+    CHILD_MEMO_BYTES, PAIR_COMBO_BYTES, _MEMO_COUNTS, ByteBoundedCache,
     _allowed_depths, child_memo, child_memo_charge, child_memo_key, children, pair_combo_charge,
 )
 from glasscut.model import Defect, GuideKind, Params, root_node
@@ -671,14 +671,16 @@ class TestChildMemo:
     def test_restarts_stay_within_the_bound(self, monkeypatch):
         """Restarts fill the memo to its byte budget and then evict: far
         more states missed than it holds, and a total within a few entries
-        of the budget but not past it."""
+        of the budget but not past it.  The restarts end on the node cap,
+        after the same work on any machine."""
         missed = []
         original = branching._child_insertions
         monkeypatch.setattr(branching, "_child_insertions",
                             lambda *args: missed.append(1) or original(*args))
         inst = midsize_instance(30, 8, seed=100)
-        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
-                            Incumbent())
+        res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                                  Incumbent(), node_cap=64)
+        assert res.outcome == "memory"
         memo = child_memo(inst)
         assert len(missed) > 2 * len(memo) > 1000
         assert 0.99 * CHILD_MEMO_BYTES < memo.charged <= CHILD_MEMO_BYTES
@@ -692,7 +694,9 @@ class TestChildMemo:
 
     def test_iterative_beam_search_fills_it(self):
         inst = midsize_instance(14, 2, seed=0)
-        iterative_beam_search(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 0.3, Incumbent())
+        res = iterative_beam_search(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 600.0,
+                                    Incumbent(), node_cap=16)
+        assert res.outcome == "memory"
         memo = child_memo(inst)
         assert len(memo) > 0 and 0 < memo.charged <= CHILD_MEMO_BYTES
 
@@ -749,12 +753,18 @@ class TestCacheBudgets:
     """Both caches charge each entry a size worked out from its lengths and
     keep their total within a byte budget, whatever the chain count."""
 
-    @pytest.mark.parametrize("n_items, n_chains", [(24, 8), (120, 30), (300, 60)])
+    @pytest.mark.parametrize("n_items, n_chains, node_cap", [
+        pytest.param(24, 8, 96, id="24-8"),
+        pytest.param(120, 30, 32, id="120-30"),
+        pytest.param(300, 60, 16, id="300-60"),
+    ])
     def test_restarts_keep_both_caches_within_their_budgets(self, monkeypatch, n_items,
-                                                            n_chains):
+                                                            n_chains, node_cap):
         """After every put the charged total is the sum of the entries'
-        charges and within the budget; the memo fills and evicts."""
-        put, evicted = LRUCache.put, []
+        charges and within the budget; the memo fills and evicts.  The
+        restarts end on a node cap that makes them evict (entries grow with
+        the chain count), after the same work on any machine."""
+        put, evicted = ByteBoundedCache.put, []
 
         def checked_put(cache, key, value):
             held = len(cache)
@@ -762,10 +772,11 @@ class TestCacheBudgets:
             evicted.append((cache.budget, held + 1 - len(cache)))
             assert cache.charged <= cache.budget
 
-        monkeypatch.setattr(LRUCache, "put", checked_put)
+        monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
         inst = midsize_instance(n_items, n_chains, seed=n_chains)
-        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 1.0,
-                            Incumbent())
+        res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                                  Incumbent(), node_cap=node_cap)
+        assert res.outcome == "memory"
         for cache, budget, charge in ((child_memo(inst), CHILD_MEMO_BYTES, child_memo_charge),
                                       (inst._pair_combo_cache, PAIR_COMBO_BYTES,
                                        pair_combo_charge)):
@@ -781,8 +792,8 @@ class TestCacheBudgets:
         chain counts and the list of cells."""
         inst = midsize_instance(n_items, n_chains, seed=n_chains)
         with expansion_trace() as trace:
-            restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 0.3,
-                                Incumbent())
+            restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                                Incumbent(), node_cap=16)
         assert len(trace) > 12
         for node in trace[::len(trace) // 12]:
             key = child_memo_key(node, True, True)

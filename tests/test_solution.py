@@ -16,7 +16,6 @@ from glasscut.solution import (
     TYPE_RESIDUAL,
     TYPE_WASTE,
     build_solution_tree,
-    objective,
 )
 from glasscut.validator import objective_of, validate
 
@@ -78,7 +77,6 @@ class TestBuild:
             report = validate(inst, tree)
             assert report.ok, str(report)
             assert objective_of(inst, tree) == leaf.waste
-            assert objective(tree, inst) == leaf.waste
 
 
 class TestFiveConfigurations:
@@ -165,12 +163,15 @@ class TestObjective:
                         min1=50, max1=500, min2=30, min_waste=10)
         inst = make_instance([(500, 400)], params=params)
         tree = build_solution_tree(solve_exhaustively(inst), inst)
-        assert objective(tree, inst) == 0
+        assert objective_of(inst, tree) == 0
 
     def test_two_plate_leftover_credit(self):
         # plate 0 fully used by one item; plate 1 holds a 1000x740 item with
-        # 2470 mm of waste above, leftover right of x=1000 free
+        # 2470 mm of waste above, leftover right of x=1000 free; a column
+        # may be as wide as the plate, so the tree is feasible
         W, H = 6000, 3210
+        inst = make_instance([(W, H), (1000, 740)], chains=[[0, 1]],
+                             params=Params(max1=W))
         rows = [
             TreeNode(0, 0, 0, 0, W, H, TYPE_BRANCH, 0, None),
             TreeNode(1, 0, 0, 0, W, H, 0, 1, 0),
@@ -181,7 +182,7 @@ class TestObjective:
             TreeNode(6, 1, 1000, 0, W - 1000, H, TYPE_RESIDUAL, 1, 2),
         ]
         tree = SolutionTree(rows)
-        value = objective(tree)
+        value = objective_of(inst, tree)
         assert value == 2 * W * H - H * (W - 1000) - (W * H + 1000 * 740)
         assert value == 2_470_000
         # waste-leaf sum agrees
@@ -198,8 +199,8 @@ class TestObjective:
             TreeNode(3, 0, 0, 200, 300, 400, TYPE_WASTE, 2, 1),
             TreeNode(4, 0, 300, 0, 700, 600, TYPE_RESIDUAL, 1, 0),
         ]
-        with pytest.raises(SolutionError, match="INCOMPLETE"):
-            objective(SolutionTree(rows), inst)
+        with pytest.raises(SolutionError, match="INFEASIBLE MISSING_ITEM: item 1 "):
+            objective_of(inst, SolutionTree(rows))
 
 
 def _csv(tree):

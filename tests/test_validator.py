@@ -236,6 +236,17 @@ class TestObjectiveOf:
         with pytest.raises(SolutionError, match="INFEASIBLE"):
             objective_of(inst, tree)
 
+    @pytest.mark.parametrize("node_id, node_type", [(6, -5), (4, TYPE_WASTE)])
+    def test_a_type_that_breaks_the_waste_sum_is_infeasible(self, node_id, node_type):
+        """A waste leaf of an unknown TYPE, or a waste piece with children,
+        would make the formula and the waste-leaf sum disagree; the
+        validator rejects both before they are compared."""
+        dims, chains, rows = ONE_PLATE
+        rows = [TreeNode(*r) for r in rows]
+        rows[node_id] = dataclasses.replace(rows[node_id], type=node_type)
+        with pytest.raises(SolutionError, match="INFEASIBLE NODE_TYPE"):
+            objective_of(make_instance(dims, chains=chains), SolutionTree(rows))
+
 
 # Two trees that build_solution_tree made from DFS optima on 1000 x 600
 # plates, frozen here so that a change to the search does not move them.
@@ -318,6 +329,14 @@ class TestRejections:
                      "a level-4 piece cannot be subdivided", (6,), id="level-4-split"),
         pytest.param(ONE_PLATE, _add(9, 0, 0, 0, 250, 300, TYPE_WASTE, 4, 3), "ITEM_NODE",
                      "an item node cannot have children", (3,), id="item-node"),
+        pytest.param(ONE_PLATE, _set(6, type=-5), "NODE_TYPE",
+                     "TYPE -5 is not an item id, -1, -2 or -3", (6,), id="unknown-type"),
+        pytest.param(ONE_PLATE, _set(4, type=TYPE_WASTE), "NODE_TYPE",
+                     "a waste or residual piece cannot have children", (4,),
+                     id="waste-with-children"),
+        pytest.param(ONE_PLATE, _set(1, type=TYPE_RESIDUAL), "NODE_TYPE",
+                     "a waste or residual piece cannot have children", (1,),
+                     id="residual-with-children"),
         pytest.param(ONE_PLATE, _set(6, height=0), "GEOMETRY",
                      "empty node rectangle", (6,), id="empty-rectangle"),
         pytest.param(ONE_PLATE, _set(7, type=TYPE_BRANCH), "TILING",
