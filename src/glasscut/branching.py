@@ -77,22 +77,27 @@ children.  A child's chain counts, plate and front all follow from its
 parent and its insertion, so no child is built to decide which ones to
 keep.  ``children`` builds the kept ones for callers that want nodes.
 
-Two per-instance caches bound their bytes with one table
-(``ByteBoundedCache``), which charges each entry a size worked out from its
-lengths and evicts the entries put first: the cell contents of
-``pair_combos`` keyed on the chain counts, whose one-item cells every entry
-shares (``item_cells``), and the child memo of ``child_insertions(...,
-memoize=True)`` keyed on every node field the pipeline reads
-(``CHILD_MEMO_FIELDS``).  The memo serves searches that meet a state again:
-MBA* restarts from the root with a larger fringe, and the iterative beam
-with a wider beam.  A lookup is the table's own ``dict.get``: no order of
-use is kept.
+A chain state's cell contents are assembled by ``pair_combos`` from its
+chain heads alone, with tables built once per instance (``cell_tables``):
+each item's one-item cells (``item_cells``) and its stacks under its chain
+successor, and for each width the chains that hold an item of that width.
+They hold O(items) entries, and nothing is stored per state.
+
+One per-instance cache remains: the child memo of
+``child_insertions(..., memoize=True)``, keyed on every node field the
+pipeline reads (``CHILD_MEMO_FIELDS``).  It serves searches that meet a
+state again: MBA* restarts from the root with a larger fringe, and the
+iterative beam with a wider beam.  Its table (``ByteBoundedCache``) charges
+each entry a size worked out from its lengths and evicts the entries put
+first; a lookup is the table's own ``dict.get``, and no order of use is
+kept.
 """
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -394,53 +399,10 @@ class ByteBoundedCache:
             self.charged -= charge(first, table.pop(first))
 
 
-def _instance_cache(
-    instance: Instance, name: str, budget: int, charge: Callable[[Hashable, object], int]
-) -> ByteBoundedCache:
-    """The cache ``name`` of ``instance``, made on first use.  Each
-    portfolio worker process fills its own copy."""
-    cache = instance.__dict__.get(name)
-    if cache is None:
-        cache = instance.__dict__[name] = ByteBoundedCache(budget, charge)
-    return cache
-
-
-# Entry sizes of both caches, in bytes under tracemalloc (CPython 3.11), of
-# the objects an entry adds to its node and its instance: the entry's key
-# with its chain counts, and its value.  Fitted by least squares to 1,800
-# entries of restarting MBA* on 8-, 30- and 60-chain instances, each
-# measured twice with the free lists emptied by gc.collect(); the charges
-# are within 9% of every one of them.  The counts tuple takes a slot per
-# chain.  Neither charge counts the table's own slots (about 50 B an
-# entry), nor a memo key's shelf records and chain-id sets, which its node
-# shares with its relatives.  Dropping a full cache after such a run freed
-# 0.93-1.16 times its charged total (the memo, most on 8 chains) and
-# 0.98-1.04 times (pair_combos).
-CHAIN_BYTES = 8
-# pair_combos: a list of cells.  A one-item cell is one of ``item_cells``, so
-# it costs the list's slot only; a two-item stack is a tuple of its own.
-# Entries average 360 B on the benchmark's 8-chain instances, 1.6 KB on 30
-# chains and 3.8 KB on 60.
-PAIR_ENTRY_BYTES = 200
-PAIR_CELL_BYTES = 8
-PAIR_STACK_BYTES = 116
-# Six MB: about 17,000 chain states of 8 chains, which no benchmark run
-# fills; about 1,600 of 60 chains.
-PAIR_COMBO_BYTES = 6 << 20
-_cell_top = itemgetter(5)  # k: None in a one-item cell
-
-
-def pair_combo_charge(counts: tuple[int, ...], cells: list[tuple]) -> int:
-    """Bytes charged for the ``pair_combos`` entry of ``counts``."""
-    stacks = len(cells) - list(map(_cell_top, cells)).count(None)
-    return (PAIR_ENTRY_BYTES + CHAIN_BYTES * len(counts) + PAIR_CELL_BYTES * len(cells)
-            + PAIR_STACK_BYTES * stacks)
-
-
 def item_cells(instance: Instance) -> list[tuple[tuple, ...]]:
     """The one-item cell contents of every item, one per orientation
-    (``Instance.oriented``), built once per instance and shared by every
-    entry of the ``pair_combos`` cache.
+    (``Instance.oriented``), built once per instance: ``pair_combos``
+    returns these very tuples.
 
     A cell's contents are (j, chain of j, width, h_j, rot_j, k, chain of k,
     h_k, rot_k): item j at the bottom, item k on top of the 4-cut, or k and
@@ -454,52 +416,99 @@ def item_cells(instance: Instance) -> list[tuple[tuple, ...]]:
     return cells
 
 
+_flatten = itertools.chain.from_iterable
+
+
+class CellTables(NamedTuple):
+    """What ``pair_combos`` assembles a chain state's cells from, built
+    once per instance by ``cell_tables``: a few entries per item, none per
+    pair of items.
+
+    ``singles[c][r]`` and ``stacks[c][r]`` belong to the item at rank r of
+    chain c; one more, empty, entry per chain stands for its end.
+
+    * ``singles`` holds the item's ``item_cells``.
+    * ``stacks`` holds (the item's stacks under its chain successor, every
+      orientation in turn; its plans).  The plans are None when no other
+      chain holds an item of the item's widths, else one (bottom half,
+      width entry or None, stacks under the successor) per orientation.
+      The entry is empty when the plans are None and there are no stacks.
+    * ``widths[w]``, the width entry of w, has one (chain, {rank: top
+      half}) per chain that holds an item with an orientation of width w,
+      in chain order, with the rank of each such item.
+
+    A bottom half (j, chain of j, width, h_j, rot_j) and a top half (k,
+    chain of k, h_k, rot_k) make a stack's cell contents."""
+
+    singles: tuple[tuple[tuple[tuple, ...], ...], ...]
+    stacks: tuple[tuple[tuple, ...], ...]
+    widths: dict[int, tuple[tuple[int, dict[int, tuple]], ...]]
+
+
+def cell_tables(instance: Instance) -> CellTables:
+    """The ``CellTables`` of ``instance``, built on first use."""
+    tables = instance.__dict__.get("_cell_tables")
+    if tables is not None:
+        return tables
+    singles, oriented = item_cells(instance), instance.oriented
+    held: dict[int, dict[int, dict[int, tuple]]] = {}
+    for c, chain in enumerate(instance.chains):
+        for r, k in enumerate(chain):
+            for w, h, rot in oriented[k]:
+                held.setdefault(w, {}).setdefault(c, {})[r] = (k, c, h, rot)
+    widths = {w: tuple(by_chain.items()) for w, by_chain in held.items()}
+    chain_singles, chain_stacks = [], []
+    for c, chain in enumerate(instance.chains):
+        chain_singles.append(tuple(singles[j] for j in chain) + ((),))
+        row = []
+        for r, j in enumerate(chain):
+            successor = oriented[chain[r + 1]] if r + 1 < len(chain) else ()
+            plans = []
+            for w, h, rot in oriented[j]:
+                bottom = (j, c, w, h, rot)
+                under = tuple(bottom + (chain[r + 1], c, hk, rk)
+                              for wk, hk, rk in successor if wk == w)
+                plans.append((bottom, widths[w] if len(widths[w]) > 1 else None, under))
+            under_all = sum((under for _, _, under in plans), ())
+            if any(entry is not None for _, entry, _ in plans):
+                row.append((under_all, tuple(plans)))
+            else:
+                row.append((under_all, None) if under_all else ())
+        chain_stacks.append(tuple(row) + ((),))
+    tables = instance.__dict__["_cell_tables"] = CellTables(
+        tuple(chain_singles), tuple(chain_stacks), widths)
+    return tables
+
+
 def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     """The contents of every cell the chain state ``node.counts`` can
     place, in trial order: each candidate item (``candidate_items``) alone,
     in each orientation, then the two-item stacks, whose bottom item is a
     candidate and whose top one is another candidate or the bottom item's
-    chain successor, of equal widths.
+    chain successor, of equal widths.  Per candidate and orientation, the
+    stacks on other candidates come in chain order, then the one on the
+    successor.
 
-    The list depends only on the per-chain consumption state, so it is
-    memoized in a per-instance ``ByteBoundedCache`` of ``PAIR_COMBO_BYTES``,
-    which evicts the states put first; its one-item contents are those of
-    ``item_cells``.  The list is shared: callers must not change it."""
-    cache = _instance_cache(instance, "_pair_combo_cache", PAIR_COMBO_BYTES, pair_combo_charge)
-    hit = cache.get(node.counts)
-    if hit is None:
-        hit = _cell_contents(node, instance)
-        cache.put(node.counts, hit)
-    return hit
-
-
-def _cell_contents(node: Node, instance: Instance) -> list[tuple]:
-    cands = candidate_items(node, instance)
-    singles = item_cells(instance)
-    out = [cell for j in cands for cell in singles[j]]
-    oriented, chain_index = instance.oriented, instance.chain_index
-    by_width: dict[int, list[tuple[int, int, int, bool]]] = {}
-    for k in cands:
-        for w, h, rot in oriented[k]:
-            by_width.setdefault(w, []).append((k, chain_index[k], h, rot))
-    cset = set(cands)
-    for j in cands:
-        successor = None
-        cj = chain_index[j]
-        chain = instance.chains[cj]
-        pos = node.counts[cj]
-        if pos + 1 < len(chain) and chain[pos] == j:
-            nxt = chain[pos + 1]
-            if nxt not in cset:
-                successor = nxt
-        for wj, hj, rj in oriented[j]:
-            for k, ck, hk, rk in by_width.get(wj, ()):
-                if k != j:
-                    out.append((j, cj, wj, hj, rj, k, ck, hk, rk))
-            if successor is not None:
-                for wk, hk, rk in oriented[successor]:
-                    if wk == wj:
-                        out.append((j, cj, wj, hj, rj, successor, cj, hk, rk))
+    The list is assembled from the chain heads alone, with the instance's
+    ``cell_tables``; its one-item contents are those of ``item_cells``.
+    Only a stack of two candidates is a new tuple.  Searches call this once
+    per enumeration, through this name."""
+    tables = instance.__dict__.get("_cell_tables") or cell_tables(instance)
+    counts = node.counts
+    out = list(_flatten(map(getitem, tables.singles, counts)))
+    for under_all, plans in filter(None, map(getitem, tables.stacks, counts)):
+        if plans is None:
+            out += under_all
+            continue
+        for bottom, entry, under in plans:
+            if entry is not None:
+                cj = bottom[1]
+                for c, tops in entry:
+                    if c != cj:
+                        top = tops.get(counts[c])
+                        if top is not None:
+                            out.append(bottom + top)
+            out += under
     return out
 
 
@@ -897,18 +906,24 @@ def _shelf_close_allowed(
     final_x1: int,
 ) -> bool:
     """Swap test between the closing shelf and the closed shelf below it."""
-    if q_min is None or not node.closed_shelves:
+    if not _shelf_swap_possible(node, q_min, q_chains):
         return True
     below = node.closed_shelves[-1]
-    if below.min_item is None or q_min >= below.min_item:
-        return True
-    if below.chain_ids & q_chains:
-        return True
-    if not _rect_clear(defects, node.x1_prev, below.y0, final_x1, below.y1):
-        return True
-    if not _rect_clear(defects, node.x1_prev, node.y2_prev, final_x1, node.y2_curr):
-        return True
-    return False
+    return not (_rect_clear(defects, node.x1_prev, below.y0, final_x1, below.y1)
+                and _rect_clear(defects, node.x1_prev, node.y2_prev, final_x1, node.y2_curr))
+
+
+def _shelf_swap_possible(
+    node: Node, q_min: Optional[int], q_chains: frozenset[int]
+) -> bool:
+    """The tests of ``_shelf_close_allowed`` that read no cut: whether the
+    closing shelf, holding ``q_min`` and ``q_chains``, could swap with the
+    closed shelf below it at all."""
+    if q_min is None or not node.closed_shelves:
+        return False
+    below = node.closed_shelves[-1]
+    return below.min_item is not None and q_min < below.min_item and not (
+        below.chain_ids & q_chains)
 
 
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
@@ -965,10 +980,19 @@ CHILD_MEMO_FIELDS = (
 _memo_fields = attrgetter(*CHILD_MEMO_FIELDS)
 _MEMO_COUNTS = CHILD_MEMO_FIELDS.index("counts")
 
-# Child memo entries (see CHAIN_BYTES): a key tuple and the tuple of kept
+# Child memo entries, in bytes under tracemalloc (CPython 3.11), of the
+# objects an entry adds to its node and its instance: a key tuple with its
+# chain counts, which take a slot per chain, and the tuple of kept
 # insertions, each insertion with its placements and the coordinates it
-# made.  Entries average 1.45 KB on the benchmark's 8-chain instances, 4.7 KB
-# on 30 chains and 10.6 KB on 60.
+# made.  Fitted by least squares to 1,800 entries of restarting MBA* on 8-,
+# 30- and 60-chain instances, each measured twice with the free lists
+# emptied by gc.collect(); the charges are within 9% of every one of them.
+# They count neither the table's own slots (about 50 B an entry) nor a key's
+# shelf records and chain-id sets, which its node shares with its relatives:
+# dropping a full memo after such a run freed 0.93-1.16 times its charged
+# total (most on 8 chains).  Entries average 1.45 KB on the benchmark's
+# 8-chain instances, 4.7 KB on 30 chains and 10.6 KB on 60.
+CHAIN_BYTES = 8
 MEMO_ENTRY_BYTES = 320
 MEMO_INSERTION_BYTES = 272
 MEMO_PLACEMENT_BYTES = 128
@@ -999,8 +1023,20 @@ def child_memo_charge(key: tuple, kept: tuple[Insertion, ...]) -> int:
 def child_memo(instance: Instance) -> ByteBoundedCache:
     """The child memo of ``instance``: the kept insertions of the states
     that ``child_insertions`` put last, within ``CHILD_MEMO_BYTES``; the
-    states put first are evicted first, however often they were read."""
-    return _instance_cache(instance, "_child_memo", CHILD_MEMO_BYTES, child_memo_charge)
+    states put first are evicted first, however often they were read.
+    It is made on first use, and each portfolio worker process fills its
+    own copy."""
+    memo = instance.__dict__.get("_child_memo")
+    if memo is None:
+        memo = instance.__dict__["_child_memo"] = ByteBoundedCache(
+            CHILD_MEMO_BYTES, child_memo_charge)
+    return memo
+
+
+def forget_children(instance: Instance) -> None:
+    """Drop the child memo of ``instance``: the next search derives every
+    child anew, as on a freshly loaded instance."""
+    instance.__dict__.pop("_child_memo", None)
 
 
 def child_insertions(
@@ -1016,6 +1052,9 @@ def child_insertions(
     With ``use_symmetry`` the generator has already omitted every depth-3
     cell that the cell-swap rule forbids, so ``symmetry_allows`` only runs
     where a shelf closes: below depth 3, or on a completing insertion.
+    Whether closing the current shelf could break symmetry is decided once
+    per node (``_shelf_swap_possible``); where it could not, only the
+    completing insertions go through ``symmetry_allows``.
 
     With ``memoize`` the result is a tuple, looked up in or added to the
     instance's ``child_memo``, which other callers share."""
@@ -1035,9 +1074,13 @@ def _child_insertions(
 ) -> list[Insertion]:
     ins_list = enumerate_insertions(node, instance, use_symmetry)
     if use_symmetry:
-        ins_list = [ins for ins in ins_list
-                    if ins.depth == 3 and not ins.completes
-                    or symmetry_allows(node, ins, instance)]
+        if _shelf_swap_possible(node, node.shelf_min_item, node.shelf_chain_ids):
+            ins_list = [ins for ins in ins_list
+                        if ins.depth == 3 and not ins.completes
+                        or symmetry_allows(node, ins, instance)]
+        else:  # closing the current shelf breaks no symmetry
+            ins_list = [ins for ins in ins_list
+                        if not ins.completes or symmetry_allows(node, ins, instance)]
     if use_dominance:
         ins_list = filter_dominated_children(ins_list)
     return ins_list

@@ -19,6 +19,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
+from .branching import forget_children
 from .fileio import load_instance, read_solution, write_solution
 from .model import GlasscutError, GuideKind, Instance, Params
 from .search import DEFAULT_THREADS, SearchResult, portfolio_solve
@@ -266,6 +267,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for algo in args.algos:
                 for guide_key in args.guides:
                     for sym in sym_options:
+                        forget_children(instance)  # no run starts from another's memo
                         incumbent, _ = portfolio_solve(
                             instance, args.time_limit, threads=1, use_symmetry=sym,
                             guide=GUIDES[guide_key], growth=args.growth, algorithm=algo,

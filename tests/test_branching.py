@@ -1,7 +1,6 @@
 """Insertion enumeration: configurations, pruning rules, repairs, symmetry."""
 
 import hashlib
-import itertools
 import pickle
 import random
 from types import SimpleNamespace
@@ -10,7 +9,6 @@ import pytest
 
 from glasscut.branching import (
     CHILD_MEMO_FIELDS,
-    PAIR_COMBO_BYTES,
     Insertion,
     InsertionKind,
     Placement,
@@ -19,8 +17,10 @@ from glasscut.branching import (
     _frame,
     _gen_cells,
     _growth_cuts_ok,
+    _shelf_swap_possible,
     apply_insertion,
     candidate_items,
+    cell_tables,
     child_insertions,
     child_memo,
     child_memo_key,
@@ -29,7 +29,6 @@ from glasscut.branching import (
     filter_dominated_children,
     insertion_front,
     item_cells,
-    pair_combo_charge,
     pair_combos,
     symmetry_allows,
 )
@@ -87,77 +86,87 @@ class TestCandidates:
         assert candidate_items(leaf, inst) == []
         assert enumerate_insertions(leaf, inst) == []
 
-    def test_candidates_and_pair_combos_share_one_cache_entry(self):
-        inst = make_instance([(100, 60), (100, 40), (60, 100)], chains=[[0, 1], [2]])
-        node = kid_for(root_node(inst), inst, 2)
-        cells = pair_combos(node, inst)
-        cands = list(dict.fromkeys(c[0] for c in cells if c[5] is None))
-        combos = [c for c in cells if c[5] is not None]
-        assert cands == candidate_items(node, inst) == [0]
-        assert [(c[0], c[5]) for c in combos] == [(0, 1)]  # 0 below its successor
-        assert cells == [(0, 0, 100, 60, False, None, None, None, None),
-                         (0, 0, 60, 100, True, None, None, None, None),
-                         (0, 0, 100, 60, False, 1, 0, 40, False)]
-        entry = inst._pair_combo_cache.get(node.counts)
-        assert entry == cells and pair_combos(node, inst) is entry
-
-    def test_cache_entries_share_the_one_item_cells_of_the_instance(self):
-        """Every one-item cell in every entry of the pair_combos cache is the
-        instance's own (``item_cells``), not a copy: the one-item cells of
-        an entry are those of its candidates, in order, by identity."""
-        seen = {"entries": 0, "one-item cells": 0, "stacks": 0}
-        for seed in range(100):
-            rng = random.Random(seed)
-            inst = stackable_instance(rng)
-            for use_symmetry in (False, True):
-                random_walk(rng, inst, use_symmetry=use_symmetry)
-            singles = item_cells(inst)
-            assert item_cells(inst) is singles
-            for counts, entry in inst._pair_combo_cache._table.items():
-                cands = candidate_items(SimpleNamespace(counts=counts), inst)
-                got = [id(c) for c in entry if c[5] is None]
-                assert got == [id(c) for j in cands for c in singles[j]]
-                seen["entries"] += 1
-                seen["one-item cells"] += len(got)
-                seen["stacks"] += len(entry) - len(got)
-        assert min(seen.values()) >= 500, seen
-
-    def test_pair_combo_cache_keeps_its_bound_and_evicts_in_put_order(self):
-        """Past PAIR_COMBO_BYTES of chain states the states put first go
-        first, however often they were read: the state put first, read
-        after every later put, is the first one evicted, and the states held
-        are always the ones put last.  The charged total is the sum of the
-        entries' charges and never passes the budget."""
-        inst = make_instance([(100, 100)] * 24, chains=[[3 * c, 3 * c + 1, 3 * c + 2]
-                                                        for c in range(8)])
-        states = itertools.product(range(4), repeat=8)
-        put = [next(states)]
-        entry = pair_combos(SimpleNamespace(counts=put[0]), inst)
-        cache = inst._pair_combo_cache
-        while cache.get(put[0]) is entry:
-            assert len(put) < 4 ** 8, "the state put first is never evicted"
-            put.append(next(states))
-            pair_combos(SimpleNamespace(counts=put[-1]), inst)
-            assert cache.charged <= PAIR_COMBO_BYTES
-        assert list(cache._table) == put[-len(cache):] == put[1:]
-        assert cache.charged == sum(pair_combo_charge(*item) for item in cache._table.items())
-        assert cache.charged > 0.99 * PAIR_COMBO_BYTES  # full, to within a few entries
-
     def test_a_pickled_cache_reads_its_own_table(self):
         """Spawned portfolio workers receive the instance pickled, its
-        caches included: the copy's ``get`` reads the copy's table, not the
-        original's."""
-        inst = make_instance([(100, 100)] * 6, chains=[[0, 1, 2], [3, 4, 5]])
-        for counts in itertools.product(range(3), repeat=2):
-            pair_combos(SimpleNamespace(counts=counts), inst)
-        cache = inst._pair_combo_cache
-        copy = pickle.loads(pickle.dumps(inst))._pair_combo_cache
-        assert copy is not cache and len(copy) == len(cache) == 9
-        assert copy.charged == cache.charged and copy.budget == cache.budget
-        for counts, cells in cache._table.items():
-            assert copy.get(counts) == cells and copy.get(counts) is copy._table[counts]
-        copy.put((3, 3), [])
-        assert copy.get((3, 3)) == [] and cache.get((3, 3)) is None
+        child memo included: the copy's ``get`` reads the copy's table, not
+        the original's."""
+        inst = midsize_instance(12, 3, seed=4)
+        for node in random_walk(random.Random(4), inst):
+            child_insertions(node, inst, memoize=True)
+        memo = child_memo(inst)
+        copy = pickle.loads(pickle.dumps(inst))._child_memo
+        assert copy is not memo and len(copy) == len(memo) > 0
+        assert copy.charged == memo.charged and copy.budget == memo.budget
+        for key, kept in memo._table.items():
+            assert copy.get(key) == kept and copy.get(key) is copy._table[key]
+        key = child_memo_key(root_node(inst), False, False)
+        assert copy.get(key) is None
+        copy.put(key, ())
+        assert copy.get(key) == () and memo.get(key) is None
+
+
+def one_width_instance(n_items=240, n_chains=60, seed=0):
+    """Items all 300 wide, of random heights, in chains of equal length:
+    every pair of chain heads makes a stack, the worst case for stacks."""
+    rng = random.Random(seed)
+    dims = [(300, rng.randint(150, 1400)) for _ in range(n_items)]
+    chains = [list(range(c, n_items, n_chains)) for c in range(n_chains)]
+    return make_instance(dims, chains, params=Params())
+
+
+def table_entries(tables):
+    """Every entry the cell tables hold: a rank of a chain, an orientation
+    plan, a stack under a successor or a rank in a width entry."""
+    entries = sum(len(row) for row in tables.singles)
+    for row in tables.stacks:
+        entries += len(row)
+        for under_all, plans in filter(None, row):
+            entries += len(under_all) + len(plans or ())
+    return entries + sum(len(tops) for entry in tables.widths.values() for _, tops in entry)
+
+
+class TestCellTables:
+    """``pair_combos`` assembles a chain state's cells from tables built
+    once per instance, against the per-state construction of its stacks
+    (``conftest.reference_pair_combos``)."""
+
+    def test_pair_combos_match_the_reference_on_random_chain_states(self):
+        """On 8, 30 and 60 chains and on items of one width: the one-item
+        cells of the candidates, by identity those of ``item_cells``, then
+        the reference's stacks, list for list and in order."""
+        seen = {"states": 0, "stacks on a candidate": 0, "stacks on a successor": 0}
+        for inst in (midsize_instance(24, 8, seed=8), midsize_instance(120, 30, seed=30),
+                     midsize_instance(300, 60, seed=60), one_width_instance()):
+            rng = random.Random(len(inst.chains))
+            singles, chain_index = item_cells(inst), inst.chain_index
+            for _ in range(300):
+                node = SimpleNamespace(counts=tuple(rng.randint(0, len(c)) for c in inst.chains))
+                cands = candidate_items(node, inst)
+                cells = pair_combos(node, inst)
+                ones = [cell for j in cands for cell in singles[j]]
+                stacks = [(c.j, chain_index[c.j], c.width, c.hj, c.rj, c.k, chain_index[c.k],
+                           c.hk, c.rk) for c in reference_pair_combos(node, inst, cands)]
+                assert cells == ones + stacks
+                assert list(map(id, cells[:len(ones)])) == list(map(id, ones))
+                seen["states"] += 1
+                seen["stacks on a candidate"] += sum(c[5] in cands for c in stacks)
+                seen["stacks on a successor"] += sum(c[5] not in cands for c in stacks)
+        assert min(seen.values()) >= 1000, seen
+
+    def test_tables_hold_o_items_entries_on_one_width(self):
+        """On 240 items of one width the tables hold a few entries per
+        item, not one per pair of items, and no call adds to them."""
+        inst = one_width_instance()
+        tables = cell_tables(inst)
+        assert cell_tables(inst) is tables
+        entries = table_entries(tables)
+        assert entries <= 8 * inst.n_items  # 240 * 239 pairs of items stack
+        root_cells = pair_combos(root_node(inst), inst)
+        assert len(root_cells) > 60 * 59  # every ordered pair of heads stacks
+        rng = random.Random(1)
+        for _ in range(50):
+            pair_combos(SimpleNamespace(counts=tuple(rng.randint(0, 4) for _ in range(60))), inst)
+        assert inst._cell_tables is tables and table_entries(tables) == entries
 
 
 class TestRootEnumeration:
@@ -699,6 +708,32 @@ class TestSymmetryAwareGenerator:
                 built = reference_children(node, inst, use_symmetry, use_dominance=False)
                 assert [k.insertion for k in node_level_dominance(built)] == child_insertions(
                     node, inst, use_symmetry)
+
+    def test_a_shelf_that_cannot_swap_closes_under_every_insertion(self, nodes):
+        """Where the once-per-node check finds that closing the current
+        shelf cannot break symmetry, ``symmetry_allows`` keeps every
+        non-completing insertion below depth 3: only completing ones need
+        it.  Checked on the walked nodes and on walks over stackable items,
+        whose shelves often hold small ids above large ones."""
+        walked = list(nodes)
+        for seed in range(200):
+            rng = random.Random(seed)
+            inst = stackable_instance(rng)
+            walked += [(n, inst) for n in random_walk(rng, inst, use_symmetry=False)]
+        seen = {"settled": 0, "unsettled": 0, "closing insertions checked": 0,
+                "closing insertions rejected where unsettled": 0}
+        for node, inst in walked:
+            closing = [m for m in enumerate_insertions(node, inst, use_symmetry=True)
+                       if m.depth < 3 and not m.completes]
+            if _shelf_swap_possible(node, node.shelf_min_item, node.shelf_chain_ids):
+                seen["unsettled"] += 1
+                seen["closing insertions rejected where unsettled"] += sum(
+                    not symmetry_allows(node, m, inst) for m in closing)
+                continue
+            seen["settled"] += 1
+            seen["closing insertions checked"] += len(closing)
+            assert all(symmetry_allows(node, m, inst) for m in closing)
+        assert min(seen.values()) >= 100, seen
 
     def test_memoized_children_equal_the_uncached_ones(self, nodes):
         """Under both flags, at every walked node, the memo gives what the

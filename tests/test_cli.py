@@ -1,6 +1,7 @@
 """End-to-end command line runs on generated instance files."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import glasscut
 from glasscut import cli
+from glasscut.branching import child_memo
 from glasscut.cli import build_parser, main
 from glasscut.fileio import read_solution
 from glasscut.validator import validate
@@ -414,6 +416,33 @@ class TestBench:
         name, algo, guide, growth, waste, t_best = lines[1].split(",")
         assert (name, algo, guide, growth) == ("toy", "mbastar+sym", "p", "1.5")
         assert int(waste) > 0
+        capsys.readouterr()
+
+    def test_every_run_starts_without_cached_children(self, tmp_path, capsys, monkeypatch):
+        """Each (algorithm, guide, symmetry) run searches an instance whose
+        child memo is empty, although the runs before it filled the memo
+        of the same loaded instance."""
+        rng = random.Random(24)
+        rows = ["ITEM_ID;LENGTH;WIDTH;STACK;SEQUENCE"]
+        for item in range(24):
+            rows.append(f"{item};{rng.randint(150, 1800)};{rng.randint(150, 1400)};"
+                        f"{item % 8};{item // 8}")
+        (tmp_path / "eight_batch.csv").write_text("\n".join(rows) + "\n")
+        solve, memo_sizes = cli.portfolio_solve, []
+
+        def recorded_solve(instance, *args, **kwargs):
+            memo_sizes.append(len(child_memo(instance)))
+            out = solve(instance, *args, **kwargs)
+            memo_sizes.append(len(child_memo(instance)))
+            return out
+
+        monkeypatch.setattr(cli, "portfolio_solve", recorded_solve)
+        code = run(["bench", "--dir", str(tmp_path), "-t", "0.5", "-o",
+                    str(tmp_path / "results.csv"), "--guides", "p", "a", "--symmetry", "both"])
+        assert code == 0
+        at_start, at_end = memo_sizes[::2], memo_sizes[1::2]
+        assert len(at_start) == 4 and at_start == [0, 0, 0, 0]
+        assert all(size > 0 for size in at_end)
         capsys.readouterr()
 
     def test_symmetry_both_doubles_rows(self, instance_dir, capsys, tmp_path):

@@ -15,8 +15,8 @@ import pytest
 
 from glasscut import branching, search
 from glasscut.branching import (
-    CHILD_MEMO_BYTES, PAIR_COMBO_BYTES, _MEMO_COUNTS, ByteBoundedCache,
-    _allowed_depths, child_memo, child_memo_charge, child_memo_key, children, pair_combo_charge,
+    CHILD_MEMO_BYTES, _MEMO_COUNTS, ByteBoundedCache, _allowed_depths, child_memo,
+    child_memo_charge, child_memo_key, children,
 )
 from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
@@ -750,8 +750,8 @@ def _fresh(counts):
 
 
 class TestCacheBudgets:
-    """Both caches charge each entry a size worked out from its lengths and
-    keep their total within a byte budget, whatever the chain count."""
+    """The child memo charges each entry a size worked out from its lengths
+    and keeps its total within a byte budget, whatever the chain count."""
 
     @pytest.mark.parametrize("n_items, n_chains, node_cap", [
         pytest.param(24, 8, 96, id="24-8"),
@@ -763,13 +763,15 @@ class TestCacheBudgets:
         """After every put the charged total is the sum of the entries'
         charges and within the budget; the memo fills and evicts.  The
         restarts end on a node cap that makes them evict (entries grow with
-        the chain count), after the same work on any machine."""
+        the chain count), after the same work on any machine.  The child
+        memo is the one cache left: the cell contents of a chain state are
+        assembled from tables (``branching.cell_tables``)."""
         put, evicted = ByteBoundedCache.put, []
 
         def checked_put(cache, key, value):
             held = len(cache)
             put(cache, key, value)
-            evicted.append((cache.budget, held + 1 - len(cache)))
+            evicted.append(held + 1 - len(cache))
             assert cache.charged <= cache.budget
 
         monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
@@ -777,19 +779,16 @@ class TestCacheBudgets:
         res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
                                   Incumbent(), node_cap=node_cap)
         assert res.outcome == "memory"
-        for cache, budget, charge in ((child_memo(inst), CHILD_MEMO_BYTES, child_memo_charge),
-                                      (inst._pair_combo_cache, PAIR_COMBO_BYTES,
-                                       pair_combo_charge)):
-            assert cache.budget == budget
-            assert 0 < cache.charged == sum(charge(*item) for item in cache._table.items())
-        assert sum(n for budget, n in evicted if budget == CHILD_MEMO_BYTES) > 0
+        memo = child_memo(inst)
+        assert memo.budget == CHILD_MEMO_BYTES
+        assert 0 < memo.charged == sum(child_memo_charge(*item) for item in memo._table.items())
+        assert sum(evicted) > 0
 
     @pytest.mark.parametrize("n_items, n_chains", [(24, 8), (120, 30), (300, 60)])
     def test_each_charge_is_within_a_quarter_of_the_entry_size(self, n_items, n_chains):
         """An entry's size is what building its key, with the key's own
-        chain counts, and its value allocates (``_traced_size``): for the
-        memo a key tuple and the kept insertions, for ``pair_combos`` the
-        chain counts and the list of cells."""
+        chain counts, and its value, the kept insertions, allocates
+        (``_traced_size``)."""
         inst = midsize_instance(n_items, n_chains, seed=n_chains)
         with expansion_trace() as trace:
             restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
@@ -802,12 +801,8 @@ class TestCacheBudgets:
                 return (key[:_MEMO_COUNTS] + (_fresh(node.counts),) + key[_MEMO_COUNTS + 1:],
                         tuple(branching._child_insertions(node, inst, True, True)))
 
-            def pair_entry():
-                return _fresh(node.counts), branching._cell_contents(node, inst)
-
-            for build, charge in ((memo_entry, child_memo_charge), (pair_entry, pair_combo_charge)):
-                size = _traced_size(build)
-                assert 0.75 * size <= charge(*build()) <= 1.25 * size, (build.__name__, size)
+            size = _traced_size(memo_entry)
+            assert 0.75 * size <= child_memo_charge(*memo_entry()) <= 1.25 * size, size
 
 
 class TestBuildOnlyWhatIsExpanded:
