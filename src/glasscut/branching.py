@@ -58,29 +58,33 @@ completes the solution, and compares it with those bounds.  Insertions and
 placements are built with ``tuple.__new__``, without the Python-level
 constructor of the NamedTuple.
 
-Symmetry breaking (``children(..., use_symmetry=True)``) removes patterns
-whose sibling sub-plates could be swapped to put the smaller item id first.
-The swapped pattern is not always reachable in the scheme, so the rule can
-remove the optimum: on the 150 small random instances of the README's
-table it loses it on 23, the sibling filter below on 5, and both together
-on 27 (``tests/test_search.py::TestPruningLosses``).  Its cell-swap rule
-is applied inside the cell generator at depth 3: a forbidden cell is
-omitted, never built.  Its feasibility is still probed while the
-suppression tests above are undecided, because raw feasibility, not the
-emitted set, drives them; so symmetry never changes which depths are open.
+Symmetry breaking (``children(..., use_symmetry=True)``) forbids a pair
+of sibling sub-plates, a cell and the cell right of it or a shelf and the
+shelf above it, when the later one holds a smaller item id, the two share
+no chain and both are defect-free (``_swap_forbidden``): swapping them
+would put the smaller id first.  The swapped pattern is not always
+reachable in the scheme, so the rule can remove the optimum: on the 150
+small random instances of the README's table it loses it on 23, the
+sibling filter below on 5, and both together on 27
+(``tests/test_search.py::TestPruningLosses``).  Its cell case is applied
+inside the cell generator at depth 3: a forbidden cell is omitted, never
+built.  Its feasibility is still probed while the suppression tests above
+are undecided, because raw feasibility, not the emitted set, drives them;
+so symmetry never changes which depths are open.
 
 ``child_insertions`` is the whole per-expansion pipeline, and it runs on
-insertions only: enumerate, apply the symmetry rule where a shelf closes,
-then drop the siblings whose fronts are dominated.  This is a
-pseudo-dominance: it ignores which depths stay open to a sibling's
-children.  A child's chain counts, plate and front all follow from its
-parent and its insertion, so no child is built to decide which ones to
-keep.  ``children`` builds the kept ones for callers that want nodes.
+insertions only: enumerate, apply the symmetry rule where a shelf closes
+(``symmetry_allows``), then drop the siblings whose fronts are
+dominated.  This is a pseudo-dominance: it ignores which depths stay open
+to a sibling's children.  A child's chain counts, plate and front all
+follow from its parent and its insertion, so no child is built to decide
+which ones to keep.  ``children`` builds the kept ones for callers that
+want nodes.
 
 A chain state's cell contents are assembled by ``pair_combos`` from its
 chain heads alone, with tables built once per instance (``cell_tables``):
-each item's one-item cells (``item_cells``) and its stacks under its chain
-successor, and for each width the chains that hold an item of that width.
+each item's one-item cells and its stacks under its chain successor, and
+for each width the chains that hold an item of that width.
 They hold O(items) entries, and nothing is stored per state.
 
 One per-instance cache remains: the child memo of
@@ -399,23 +403,6 @@ class ByteBoundedCache:
             self.charged -= charge(first, table.pop(first))
 
 
-def item_cells(instance: Instance) -> list[tuple[tuple, ...]]:
-    """The one-item cell contents of every item, one per orientation
-    (``Instance.oriented``), built once per instance: ``pair_combos``
-    returns these very tuples.
-
-    A cell's contents are (j, chain of j, width, h_j, rot_j, k, chain of k,
-    h_k, rot_k): item j at the bottom, item k on top of the 4-cut, or k and
-    its fields None for a one-item cell."""
-    cells = instance.__dict__.get("_item_cells")
-    if cells is None:
-        chain_index = instance.chain_index
-        cells = instance.__dict__["_item_cells"] = [
-            tuple((j, chain_index[j], w, h, rot, None, None, None, None) for w, h, rot in orients)
-            for j, orients in enumerate(instance.oriented)]
-    return cells
-
-
 _flatten = itertools.chain.from_iterable
 
 
@@ -427,7 +414,8 @@ class CellTables(NamedTuple):
     ``singles[c][r]`` and ``stacks[c][r]`` belong to the item at rank r of
     chain c; one more, empty, entry per chain stands for its end.
 
-    * ``singles`` holds the item's ``item_cells``.
+    * ``singles`` holds the item's one-item cell contents, one per
+      orientation (``Instance.oriented``).
     * ``stacks`` holds (the item's stacks under its chain successor, every
       orientation in turn; its plans).  The plans are None when no other
       chain holds an item of the item's widths, else one (bottom half,
@@ -437,8 +425,11 @@ class CellTables(NamedTuple):
       half}) per chain that holds an item with an orientation of width w,
       in chain order, with the rank of each such item.
 
-    A bottom half (j, chain of j, width, h_j, rot_j) and a top half (k,
-    chain of k, h_k, rot_k) make a stack's cell contents."""
+    A cell's contents are (j, chain of j, width, h_j, rot_j, k, chain of
+    k, h_k, rot_k): item j at the bottom, item k on top of the 4-cut, or k
+    and its fields None for a one-item cell.  A bottom half (j, chain of j,
+    width, h_j, rot_j) and a top half (k, chain of k, h_k, rot_k) make a
+    stack's."""
 
     singles: tuple[tuple[tuple[tuple, ...], ...], ...]
     stacks: tuple[tuple[tuple, ...], ...]
@@ -450,7 +441,7 @@ def cell_tables(instance: Instance) -> CellTables:
     tables = instance.__dict__.get("_cell_tables")
     if tables is not None:
         return tables
-    singles, oriented = item_cells(instance), instance.oriented
+    oriented = instance.oriented
     held: dict[int, dict[int, dict[int, tuple]]] = {}
     for c, chain in enumerate(instance.chains):
         for r, k in enumerate(chain):
@@ -459,7 +450,9 @@ def cell_tables(instance: Instance) -> CellTables:
     widths = {w: tuple(by_chain.items()) for w, by_chain in held.items()}
     chain_singles, chain_stacks = [], []
     for c, chain in enumerate(instance.chains):
-        chain_singles.append(tuple(singles[j] for j in chain) + ((),))
+        chain_singles.append(tuple(
+            tuple((j, c, w, h, rot, None, None, None, None) for w, h, rot in oriented[j])
+            for j in chain) + ((),))
         row = []
         for r, j in enumerate(chain):
             successor = oriented[chain[r + 1]] if r + 1 < len(chain) else ()
@@ -490,9 +483,8 @@ def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     successor.
 
     The list is assembled from the chain heads alone, with the instance's
-    ``cell_tables``; its one-item contents are those of ``item_cells``.
-    Only a stack of two candidates is a new tuple.  Searches call this once
-    per enumeration, through this name."""
+    ``cell_tables``; only a stack of two candidates is a new tuple.
+    Searches call this once per enumeration, through this name."""
     tables = instance.__dict__.get("_cell_tables") or cell_tables(instance)
     counts = node.counts
     out = list(_flatten(map(getitem, tables.singles, counts)))
@@ -523,7 +515,7 @@ def enumerate_insertions(
     close once some cell fits without growing the column, and depth 0 once
     any item cell fits.  Raw feasibility, not the emitted set, drives these
     tests.  With ``use_symmetry`` the depth-3 cells that the cell-swap rule
-    forbids are omitted (see ``_cell_swap_forbidden``); they still count as
+    forbids are omitted (see ``_swap_forbidden``); they still count as
     feasible for the suppression tests, so the result is the unflagged list
     minus exactly those cells, in the same order.
 
@@ -635,8 +627,9 @@ def _gen_cells(
     complete takes its own right edge), compares it with the bounds the
     frame's cuts set (``keeps`` for x1 = x1_curr, ``_grow_max`` past it),
     and checks the cuts that close the column after a completing cell
-    (``_closing_cuts_ok``).  The cell-swap rule's facts about the left cell
-    (``_cell_swap_forbidden``) are read once per frame."""
+    (``_closing_cuts_ok``).  The facts of the cell-swap rule
+    (``_swap_forbidden``) about the left cell are read once per frame, and
+    each trial tests only its own cell against them."""
     plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, H, min2 = p.min_waste, p.plate_height, p.min2
@@ -836,94 +829,68 @@ def insertion_front(ins: Insertion) -> tuple[int, int, int, int, int, int]:
 # ---------------------------------------------------------------------------
 # symmetry breaking and sibling dominance
 
-def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
-    """False for patterns whose sibling sub-plates could be swapped to put
-    the smaller item id first.
+def _may_swap(
+    first_min: Optional[int], first_chains: frozenset[int],
+    then_min: Optional[int], then_chains: Iterable[int],
+) -> bool:
+    """The half of ``_swap_forbidden`` that reads no cut: both sub-plates
+    hold items, the later one a smaller id, and they share no chain."""
+    return (then_min is not None and first_min is not None and then_min < first_min
+            and first_chains.isdisjoint(then_chains))
 
-    Cells are compared against their left sibling when inserted (their
-    contents are final immediately); a shelf is compared against the shelf
-    below it at the moment it *closes*, because items joining it later can
-    create the chain link that makes the swap illegal."""
+
+def _swap_forbidden(
+    defects: tuple[Defect, ...],
+    first_min: Optional[int], first_chains: frozenset[int], first_rect: tuple[int, ...],
+    then_min: Optional[int], then_chains: Iterable[int], then_rect: tuple[int, ...],
+) -> bool:
+    """The symmetry-breaking rule, for a sub-plate ``first`` and its
+    sibling ``then`` after it (the cell right of it, or the shelf above
+    it).  Each has the smallest item id it holds, or None, the chains of its
+    items and its rectangle (x0, y0, x1, y1).  The pair is forbidden when
+    the later one holds a smaller id, the two share no chain (``_may_swap``)
+    and both are defect-free: swapping them would put the smaller id
+    first."""
+    return (_may_swap(first_min, first_chains, then_min, then_chains)
+            and _rect_clear(defects, *first_rect) and _rect_clear(defects, *then_rect))
+
+
+def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
+    """False where ``ins`` makes a pair of sibling sub-plates that
+    ``_swap_forbidden`` forbids.
+
+    A cell is tested against its left cell when it is inserted, as its
+    contents are final at once.  A shelf is tested against the shelf below
+    it when it *closes*, because items joining it later can create the
+    chain link that makes the swap illegal: on a move below depth 3, or on
+    one that completes the solution.  A new shelf that completes the
+    solution also closes at once, against the shelf it closes."""
     defects = instance.plate_defects(node.bin)
+    x1_prev, y2_prev, y2_curr = node.x1_prev, node.y2_prev, node.y2_curr
+    q_min, q_chains = node.shelf_min_item, node.shelf_chain_ids  # the shelf that closes
     if ins.depth == 3:
         new_min, new_chains = _cell_items(ins, instance)
-        if _cell_swap_forbidden(node, defects, new_min, new_chains, ins.x3_curr):
+        if _swap_forbidden(
+                defects, node.cell_min_item, node.cell_chain_ids,
+                (node.x3_prev, y2_prev, node.x3_curr, y2_curr),
+                new_min, new_chains, (node.x3_curr, y2_prev, ins.x3_curr, y2_curr)):
             return False
-        if ins.completes:
-            q_min = _min_opt(node.shelf_min_item, new_min)
-            q_chains = node.shelf_chain_ids | new_chains
-            if not _shelf_close_allowed(node, defects, q_min, q_chains, ins.x1_curr):
-                return False
-        return True
-    # depth 0/1/2: the current shelf closes now
-    final_x1 = ins.x1_curr if ins.depth == 2 else (ins.prev_col_x1 or node.x1_curr)
-    if not _shelf_close_allowed(
-        node, defects, node.shelf_min_item, node.shelf_chain_ids, final_x1
-    ):
-        return False
+        if not ins.completes:
+            return True
+        q_min, q_chains = _min_opt(q_min, new_min), q_chains | new_chains
+    x1 = ins.x1_curr if ins.depth >= 2 else (ins.prev_col_x1 or node.x1_curr)
+    if node.closed_shelves:
+        below = node.closed_shelves[-1]
+        if _swap_forbidden(
+                defects, below.min_item, below.chain_ids, (x1_prev, below.y0, x1, below.y1),
+                q_min, q_chains, (x1_prev, y2_prev, x1, y2_curr)):
+            return False
     if ins.depth == 2 and ins.completes:
-        # the newly opened shelf also closes immediately, against the old one
-        q_min, q_chains = _cell_items(ins, instance)
-        if (
-            q_min is not None
-            and node.shelf_min_item is not None
-            and q_min < node.shelf_min_item
-            and not (node.shelf_chain_ids & q_chains)
-        ):
-            if _rect_clear(
-                defects, node.x1_prev, node.y2_prev, ins.x1_curr, node.y2_curr
-            ) and _rect_clear(defects, node.x1_prev, ins.y2_prev, ins.x1_curr, ins.y2_curr):
-                return False
+        new_min, new_chains = _cell_items(ins, instance)
+        return not _swap_forbidden(
+            defects, node.shelf_min_item, node.shelf_chain_ids, (x1_prev, y2_prev, x1, y2_curr),
+            new_min, new_chains, (x1_prev, ins.y2_prev, x1, ins.y2_curr))
     return True
-
-
-def _cell_swap_forbidden(
-    node: Node,
-    defects: tuple[Defect, ...],
-    new_min: Optional[int],
-    new_chains: Iterable[int],
-    x_end: int,
-) -> bool:
-    """The cell-swap rule: a cell ending at ``x_end`` right of the current
-    cell is forbidden when it holds a smaller item id, shares no chain with
-    the current cell and both cells are defect-free."""
-    left_min = node.cell_min_item
-    if new_min is None or left_min is None or new_min >= left_min:
-        return False
-    if not node.cell_chain_ids.isdisjoint(new_chains):
-        return False
-    y0, y1 = node.y2_prev, node.y2_curr
-    return _rect_clear(defects, node.x3_prev, y0, node.x3_curr, y1) and _rect_clear(
-        defects, node.x3_curr, y0, x_end, y1
-    )
-
-
-def _shelf_close_allowed(
-    node: Node,
-    defects: tuple[Defect, ...],
-    q_min: Optional[int],
-    q_chains: frozenset[int],
-    final_x1: int,
-) -> bool:
-    """Swap test between the closing shelf and the closed shelf below it."""
-    if not _shelf_swap_possible(node, q_min, q_chains):
-        return True
-    below = node.closed_shelves[-1]
-    return not (_rect_clear(defects, node.x1_prev, below.y0, final_x1, below.y1)
-                and _rect_clear(defects, node.x1_prev, node.y2_prev, final_x1, node.y2_curr))
-
-
-def _shelf_swap_possible(
-    node: Node, q_min: Optional[int], q_chains: frozenset[int]
-) -> bool:
-    """The tests of ``_shelf_close_allowed`` that read no cut: whether the
-    closing shelf, holding ``q_min`` and ``q_chains``, could swap with the
-    closed shelf below it at all."""
-    if q_min is None or not node.closed_shelves:
-        return False
-    below = node.closed_shelves[-1]
-    return below.min_item is not None and q_min < below.min_item and not (
-        below.chain_ids & q_chains)
 
 
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
@@ -1052,9 +1019,9 @@ def child_insertions(
     With ``use_symmetry`` the generator has already omitted every depth-3
     cell that the cell-swap rule forbids, so ``symmetry_allows`` only runs
     where a shelf closes: below depth 3, or on a completing insertion.
-    Whether closing the current shelf could break symmetry is decided once
-    per node (``_shelf_swap_possible``); where it could not, only the
-    completing insertions go through ``symmetry_allows``.
+    Whether closing the current shelf could break symmetry (``_may_swap``
+    against the shelf below) is decided once per node; where it could not,
+    only the completing insertions go through ``symmetry_allows``.
 
     With ``memoize`` the result is a tuple, looked up in or added to the
     instance's ``child_memo``, which other callers share."""
@@ -1074,13 +1041,12 @@ def _child_insertions(
 ) -> list[Insertion]:
     ins_list = enumerate_insertions(node, instance, use_symmetry)
     if use_symmetry:
-        if _shelf_swap_possible(node, node.shelf_min_item, node.shelf_chain_ids):
-            ins_list = [ins for ins in ins_list
-                        if ins.depth == 3 and not ins.completes
-                        or symmetry_allows(node, ins, instance)]
-        else:  # closing the current shelf breaks no symmetry
-            ins_list = [ins for ins in ins_list
-                        if not ins.completes or symmetry_allows(node, ins, instance)]
+        below = node.closed_shelves[-1] if node.closed_shelves else None
+        closes = below is not None and _may_swap(
+            below.min_item, below.chain_ids, node.shelf_min_item, node.shelf_chain_ids)
+        ins_list = [ins for ins in ins_list
+                    if not (ins.completes or closes and ins.depth < 3)
+                    or symmetry_allows(node, ins, instance)]
     if use_dominance:
         ins_list = filter_dominated_children(ins_list)
     return ins_list

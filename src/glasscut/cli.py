@@ -242,6 +242,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if fn.endswith("_batch.csv"):
             names.append(fn[: -len("_batch.csv")])
     if args.instances:
+        missing = [n for n in dict.fromkeys(args.instances) if n not in names]
+        if missing:
+            print(f"error: BAD_ARGS no instance {' '.join(missing)} in {args.dir}",
+                  file=sys.stderr)
+            return 1
         names = [n for n in names if n in set(args.instances)]
     if not names:
         print("error: no instances found", file=sys.stderr)

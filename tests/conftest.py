@@ -12,9 +12,9 @@ import pytest
 from glasscut import search
 from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
-    Placement, _allowed_depths, _cell_opening_shelf, _cell_swap_forbidden,
-    _close_shelf_cut_ok, _closing_cuts_ok, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
-    _insertion_sort_key, _rect_clear, _resolve_x1, _vcut_ok, children, insertion_front,
+    Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok,
+    _closing_cuts_ok, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok, _insertion_sort_key,
+    _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, children, insertion_front,
     pair_combos,
 )
 from glasscut.model import (
@@ -503,6 +503,16 @@ def reference_pair_combos(
     return out
 
 
+def reference_cell_swap_forbidden(node: Node, defects, new_min, new_chains, x_end) -> bool:
+    """The cell-swap rule for a cell ending at ``x_end`` right of the
+    current cell, holding ``new_min`` and ``new_chains``: ``_swap_forbidden``
+    for the current cell and it."""
+    y0, y1 = node.y2_prev, node.y2_curr
+    return _swap_forbidden(
+        defects, node.cell_min_item, node.cell_chain_ids, (node.x3_prev, y0, node.x3_curr, y1),
+        new_min, new_chains, (node.x3_curr, y0, x_end, y1))
+
+
 def reference_gen_cells(
     node: Node,
     instance: Instance,
@@ -575,7 +585,7 @@ def reference_gen_cells(
             if cell is None:
                 continue
             kind, y_item, y_hi, split_y = cell
-            skip = not emit or swap_rule and _cell_swap_forbidden(
+            skip = not emit or swap_rule and reference_cell_swap_forbidden(
                 node, defects, j, chain_sets[ci], x_end)
             x1 = try_cell(x_end, y_hi, completing, skip)
             if x1 is None:
@@ -605,7 +615,7 @@ def reference_gen_cells(
         ):
             continue
         cj, ck = chain_index[c.j], chain_index[c.k]
-        skip = not emit or swap_rule and _cell_swap_forbidden(
+        skip = not emit or swap_rule and reference_cell_swap_forbidden(
             node, defects, min(c.j, c.k), (cj, ck), x_end)
         x1 = try_cell(x_end, y_hi, completing, skip)
         if x1 is not None:

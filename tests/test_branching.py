@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -16,8 +17,10 @@ from glasscut.branching import (
     _closed_edges,
     _frame,
     _gen_cells,
+    _gen_waste,
     _growth_cuts_ok,
-    _shelf_swap_possible,
+    _may_swap,
+    _swap_forbidden,
     apply_insertion,
     candidate_items,
     cell_tables,
@@ -28,7 +31,6 @@ from glasscut.branching import (
     enumerate_insertions,
     filter_dominated_children,
     insertion_front,
-    item_cells,
     pair_combos,
     symmetry_allows,
 )
@@ -132,22 +134,25 @@ class TestCellTables:
 
     def test_pair_combos_match_the_reference_on_random_chain_states(self):
         """On 8, 30 and 60 chains and on items of one width: the one-item
-        cells of the candidates, by identity those of ``item_cells``, then
-        the reference's stacks, list for list and in order."""
+        cells of the candidates, by identity those of the tables' singles,
+        then the reference's stacks, list for list and in order."""
         seen = {"states": 0, "stacks on a candidate": 0, "stacks on a successor": 0}
         for inst in (midsize_instance(24, 8, seed=8), midsize_instance(120, 30, seed=30),
                      midsize_instance(300, 60, seed=60), one_width_instance()):
             rng = random.Random(len(inst.chains))
-            singles, chain_index = item_cells(inst), inst.chain_index
+            singles, chain_index = cell_tables(inst).singles, inst.chain_index
             for _ in range(300):
                 node = SimpleNamespace(counts=tuple(rng.randint(0, len(c)) for c in inst.chains))
                 cands = candidate_items(node, inst)
                 cells = pair_combos(node, inst)
-                ones = [cell for j in cands for cell in singles[j]]
+                ones = [(j, chain_index[j], w, h, rot, None, None, None, None)
+                        for j in cands for w, h, rot in inst.oriented[j]]
+                tabled = [cell for j in cands
+                          for cell in singles[chain_index[j]][node.counts[chain_index[j]]]]
                 stacks = [(c.j, chain_index[c.j], c.width, c.hj, c.rj, c.k, chain_index[c.k],
                            c.hk, c.rk) for c in reference_pair_combos(node, inst, cands)]
                 assert cells == ones + stacks
-                assert list(map(id, cells[:len(ones)])) == list(map(id, ones))
+                assert list(map(id, cells[:len(ones)])) == list(map(id, tabled))
                 seen["states"] += 1
                 seen["stacks on a candidate"] += sum(c[5] in cands for c in stacks)
                 seen["stacks on a successor"] += sum(c[5] not in cands for c in stacks)
@@ -335,6 +340,67 @@ class TestDefectAvoidance:
             assert validate(inst, tree).ok
 
 
+def depth2_band(node, inst):
+    """The waste band ``_gen_waste`` makes above the shelves at ``node``'s
+    depth 2, or None."""
+    defects = inst.plate_defects(node.bin)
+    return _gen_waste(node, inst, _frame(node, inst, 2, defects, _closed_edges(node)), 2)
+
+
+def insert_alone(node, inst, item_id, depth):
+    """The child of ``node`` that packs ``item_id``, upright and alone, at
+    ``depth``."""
+    ins = next(m for m in enumerate_insertions(node, inst)
+               if m.depth == depth and len(m.placements) == 1
+               and m.placements[0].item_id == item_id and not m.placements[0].rotated)
+    return apply_insertion(node, ins, inst)
+
+
+class TestDepthTwoWasteBand:
+    """The three ways a waste band above the shelves is refused, each next
+    to a band one step away that is made."""
+
+    def band_over_a_band(self, top):
+        """After item 0 (300 x 200) and a band from 200 up to ``top``, the
+        band that covers a defect at the plate's top edge (600)."""
+        inst = make_instance([(300, 200), (200, 100)], chains=[[0], [1]], defects=[
+            Defect(0, 50, 300, 50, top - 300), Defect(0, 50, 597, 50, 3)])
+        node = insert_alone(root_node(inst), inst, 0, 0)
+        first = depth2_band(node, inst)
+        assert (first.y2_prev, first.y2_curr) == (200, top)
+        return depth2_band(apply_insertion(node, first, inst), inst)
+
+    def test_a_band_that_runs_past_the_plate_top_is_refused(self):
+        # over a band ending at 595 the next one is min_waste (10) tall at least
+        assert self.band_over_a_band(595) is None
+        band = self.band_over_a_band(590)
+        assert (band.y2_prev, band.y2_curr) == (590, 600)
+
+    def band_over_a_narrow_shelf(self, max1, extra_defects=()):
+        """Over a shelf of item 0 (300 x 200) and one of item 1 (295 x 100),
+        the band that covers a defect at 400-450: the 1-cut of the column
+        resolves to 310, clear of both shelves' edges by min_waste."""
+        params = replace(SMALL_PARAMS, max1=max1)
+        inst = make_instance([(300, 200), (295, 100), (200, 100)], chains=[[0], [1], [2]],
+                             defects=[Defect(0, 50, 400, 100, 50), *extra_defects],
+                             params=params)
+        node = insert_alone(insert_alone(root_node(inst), inst, 0, 0), inst, 1, 2)
+        assert (node.x1_curr, node.x3_curr, node.y2_curr) == (300, 295, 300)
+        return depth2_band(node, inst)
+
+    def test_a_band_whose_1_cut_passes_max1_is_refused(self):
+        assert self.band_over_a_narrow_shelf(max1=300) is None
+        band = self.band_over_a_narrow_shelf(max1=310)
+        assert (band.x1_curr, band.y2_prev, band.y2_curr) == (310, 300, 450)
+
+    def test_a_band_whose_top_cut_crosses_a_defect_is_refused(self):
+        # right of the old 1-cut (300), a defect the band's own cover skips
+        crossing = Defect(0, 302, 430, 6, 40)
+        assert self.band_over_a_narrow_shelf(310, [crossing]) is None
+        band = self.band_over_a_narrow_shelf(310, [replace(crossing, y=455, height=15)])
+        assert (band.x1_curr, band.y2_prev, band.y2_curr) == (310, 300, 450)
+
+
 class TestMinWasteRepairs:
     def test_closing_cut_pushed_past_sliver(self):
         # widths within min_waste of each other force the 1-cut outward
@@ -428,6 +494,43 @@ class TestSymmetry:
             k.insertion.depth == 2 and k.complete
             for k in children(mirror, inst, use_symmetry=True)
         )
+
+    # two sibling sub-plates, first and then, as (x0, y0, x1, y1): a cell
+    # and the cell right of it, and a shelf and the shelf above it
+    SIBLINGS = {
+        "cells": ((100, 0, 300, 200), (300, 0, 450, 200)),
+        "shelves": ((0, 0, 400, 200), (0, 200, 400, 350)),
+    }
+    # (case, first's (smallest id, chains), then's, defective sub-plate, forbidden)
+    SWAP_CASES = [
+        ("a smaller later id", (5, {0}), (2, {1}), None, True),
+        ("an equal later id", (5, {0}), (5, {1}), None, False),
+        ("a larger later id", (2, {0}), (5, {1}), None, False),
+        ("a shared chain", (5, {0, 3}), (2, {1, 3}), None, False),
+        ("a waste first sub-plate", (None, set()), (2, {1}), None, False),
+        ("a waste later sub-plate", (5, {0}), (None, set()), None, False),
+        ("a defect in the first", (5, {0}), (2, {1}), 0, False),
+        ("a defect in the later", (5, {0}), (2, {1}), 1, False),
+    ]
+
+    @pytest.mark.parametrize("geometry", sorted(SIBLINGS))
+    @pytest.mark.parametrize("case, first, then, defective, forbidden", SWAP_CASES,
+                             ids=[case[0] for case in SWAP_CASES])
+    def test_swap_rule_on_a_pair_of_siblings(self, geometry, case, first, then, defective,
+                                             forbidden):
+        """``_swap_forbidden`` forbids a pair only when the later sub-plate
+        holds a smaller id, the two share no chain and both are clear; its
+        half ``_may_swap`` decides all but the defects."""
+        rects = self.SIBLINGS[geometry]
+        defects = ()
+        if defective is not None:
+            x0, y0, x1, y1 = rects[defective]
+            defects = (Defect(0, (x0 + x1) // 2, (y0 + y1) // 2, 5, 5),)
+        (first_min, first_chains), (then_min, then_chains) = first, then
+        assert _swap_forbidden(defects, first_min, frozenset(first_chains), rects[0],
+                               then_min, frozenset(then_chains), rects[1]) is forbidden
+        assert _may_swap(first_min, frozenset(first_chains), then_min,
+                         frozenset(then_chains)) is (forbidden or defective is not None)
 
     def test_symmetry_filter_is_subset(self, rng):
         for _ in range(40):
@@ -725,7 +828,9 @@ class TestSymmetryAwareGenerator:
         for node, inst in walked:
             closing = [m for m in enumerate_insertions(node, inst, use_symmetry=True)
                        if m.depth < 3 and not m.completes]
-            if _shelf_swap_possible(node, node.shelf_min_item, node.shelf_chain_ids):
+            below = node.closed_shelves[-1] if node.closed_shelves else None
+            if below is not None and _may_swap(
+                    below.min_item, below.chain_ids, node.shelf_min_item, node.shelf_chain_ids):
                 seen["unsettled"] += 1
                 seen["closing insertions rejected where unsettled"] += sum(
                     not symmetry_allows(node, m, inst) for m in closing)

@@ -396,6 +396,20 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: BAD_OUTPUT no such directory")
         assert not results.parent.exists()
 
+    def test_bench_names_every_instance_it_cannot_find_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        """A misspelt ``--instances`` name fails the command, although
+        another name matches, before any search and before the output file
+        is opened."""
+        (tmp_path / "two_batch.csv").write_text(TWO_BATCH)
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        results = tmp_path / "results.csv"
+        code = run(["bench", "--dir", str(tmp_path), "-t", "1", "-o", str(results),
+                    "--instances", "two", "tow", "owt"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: BAD_ARGS no instance tow owt in {tmp_path}\n"
+        assert not results.exists()
+
     def test_bench_reports_a_missing_directory(self, tmp_path, capsys):
         code = run(["bench", "--dir", str(tmp_path / "nope"), "-o", str(tmp_path / "r.csv")])
         assert code == 1
