@@ -20,7 +20,9 @@ and for a complete child that improves the incumbent.  One best-first loop
 iteration that never discarded anything and still emptied its fringe is a
 proof of optimality within the scheme, so the loop stops.
 ``iterative_beam_search`` is the width-doubling level-synchronous baseline.
-``portfolio_solve`` runs several restarting-MBA* workers, one process each,
+``portfolio_solve`` prepares the chosen algorithm as searches that take only
+a time limit and an incumbent, one restarting MBA* per portfolio entry, and
+one runner runs a single search in-process and several as worker processes
 that share the incumbent's waste as their pruning bound.
 """
 
@@ -32,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush, nsmallest
 from operator import itemgetter
 from typing import Callable, Optional, Union
@@ -242,18 +245,18 @@ NODE_BYTES = 3400
 
 def _default_node_cap(workers: int = 1) -> int:
     """Fringe size cap derived from available memory (coarse) at
-    ``NODE_BYTES`` per node; each of ``workers`` processes gets an equal
-    share."""
+    ``NODE_BYTES`` per node, 2,000,000 where it cannot be read; each of
+    ``workers`` processes gets an equal share."""
+    nodes = 2_000_000
     try:
         with open("/proc/meminfo") as f:
             for line in f:
                 if line.startswith("MemAvailable:"):
-                    kib = int(line.split()[1])
-                    nodes = kib * 1024 // (NODE_BYTES * workers)
-                    return max(100_000, min(nodes, 20_000_000))
+                    nodes = int(line.split()[1]) * 1024 // NODE_BYTES
+                    break
     except OSError:
         pass
-    return 2_000_000
+    return max(100_000, min(nodes // workers, 20_000_000))
 
 
 def _expander(
@@ -630,15 +633,12 @@ def portfolio_solve(
 
     ``auto`` runs DPA* on instances with at most two chains (falling back to
     the MBA* portfolio on a memory break, with an INFO event on the
-    ``glasscut.search`` logger) and otherwise the restarting-MBA*
-    portfolio: one worker for each of the first ``threads`` entries of
-    ``PORTFOLIO`` (at most its four), one process each when there are
-    several, that share the best waste as their bound.  Explicit ``guide``
-    / ``growth`` settings override every entry, and entries made equal by
-    them run once; a single worker searches in the calling process, as
-    ``threads=1`` does, and is deterministic.  ``node_cap`` caps the open
-    nodes of DPA* and A*, the width of IBS and the capacity of each MBA*
-    worker.
+    ``glasscut.search`` logger) and otherwise the MBA* portfolio: one
+    restarting MBA* per distinct (guide, growth) entry of the first
+    ``threads`` of ``PORTFOLIO``, where explicit ``guide`` / ``growth``
+    settings override every entry.  ``astar`` and ``ibs`` run one search.
+    ``_run_portfolio`` runs the searches.  ``node_cap`` caps the open nodes
+    of DPA* and A*, the width of IBS and the capacity of each MBA* worker.
     """
     incumbent = Incumbent()
     root = root_node(instance)
@@ -647,15 +647,6 @@ def portfolio_solve(
     if algorithm == "auto":
         algorithm = "dpastar" if len(instance.chains) <= 2 else "mbastar"
 
-    if algorithm == "astar":
-        res = astar(root, instance, guide or GuideKind.WASTE, time_limit, incumbent, use_symmetry, node_cap=node_cap)
-        return incumbent, [res]
-    if algorithm == "ibs":
-        res = iterative_beam_search(
-            root, instance, guide or GuideKind.WASTE_PERCENTAGE, time_limit, incumbent,
-            use_symmetry=use_symmetry, node_cap=node_cap,
-        )
-        return incumbent, [res]
     if algorithm == "dpastar":
         try:
             res = dpa_star(root, instance, time_limit, incumbent, node_cap=node_cap)
@@ -674,63 +665,62 @@ def portfolio_solve(
         logging.getLogger(__name__).info(
             "DPA* falls back to the MBA* portfolio (%s) with %.3f s left",
             reason, max(0.0, clock.deadline - time.monotonic()))
-    elif algorithm != "mbastar":
+        algorithm = "mbastar"
+    # prepared per call, so a search that a tracer or a test patched runs
+    if algorithm == "astar":
+        searches = [partial(astar, root, instance, guide or GuideKind.WASTE,
+                            use_symmetry=use_symmetry, node_cap=node_cap)]
+    elif algorithm == "ibs":
+        searches = [partial(iterative_beam_search, root, instance,
+                            guide or GuideKind.WASTE_PERCENTAGE,
+                            use_symmetry=use_symmetry, node_cap=node_cap)]
+    elif algorithm == "mbastar":
+        # one worker per distinct configuration: a second worker with the
+        # same guide, growth, root and bound would repeat the first one's search
+        fixed_growth = Fraction(str(growth)) if growth is not None else None
+        configs = []
+        for g, gr in PORTFOLIO[:max(1, threads)]:
+            config = (guide or g, gr if fixed_growth is None else fixed_growth)
+            if config not in configs:
+                configs.append(config)
+        cap = node_cap if node_cap is not None else _default_node_cap(len(configs))
+        searches = [partial(restarting_mba_star, root, instance, g, gr,
+                            capacity_init=capacity_init, use_symmetry=use_symmetry,
+                            node_cap=cap) for g, gr in configs]
+    else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _run_portfolio(
-        instance, root, clock, threads, use_symmetry, capacity_init, guide, growth,
-        incumbent, node_cap,
-    )
+    return _run_portfolio(instance, root, clock, searches, incumbent)
 
 
-def _run_portfolio(
-    instance: Instance,
-    root: Node,
-    clock: _Clock,
-    threads: int,
-    use_symmetry: bool,
-    capacity_init: int,
-    guide: Optional[GuideKind],
-    growth: Optional[Union[float, str, Fraction]],
-    incumbent: Incumbent,
-    node_cap: Optional[int],
-) -> tuple[Incumbent, list[SearchResult]]:
-    # one worker per distinct configuration: a second worker with the same
-    # guide, growth, root and bound would repeat the first one's search
-    fixed_growth = Fraction(str(growth)) if growth is not None else None
-    configs = []
-    for g, gr in PORTFOLIO[:max(1, threads)]:
-        config = (guide or g, gr if fixed_growth is None else fixed_growth)
-        if config not in configs:
-            configs.append(config)
+# A search with every setting bound but its time limit and its incumbent.
+Search = Callable[[float, Incumbent], SearchResult]
 
-    if len(configs) == 1:
-        res = restarting_mba_star(
-            root, instance, *configs[0], max(0.0, clock.deadline - time.monotonic()),
-            incumbent, capacity_init=capacity_init, use_symmetry=use_symmetry,
-            node_cap=node_cap,
-        )
-        return incumbent, [res]
+
+def _run_portfolio(instance: Instance, root: Node, clock: _Clock, searches: list[Search],
+                   incumbent: Incumbent) -> tuple[Incumbent, list[SearchResult]]:
+    """Run ``searches`` on the time left: a single one in this process,
+    deterministically; several as one worker process each, which share the
+    best waste as their bound and whose leaves the parent rebuilds from
+    ``root`` and offers to ``incumbent``."""
+    if len(searches) == 1:
+        return incumbent, [searches[0](max(0.0, clock.deadline - time.monotonic()), incumbent)]
 
     # imported here, as only a multi-worker portfolio needs them: the
     # multiprocessing modules add about 1.6 MB to a process's memory
     import multiprocessing
 
-    # workers get only picklable arguments, so any start method works
+    # a search of a module-level function on picklable arguments pickles,
+    # so any start method works
     ctx = multiprocessing.get_context()
     # the best waste of any worker, -1 before the first solution; it starts
     # from the caller's incumbent (DPA*'s, after a fallback)
     shared = ctx.Value("q", -1 if incumbent.waste is None else incumbent.waste)
-    cap = node_cap if node_cap is not None else _default_node_cap(len(configs))
     workers: list[tuple] = []
     try:
-        for g, gr in configs:
+        for search in searches:
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_portfolio_worker,
-                args=(instance, root, g, gr, capacity_init, use_symmetry, cap,
-                      clock.deadline, shared, writer),
-                daemon=True,
-            )
+            proc = ctx.Process(target=_portfolio_worker, daemon=True,
+                               args=(search, clock.deadline, shared, writer))
             proc.start()
             writer.close()  # so the worker's exit closes the pipe
             workers.append((proc, reader))
@@ -775,27 +765,11 @@ class _SharedBound:
         return True
 
 
-def _portfolio_worker(
-    instance: Instance,
-    root: Node,
-    guide: GuideKind,
-    growth: Fraction,
-    capacity_init: int,
-    use_symmetry: bool,
-    node_cap: int,
-    deadline: float,
-    shared,
-    conn,
-) -> None:
-    """One worker process: restarting MBA* until ``deadline`` (a
+def _portfolio_worker(search: Search, deadline: float, shared, conn) -> None:
+    """One worker process: ``search`` until ``deadline`` (a
     ``time.monotonic()`` reading), then its result or its exception."""
     try:
-        res = restarting_mba_star(
-            root, instance, guide, growth, deadline - time.monotonic(),
-            _SharedBound(shared, conn), capacity_init=capacity_init,
-            use_symmetry=use_symmetry, node_cap=node_cap,
-        )
-        conn.send(("done", res))
+        conn.send(("done", search(deadline - time.monotonic(), _SharedBound(shared, conn))))
     except Exception as exc:
         import traceback
 

@@ -12,10 +12,10 @@ import pytest
 from glasscut import search
 from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
-    Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok,
-    _closing_cuts_ok, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok, _insertion_sort_key,
-    _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, children, insertion_front,
-    pair_combos,
+    Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok, _closed_edges,
+    _closing_cuts_ok, _frame, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
+    _insertion_sort_key, _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
+    children, insertion_front, pair_combos,
 )
 from glasscut.model import (
     Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node,
@@ -112,6 +112,50 @@ def dfs_best_leaf(
 def dfs_min_waste(instance: Instance, **kw) -> int | None:
     leaf = dfs_best_leaf(instance, **kw)
     return None if leaf is None else leaf.waste
+
+
+def unsuppressed_insertions(node: Node, instance: Instance) -> list[Insertion]:
+    """The insertions of ``node`` with the generator's three structural
+    tests off: A (a new plate opens only when no item cell fits in the
+    current one), B (depths 2 and 1 close once some cell fits without
+    growing the column) and C (no depth-2 cell once a depth-3 cell fits).
+    Every allowed depth gives its frame's item cells and waste cell; depth
+    0 is limited only by the plate count.  Sorted as
+    ``enumerate_insertions`` sorts, with no pruning rule applied."""
+    if node.complete:
+        return []
+    cells = pair_combos(node, instance)
+    defects = instance.plate_defects(node.bin)
+    closed = _closed_edges(node)
+    out: list[Insertion] = []
+    for depth in _allowed_depths(node):
+        if depth == 0 and node.bin + 1 >= instance.params.n_plates:
+            continue
+        frame = _frame(node, instance, depth, defects, closed)
+        if frame is None:
+            continue
+        out += _gen_cells(node, instance, frame, cells, depth, emit=True)[0]
+        waste = _gen_waste(node, instance, frame, depth)
+        if waste is not None:
+            out.append(waste)
+    return sorted(out, key=_insertion_sort_key)
+
+
+def unsuppressed_min_waste(instance: Instance) -> int | None:
+    """Exhaustive depth-first sweep over ``unsuppressed_insertions``: the
+    least waste of the scheme without its structural tests."""
+    best: list[int | None] = [None]
+
+    def rec(node: Node) -> None:
+        if node.complete:
+            if best[0] is None or node.waste < best[0]:
+                best[0] = node.waste
+            return
+        for ins in unsuppressed_insertions(node, instance):
+            rec(apply_insertion(node, ins, instance))
+
+    rec(root_node(instance))
+    return best[0]
 
 
 def random_walk(rng: random.Random, instance: Instance, **child_kw) -> list[Node]:

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,7 @@ from glasscut.search import (
     DominanceStore,
     Fringe,
     Incumbent,
+    SearchResult,
     astar,
     dpa_star,
     guide_scale,
@@ -47,7 +49,10 @@ from conftest import (
     random_small_instance,
     random_walk,
     reference_push_then_trim,
+    unsuppressed_min_waste,
 )
+
+RUN_SLOW = os.environ.get("GLASSCUT_RUN_SLOW") == "1"
 
 GUIDES = (
     GuideKind.WASTE,
@@ -422,6 +427,15 @@ class TestRestartSchedule:
         assert four <= one
         assert four == 100_000 or abs(4 * four - one) <= one // 20  # memory moves
 
+    def test_fallback_node_cap_is_shared_between_workers(self, monkeypatch):
+        """Where available memory cannot be read, as on macOS, the fallback
+        cap is split between the workers too."""
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc/meminfo")
+
+        monkeypatch.setattr(search, "open", unreadable, raising=False)
+        assert search._default_node_cap(4) < search._default_node_cap(1)
+
     def test_each_search_asks_for_the_cap_of_its_own_nodes(self, monkeypatch):
         """Every search is charged the same NODE_BYTES per open node, so
         each one asks for the single default cap of one process."""
@@ -614,6 +628,43 @@ class TestPruningLosses:
                 lost[rule] += waste != oracle
         print(f"optimum lost on 150 draws: {lost}")
         assert lost == self.README_LOSSES
+
+
+class TestUnsuppressedLosses:
+    """How often the shipped scheme, and each pruning rule of
+    ``TestPruningLosses`` on it, misses the optimum of the scheme with its
+    structural tests off (``conftest.unsuppressed_min_waste``), as the
+    README states."""
+
+    @pytest.mark.parametrize("seed, draws, max_items, losses", [
+        (1, 150, 5,
+         {"scheme": 90, "symmetry": 100, "sibling dominance": 92, "both": 101, "DPA*": 96}),
+        pytest.param(2, 300, 6, {
+            "scheme": 172, "symmetry": 188, "sibling dominance": 173, "both": 189, "DPA*": 178,
+        }, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not RUN_SLOW, reason="set GLASSCUT_RUN_SLOW=1 for the 300 draws (about 80 s)")]),
+    ])
+    def test_losses_against_the_unsuppressed_reference(self, seed, draws, max_items, losses):
+        rng = random.Random(seed)
+        lost = dict.fromkeys(losses, 0)
+        for _ in range(draws):
+            inst = random_small_instance(rng, max_items=max_items)
+            reference = unsuppressed_min_waste(inst)
+            assert reference is not None
+            found = {
+                "scheme": dfs_min_waste(inst),
+                "symmetry": dfs_min_waste(inst, use_symmetry=True),
+                "sibling dominance": dfs_min_waste(inst, use_dominance=True),
+                "both": dfs_min_waste(inst, use_symmetry=True, use_dominance=True),
+            }
+            inc = Incumbent()
+            assert dpa_star(root_node(inst), inst, 600.0, inc).outcome == "exhausted"
+            found["DPA*"] = inc.waste
+            for rule, waste in found.items():
+                assert waste is None or waste >= reference  # the tests only remove leaves
+                lost[rule] += waste != reference
+        print(f"unsuppressed optimum lost on {draws} draws: {lost}")
+        assert lost == losses
 
 
 class TestDominanceStore:
@@ -958,6 +1009,17 @@ class TestPortfolio:
         _, results = portfolio_solve(inst, 5.0, algorithm="mbastar", threads=3,
                                      guide=GuideKind.WASTE_PERCENTAGE)
         assert len(results) == 2
+
+    def test_workers_run_any_prepared_search(self, rng):
+        inst = random_small_instance(rng, max_items=4)
+        root, incumbent = root_node(inst), Incumbent()
+        exact = dict(use_symmetry=False, use_dominance=False)
+        searches = [partial(iterative_beam_search, root, inst, GuideKind.WASTE_PERCENTAGE, **exact),
+                    partial(astar, root, inst, GuideKind.WASTE, **exact)]
+        _, results = search._run_portfolio(inst, root, search._Clock(30.0), searches, incumbent)
+        assert len(results) == 2 and all(isinstance(r, SearchResult) for r in results)
+        assert [r.outcome for r in results] == ["exhausted", "exhausted"]
+        assert incumbent.waste == dfs_min_waste(inst)
 
     def test_midsize_output_validates(self):
         _solve_midsize_and_validate(threads=1)
