@@ -54,9 +54,9 @@ every cell that keeps the column's width, whether such a cell passes the
 defect checks, the widest 1-cut a growing cell may reach past them
 (``_grow_max``), and the cell-swap rule's facts about the left cell.  A
 trial then resolves its own 1-cut only when it grows the column or
-completes the solution, and compares it with those bounds.  Insertions and
-placements are built with ``tuple.__new__``, without the Python-level
-constructor of the NamedTuple.
+completes the solution, and compares it with those bounds.  Insertions,
+which store no fact their other fields give, and placements are built with
+``tuple.__new__``, without the Python-level constructor of the NamedTuple.
 
 Symmetry breaking (``children(..., use_symmetry=True)``) forbids a pair
 of sibling sub-plates, a cell and the cell right of it or a shelf and the
@@ -138,28 +138,23 @@ class Insertion(NamedTuple):
 
     The six coordinates describe the state *after* the move.
     ``prev_col_x1`` is the final right 1-cut of the column this move closed
-    (set for depth 0/1 and for completing moves; None otherwise).
+    (set for depth 0/1 and for completing moves; None otherwise).  Nothing
+    else is stored: a plate opens at depth 0, the plates before ``bin`` are
+    full, and a cell's 4-cut is an edge of its placements.
     """
 
     kind: InsertionKind
     depth: int
-    new_bin: bool
     completes: bool
     placements: tuple[Placement, ...]
     bin: int
-    prior_area: int
     x1_prev: int
     x1_curr: int
     y2_prev: int
     y2_curr: int
     x3_prev: int
     x3_curr: int
-    split_y: Optional[int]
     prev_col_x1: Optional[int]
-
-    @property
-    def has_items(self) -> bool:
-        return bool(self.placements)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +283,9 @@ def _frame(
     node: Node, instance: Instance, depth: int, defects: tuple[Defect, ...], closed: list[int]
 ) -> Optional[tuple]:
     """Where every cell placed at ``depth`` goes, or None if the move is
-    illegal: (plate, prior area, prev_col_x1, x1_prev, x1_curr, the edges
-    the final 1-cut must clear, the plate's defects, the cell's left edge x,
-    its floor y_lo and the top y_cap it may not pass).
+    illegal: (plate, prev_col_x1, x1_prev, x1_curr, the edges the final
+    1-cut must clear, the plate's defects, the cell's left edge x, its floor
+    y_lo and the top y_cap it may not pass).
 
     ``defects`` are those of the node's plate and ``closed`` the edges of
     its closed shelves (``_closed_edges``), both read once per node; the
@@ -303,15 +298,14 @@ def _frame(
         x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
         if defects and not _vcut_ok(defects, x, y_lo, y_cap):
             return None  # the boundary with the current cell is a real 3-cut
-        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
-                closed, defects, x, y_lo, y_cap)
+        return (node.bin, None, node.x1_prev, node.x1_curr, closed, defects, x, y_lo, y_cap)
     # the current shelf closes: an item cell ending it adds its edge
     edges = closed + [node.x3_curr] if node.cell_min_item is not None else closed
     p = instance.params
     W, H = p.plate_width, p.plate_height
     if depth == 2:
-        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
-                edges, defects, node.x1_prev, node.y2_curr, H)
+        return (node.bin, None, node.x1_prev, node.x1_curr, edges, defects,
+                node.x1_prev, node.y2_curr, H)
     new_bin = depth == 0
     x1 = None  # the final 1-cut of the closed column; none before the first plate
     if node.bin >= 0:
@@ -325,14 +319,11 @@ def _frame(
             return None
         if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
             return None
-        # top strip of the column: absent, or at least min_waste tall (a
-        # trailing all-waste shelf merges with it and has no such limit)
-        if node.shelf_min_item is not None:
-            gap = H - node.y2_curr
-            if 0 < gap < p.min_waste:
-                return None
-            if gap > 0 and defects and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1):
-                return None
+        # the top strip's cut (a trailing all-waste shelf merges with the
+        # strip; an item shelf's top is never a sliver below H)
+        if (node.shelf_min_item is not None and node.y2_curr < H and defects
+                and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1)):
+            return None
         if new_bin and node.col_has_items and 0 < W - x1 < p.min_waste:
             return None  # the plate's trailing gap would be a sliver
         # the closing 1-cut is the next column's left edge, or the plate's last
@@ -344,7 +335,7 @@ def _frame(
         plate, x, defects = node.bin + 1, 0, instance.plate_defects(node.bin + 1)
     else:
         plate, x = node.bin, x1
-    return (plate, plate * W * H, x1, x, x, [], defects, x, 0, H)
+    return (plate, x1, x, x, [], defects, x, 0, H)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +535,7 @@ def enumerate_insertions(
         no_growth = no_growth or no_growth_d
         if emit:
             out += placed
-            if frame[6]:  # without defects there is no waste cell
+            if frame[5]:  # without defects there is no waste cell
                 w_ins = _gen_waste(node, instance, frame, depth)
                 if w_ins is not None:
                     out.append(w_ins)
@@ -579,25 +570,25 @@ def _closing_cuts_ok(
 
 def _cell_opening_shelf(
     defects: tuple[Defect, ...], x: int, y_lo: int, w: int, h: int, p: Params
-) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
-    """(kind, item y, cell top, split y) of an item cell that opens a shelf
-    at y_lo, so that its height sets the shelf's, or None.  The item itself
-    fits below the plate's top edge."""
+) -> Optional[tuple[InsertionKind, int, int]]:
+    """(kind, item y, cell top) of an item cell that opens a shelf at y_lo,
+    so that its height sets the shelf's, or None.  The item itself fits
+    below the plate's top edge."""
     mw, H = p.min_waste, p.plate_height
     if not defects or _rect_clear(defects, x, y_lo, x + w, y_lo + h):
         if h >= p.min2:
-            kind, y_item, y_hi, split_y = _ONE_ITEM, y_lo, y_lo + h, None
+            kind, y_item, y_hi = _ONE_ITEM, y_lo, y_lo + h
         else:  # widen to min2, keep the waste >= min_waste
-            kind, y_item, y_hi, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + max(p.min2, h + mw), y_lo + h
+            kind, y_item, y_hi = _ITEM_WASTE_ABOVE, y_lo, y_lo + max(p.min2, h + mw)
     else:
         # bottom spot is defective: put the item at the top of a taller cell
         y_item = _raise_item(defects, x, w, h, max(y_lo + mw, y_lo + p.min2 - h), H)
         if y_item is None:
             return None
-        kind, y_hi, split_y = _ITEM_WASTE_BELOW, y_item + h, y_item
+        kind, y_hi = _ITEM_WASTE_BELOW, y_item + h
     if y_hi > H - mw and y_hi != H:
         return None  # past the plate, or a sliver above
-    return kind, y_item, y_hi, split_y
+    return kind, y_item, y_hi
 
 
 def _gen_cells(
@@ -630,11 +621,10 @@ def _gen_cells(
     (``_closing_cuts_ok``).  The facts of the cell-swap rule
     (``_swap_forbidden``) about the left cell are read once per frame, and
     each trial tests only its own cell against them."""
-    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
+    plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, H, min2 = p.min_waste, p.plate_height, p.min2
     x1_max = min(x1_prev + p.max1, p.plate_width)
-    new_bin = depth == 0
     items_left = instance.n_items - node.n_packed
     new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
     # the final x1 of every cell that ends left of x1_curr and does not
@@ -666,20 +656,20 @@ def _gen_cells(
             if depth == 3:  # between the fixed cuts y_lo and y_cap of the shelf
                 y_hi = y_cap
                 if h == y_cap - y_lo:
-                    kind, y_item, split_y = _ONE_ITEM, y_lo, None
+                    kind, y_item = _ONE_ITEM, y_lo
                 elif h > y_cap - y_lo - mw:
                     continue  # the 4-cut waste would be a sliver
                 else:
-                    kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+                    kind, y_item = _ITEM_WASTE_ABOVE, y_lo
                 if defects and not _rect_clear(defects, x, y_lo, x_end, y_lo + h):
                     if kind is _ONE_ITEM or not _rect_clear(defects, x, y_cap - h, x_end, y_cap):
                         continue
-                    kind, y_item, split_y = _ITEM_WASTE_BELOW, y_cap - h, y_cap - h
+                    kind, y_item = _ITEM_WASTE_BELOW, y_cap - h
             else:
                 cell = _cell_opening_shelf(defects, x, y_lo, w, h, p)
                 if cell is None:
                     continue
-                kind, y_item, y_hi, split_y = cell
+                kind, y_item, y_hi = cell
             completing = items_left == 1
             skip = not emit or swap_min is not None and j < swap_min and cj not in left_chains and (
                 not defects or _rect_clear(defects, x, y_lo, x_end, y_cap))
@@ -735,8 +725,8 @@ def _gen_cells(
             pls = (new(Placement, (j, cj, x, y_lo, w, h, rot)),
                    new(Placement, (k, ck, x, split_y, w, hk, rk)))
         out.append(new(Insertion, (
-            kind, depth, new_bin, completing, pls, plate, prior_area, x1_prev, x1, y_lo, y_hi,
-            x, x_end, split_y, x1 if completing and depth >= 2 else prev_col_x1,
+            kind, depth, completing, pls, plate, x1_prev, x1, y_lo, y_hi,
+            x, x_end, x1 if completing and depth >= 2 else prev_col_x1,
         )))
     return out, fits, no_growth
 
@@ -745,7 +735,7 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
     """A waste cell in the ``frame`` of ``depth`` covering the nearest
     blocking defect, if there is one: at depth 2 a band above the shelves,
     else a strip right of the frame's left edge."""
-    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
+    plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     # most frames have no defect ahead: find the first one before listing them
     if depth == 2:
         for d in defects:
@@ -782,8 +772,7 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
         if y_end < H and not _hcut_ok(defects, y_end, x1_prev, x1):
             return None
         return tuple.__new__(Insertion, (
-            _WASTE_ONLY, 2, False, False, (), plate, prior_area,
-            x1_prev, x1, y_lo, y_end, x1_prev, x1, None, None,
+            _WASTE_ONLY, 2, False, (), plate, x1_prev, x1, y_lo, y_end, x1_prev, x1, None,
         ))
     first = min(ahead, key=lambda d: (d.x, d.y))
     x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
@@ -793,8 +782,7 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
     if depth == 3 and not _growth_cuts_ok(node, x1, defects):
         return None
     return tuple.__new__(Insertion, (
-        _WASTE_ONLY, depth, depth == 0, False, (), plate, prior_area,
-        x1_prev, x1, y_lo, y_cap, x, x_end, None, prev_col_x1,
+        _WASTE_ONLY, depth, False, (), plate, x1_prev, x1, y_lo, y_cap, x, x_end, prev_col_x1,
     ))
 
 
@@ -953,12 +941,15 @@ _MEMO_COUNTS = CHILD_MEMO_FIELDS.index("counts")
 # insertions, each insertion with its placements and the coordinates it
 # made.  Fitted by least squares to 1,800 entries of restarting MBA* on 8-,
 # 30- and 60-chain instances, each measured twice with the free lists
-# emptied by gc.collect(); the charges are within 9% of every one of them.
-# They count neither the table's own slots (about 50 B an entry) nor a key's
-# shelf records and chain-id sets, which its node shares with its relatives:
-# dropping a full memo after such a run freed 0.93-1.16 times its charged
-# total (most on 8 chains).  Entries average 1.45 KB on the benchmark's
-# 8-chain instances, 4.7 KB on 30 chains and 10.6 KB on 60.
+# emptied by gc.collect(), with 15-field insertions, as are the figures
+# below.  Kept for 12 fields, so that the memo holds the same entries, they
+# charge 1.06-1.18 times the sizes of 192 entries of the runs of
+# tests/test_search.py::TestCacheBudgets (``_traced_size``; 0.99-1.14 with
+# 15).  They count neither the table's own slots (about 50 B an entry) nor
+# a key's shelf records and chain-id sets, which its node shares with its
+# relatives: dropping a full memo after such a run freed 0.93-1.16 times its
+# charged total (most on 8 chains).  Entries averaged 1.45 KB on the
+# benchmark's 8-chain instances, 4.7 KB on 30 chains and 10.6 KB on 60.
 CHAIN_BYTES = 8
 MEMO_ENTRY_BYTES = 320
 MEMO_INSERTION_BYTES = 272

@@ -87,10 +87,11 @@ def _output_error(path: str) -> Optional[str]:
 
 def _capacity_error(args: argparse.Namespace, instance: Instance) -> Optional[str]:
     """Why the MBA* portfolio could not expand a node, if it runs (``mbastar``,
-    or ``auto`` on more than two chains) and its first fringe capacity,
-    ``--queue-size-init``, is already above ``--node-cap``: each worker
-    would stop with outcome memory before its first expansion."""
-    mba = args.algorithm == "mbastar" or args.algorithm == "auto" and len(instance.chains) > 2
+    or ``auto`` or ``dpastar`` on more than two chains) and its first fringe
+    capacity, ``--queue-size-init``, is already above ``--node-cap``: each
+    worker would stop with outcome memory before its first expansion."""
+    mba = args.algorithm == "mbastar" or (
+        args.algorithm in ("auto", "dpastar") and len(instance.chains) > 2)
     if mba and args.node_cap is not None and args.queue_size_init > args.node_cap:
         return (f"BAD_ARGS --queue-size-init {args.queue_size_init} is above --node-cap "
                 f"{args.node_cap}: no MBA* worker could expand a node")

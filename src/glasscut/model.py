@@ -41,7 +41,7 @@ class ParseError(GlasscutError):
 
 
 class InstanceError(GlasscutError):
-    """Instance-level inconsistency (bad dimensions, bad chains, ...)."""
+    """Instance-level inconsistency (bad dimensions, items or defects)."""
 
 
 class SolutionError(GlasscutError):
@@ -115,19 +115,19 @@ class Defect:
 
 @dataclass
 class Instance:
-    """Items grouped into precedence chains plus per-plate defects."""
+    """Items grouped into precedence chains plus per-plate defects; the
+    chains (item ids by rank, chains by id) follow from the items."""
 
     params: Params
     items: Sequence[Item]
-    chains: Sequence[Sequence[int]] = field(default_factory=list)
     defects: dict[int, tuple[Defect, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.items = sorted(self.items, key=lambda it: it.id)
         if [it.id for it in self.items] != list(range(len(self.items))):
             raise InstanceError("BAD_ITEM item ids must be 0..n-1")
-        if not self.chains:
-            self.chains = _derive_chains(self.items)
+        self.chains = _derive_chains(self.items)
+        self.chain_index = {i: ci for ci, chain in enumerate(self.chains) for i in chain}
         self._check()
         # {chain index} per chain, shared by every one-item cell of the chain
         self.chain_sets = tuple(frozenset((ci,)) for ci in range(len(self.chains)))
@@ -144,16 +144,6 @@ class Instance:
         p = self.params
         if len(self.items) >= 700:
             warnings.warn(f"{len(self.items)} items is beyond the expected range")
-        seen: set[int] = set()
-        self.chain_index: dict[int, int] = {}
-        for ci, chain in enumerate(self.chains):
-            for item_id in chain:
-                if item_id in seen:
-                    raise InstanceError(f"BAD_CHAINS item {item_id} in two chains")
-                seen.add(item_id)
-                self.chain_index[item_id] = ci
-        if seen != {it.id for it in self.items}:
-            raise InstanceError("BAD_CHAINS chains do not partition the item set")
         for it in self.items:
             if min(it.width, it.height) < p.min_waste:
                 raise InstanceError(f"BAD_ITEM item {it.id} thinner than min_waste")
@@ -197,8 +187,7 @@ def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     chains = []
     for cid in sorted(by_chain):
         members = sorted(by_chain[cid], key=lambda it: it.chain_rank)
-        ranks = [it.chain_rank for it in members]
-        if len(set(ranks)) != len(ranks):
+        if any(a.chain_rank == b.chain_rank for a, b in zip(members, members[1:])):
             raise ParseError(f"DUPLICATE_SEQUENCE stack {cid} repeats a rank")
         chains.append([it.id for it in members])
     return chains
@@ -349,17 +338,16 @@ class Node:
     from its parent and a feasible insertion (``branching.Insertion``, read
     by field name; its geometry was settled when it was generated);
     ``Node(None, None, instance)`` is the empty root, before any plate is
-    opened.  Immutable after construction.  ``prior_area`` is the full area
-    of every plate before the current one; ``area``/``waste`` follow the
-    front-based accounting (leftover right of the last 1-cut is free once
-    complete).
+    opened.  Immutable after construction.  ``waste`` is the area covered
+    (``covered_area``: the plates before ``bin`` and the front) less
+    ``item_area``.
     """
 
     __slots__ = (
         "parent", "insertion", "bin", "x1_prev", "x1_curr", "y2_prev", "y2_curr",
-        "x3_prev", "x3_curr", "counts", "n_packed", "item_area", "prior_area", "area",
-        "waste", "complete", "closed_shelves", "col_has_items", "shelf_min_item",
-        "shelf_chain_ids", "cell_min_item", "cell_chain_ids",
+        "x3_prev", "x3_curr", "counts", "n_packed", "item_area", "waste", "complete",
+        "closed_shelves", "col_has_items", "shelf_min_item", "shelf_chain_ids",
+        "cell_min_item", "cell_chain_ids",
     )
 
     def __init__(self, parent: Optional["Node"], insertion, instance: Instance):
@@ -370,7 +358,7 @@ class Node:
             self.x1_prev = self.x1_curr = self.y2_prev = self.y2_curr = 0
             self.x3_prev = self.x3_curr = 0
             self.counts = (0,) * len(instance.chains)
-            self.n_packed = self.item_area = self.prior_area = self.area = self.waste = 0
+            self.n_packed = self.item_area = self.waste = 0
             self.complete = instance.n_items == 0
             self.closed_shelves = ()
             self.col_has_items = False
@@ -414,12 +402,11 @@ class Node:
         self.counts = counts
         self.n_packed = parent.n_packed + len(pls)
         self.item_area = item_area
-        self.prior_area = ins.prior_area
         self.complete = ins.completes
-        self.area = covered_area(
-            ins.prior_area, instance.params.plate_height, ins.x1_prev, ins.x1_curr,
-            ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes)
-        self.waste = self.area - item_area
+        p = instance.params
+        self.waste = covered_area(
+            ins.bin * p.plate_width * p.plate_height, p.plate_height, ins.x1_prev, ins.x1_curr,
+            ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes) - item_area
 
     def front_key(self) -> tuple[int, int, int, int, int, int]:
         return (self.bin, self.x1_prev, self.x1_curr, self.x3_curr, self.y2_prev, self.y2_curr)

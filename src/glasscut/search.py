@@ -283,6 +283,7 @@ def _expander(
     offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
     apply = branching.apply_insertion
     height = instance.params.plate_height
+    plate_area = instance.params.plate_width * height
     scale = guide_scale(instance.params)
 
     def expand(node: Node) -> list[tuple[int, int, OpenChild]]:
@@ -291,7 +292,7 @@ def _expander(
             item_area = node.item_area
             for pl in ins.placements:
                 item_area += pl.width * pl.height
-            area = covered_area(ins.prior_area, height, ins.x1_prev, ins.x1_curr,
+            area = covered_area(ins.bin * plate_area, height, ins.x1_prev, ins.x1_curr,
                                 ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes)
             waste = area - item_area
             best = bound()

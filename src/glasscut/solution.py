@@ -163,11 +163,11 @@ def _draft_cell(ins: Insertion, y0: int, y1: int) -> _Draft:
         pl = pieces[0]
         assert (pl.x, pl.y, pl.w, pl.h) == (x0, y0, w, y1 - y0)
         return pl
-    split = ins.split_y
-    if kind is InsertionKind.ITEM_WASTE_ABOVE:
+    if kind is InsertionKind.ITEM_WASTE_ABOVE:  # the 4-cut is the item's top edge
+        split = pieces[0].y + pieces[0].h
         pieces.append(_Draft(x0, split, w, y1 - split, TYPE_WASTE))
-    elif kind is InsertionKind.ITEM_WASTE_BELOW:
-        pieces.insert(0, _Draft(x0, y0, w, split - y0, TYPE_WASTE))
+    elif kind is InsertionKind.ITEM_WASTE_BELOW:  # or its bottom one
+        pieces.insert(0, _Draft(x0, y0, w, pieces[0].y - y0, TYPE_WASTE))
     return _Draft(x0, y0, w, y1 - y0, TYPE_BRANCH, pieces)
 
 

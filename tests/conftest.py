@@ -34,7 +34,10 @@ SMALL_PARAMS = Params(
 
 
 def make_instance(item_dims, chains=None, defects=None, params=None) -> Instance:
-    """Instance from (width, height) pairs; default one chain per item."""
+    """Instance from (width, height) pairs; default one chain per item.
+    Each item gets the index of its chain in ``chains`` as its chain id and
+    its position there as its rank, from which ``Instance`` derives the
+    same chains."""
     params = params or SMALL_PARAMS
     if chains is None:
         chains = [[i] for i in range(len(item_dims))]
@@ -49,7 +52,6 @@ def make_instance(item_dims, chains=None, defects=None, params=None) -> Instance
     return Instance(
         params=params,
         items=items,
-        chains=[list(c) for c in chains],
         defects={k: tuple(v) for k, v in defect_map.items()},
     )
 
@@ -189,7 +191,8 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
                 continue
             if best is not None and kid.waste >= best:
                 continue
-            key = guide_value(kid.waste, kid.area, kid.item_area, kid.n_packed, guide, scale)
+            key = guide_value(kid.waste, kid.waste + kid.item_area, kid.item_area, kid.n_packed,
+                              guide, scale)
             cands.append((key, -kid.n_packed, i, kid))
         if not cands:
             break
@@ -217,14 +220,15 @@ def expansion_trace():
         search.children = original
 
 
-def raster_front_area(node: Node, plate_height: int) -> int:
-    """Area oracle: sum the front's step function row by row (1 mm rows) on
-    plates ``plate_height`` tall."""
+def raster_front_area(node: Node, params: Params) -> int:
+    """Area oracle: the full plates before the node's, plus its front's
+    step function summed row by row (1 mm rows)."""
     if node.bin < 0:
         return 0
+    plate_height = params.plate_height
+    total = node.bin * params.plate_width * plate_height
     if node.complete:
-        return node.prior_area + node.x1_curr * plate_height
-    total = node.prior_area
+        return total + node.x1_curr * plate_height
     for y in range(plate_height):
         if y < node.y2_prev:
             total += node.x1_curr
@@ -378,9 +382,9 @@ def reference_edge_constraints(node: Node, closing_shelf: bool) -> list[int]:
 
 def reference_frame(node: Node, instance: Instance, depth: int) -> Optional[tuple]:
     """Where every cell placed at ``depth`` goes, or None if the move is
-    illegal: (plate, prior area, prev_col_x1, x1_prev, x1_curr, the edges
-    the final 1-cut must clear, the plate's defects, the cell's left edge x,
-    its floor y_lo and the top y_cap it may not pass).
+    illegal: (plate, prev_col_x1, x1_prev, x1_curr, the edges the final
+    1-cut must clear, the plate's defects, the cell's left edge x, its floor
+    y_lo and the top y_cap it may not pass).
 
     At depth 3 the cell extends the current shelf, under its fixed top; at
     depth 2 it opens a shelf above it.  Depths 1 and 0 close the current
@@ -394,12 +398,12 @@ def reference_frame(node: Node, instance: Instance, depth: int) -> Optional[tupl
         x, y_lo, y_cap = node.x3_curr, node.y2_prev, node.y2_curr
         if defects and not _vcut_ok(defects, x, y_lo, y_cap):
             return None  # the boundary with the current cell is a real 3-cut
-        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+        return (node.bin, None, node.x1_prev, node.x1_curr,
                 reference_edge_constraints(node, closing_shelf=False), defects, x, y_lo, y_cap)
     p = instance.params
     W, H = p.plate_width, p.plate_height
     if depth == 2:
-        return (node.bin, node.prior_area, None, node.x1_prev, node.x1_curr,
+        return (node.bin, None, node.x1_prev, node.x1_curr,
                 reference_edge_constraints(node, closing_shelf=True), defects,
                 node.x1_prev, node.y2_curr, H)
     new_bin = depth == 0
@@ -432,7 +436,7 @@ def reference_frame(node: Node, instance: Instance, depth: int) -> Optional[tupl
             if not _vcut_ok(defects, x1, 0, H):
                 return None
     plate, x = (node.bin + 1, 0) if new_bin else (node.bin, x1)
-    return (plate, plate * W * H, x1, x, x, [], instance.plate_defects(plate), x, 0, H)
+    return (plate, x1, x, x, [], instance.plate_defects(plate), x, 0, H)
 
 
 def reference_enumerate_insertions(
@@ -485,21 +489,21 @@ def reference_growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, .
 
 def reference_cell_in_shelf(
     defects: tuple[Defect, ...], x: int, y_lo: int, y_hi: int, w: int, h: int, mw: int
-) -> Optional[tuple[InsertionKind, int, int, Optional[int]]]:
-    """(kind, item y, cell top, split y) of an item cell between the fixed
-    cuts y_lo and y_hi of the current shelf, or None: ``_cell_in_shelf``
-    as it was before the generator took its shape inline."""
+) -> Optional[tuple[InsertionKind, int, int]]:
+    """(kind, item y, cell top) of an item cell between the fixed cuts y_lo
+    and y_hi of the current shelf, or None: ``_cell_in_shelf`` as it was
+    before the generator took its shape inline."""
     if h == y_hi - y_lo:
-        kind, y_item, split_y = _ONE_ITEM, y_lo, None
+        kind, y_item = _ONE_ITEM, y_lo
     elif h > y_hi - y_lo - mw:
         return None  # too tall, or the 4-cut waste would be a sliver
     else:
-        kind, y_item, split_y = _ITEM_WASTE_ABOVE, y_lo, y_lo + h
+        kind, y_item = _ITEM_WASTE_ABOVE, y_lo
     if defects and not _rect_clear(defects, x, y_item, x + w, y_item + h):
         if kind is _ONE_ITEM or not _rect_clear(defects, x, y_hi - h, x + w, y_hi):
             return None
-        kind, y_item, split_y = _ITEM_WASTE_BELOW, y_hi - h, y_hi - h
-    return kind, y_item, y_hi, split_y
+        kind, y_item = _ITEM_WASTE_BELOW, y_hi - h
+    return kind, y_item, y_hi
 
 
 class PairCombo(NamedTuple):
@@ -579,7 +583,7 @@ def reference_gen_cells(
 
     ``branching._gen_cells`` as it was before its trials became straight-line
     code: one closure per call tries each cell, calling the helpers anew."""
-    plate, prior_area, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
+    plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, W, H = p.min_waste, p.plate_width, p.plate_height
     x1_max = min(x1_prev + p.max1, W)
@@ -628,7 +632,7 @@ def reference_gen_cells(
                 cell = _cell_opening_shelf(defects, x, y_lo, w, h, p)
             if cell is None:
                 continue
-            kind, y_item, y_hi, split_y = cell
+            kind, y_item, y_hi = cell
             skip = not emit or swap_rule and reference_cell_swap_forbidden(
                 node, defects, j, chain_sets[ci], x_end)
             x1 = try_cell(x_end, y_hi, completing, skip)
@@ -637,8 +641,8 @@ def reference_gen_cells(
                     return out, fits, no_growth  # a probe: nothing left to learn
             else:
                 out.append(Insertion(
-                    kind, depth, depth == 0, completing, (Placement(j, ci, x, y_item, w, h, rot),),
-                    plate, prior_area, x1_prev, x1, y_lo, y_hi, x, x_end, split_y,
+                    kind, depth, completing, (Placement(j, ci, x, y_item, w, h, rot),),
+                    plate, x1_prev, x1, y_lo, y_hi, x, x_end,
                     x1 if completing and depth >= 2 else prev_col_x1,
                 ))
     completing = items_left == 2
@@ -668,8 +672,7 @@ def reference_gen_cells(
                 Placement(c.k, ck, x, y_split, c.width, c.hk, c.rk),
             )
             out.append(Insertion(
-                _TWO_ITEMS, depth, depth == 0, completing, pls, plate, prior_area,
-                x1_prev, x1, y_lo, y_hi, x, x_end, y_split,
+                _TWO_ITEMS, depth, completing, pls, plate, x1_prev, x1, y_lo, y_hi, x, x_end,
                 x1 if completing and depth >= 2 else prev_col_x1,
             ))
     return out, fits, no_growth
@@ -699,7 +702,7 @@ class _RefCell:
         self.x1 = ins.x3_curr
         self.kind = ins.kind
         self.placements = ins.placements
-        self.split_y = ins.split_y
+        self.split_y = split_y_of(ins)
 
 
 class _RefShelf:
@@ -861,6 +864,37 @@ def _ref_normalize(node: _RefDraft) -> None:
         else:
             merged.append(kid)
     node.kids = merged
+
+
+def split_y_of(ins: Insertion) -> Optional[int]:
+    """The 4-cut of the cell that ``ins`` packs, or None: the top of an
+    item with waste above, the bottom of one with waste below, and the
+    bottom of the upper item of two."""
+    pls = ins.placements
+    if ins.kind is _ITEM_WASTE_ABOVE:
+        return pls[0].y + pls[0].height
+    if ins.kind is _ITEM_WASTE_BELOW:
+        return pls[0].y
+    if ins.kind is _TWO_ITEMS:
+        return pls[1].y
+    return None
+
+
+def pinned_record(ins: Insertion, params: Params) -> tuple:
+    """The 15 values on which the insertion pins and the golden traces were
+    taken, in their order then, rebuilt from ``ins`` on plates of
+    ``params``: kind name, depth, whether a plate opens, completes, the
+    placements as plain tuples, plate, the full area of the plates before
+    it, the six coordinates, the 4-cut and prev_col_x1.  Hashing this
+    record rather than ``list(ins)`` keeps the pins valid across changes
+    of the insertion's layout that leave every search decision alone."""
+    return (
+        ins.kind.name, ins.depth, ins.depth == 0, ins.completes,
+        tuple(tuple(pl) for pl in ins.placements), ins.bin,
+        ins.bin * params.plate_width * params.plate_height,
+        ins.x1_prev, ins.x1_curr, ins.y2_prev, ins.y2_curr, ins.x3_prev, ins.x3_curr,
+        split_y_of(ins), ins.prev_col_x1,
+    )
 
 
 def random_front(rng: random.Random, bin_index: int = 0) -> tuple:

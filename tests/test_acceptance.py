@@ -305,7 +305,7 @@ def test_criterion_8_symmetry_pattern_classification():
     below = children(root_node(inst_a), inst_a)
     parent = next(k for k in below if k.insertion.placements[0].item_id == 1)
     moves_a = [
-        m for m in enumerate_insertions(parent, inst_a) if m.depth == 2 and m.has_items
+        m for m in enumerate_insertions(parent, inst_a) if m.depth == 2 and m.placements
     ]
     assert moves_a
     a_forbidden = all(not symmetry_allows(parent, m, inst_a) for m in moves_a)
@@ -320,7 +320,7 @@ def test_criterion_8_symmetry_pattern_classification():
     below = children(root_node(inst_b), inst_b)
     parent = next(k for k in below if k.insertion.placements[0].item_id == 1)
     moves_b = [
-        m for m in enumerate_insertions(parent, inst_b) if m.depth == 2 and m.has_items
+        m for m in enumerate_insertions(parent, inst_b) if m.depth == 2 and m.placements
     ]
     assert moves_b
     b_allowed = all(symmetry_allows(parent, m, inst_b) for m in moves_b)
@@ -338,19 +338,19 @@ def test_criterion_8_symmetry_pattern_classification():
     )
     shelf_open = [
         m for m in enumerate_insertions(parent, inst_c)
-        if m.depth == 2 and m.has_items and m.placements[0].item_id == 0
+        if m.depth == 2 and m.placements and m.placements[0].item_id == 0
     ]
     assert shelf_open
     opened = next(
         k
         for k in children(parent, inst_c, use_symmetry=True)
-        if k.insertion.depth == 2 and k.insertion.has_items
+        if k.insertion.depth == 2 and k.insertion.placements
         and k.insertion.placements[0].item_id == 0
     )
     closing = [
         m
         for m in enumerate_insertions(opened, inst_c)
-        if m.depth == 3 and m.has_items and m.placements[0].item_id == 2
+        if m.depth == 3 and m.placements and m.placements[0].item_id == 2
     ]
     assert closing and all(m.completes for m in closing)
     c_allowed = all(symmetry_allows(opened, m, inst_c) for m in closing)

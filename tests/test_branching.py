@@ -42,6 +42,7 @@ from conftest import (
     front_leq,
     make_instance,
     midsize_instance,
+    pinned_record,
     random_small_instance,
     random_walk,
     raster_front_area,
@@ -174,6 +175,14 @@ class TestCellTables:
         assert inst._cell_tables is tables and table_entries(tables) == entries
 
 
+def test_an_insertion_stores_no_derived_field():
+    """A plate opens exactly at depth 0, the plates before ``bin`` are full
+    and a cell's 4-cut is an edge of its placements, so none is a field."""
+    assert Insertion._fields == (
+        "kind", "depth", "completes", "placements", "bin", "x1_prev", "x1_curr", "y2_prev",
+        "y2_curr", "x3_prev", "x3_curr", "prev_col_x1")
+
+
 class TestRootEnumeration:
     def test_single_item_clean_plate(self):
         inst = make_instance([(500, 400)])
@@ -265,7 +274,7 @@ class TestDepthRules:
                              params=params)
         parent = kid_for(root_node(inst), inst, 0)
         moves = enumerate_insertions(parent, inst)
-        assert moves and all(m.depth == 0 and m.new_bin for m in moves)
+        assert moves and all(m.depth == 0 and m.bin == 1 for m in moves)
 
 
 class TestApply:
@@ -284,7 +293,7 @@ class TestApply:
         assert child.x3_prev == 300
         assert child.x3_curr == 500
         assert child.x1_curr == 500  # the 1-cut follows the cell
-        assert child.area == raster_front_area(child, inst.params.plate_height)
+        assert child.waste + child.item_area == raster_front_area(child, inst.params)
         assert child.waste >= parent.waste
 
     def test_waste_only_strictly_increases_waste(self):
@@ -311,7 +320,7 @@ class TestDefectAvoidance:
         for m in below:
             pl = m.placements[0]
             assert pl.y >= 80  # above the defect
-            assert m.split_y == pl.y
+            assert pl.y - m.y2_prev >= inst.params.min_waste  # the waste below is no sliver
 
     def test_waste_cover_only_with_defect(self):
         clean = make_instance([(300, 200), (400, 150)], chains=[[0], [1]])
@@ -481,7 +490,7 @@ class TestSymmetry:
         parent = kid_for(root_node(inst), inst, 1)
         above = [
             m for m in enumerate_insertions(parent, inst)
-            if m.depth == 2 and m.has_items
+            if m.depth == 2 and m.placements
         ]
         assert above and all(m.completes for m in above)
         assert all(not symmetry_allows(parent, m, inst) for m in above)
@@ -577,7 +586,8 @@ class TestChildren:
         # different item sets always coexist
         inst2 = make_instance([(300, 200), (250, 150)], chains=[[0], [1]])
         kids2 = children(root_node(inst2), inst2)
-        assert {k.insertion.placements[0].item_id for k in kids2 if k.insertion.has_items} == {0, 1}
+        assert {k.insertion.placements[0].item_id for k in kids2 if k.insertion.placements} == {
+            0, 1}
         # identical duplicates collapse to one
         dup = child_insertions(root_node(inst2), inst2, use_dominance=False)
         assert len(filter_dominated_children(dup + dup)) == len(
@@ -594,17 +604,14 @@ STACKABLE_PARAMS = Params(plate_width=600, plate_height=400, n_plates=3, min1=40
 
 
 def insertions_digest(nodes) -> str:
-    """sha256 of ``enumerate_insertions`` at each node, both flags, field by
-    field (as ``_digest`` in test_golden_trace.py hashes insertions)."""
+    """sha256 of ``enumerate_insertions`` at each node, both flags, each
+    insertion as its ``pinned_record`` (as ``_digest`` in
+    test_golden_trace.py hashes insertions)."""
     digest = hashlib.sha256()
     for node, inst in nodes:
         for use_symmetry in (False, True):
-            records = []
-            for ins in enumerate_insertions(node, inst, use_symmetry):
-                fields = list(ins)
-                fields[0] = ins.kind.name
-                fields[4] = tuple(tuple(pl) for pl in ins.placements)
-                records.append(tuple(fields))
+            records = [pinned_record(ins, inst.params)
+                       for ins in enumerate_insertions(node, inst, use_symmetry)]
             digest.update(repr(records).encode())
     return digest.hexdigest()
 
@@ -729,11 +736,9 @@ def node_level_dominance(kids):
 DERIVED_NODE_FIELDS = {
     "parent": "the child pipeline never reads it",
     "insertion": "the pipeline reads only the depths it opens, _allowed_depths(node), in the key",
-    "prior_area": "follows from bin: the full area of the plates before it",
     "n_packed": "follows from counts",
     "item_area": "follows from counts",
-    "area": "follows from prior_area, the front and complete; the pipeline never reads it",
-    "waste": "area less item_area; the pipeline never reads it",
+    "waste": "follows from bin, the front, complete and item_area; the pipeline never reads it",
     "complete": "complete nodes are never expanded",
 }
 
@@ -965,6 +970,23 @@ class TestCellGenerator:
                 seen["waste cell"] += sum(not m.placements for m in got)
                 seen["at most one"] += len(got) <= 1
         assert min(seen.values()) >= 100, seen
+
+    def test_an_item_shelf_never_ends_in_a_sliver_below_the_top(self, nodes):
+        """The shelf of a node ends at the plate's top or at least
+        min_waste below it, whenever it holds an item: its top was set by
+        ``_cell_opening_shelf`` or by the stack test, which both reject
+        the tops between.  So ``_frame`` has no top strip to reject as a
+        sliver when it closes the column.  On the walked nodes of both
+        insertion pins and on the walks with dense defects."""
+        seen = {"at the top": 0, "within 3 min_waste of it": 0, "lower": 0}
+        for node, inst in nodes + stackable_walks():
+            if node.shelf_min_item is None:
+                continue
+            gap, min_waste = inst.params.plate_height - node.y2_curr, inst.params.min_waste
+            assert gap == 0 or gap >= min_waste
+            seen["at the top" if gap == 0 else
+                 "within 3 min_waste of it" if gap <= 3 * min_waste else "lower"] += 1
+        assert min(seen.values()) >= 5 and seen["lower"] >= 1000, seen
 
     def test_growth_cuts_match_the_reference_loop(self, nodes):
         """``_growth_cuts_ok``, which compares x1 with ``_grow_max``, against

@@ -167,12 +167,14 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("prefix, algorithm", [
-        ("toy", "mbastar"), ("three_chains", "mbastar"), ("three_chains", "auto")])
+        ("toy", "mbastar"), ("three_chains", "mbastar"), ("three_chains", "auto"),
+        ("three_chains", "dpastar")])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_a_first_capacity_over_the_node_cap_fails_before_the_search(
             self, instance_dir, capsys, monkeypatch, prefix, algorithm, threads):
         """Where the MBA* portfolio runs, a --queue-size-init above
-        --node-cap is refused before any worker starts."""
+        --node-cap is refused before any worker starts: also under
+        ``dpastar`` on three chains, which DPA* refuses and hands to MBA*."""
         (instance_dir / "three_chains_batch.csv").write_text(
             BATCH + "4;500;400;2;1\n")
         monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
@@ -308,11 +310,13 @@ class TestBadInput:
         ["--queue-size-init", "0", "--threads", "1", "--algorithm", "mbastar"],
         ["--threads", "0"],
         ["--threads", "-2"],
+        ["--threads", "abc"],
         ["--node-cap", "0", "--threads", "1"],
         ["--node-cap", "-3", "--threads", "1"],
         ["-t", "0", "--threads", "1"],
         ["-t", "-1", "--threads", "1"],
         ["-t", "inf", "--threads", "1"],
+        ["-t", "abc", "--threads", "1"],
     ])
     def test_solve_rejects_bad_search_settings(self, instance_dir, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -409,6 +413,15 @@ class TestBadInput:
         assert code == 1
         assert capsys.readouterr().err == f"error: BAD_ARGS no instance tow owt in {tmp_path}\n"
         assert not results.exists()
+
+    def test_bench_on_a_directory_without_instances_says_so(self, tmp_path, capsys,
+                                                            monkeypatch):
+        (tmp_path / "notes_defects.csv").write_text("DEFECT_ID;PLATE_ID;X;Y;WIDTH;HEIGHT\n")
+        monkeypatch.setattr(cli, "portfolio_solve", lambda *a, **k: pytest.fail("searched"))
+        code = run(["bench", "--dir", str(tmp_path), "-t", "1", "-o", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no instances found\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bench_reports_a_missing_directory(self, tmp_path, capsys):
         code = run(["bench", "--dir", str(tmp_path / "nope"), "-o", str(tmp_path / "r.csv")])

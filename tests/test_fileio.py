@@ -12,7 +12,7 @@ from glasscut.fileio import (
     read_solution,
     write_solution,
 )
-from glasscut.model import Params, ParseError, SolutionError
+from glasscut.model import InstanceError, Params, ParseError, SolutionError
 from glasscut.solution import (
     SolutionTree,
     TreeNode,
@@ -126,6 +126,38 @@ class TestParseDefects:
                 ),
                 Params(),
             )
+
+
+SOLUTION_HEADER = "PLATE_ID;NODE_ID;X;Y;WIDTH;HEIGHT;TYPE;CUT;PARENT\n"
+
+
+class TestBadRows:
+    """Each malformed row or header gives a ``ParseError`` that names it."""
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_batch, batch_text([(0, 100, 100, 0, 1)]) + "1;100;100;0\n",
+         "PARSE line 3: expected 5 fields, got 4"),
+        (parse_defects, "0;0;10;10;5;5\n", "PARSE missing or wrong defects header"),
+        (parse_defects, defects_text([(0, 0, 10, 10, 5)]), "PARSE line 2: expected 6 fields, got 5"),
+        (parse_defects, defects_text([(0, 0, 10, "x", 5, 5)]),
+         "PARSE line 2: non-numeric defect geometry"),
+        (read_solution, "0;0;0;0;6000;3210;-3;0;\n", "PARSE missing or wrong solution header"),
+        (read_solution, SOLUTION_HEADER + "0;0;0;0;6000;3210;-2;0\n",
+         "PARSE line 2: expected 9 fields, got 8"),
+        (read_solution, SOLUTION_HEADER + "0;0;0;0;6000;3210;-2;0;\n0;2;0;0;3000;3210;-1;1;0\n"
+         "0;1;3000;0;3000;3210;-3;1;0\n", "PARSE node ids must increase (node 1)"),
+    ])
+    def test_the_error_names_the_fault(self, parse, text, message):
+        args = (Params(),) if parse is parse_defects else ()
+        with pytest.raises(ParseError) as exc:
+            parse(io.StringIO(text), *args)
+        assert str(exc.value) == message
+
+    def test_a_defect_of_width_zero_is_an_empty_defect(self, tmp_path):
+        (tmp_path / "inst_batch.csv").write_text(batch_text([(0, 100, 100, 0, 1)]))
+        (tmp_path / "inst_defects.csv").write_text(defects_text([(0, 1, 10, 10, 0, 5)]))
+        with pytest.raises(InstanceError, match="^BAD_DEFECT empty defect on plate 1$"):
+            load_instance(tmp_path / "inst")
 
 
 class TestSolutionRoundTrip:

@@ -25,7 +25,7 @@ from glasscut.search import (
     mba_star,
 )
 
-from conftest import expansion_trace, midsize_instance, random_small_instance
+from conftest import expansion_trace, midsize_instance, pinned_record, random_small_instance
 
 NO_LIMIT = 600.0  # seconds; far above what any run here takes
 CAPACITIES = (2, 5, 17, 64)
@@ -50,18 +50,11 @@ SMALL_SEEDS = (5, 12, 17, 23, 24, 27)
 DPA_SEEDS = (0, 1, 2)  # midsize_instance(14, 2, seed=s): 770-937 expansions
 
 
-def _digest(nodes) -> str:
-    """sha256 of the insertions that produced ``nodes``, field by field."""
-    records = []
-    for node in nodes:
-        ins = node.insertion
-        if ins is None:
-            records.append(None)
-            continue
-        fields = list(ins)
-        fields[0] = ins.kind.name
-        fields[4] = tuple(tuple(pl) for pl in ins.placements)
-        records.append(tuple(fields))
+def _digest(nodes, params) -> str:
+    """sha256 of the insertions that produced ``nodes``, each as its
+    ``pinned_record`` on plates of ``params``."""
+    records = [None if node.insertion is None else pinned_record(node.insertion, params)
+               for node in nodes]
     return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
@@ -73,8 +66,8 @@ def _path(leaf) -> list:
     return nodes[::-1]
 
 
-def _summary(res, incumbent: Incumbent) -> tuple:
-    best = None if incumbent.leaf is None else _digest(_path(incumbent.leaf))[:16]
+def _summary(res, incumbent: Incumbent, params) -> tuple:
+    best = None if incumbent.leaf is None else _digest(_path(incumbent.leaf), params)[:16]
     return (res.outcome, res.nodes_expanded, [w for _, w in incumbent.history], best)
 
 
@@ -83,7 +76,7 @@ def run_mba(name: str, guide: str, capacity: int) -> tuple:
     incumbent = Incumbent()
     with expansion_trace() as trace:
         res = mba_star(root_node(inst), inst, GUIDES[guide], capacity, NO_LIMIT, incumbent)
-    return (_digest(trace),) + _summary(res, incumbent)
+    return (_digest(trace, inst.params),) + _summary(res, incumbent, inst.params)
 
 
 def run_dpa(seed: int) -> tuple:
@@ -91,7 +84,7 @@ def run_dpa(seed: int) -> tuple:
     incumbent = Incumbent()
     with expansion_trace() as trace:
         res = dpa_star(root_node(inst), inst, NO_LIMIT, incumbent)
-    return (_digest(trace),) + _summary(res, incumbent)
+    return (_digest(trace, inst.params),) + _summary(res, incumbent, inst.params)
 
 
 def run_small(algorithm: str, seed: int, guide: str) -> tuple:
@@ -104,7 +97,7 @@ def run_small(algorithm: str, seed: int, guide: str) -> tuple:
         res = iterative_beam_search(root, inst, GUIDES[guide], NO_LIMIT, incumbent)
     else:
         res = dpa_star(root, inst, NO_LIMIT, incumbent)
-    return _summary(res, incumbent)
+    return _summary(res, incumbent, inst.params)
 
 
 MBA_EXPECTED = {

@@ -11,6 +11,7 @@ from glasscut.model import (
     Item,
     Node,
     Params,
+    ParseError,
     root_node,
 )
 from glasscut.branching import (
@@ -74,7 +75,6 @@ class TestInstance:
             Instance(
                 params=SMALL_PARAMS,
                 items=[Item(0, 100, 100, 0, 0)],
-                chains=[[0]],
                 defects={0: (Defect(0, 10, 10, 50, 50), Defect(0, 30, 30, 50, 50))},
             )
 
@@ -85,9 +85,24 @@ class TestInstance:
             Instance(
                 params=SMALL_PARAMS,
                 items=[Item(0, 100, 100, 0, 0)],
-                chains=[[0]],
                 defects={0: (Defect(0, 990, 0, 50, 50),)},
             )
+
+    def test_chains_come_from_the_items_alone(self):
+        """Chains in the order of their ids, each in rank order, whatever
+        the ids and ranks are; there is no other source to disagree."""
+        items = [Item(0, 100, 100, 7, 5), Item(1, 100, 100, 2, 0), Item(2, 100, 100, 7, -1),
+                 Item(3, 100, 100, 7, 9)]
+        inst = Instance(params=SMALL_PARAMS, items=items)
+        assert inst.chains == [[1], [2, 0, 3]]
+        assert inst.chain_index == {0: 1, 1: 0, 2: 1, 3: 1}
+        with pytest.raises(TypeError):
+            Instance(params=SMALL_PARAMS, items=items, chains=[[0, 1, 2, 3]])
+
+    def test_a_repeated_rank_in_a_chain_is_rejected(self):
+        items = [Item(0, 100, 100, 3, 1), Item(1, 100, 100, 3, 1)]
+        with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE stack 3 repeats a rank"):
+            Instance(params=SMALL_PARAMS, items=items)
 
     def test_rejects_defects_on_a_negative_plate(self):
         # the root node's plate is -1, so such a defect would be read there
@@ -102,46 +117,48 @@ def _first_cell(instance, x1_curr, y2_curr, completes=False):
     whose first cell packs item 0 unrotated at the plate's origin, in a
     column ``x1_curr`` wide and a shelf ``y2_curr`` tall."""
     item = instance.items[0]
-    split_y = None if item.height == y2_curr else item.height
     ins = Insertion(
-        kind=InsertionKind.ONE_ITEM if split_y is None else InsertionKind.ITEM_WASTE_ABOVE,
-        depth=0, new_bin=True, completes=completes,
+        kind=InsertionKind.ONE_ITEM if item.height == y2_curr else InsertionKind.ITEM_WASTE_ABOVE,
+        depth=0, completes=completes,
         placements=(Placement(0, instance.chain_index[0], 0, 0, item.width, item.height, False),),
-        bin=0, prior_area=0, x1_prev=0, x1_curr=x1_curr, y2_prev=0, y2_curr=y2_curr,
-        x3_prev=0, x3_curr=x1_curr, split_y=split_y, prev_col_x1=None,
+        bin=0, x1_prev=0, x1_curr=x1_curr, y2_prev=0, y2_curr=y2_curr,
+        x3_prev=0, x3_curr=x1_curr, prev_col_x1=None,
     )
     return Node(root_node(instance), ins, instance)
 
 
 class TestArea:
+    def test_a_node_stores_no_area(self):
+        """The covered area follows from the waste and the item area, and
+        the plates before the node's are full: neither is a slot."""
+        assert not {"area", "prior_area"} & set(Node.__slots__)
+        assert len(Node.__slots__) == 20
+
     def test_root_is_zero(self):
         inst = make_instance([(100, 100)])
-        assert root_node(inst).area == 0
-        assert root_node(inst).waste == 0
+        assert root_node(inst).waste == root_node(inst).item_area == 0
 
     def test_single_shelf_partial(self):
         # one 2000x1000 item in a [0,2000]x[0,1000] shelf, items remaining
         inst = make_instance([(2000, 1000), (500, 500)], params=Params())
         node = _first_cell(inst, x1_curr=2000, y2_curr=1000)
         assert node.item_area == 2000 * 1000 and not node.complete
-        assert node.area == 2_000_000
         assert node.waste == 0
-        assert raster_front_area(node, inst.params.plate_height) == 2_000_000
+        assert raster_front_area(node, inst.params) == 2_000_000
 
     def test_complete_uses_last_cut(self):
         # the last 1-cut at 4000 on a 3210-tall plate; a 4000 x 2500 item
         inst = make_instance([(4000, 2500)], params=Params())
         node = _first_cell(inst, x1_curr=4000, y2_curr=3210, completes=True)
         assert node.item_area == 10_000_000 and node.n_packed == 1 and node.complete
-        assert node.area == 12_840_000
         assert node.waste == 2_840_000
-        assert raster_front_area(node, inst.params.plate_height) == 12_840_000
+        assert raster_front_area(node, inst.params) == 12_840_000
 
     def test_area_matches_raster_on_random_walks(self, rng):
         for _ in range(40):
             inst = random_small_instance(rng)
             for node in random_walk(rng, inst):
-                assert node.area == raster_front_area(node, inst.params.plate_height)
+                assert node.waste + node.item_area == raster_front_area(node, inst.params)
 
 
 class TestWasteMonotonicity:
@@ -279,7 +296,7 @@ class TestDominates:
             and not k.insertion.placements[0].rotated
         )
         kids = children(parent, inst, use_dominance=False)
-        depth3 = [k for k in kids if k.insertion.depth == 3 and k.insertion.has_items]
+        depth3 = [k for k in kids if k.insertion.depth == 3 and k.insertion.placements]
         upright = next(k for k in depth3 if not k.insertion.placements[0].rotated)
         flat = next(k for k in depth3 if k.insertion.placements[0].rotated)
         assert front_leq(upright.front_key(), flat.front_key())
@@ -287,7 +304,7 @@ class TestDominates:
         assert filter_dominated_children([flat.insertion, upright.insertion]) == [upright.insertion]
         filtered = children(parent, inst, use_dominance=True)
         assert not any(
-            k.insertion.depth == 3 and k.insertion.has_items and k.insertion.placements[0].rotated
+            k.insertion.depth == 3 and k.insertion.placements and k.insertion.placements[0].rotated
             for k in filtered
         )
 

@@ -62,8 +62,10 @@ GUIDES = (
 
 
 def _guide(node, kind, scale):
-    """``guide_value`` on the four figures of ``node``."""
-    return guide_value(node.waste, node.area, node.item_area, node.n_packed, kind, scale)
+    """``guide_value`` on the figures of ``node``, whose covered area is its
+    waste plus its item area."""
+    return guide_value(node.waste, node.waste + node.item_area, node.item_area, node.n_packed,
+                       kind, scale)
 
 
 class TestGuideValue:
@@ -77,16 +79,15 @@ class TestGuideValue:
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
         scale = guide_scale(inst.params)
         node = children(root_node(inst), inst)[0]
-        node.waste, node.area, node.item_area = 500, 2000, 1500
+        node.waste, node.item_area = 500, 1500  # on 2000 covered
         assert _guide(node, GuideKind.WASTE, scale) == 500
         assert _guide(node, GuideKind.WASTE_PERCENTAGE, scale) == scale // 4
 
     def test_mean_item_area_reward(self):
         inst = make_instance([(300, 200), (100, 100)], chains=[[0], [1]])
         scale = guide_scale(inst.params)
-        node = children(root_node(inst), inst)[0]
-        node.waste, node.area, node.item_area, node.n_packed = 500, 2000, 1_000_000, 2
-        value = _guide(node, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA, scale)
+        value = guide_value(500, 2000, 1_000_000, 2, GuideKind.WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA,
+                            scale)
         assert value == math.floor(Fraction(1, 4) / 500_000 * scale)
 
 

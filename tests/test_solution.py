@@ -122,7 +122,7 @@ class TestFiveConfigurations:
     def test_replay_reaches_drawn_plan(self):
         inst = self._instance()
         leaf = self._solve(inst)
-        assert leaf.waste == leaf.area - inst.total_item_area
+        assert leaf.item_area == inst.total_item_area
         tree = build_solution_tree(leaf, inst)
         report = validate(inst, tree)
         assert report.ok, str(report)
