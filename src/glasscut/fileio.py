@@ -69,12 +69,6 @@ def parse_batch(src: PathOrFile) -> list[Item]:
         if item_id != len(items):
             raise ParseError(f"NONCONTIGUOUS_IDS item id {item_id} out of order")
         items.append(Item(id=item_id, width=width, height=length, chain_id=stack, chain_rank=seq))
-    seen: dict[int, set[int]] = {}
-    for it in items:
-        ranks = seen.setdefault(it.chain_id, set())
-        if it.chain_rank in ranks:
-            raise ParseError(f"DUPLICATE_SEQUENCE stack {it.chain_id} repeats rank {it.chain_rank}")
-        ranks.add(it.chain_rank)
     return items
 
 

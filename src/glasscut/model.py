@@ -187,8 +187,9 @@ def _derive_chains(items: Iterable[Item]) -> list[list[int]]:
     chains = []
     for cid in sorted(by_chain):
         members = sorted(by_chain[cid], key=lambda it: it.chain_rank)
-        if any(a.chain_rank == b.chain_rank for a, b in zip(members, members[1:])):
-            raise ParseError(f"DUPLICATE_SEQUENCE stack {cid} repeats a rank")
+        for a, b in zip(members, members[1:]):
+            if a.chain_rank == b.chain_rank:
+                raise ParseError(f"DUPLICATE_SEQUENCE stack {cid} repeats rank {a.chain_rank}")
         chains.append([it.id for it in members])
     return chains
 
@@ -297,6 +298,16 @@ def covered_area(
         + (x1_curr - x1_prev) * y2_prev
         + (x3_curr - x1_prev) * (y2_curr - y2_prev)
     )
+
+
+def waste_floor(prior_area: int, plate_height: int, x1_curr: int, total_item_area: int) -> int:
+    """Least waste of any completion of a partial solution whose plates
+    before its own cover ``prior_area`` and whose column edge is
+    ``x1_curr``: the completion covers at least the partial solution's
+    ``covered_area(..., complete=True)``, as the column closes at
+    ``x1_curr`` or to its right, or on a later plate, and it packs exactly
+    ``total_item_area``."""
+    return prior_area + x1_curr * plate_height - total_item_area
 
 
 _NO_CHAINS: frozenset[int] = frozenset()

@@ -3,11 +3,14 @@
 Every search expands nodes through one child block (``_expander``): complete
 children go to the incumbent, and children whose waste already reaches the
 incumbent's are cut (waste never decreases along a branch, so this pruning
-is exact).  A child's waste, guide key and items packed follow from its
-parent and its insertion, so an open child stays a (waste, parent,
-insertion) entry.  A ``Node`` is built only for a node the search expands
-and for a complete child that improves the incumbent.  One best-first loop
-(``_best_first``) runs three searches:
+is exact).  A* and DPA* also cut a child whose ``waste_floor`` reaches it:
+every completion covers the plates before the child's and its plate left of
+``x1_curr`` over the full height, and packs every item, so no completion
+wastes less than the floor and this pruning is exact too.  A child's waste,
+guide key and items packed follow from its parent and its insertion, so an
+open child stays a (waste, parent, insertion) entry.  A ``Node`` is built
+only for a node the search expands and for a complete child that improves
+the incumbent.  One best-first loop (``_best_first``) runs three searches:
 
 * ``astar`` expands the best open node until none is left;
 * ``mba_star`` also discards the *worst* open nodes beyond a capacity D:
@@ -43,7 +46,7 @@ from . import branching
 from .branching import Insertion, _allowed_depths, depths_after, insertion_front
 from .model import (
     GlasscutError, GuideKind, Instance, Node, Params, admit_front, counts_after, covered_area,
-    root_node,
+    root_node, waste_floor,
 )
 
 # The per-expansion call of every search: the insertions of the children it
@@ -268,22 +271,25 @@ def _expander(
     use_dominance: bool,
     admit: Optional[Callable[[tuple, tuple, tuple], bool]],
     memoize: bool = False,
+    use_floor: bool = False,
 ) -> tuple[Callable[[Node], list[tuple[int, int, OpenChild]]], Callable[[OpenChild], Node]]:
     """The child block of every search.
 
     ``expand(node)`` returns the kept children of ``node`` in generation
     order as (guide key, -items packed, open child) entries, less those
-    whose waste reaches the bound or that ``admit`` rejects; it builds and
-    offers a complete child only when it improves the incumbent.  Waste,
-    key and admission all follow from the parent and the insertion, so no
-    child is built here.  ``build(open_child)`` makes the ``Node`` that the
-    search expands.  ``memoize`` takes the kept insertions from the
-    instance's child memo (``branching.child_memo``), for the searches that
-    restart from the root."""
+    whose waste reaches the bound, those whose ``waste_floor`` reaches it
+    when ``use_floor`` is set, and those that ``admit`` rejects; it builds
+    and offers a complete child only when it improves the incumbent.
+    Waste, floor, key and admission all follow from the parent and the
+    insertion, so no child is built here.  ``build(open_child)`` makes the
+    ``Node`` that the search expands.  ``memoize`` takes the kept
+    insertions from the instance's child memo (``branching.child_memo``),
+    for the searches that restart from the root."""
     offer, bound, elapsed = incumbent.offer, incumbent.bound, clock.elapsed
     apply = branching.apply_insertion
     height = instance.params.plate_height
     plate_area = instance.params.plate_width * height
+    total_item_area = instance.total_item_area
     scale = guide_scale(instance.params)
 
     def expand(node: Node) -> list[tuple[int, int, OpenChild]]:
@@ -300,6 +306,9 @@ def _expander(
                 continue
             if ins.completes:
                 offer(apply(node, ins, instance), elapsed())
+                continue
+            if use_floor and best is not None and waste_floor(
+                    ins.bin * plate_area, height, ins.x1_curr, total_item_area) >= best:
                 continue
             if admit is not None and not admit(
                 counts_after(node.counts, ins), depths_after(ins), insertion_front(ins)
@@ -335,7 +344,8 @@ def _best_first(
     ``capacity`` only the best ``capacity`` open nodes are kept: a child
     that a full fringe would discard at once is never pushed
     (``Fringe.push_within``).  Without one the search ends with "memory"
-    once more than ``node_cap`` are open.
+    once more than ``node_cap`` are open, and children are also cut by
+    their waste floor.
     Only a search with a ``capacity`` uses the child memo: MBA* is restarted
     from the same root, while DPA*'s store already rejects every front it
     meets again.  Open nodes are children not built yet; a popped one is
@@ -350,7 +360,7 @@ def _best_first(
     push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
     push_within = None if capacity is None else fringe.push_within
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
-                              admit, memoize=capacity is not None)
+                              admit, memoize=capacity is not None, use_floor=capacity is None)
     counter = 0
     expanded = 0
     discarded = False

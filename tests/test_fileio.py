@@ -68,11 +68,12 @@ class TestParseBatch:
         with pytest.raises(ParseError, match="wrong batch header"):
             parse_batch(io.StringIO("\ufeff\ufeff" + batch_text([(0, 1500, 500, 0, 1)])))
 
-    def test_duplicate_sequence_in_stack(self):
-        with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE"):
-            parse_batch(
-                io.StringIO(batch_text([(0, 100, 100, 0, 1), (1, 100, 100, 0, 1)]))
-            )
+    def test_duplicate_sequence_in_stack(self, tmp_path):
+        # the parser keeps both items; the instance rejects the repeated rank
+        (tmp_path / "inst_batch.csv").write_text(
+            batch_text([(0, 100, 100, 0, 1), (1, 100, 100, 0, 1)]))
+        with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE stack 0 repeats rank 1"):
+            load_instance(tmp_path / "inst")
 
 
 def defects_text(rows):

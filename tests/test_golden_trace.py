@@ -47,7 +47,7 @@ MIDSIZE = {
     "20x3": dict(n_items=20, n_chains=3, seed=9),
 }
 SMALL_SEEDS = (5, 12, 17, 23, 24, 27)
-DPA_SEEDS = (0, 1, 2)  # midsize_instance(14, 2, seed=s): 770-937 expansions
+DPA_SEEDS = (0, 1, 2)  # midsize_instance(14, 2, seed=s): 577-790 expansions
 
 
 def _digest(nodes, params) -> str:
@@ -175,56 +175,56 @@ MBA_EXPECTED = {
     ('20x3', 'a', 64): ('f0cc213781b1ecba3d243d60ad941b1c711b1f69314768b8d07c0f0b08ba3f7e', 'exhausted', 1461, [4611296, 3661136], 'd53c3f409d93d309'),
 }
 
-# Full DPA* expansion traces: each run evicts 58-113 fronts from its store.
+# Full DPA* expansion traces: each run evicts 110-174 fronts from its store.
 DPA_EXPECTED = {
-    0: ('36f2b62eaa4c574a3ab59a0377362c2e1fea58992e985c96432ff9961f4328a4', 'exhausted', 937, [7670237, 5346197, 3375257, 3140927], '4ec8517081810ce6'),
-    1: ('1b7fd49eba20fca1a9dd6bdab62cbab1fe1a5b5c1c501c835b9ebd21a725c271', 'exhausted', 819, [5603452, 5417272, 5365912, 5179732, 5109112, 4871572], '5ed450841e36673c'),
-    2: ('c5fe080ecf03766ae3cf821ffc79e1882e47ad14488cfd68feb95184aed937c4', 'exhausted', 770, [6017511, 5770341, 2977641], 'a71df2f6850045d5'),
+    0: ('522764137d4e4ab8dd44126f4a7e55dce257005fca9e0783656c352a0e773014', 'exhausted', 790, [7670237, 5346197, 3375257, 3140927], '4ec8517081810ce6'),
+    1: ('868228686bb0fb334b9edeb9ebd3233a9361b07f1564c7732ed84c872ecd7a93', 'exhausted', 577, [5603452, 5417272, 5365912, 5179732, 5109112, 4871572], '5ed450841e36673c'),
+    2: ('0e6bf7493b21034977e4469d19e45d64cda7105ed36810f403f91aab7ac28463', 'exhausted', 720, [6017511, 5770341, 2977641], 'a71df2f6850045d5'),
 }
 
 SMALL_EXPECTED = {
     ('astar', 5, 'w'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
     ('astar', 5, 'p'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
-    ('astar', 5, 'a'): ('exhausted', 386, [493389, 396189, 366189, 229389], 'f2c53f1db27757eb'),
+    ('astar', 5, 'a'): ('exhausted', 312, [493389, 396189, 366189, 229389], 'f2c53f1db27757eb'),
     ('ibs', 5, 'w'): ('exhausted', 377, [473589, 229389], 'f7c504e60d6d6a51'),
     ('ibs', 5, 'p'): ('exhausted', 387, [473589, 229389], 'f2c53f1db27757eb'),
     ('ibs', 5, 'a'): ('exhausted', 372, [396189, 229389], 'f7c504e60d6d6a51'),
     ('dpastar', 5, 'w'): ('exhausted', 49, [473589, 229389], 'a901bb7d3daad936'),
-    ('astar', 12, 'w'): ('exhausted', 108, [472091, 395891, 227291, 200291, 189491], '4e5220af57af84c9'),
-    ('astar', 12, 'p'): ('exhausted', 108, [189491], '4e5220af57af84c9'),
-    ('astar', 12, 'a'): ('exhausted', 108, [259691, 200291, 189491], '4e5220af57af84c9'),
+    ('astar', 12, 'w'): ('exhausted', 77, [472091, 395891, 227291, 200291, 189491], '4e5220af57af84c9'),
+    ('astar', 12, 'p'): ('exhausted', 61, [189491], '4e5220af57af84c9'),
+    ('astar', 12, 'a'): ('exhausted', 75, [259691, 200291, 189491], '4e5220af57af84c9'),
     ('ibs', 12, 'w'): ('exhausted', 333, [472091, 395891, 217691, 200291, 189491], '4e5220af57af84c9'),
     ('ibs', 12, 'p'): ('exhausted', 315, [472091, 395891, 217691, 189491], '4e5220af57af84c9'),
     ('ibs', 12, 'a'): ('exhausted', 324, [217691, 189491], '4e5220af57af84c9'),
-    ('dpastar', 12, 'w'): ('exhausted', 81, [217691, 216491, 164891], '84f2069ae615da6b'),
-    ('astar', 17, 'w'): ('exhausted', 113, [192138], '9316ce365288ecb9'),
-    ('astar', 17, 'p'): ('exhausted', 113, [192138], '9316ce365288ecb9'),
-    ('astar', 17, 'a'): ('exhausted', 115, [192138], '9316ce365288ecb9'),
+    ('dpastar', 12, 'w'): ('exhausted', 56, [217691, 216491, 164891], '84f2069ae615da6b'),
+    ('astar', 17, 'w'): ('exhausted', 108, [192138], '9316ce365288ecb9'),
+    ('astar', 17, 'p'): ('exhausted', 105, [192138], '9316ce365288ecb9'),
+    ('astar', 17, 'a'): ('exhausted', 107, [192138], '9316ce365288ecb9'),
     ('ibs', 17, 'w'): ('exhausted', 348, [502338, 192138], '9316ce365288ecb9'),
     ('ibs', 17, 'p'): ('exhausted', 344, [502338, 192138], '9316ce365288ecb9'),
     ('ibs', 17, 'a'): ('exhausted', 345, [502338, 192138], '9316ce365288ecb9'),
-    ('dpastar', 17, 'w'): ('exhausted', 39, [148338], '4e89432f942e2f61'),
-    ('astar', 23, 'w'): ('exhausted', 1237, [160423], '1413fb949d1a372c'),
-    ('astar', 23, 'p'): ('exhausted', 1237, [160423], '5cce12cbb6bfa521'),
-    ('astar', 23, 'a'): ('exhausted', 1240, [224623, 167023, 160423], '5cce12cbb6bfa521'),
+    ('dpastar', 17, 'w'): ('exhausted', 38, [148338], '4e89432f942e2f61'),
+    ('astar', 23, 'w'): ('exhausted', 752, [160423], '1413fb949d1a372c'),
+    ('astar', 23, 'p'): ('exhausted', 718, [160423], '5cce12cbb6bfa521'),
+    ('astar', 23, 'a'): ('exhausted', 726, [224623, 167023, 160423], '5cce12cbb6bfa521'),
     ('ibs', 23, 'w'): ('exhausted', 3675, [524623, 253423, 160423], '1413fb949d1a372c'),
     ('ibs', 23, 'p'): ('exhausted', 3596, [524623, 253423, 224623, 160423], '1413fb949d1a372c'),
     ('ibs', 23, 'a'): ('exhausted', 3539, [524623, 253423, 224623, 167023, 160423], '1413fb949d1a372c'),
-    ('dpastar', 23, 'w'): ('exhausted', 293, [160423, 150223, 144223], '4f9a53bfe9d61396'),
-    ('astar', 24, 'w'): ('exhausted', 191, [130191, 119991], '1719498b9c13ccad'),
-    ('astar', 24, 'p'): ('exhausted', 191, [130191, 119991], '1719498b9c13ccad'),
-    ('astar', 24, 'a'): ('exhausted', 191, [130191, 119991], '1719498b9c13ccad'),
+    ('dpastar', 23, 'w'): ('exhausted', 238, [160423, 150223, 144223], '4f9a53bfe9d61396'),
+    ('astar', 24, 'w'): ('exhausted', 164, [130191, 119991], '1719498b9c13ccad'),
+    ('astar', 24, 'p'): ('exhausted', 164, [130191, 119991], '1719498b9c13ccad'),
+    ('astar', 24, 'a'): ('exhausted', 165, [130191, 119991], '1719498b9c13ccad'),
     ('ibs', 24, 'w'): ('exhausted', 494, [446991, 406191, 130191, 119991], '1719498b9c13ccad'),
     ('ibs', 24, 'p'): ('exhausted', 491, [446991, 406191, 130191, 119991], '1719498b9c13ccad'),
     ('ibs', 24, 'a'): ('exhausted', 478, [446991, 406191, 233991, 130191, 119991], '1719498b9c13ccad'),
-    ('dpastar', 24, 'w'): ('exhausted', 138, [130191, 119991, 115791], '525842dfec4431ea'),
-    ('astar', 27, 'w'): ('exhausted', 225, [452432, 450032, 145232], '52ac3d0a5794b50b'),
-    ('astar', 27, 'p'): ('exhausted', 225, [145232], '52ac3d0a5794b50b'),
-    ('astar', 27, 'a'): ('exhausted', 225, [145232], '52ac3d0a5794b50b'),
+    ('dpastar', 24, 'w'): ('exhausted', 129, [130191, 119991, 115791], '525842dfec4431ea'),
+    ('astar', 27, 'w'): ('exhausted', 163, [452432, 450032, 145232], '52ac3d0a5794b50b'),
+    ('astar', 27, 'p'): ('exhausted', 155, [145232], '52ac3d0a5794b50b'),
+    ('astar', 27, 'a'): ('exhausted', 155, [145232], '52ac3d0a5794b50b'),
     ('ibs', 27, 'w'): ('exhausted', 746, [452432, 450032, 259232, 145232], '52ac3d0a5794b50b'),
     ('ibs', 27, 'p'): ('exhausted', 745, [145232], '52ac3d0a5794b50b'),
     ('ibs', 27, 'a'): ('exhausted', 745, [145232], '52ac3d0a5794b50b'),
-    ('dpastar', 27, 'w'): ('exhausted', 213, [452432, 450032, 145232, 114032, 111632], '72c9cf7eb55f59f5'),
+    ('dpastar', 27, 'w'): ('exhausted', 146, [452432, 450032, 145232, 114032, 111632], '72c9cf7eb55f59f5'),
 }
 
 

@@ -101,7 +101,7 @@ class TestInstance:
 
     def test_a_repeated_rank_in_a_chain_is_rejected(self):
         items = [Item(0, 100, 100, 3, 1), Item(1, 100, 100, 3, 1)]
-        with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE stack 3 repeats a rank"):
+        with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE stack 3 repeats rank 1"):
             Instance(params=SMALL_PARAMS, items=items)
 
     def test_rejects_defects_on_a_negative_plate(self):

@@ -16,10 +16,10 @@ import pytest
 
 from glasscut import branching, search
 from glasscut.branching import (
-    CHILD_MEMO_BYTES, _MEMO_COUNTS, ByteBoundedCache, _allowed_depths, child_memo,
-    child_memo_charge, child_memo_key, children,
+    CHILD_MEMO_BYTES, _MEMO_COUNTS, ByteBoundedCache, _allowed_depths, apply_insertion,
+    child_memo, child_memo_charge, child_memo_key, children,
 )
-from glasscut.model import Defect, GuideKind, Params, root_node
+from glasscut.model import Defect, GuideKind, Params, root_node, waste_floor
 from glasscut.search import (
     ChainCountError,
     DominanceStore,
@@ -49,6 +49,7 @@ from conftest import (
     random_small_instance,
     random_walk,
     reference_push_then_trim,
+    unsuppressed_insertions,
     unsuppressed_min_waste,
 )
 
@@ -666,6 +667,71 @@ class TestUnsuppressedLosses:
                 lost[rule] += waste != reference
         print(f"unsuppressed optimum lost on {draws} draws: {lost}")
         assert lost == losses
+
+
+def _floor_holds_below(instance, kids) -> int | None:
+    """Exhaustive depth-first sweep over ``kids(node, instance)``, asserting
+    at every node that its ``waste_floor`` is at most the least waste of a
+    complete solution below it (and equals the waste of a complete one).
+    Returns that least waste below the root."""
+    p = instance.params
+
+    def rec(node):
+        floor = waste_floor(node.bin * p.plate_width * p.plate_height, p.plate_height,
+                            node.x1_curr, instance.total_item_area)
+        if node.complete:
+            assert floor == node.waste
+            return node.waste
+        least = None
+        for child in kids(node, instance):
+            waste = rec(child)
+            if waste is not None and (least is None or waste < least):
+                least = waste
+        assert least is None or floor <= least
+        return least
+
+    return rec(root_node(instance))
+
+
+def _unsuppressed_children(node, instance):
+    return [apply_insertion(node, ins, instance) for ins in unsuppressed_insertions(node, instance)]
+
+
+class TestWasteFloor:
+    """The closed-column waste floor that A* and DPA* cut children by is a
+    lower bound on the waste of every completion, in the scheme and with its
+    structural tests off (``conftest.unsuppressed_insertions``), and the
+    searches reach the same optimum with and without it."""
+
+    @pytest.mark.parametrize("seed, draws, max_items", [
+        (1, 150, 5),
+        pytest.param(2, 300, 6, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not RUN_SLOW, reason="set GLASSCUT_RUN_SLOW=1 for the 300 draws")]),
+    ])
+    def test_no_completion_wastes_less_than_the_floor(self, seed, draws, max_items,
+                                                      monkeypatch):
+        rng = random.Random(seed)
+        lost = 0
+        for _ in range(draws):
+            inst = random_small_instance(rng, max_items=max_items)
+            oracle = _floor_holds_below(
+                inst, lambda node, instance: children(node, instance, False, False))
+            assert oracle == dfs_min_waste(inst)
+            assert _floor_holds_below(inst, _unsuppressed_children) is not None
+            found = {}
+            for floor in ("on", "off"):
+                with monkeypatch.context() as m:
+                    if floor == "off":
+                        m.setattr(search, "waste_floor", lambda *args: -math.inf)
+                    for name, run in (("A*", partial(astar, guide=GuideKind.WASTE)),
+                                      ("DPA*", dpa_star)):
+                        inc = Incumbent()
+                        assert run(root_node(inst), inst, time_limit=600.0,
+                                   incumbent=inc).outcome == "exhausted"
+                        found[name, floor] = inc.waste
+            lost += found["A*", "on"] != found["A*", "off"]
+            lost += found["DPA*", "on"] != found["DPA*", "off"]
+        assert lost == 0
 
 
 class TestDominanceStore:
