@@ -62,10 +62,12 @@ Symmetry breaking (``children(..., use_symmetry=True)``) forbids a pair
 of sibling sub-plates, a cell and the cell right of it or a shelf and the
 shelf above it, when the later one holds a smaller item id, the two share
 no chain and both are defect-free (``_swap_forbidden``): swapping them
-would put the smaller id first.  The swapped pattern is not always
-reachable in the scheme, so the rule can remove the optimum: on the 150
-small random instances of the README's table it loses it on 23, the
-sibling filter below on 5, and both together on 27
+would put the smaller id first.  A cell lower than its shelf is not
+forbidden right of the shelf's first cell, whose swap the scheme cannot
+build (``_cell_swap_reachable``).  Other swapped patterns are still not
+always reachable, so the rule can remove the optimum: on the 150 small
+random instances of the README's table it loses it on 16, and together
+with the sibling filter below on 17
 (``tests/test_search.py::TestPruningLosses``).  Its cell case is applied
 inside the cell generator at depth 3: a forbidden cell is omitted, never
 built.  Its feasibility is still probed while the suppression tests above
@@ -75,11 +77,14 @@ so symmetry never changes which depths are open.
 ``child_insertions`` is the whole per-expansion pipeline, and it runs on
 insertions only: enumerate, apply the symmetry rule where a shelf closes
 (``symmetry_allows``), then drop the siblings whose fronts are
-dominated.  This is a pseudo-dominance: it ignores which depths stay open
-to a sibling's children.  A child's chain counts, plate and front all
-follow from its parent and its insertion, so no child is built to decide
-which ones to keep.  ``children`` builds the kept ones for callers that
-want nodes.
+dominated, among those that pack the same items on the same plate and
+leave the same depths open to their children, as a bucket of the DPA*
+store does.  This is still a pseudo-dominance (a front at or left of
+another need not reach every completion the other reaches), though it
+loses no optimum on those 150 instances.  A child's chain counts, plate,
+front and open depths all follow from its parent and its insertion, so
+no child is built to decide which ones to keep.  ``children`` builds the
+kept ones for callers that want nodes.
 
 A chain state's cell contents are assembled by ``pair_combos`` from its
 chain heads alone, with tables built once per instance (``cell_tables``):
@@ -639,10 +644,13 @@ def _gen_cells(
     # the cell-swap rule forbids nothing unless the left cell holds an item
     # and is defect-free; a cell is then forbidden when it holds a smaller
     # item id, shares no chain with the left cell and is defect-free
+    # (a cell lower than the shelf only where the left cell is not the
+    # shelf's first, see ``_cell_swap_reachable``)
     swap_min = None
     if use_symmetry and depth == 3 and node.cell_min_item is not None and (
             not defects or _rect_clear(defects, node.x3_prev, y_lo, x, y_cap)):
         swap_min, left_chains = node.cell_min_item, node.cell_chain_ids
+        swap_lower = _cell_swap_reachable(False, node)
     out: list[Insertion] = []
     fits = no_growth = False
 
@@ -672,6 +680,7 @@ def _gen_cells(
                 kind, y_item, y_hi = cell
             completing = items_left == 1
             skip = not emit or swap_min is not None and j < swap_min and cj not in left_chains and (
+                kind is _ONE_ITEM or swap_lower) and (
                 not defects or _rect_clear(defects, x, y_lo, x_end, y_cap))
         else:  # j below the 4-cut, k above it: the pair fills the shelf, or sets it
             split_y = y_lo + h
@@ -843,12 +852,25 @@ def _swap_forbidden(
             and _rect_clear(defects, *first_rect) and _rect_clear(defects, *then_rect))
 
 
+def _cell_swap_reachable(fills_shelf: bool, node: Node) -> bool:
+    """Whether a cell right of the current cell of ``node`` has a mirror
+    that the scheme reaches, the cell opening the shelf and the current
+    cell right of it, so that ``_swap_forbidden`` may apply to the pair:
+    when the new cell fills the shelf's height (one item as tall as the
+    shelf, or a stack), or when the current cell is not the shelf's first.
+    A first cell sets the shelf's top, so a lower cell opening the shelf
+    in its place sets a lower top, under which the first cell no longer
+    fits."""
+    return fills_shelf or node.x3_prev != node.x1_prev
+
+
 def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
     """False where ``ins`` makes a pair of sibling sub-plates that
     ``_swap_forbidden`` forbids.
 
     A cell is tested against its left cell when it is inserted, as its
-    contents are final at once.  A shelf is tested against the shelf below
+    contents are final at once, where its mirror is reachable
+    (``_cell_swap_reachable``).  A shelf is tested against the shelf below
     it when it *closes*, because items joining it later can create the
     chain link that makes the swap illegal: on a move below depth 3, or on
     one that completes the solution.  A new shelf that completes the
@@ -858,7 +880,8 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
     q_min, q_chains = node.shelf_min_item, node.shelf_chain_ids  # the shelf that closes
     if ins.depth == 3:
         new_min, new_chains = _cell_items(ins, instance)
-        if _swap_forbidden(
+        fills_shelf = ins.kind is _ONE_ITEM or ins.kind is _TWO_ITEMS
+        if _cell_swap_reachable(fills_shelf, node) and _swap_forbidden(
                 defects, node.cell_min_item, node.cell_chain_ids,
                 (node.x3_prev, y2_prev, node.x3_curr, y2_curr),
                 new_min, new_chains, (node.x3_curr, y2_prev, ins.x3_curr, y2_curr)):
@@ -882,13 +905,14 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
 
 
 def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
-    """Among sibling insertions packing the same items on the same plate,
+    """Among sibling insertions packing the same items on the same plate
+    and leaving the same depths open to their children (``depths_after``),
     drop each one that a sibling dominates: its child's front is at or
     right of the sibling's, and strictly so or the sibling was generated
-    earlier (so the earliest of equal fronts is kept).  Siblings pack the
-    same items exactly when they advance the same chains, so no child is
-    built to decide this.  The input itself is returned when nothing is
-    dropped.
+    earlier (so the earliest of equal fronts is kept).  This is the scope
+    of a bucket of the DPA* store.  Siblings pack the same items exactly
+    when they advance the same chains, so no child is built to decide this.
+    The input itself is returned when nothing is dropped.
 
     A group is admitted in generation order into a list of undominated
     fronts (``admit_front``), each labelled with its sibling's position in
@@ -899,12 +923,13 @@ def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
     for i, ins in enumerate(insertions):
         pls = ins.placements
         if not pls:
-            key = (ins.bin,)
-        elif len(pls) == 1:
+            key = (ins.bin, depths_after(ins))
+        elif len(pls) == 1:  # every depth stays open after one item
             key = (ins.bin, pls[0].chain_idx)
         else:
             a, b = pls[0].chain_idx, pls[1].chain_idx
-            key = (ins.bin, a, b) if a <= b else (ins.bin, b, a)
+            key = (ins.bin, depths_after(ins), a, b) if a <= b else (
+                ins.bin, depths_after(ins), b, a)
         groups.setdefault(key, []).append(i)
     if len(groups) == len(insertions):
         return insertions
@@ -943,9 +968,11 @@ _MEMO_COUNTS = CHILD_MEMO_FIELDS.index("counts")
 # 30- and 60-chain instances, each measured twice with the free lists
 # emptied by gc.collect(), with 15-field insertions, as are the figures
 # below.  Kept for 12 fields, so that the memo holds the same entries, they
-# charge 1.06-1.18 times the sizes of 192 entries of the runs of
-# tests/test_search.py::TestCacheBudgets (``_traced_size``; 0.99-1.14 with
-# 15).  They count neither the table's own slots (about 50 B an entry) nor
+# charge 1.04-1.18 times (median 1.11-1.13 per run) the sizes of 192
+# entries, 64 from each node_cap=16 run of tests/test_search.py::
+# TestCacheBudgets (``_traced_size``; 0.99-1.14 with 15 fields), also now
+# that the sibling filter keeps the siblings that leave other depths open.
+# They count neither the table's own slots (about 50 B an entry) nor
 # a key's shelf records and chain-id sets, which its node shares with its
 # relatives: dropping a full memo after such a run freed 0.93-1.16 times its
 # charged total (most on 8 chains).  Entries averaged 1.45 KB on the

@@ -15,7 +15,7 @@ from glasscut.branching import (
     Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok, _closed_edges,
     _closing_cuts_ok, _frame, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
     _insertion_sort_key, _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
-    children, insertion_front, pair_combos,
+    children, depths_after, insertion_front, pair_combos,
 )
 from glasscut.model import (
     Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node,
@@ -343,14 +343,18 @@ def reference_push_then_trim(fringe: search.Fringe, capacity: int, batch: list) 
     return discarded
 
 
-def reference_filter_dominated_children(insertions: list) -> list:
+def reference_filter_dominated_children(insertions: list, by_open_depths: bool = True) -> list:
     """``branching.filter_dominated_children`` with every ordered pair of
     siblings compared: a sibling is dropped when another one of its group
-    (plate and sorted chains advanced) is at most it, and is strictly
-    smaller or earlier."""
+    (plate, sorted chains advanced and the depths open to its child) is at
+    most it, and is strictly smaller or earlier.  With ``by_open_depths``
+    False a group leaves the open depths out, as it did before siblings
+    that leave different depths open were told apart."""
     groups: dict[tuple, list[tuple[int, tuple]]] = {}
     for i, ins in enumerate(insertions):
         key = (ins.bin, *sorted([pl.chain_idx for pl in ins.placements]))
+        if by_open_depths:
+            key += (depths_after(ins),)
         groups.setdefault(key, []).append((i, insertion_front(ins)))
     dropped: set[int] = set()
     for members in groups.values():
@@ -551,11 +555,19 @@ def reference_pair_combos(
     return out
 
 
-def reference_cell_swap_forbidden(node: Node, defects, new_min, new_chains, x_end) -> bool:
+def reference_cell_swap_forbidden(
+    node: Node, defects, new_min, new_chains, x_end, fills_shelf: bool
+) -> bool:
     """The cell-swap rule for a cell ending at ``x_end`` right of the
     current cell, holding ``new_min`` and ``new_chains``: ``_swap_forbidden``
-    for the current cell and it."""
+    for the current cell and it, where the swapped pair is one the scheme
+    builds.  A current cell at the column's left edge opened the shelf and
+    set its top, so a new cell lower than the shelf (not ``fills_shelf``)
+    cannot open it in its place; with ``fills_shelf`` True the rule is the
+    one that ignored this."""
     y0, y1 = node.y2_prev, node.y2_curr
+    if node.x3_prev == node.x1_prev and not fills_shelf:
+        return False
     return _swap_forbidden(
         defects, node.cell_min_item, node.cell_chain_ids, (node.x3_prev, y0, node.x3_curr, y1),
         new_min, new_chains, (node.x3_curr, y0, x_end, y1))
@@ -634,7 +646,7 @@ def reference_gen_cells(
                 continue
             kind, y_item, y_hi = cell
             skip = not emit or swap_rule and reference_cell_swap_forbidden(
-                node, defects, j, chain_sets[ci], x_end)
+                node, defects, j, chain_sets[ci], x_end, kind is _ONE_ITEM)
             x1 = try_cell(x_end, y_hi, completing, skip)
             if x1 is None:
                 if no_growth and not emit:
@@ -664,7 +676,7 @@ def reference_gen_cells(
             continue
         cj, ck = chain_index[c.j], chain_index[c.k]
         skip = not emit or swap_rule and reference_cell_swap_forbidden(
-            node, defects, min(c.j, c.k), (cj, ck), x_end)
+            node, defects, min(c.j, c.k), (cj, ck), x_end, True)
         x1 = try_cell(x_end, y_hi, completing, skip)
         if x1 is not None:
             pls = (

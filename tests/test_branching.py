@@ -28,16 +28,18 @@ from glasscut.branching import (
     child_memo,
     child_memo_key,
     children,
+    depths_after,
     enumerate_insertions,
     filter_dominated_children,
     insertion_front,
     pair_combos,
     symmetry_allows,
 )
-from glasscut.model import Defect, Node, Params, root_node
+from glasscut.model import Defect, Node, Params, _cell_items, root_node
 
 from conftest import (
     SMALL_PARAMS,
+    dfs_best_leaf,
     dfs_min_waste,
     front_leq,
     make_instance,
@@ -48,6 +50,7 @@ from conftest import (
     raster_front_area,
     reference_enumerate_insertions,
     reference_filter_dominated_children,
+    reference_cell_swap_forbidden,
     reference_frame,
     reference_gen_cells,
     reference_growth_cuts_ok,
@@ -542,16 +545,44 @@ class TestSymmetry:
                          frozenset(then_chains)) is (forbidden or defective is not None)
 
     def test_symmetry_filter_is_subset(self, rng):
+        """Symmetry breaking alone and sibling dominance alone each keep a
+        subsequence of the enumerated insertions.  The two together need not
+        keep a subset of what dominance alone keeps: symmetry can remove a
+        sibling's only dominator, and the sibling then survives."""
         for _ in range(40):
             inst = random_small_instance(rng)
             for node in random_walk(rng, inst, use_symmetry=False):
-                with_sym = {
-                    k.insertion for k in children(node, inst, use_symmetry=True)
-                }
-                without = {
-                    k.insertion for k in children(node, inst, use_symmetry=False)
-                }
-                assert with_sym <= without
+                listed = enumerate_insertions(node, inst)
+                for use_symmetry in (True, False):
+                    kept = iter(listed)
+                    assert all(m in kept for m in child_insertions(
+                        node, inst, use_symmetry, use_dominance=not use_symmetry))
+
+    def test_a_lower_cell_right_of_the_shelf_opener_reaches_the_optimum(self):
+        """Draw 33 of ``TestPruningLosses``' draws: every best packing puts
+        item 0 in a cell lower than the shelf (``ITEM_WASTE_ABOVE``) right
+        of item 1, which opened the shelf.  The pair has a smaller id right
+        of a larger one, no common chain and no defect, yet its mirror is
+        out of reach: item 0 opening the shelf sets a top under which item 1
+        no longer fits.  So the cell-swap rule leaves it, and the search
+        with symmetry breaking finds the optimum of the search without."""
+        rng = random.Random(1)
+        for _ in range(34):
+            inst = random_small_instance(rng, max_items=5)
+        leaf = dfs_best_leaf(inst, use_symmetry=True)
+        assert leaf.waste == dfs_min_waste(inst)
+        pairs = []
+        while leaf.parent is not None:
+            node, ins = leaf.parent, leaf.insertion
+            if ins.depth == 3 and ins.kind in (InsertionKind.ITEM_WASTE_ABOVE,
+                                               InsertionKind.ITEM_WASTE_BELOW):
+                new_min, new_chains = _cell_items(ins, inst)
+                pairs.append((node.x3_prev == node.x1_prev, _swap_forbidden(
+                    inst.plate_defects(node.bin), node.cell_min_item, node.cell_chain_ids,
+                    (node.x3_prev, node.y2_prev, node.x3_curr, node.y2_curr),
+                    new_min, new_chains, (node.x3_curr, node.y2_prev, ins.x3_curr, node.y2_curr))))
+            leaf = leaf.parent
+        assert (True, True) in pairs  # right of the shelf's first cell, a pair the rule fits
 
 
 class TestChildren:
@@ -596,9 +627,9 @@ class TestChildren:
 
 
 # sha256 of every insertion list over walked_nodes(random.Random(2024), 2400)
-PINNED_INSERTIONS = "0f8e836117851d0baeb1fb8aad776216f1d9000e51caa80f9927ed1502ddab90"
+PINNED_INSERTIONS = "e2b83a23091d528d503db91f5babe561daa7d798b5947baad15e495efb91e89f"
 # and over the stackable-item walks of test_insertion_lists_are_pinned_on_stackable_items
-PINNED_STACKABLE_INSERTIONS = "01c7cfa0a8ab7dc3213479d44c4bfd6e69840e80b60c0dd3ae27ab03eb0da82b"
+PINNED_STACKABLE_INSERTIONS = "98093472638e52f40a6c97e67e2e36bdf4f1b21646528ab85964eb0ac7347a3c"
 STACKABLE_PARAMS = Params(plate_width=600, plate_height=400, n_plates=3, min1=40, max1=400,
                           min2=45, min_waste=12)
 
@@ -656,8 +687,11 @@ class TestDominanceFilter:
     def test_matches_the_reference_on_walked_insertion_lists(self):
         # raw insertion lists (both prunings off) on stackable items, whose
         # two-item cells give equal fronts, and on instances with defects,
-        # which give waste cells; also each list reversed and doubled
-        seen = {"group of 3+": 0, "equal fronts": 0, "waste cell in a group": 0}
+        # which give waste cells; also each list reversed and doubled.  One
+        # list holds at most one waste cell per depth, and only those of
+        # depths 0 and 1 leave the same depth open, so waste cells rarely
+        # share a group
+        seen = {"group of 3+": 0, "equal fronts": 0, "waste cells split by open depths": 0}
         for seed in range(300):
             rng = random.Random(seed)
             inst = stackable_instance(rng) if seed % 2 else random_small_instance(rng)
@@ -665,19 +699,62 @@ class TestDominanceFilter:
                 raw = enumerate_insertions(node, inst)
                 groups = {}
                 for ins in raw:
-                    key = (ins.bin, *sorted(pl.chain_idx for pl in ins.placements))
+                    key = (ins.bin, *sorted(pl.chain_idx for pl in ins.placements),
+                           depths_after(ins))
                     groups.setdefault(key, []).append(ins)
                 for members in groups.values():
                     fronts = [insertion_front(ins) for ins in members]
                     seen["group of 3+"] += len(members) >= 3
                     seen["equal fronts"] += len(set(fronts)) < len(fronts)
-                    seen["waste cell in a group"] += len(members) >= 2 and not members[0].placements
+                wastes = [ins for ins in raw if not ins.placements]
+                seen["waste cells split by open depths"] += len(
+                    {depths_after(ins) for ins in wastes}) >= 2
                 if all(len(members) < 2 for members in groups.values()):
                     assert filter_dominated_children(raw) is raw
                 for ins_list in (raw, raw[::-1], raw + raw):
                     assert filter_dominated_children(ins_list) == (
                         reference_filter_dominated_children(ins_list))
         assert min(seen.values()) >= 10, seen
+
+    def test_siblings_that_leave_different_depths_open_are_both_kept(self):
+        """Two stacks of the same items, one at depth 3 and one opening a
+        column (after which only depth 3 is open), where the first's front
+        is at or left of the second's: they are in different groups, so
+        both are kept.  The filter that ignored the open depths kept the
+        first only."""
+        def stack(depth, x, x1_prev, x1_curr, prev_col_x1):
+            pls = (Placement(0, 0, x, 0, 100, 120, False), Placement(1, 1, x, 120, 100, 80, False))
+            return Insertion(InsertionKind.TWO_ITEMS, depth, False, pls, 0, x1_prev, x1_curr,
+                             0, 200, x, x + 100, prev_col_x1)
+
+        in_shelf, new_column = stack(3, 200, 0, 300, None), stack(1, 300, 300, 400, 300)
+        assert depths_after(in_shelf) != depths_after(new_column)
+        assert front_leq(insertion_front(in_shelf), insertion_front(new_column))
+        siblings = [in_shelf, new_column]
+        assert filter_dominated_children(siblings) == siblings
+        assert reference_filter_dominated_children(siblings, by_open_depths=False) == [in_shelf]
+
+    def test_a_waste_column_beside_a_waste_strip_reaches_the_optimum(self):
+        """Draw 30 of ``TestPruningLosses``' draws: every best packing
+        covers a defect with a waste column at depth 1, whose front a waste
+        strip at depth 3 is at or left of.  After the strip only depth 3 is
+        open, so the strip's child cannot open the column that the best
+        packing needs; the filter keeps both, and the search with sibling
+        dominance finds the optimum of the search without."""
+        rng = random.Random(1)
+        for _ in range(31):
+            inst = random_small_instance(rng, max_items=5)
+        leaf = dfs_best_leaf(inst, use_dominance=True)
+        assert leaf.waste == dfs_min_waste(inst)
+        covered = []
+        while leaf.parent is not None:
+            node, ins = leaf.parent, leaf.insertion
+            if not ins.placements and ins.depth == 1:
+                covered += [m for m in enumerate_insertions(node, inst)
+                            if not m.placements and m.depth == 3
+                            and front_leq(insertion_front(m), insertion_front(ins))]
+            leaf = leaf.parent
+        assert covered
 
 
 def walked_nodes(rng, min_nodes):
@@ -719,10 +796,12 @@ def reference_children(node, inst, use_symmetry, use_dominance=True):
 def node_level_dominance(kids):
     """Sibling dominance decided on built children, as an oracle: among
     children packing the same items (equal chain counts) on the same plate,
-    keep the undominated fronts, the earliest generated winning ties."""
+    keep the undominated fronts among those whose open depths are the
+    same, the earliest generated winning ties."""
     kept = []
     for kid in kids:
-        rivals = [k for k in kids if (k.counts, k.bin) == (kid.counts, kid.bin)]
+        rivals = [k for k in kids if (k.counts, k.bin, _allowed_depths(k)) == (
+            kid.counts, kid.bin, _allowed_depths(kid))]
         if not any(front_leq(k.front_key(), kid.front_key()) and (
                 kids.index(k) < kids.index(kid)
                 or not front_leq(kid.front_key(), k.front_key()))
@@ -845,6 +924,42 @@ class TestSymmetryAwareGenerator:
             assert all(symmetry_allows(node, m, inst) for m in closing)
         assert min(seen.values()) >= 100, seen
 
+    def test_each_rule_keeps_a_superset_of_what_its_broader_form_kept(self, nodes):
+        """Symmetry breaking no longer forbids a cell lower than the shelf
+        right of the shelf's first cell, and sibling dominance compares only
+        siblings that leave the same depths open.  At every walked node
+        each rule alone keeps every insertion that its broader form kept
+        (the cell-swap rule on every cell, ``reference_cell_swap_forbidden``
+        with ``fills_shelf``; groups by plate and chains only), and keeps
+        more at some: exactly the cells and siblings those two changes
+        spare."""
+        seen = {"symmetry": 0, "sibling dominance": 0}
+        lower = (InsertionKind.ITEM_WASTE_ABOVE, InsertionKind.ITEM_WASTE_BELOW)
+        for node, inst in nodes:
+            listed = enumerate_insertions(node, inst)
+            defects = inst.plate_defects(node.bin)
+            kept = child_insertions(node, inst, use_symmetry=True, use_dominance=False)
+            broader = [m for m in listed if symmetry_allows(node, m, inst) and not (
+                m.depth == 3 and node.cell_min_item is not None and reference_cell_swap_forbidden(
+                    node, defects, *_cell_items(m, inst), m.x3_curr, fills_shelf=True))]
+            assert set(broader) <= set(kept)
+            spared = [m for m in kept if m not in broader]
+            assert all(m.depth == 3 and m.kind in lower and node.x3_prev == node.x1_prev
+                       for m in spared)
+            seen["symmetry"] += len(spared)
+            kept = filter_dominated_children(listed)
+            broader = reference_filter_dominated_children(listed, by_open_depths=False)
+            assert set(broader) <= set(kept)
+            for m in kept:
+                if m not in broader:
+                    chains = sorted(pl.chain_idx for pl in m.placements)
+                    assert any(
+                        depths_after(o) != depths_after(m) and o.bin == m.bin
+                        and sorted(pl.chain_idx for pl in o.placements) == chains
+                        and front_leq(insertion_front(o), insertion_front(m)) for o in listed)
+                    seen["sibling dominance"] += 1
+        assert min(seen.values()) >= 50, seen
+
     def test_memoized_children_equal_the_uncached_ones(self, nodes):
         """Under both flags, at every walked node, the memo gives what the
         pipeline gives, also where another node of the same state filled
@@ -894,9 +1009,10 @@ class TestCellGenerator:
     @pytest.fixture(scope="class")
     def nodes(self):
         """The walked nodes of the insertion pins, and walks on stackable
-        items with few defects and with many."""
+        items with few defects and with many: 600 instances, on which the
+        cell-swap rule forbids over 1,000 cells."""
         nodes = walked_nodes(random.Random(2024), 2400)
-        for seed in range(300):
+        for seed in range(600):
             rng = random.Random(seed)
             inst = stackable_instance(rng, dense_defects=seed % 3 == 0)
             for use_symmetry in (False, True):

@@ -102,77 +102,77 @@ def run_small(algorithm: str, seed: int, guide: str) -> tuple:
 
 MBA_EXPECTED = {
     ('16x4', 'w', 2): ('3dc2d2b90158e0cb25868daeba903c8c45d2eaa3aca64b03bd6c76e95b1e7ae7', 'exhausted', 11, [], None),
-    ('16x4', 'w', 5): ('7653c7bf4da84671d0bf121b3d459e30ab62cfecdad164836128d1e3ca780f4d', 'exhausted', 79, [7291002, 6793452], '1d4cf15c02f29164'),
-    ('16x4', 'w', 17): ('b9633a62ebe5c9297d7521cd85490c5e722b80f5c9758365ae5bce999bf9d448', 'exhausted', 261, [4556082], '341045e7b2bf0500'),
-    ('16x4', 'w', 64): ('840aaa88ce4e4cbc428a59ecedf6dd0597645f50f91ddccc8acdaced1eac7b15', 'exhausted', 911, [5425992, 5040792, 3888402], 'd506a63e987c2cdf'),
+    ('16x4', 'w', 5): ('281322cb179e2b35d0cab5f1c970c2bcfd700681c0354eef123fce3b6da1e46f', 'exhausted', 69, [6963582, 6302322, 4928442], 'b1a5545e52c79203'),
+    ('16x4', 'w', 17): ('88e4faea0e33774ed743367484fdede88f58177805931342b7e271910c8ccc49', 'exhausted', 251, [6857652, 4629912], 'c50eac29c9816bd0'),
+    ('16x4', 'w', 64): ('c743f904749ca08c075552e4caf25f96db9e64e4a7a05361ea3e34f82901e68b', 'exhausted', 1005, [6270222, 5355372, 4642752, 4581762], '897330993680e52e'),
     ('16x4', 'p', 2): ('33a02ed0da8f16ac0014c36f31e2b6409a8ed6c0fb9c554e6cb3983519c28c65', 'exhausted', 8, [], None),
-    ('16x4', 'p', 5): ('97424f0b90cf83049eb1c012295d33383d0749bf3d8455478f97eafb228d71cd', 'exhausted', 44, [], None),
-    ('16x4', 'p', 17): ('e3a5c202b810aa6491d462d2155784340e33f9c9eadf338569e522ec2642fa39', 'exhausted', 299, [6562332, 6064782], '3ce57c56d8b64513'),
-    ('16x4', 'p', 64): ('08feefb7b90c3b2578e77ab72fd0cc140b018fccdae83fde9cc53941017e8ae7', 'exhausted', 931, [5878602, 4992642, 4209402], '155172e54f7ffb2e'),
+    ('16x4', 'p', 5): ('9124369d65afb4aef8cf91ed1c9114efcefe233557386b084e76f3aee6fb0f4c', 'exhausted', 71, [5621802, 4247922], '29ce2a59fa87fa66'),
+    ('16x4', 'p', 17): ('7d04fb8b5afba74ca25d0024f8037154efe571b0cf1700ad9a8fc329938e2d3e', 'exhausted', 329, [6957162, 6709992, 5300802, 4726212], '8de48df3a1b1bbd9'),
+    ('16x4', 'p', 64): ('d5ebcffb1216adf808d64a5061cf22af4a37b6de79dcc60e888b1e0053766776', 'exhausted', 1126, [5592912, 5361792, 3496782], '2ba414d73ac53ce2'),
     ('16x4', 'a', 2): ('33a02ed0da8f16ac0014c36f31e2b6409a8ed6c0fb9c554e6cb3983519c28c65', 'exhausted', 8, [], None),
-    ('16x4', 'a', 5): ('34623791b3a579c5d165f541988a349483b45c6827d9a3b3b631929c4a5196cf', 'exhausted', 49, [], None),
-    ('16x4', 'a', 17): ('3091932b4e5e2627f8f6e9e6fcb2213a2bce842d484efce9be376b816865a647', 'exhausted', 259, [4992642], 'd9e7539670461c74'),
-    ('16x4', 'a', 64): ('050adc629edc2a480632188135b21ae040d2d7c64fddcb08a85f4734b840cac5', 'exhausted', 874, [7637682, 5220552, 4726212], 'ae4a381eaf3338cd'),
-    ('20x6+defects', 'w', 2): ('588ae005c74fff7efac8032a040d59b2557998ed36afdf5bf2a185440dd36b01', 'exhausted', 31, [7897609, 7862299], '7904d3b52635528e'),
-    ('20x6+defects', 'w', 5): ('26381adc8993cad7f59672939c9ab934878875553d9be2b981f8f4baf0c73de3', 'exhausted', 41, [], None),
-    ('20x6+defects', 'w', 17): ('8737a72973983ae8177d7a026d2d9256279caef68238ede42d00177b90c4d9c9', 'exhausted', 297, [9403099, 5207629], 'd162cb150bbd49b9'),
-    ('20x6+defects', 'w', 64): ('ffaa3d4f1e4118b57343082a6f67a848bfb110ca4c6109c1cd7ceda82ac18561', 'exhausted', 1354, [5483689, 4976509, 4629829], 'e67a284abda69704'),
-    ('20x6+defects', 'p', 2): ('5d122969288093408e1bd1b658c96c0c3e748b42aa7fe393129abf732f492f79', 'exhausted', 17, [], None),
-    ('20x6+defects', 'p', 5): ('8ed5ca6c4fc97fd64240741167eb01985bda4db951bd1ff096bbccfbf15439e2', 'exhausted', 19, [], None),
-    ('20x6+defects', 'p', 17): ('fa2624cdf96d64ea1ce4f00b911b2a739b62eacce6ca994eec2255e825a31654', 'exhausted', 324, [9403099], '2e611005a8ed533e'),
-    ('20x6+defects', 'p', 64): ('308c6f960fcfbbeec54012910370f224b7d8f15ba5f4aab5e413dc6470222c3c', 'exhausted', 981, [5673079, 4633039, 4228579], 'ee8dd157f3c02b21'),
-    ('20x6+defects', 'a', 2): ('9039a702882e01274a1651485d44609529891bbda21a7a37b333635023b0137b', 'exhausted', 32, [4411549], 'c1f721b448f9d87e'),
-    ('20x6+defects', 'a', 5): ('472dac894be76b714f14e7867f41b42364498cd5c86102d72013c78f411831b4', 'exhausted', 43, [], None),
-    ('20x6+defects', 'a', 17): ('b739b783ad63aa77a8fc82ca98d3b44ba5bf85412e3b49de6402edef11daaccf', 'exhausted', 269, [5666659], '15d69c5f17e3c6ba'),
-    ('20x6+defects', 'a', 64): ('3472bbbc7af7c1b8330bb1ce71dcdf7c22e2dcc67f066b94de8874fa830778a5', 'exhausted', 1171, [5779009, 5531839, 5326399, 4511059, 4263889], '1940b5c2067ce5a3'),
+    ('16x4', 'a', 5): ('70428743468e30d7b81575d98ea327c4d55d6fc5ae3c1ad5aec6f7cb90e3a0de', 'exhausted', 50, [7175442, 5621802], 'f36671cac705d208'),
+    ('16x4', 'a', 17): ('f4adc38c9730dcded633792d9cc6316c45ef16a040379195936781d056407e0a', 'exhausted', 232, [7644102, 6302322, 4928442], '0d6196e6588c6e53'),
+    ('16x4', 'a', 64): ('dcffcff6cf2ad8fd4248a48b20bf822303ab17ece8befe4e01f4b3226bef23a8', 'exhausted', 1067, [5541552, 4443732, 3981492, 3593082, 3551352, 3487152], '7f2188e65a35e24e'),
+    ('20x6+defects', 'w', 2): ('6b0d5a7152594ddf8b1c2471ea37c7dc8f056236414412ec5ee4eeaf08e6f63e', 'exhausted', 34, [5156269], '856725d1118796d6'),
+    ('20x6+defects', 'w', 5): ('9881667f77dec18a600dc76a5541395b457d4f72b9c0387b96d3bd7f86815bde', 'exhausted', 49, [], None),
+    ('20x6+defects', 'w', 17): ('4b92cdee261a401e4fe011217325119684eddaf80e8a8bcabc3bf7db65cb16ef', 'exhausted', 291, [5133799, 5108119, 4620199], '8e7f30353922ef0d'),
+    ('20x6+defects', 'w', 64): ('319f321c1a2f123468580512c81a4c7379c1c0cc1dce226e4b81dbbc25259823', 'exhausted', 1415, [5230099, 5165899, 4379449], '98f6e18322cd27f2'),
+    ('20x6+defects', 'p', 2): ('9b34415cfa6616c8249bdd44db28be611246bcbba88546636dbb27c0d40cccbd', 'exhausted', 28, [], None),
+    ('20x6+defects', 'p', 5): ('2974cc13181f7b86f19a94cd4901aaaabcf2f0e0fe3f1b9db26966feeb6e714d', 'exhausted', 20, [], None),
+    ('20x6+defects', 'p', 17): ('ed15371406e93153a143a2e10b5cc801b5eaa6616632ed7488ae67a8b3aa148c', 'exhausted', 344, [5701969, 4860949], '022ba3c43e0a7f67'),
+    ('20x6+defects', 'p', 64): ('5ea934052399d449f42c8ecbb4dfe01f9e688a8e11d2befbffe2a52a109bd55d', 'exhausted', 1817, [4857739, 4738969, 4026349, 3907579], '7da4a11273a3335b'),
+    ('20x6+defects', 'a', 2): ('07cf605095ba3fa19c0bd20ed9690941e3858af714d2f9848d868fb93d5e2252', 'exhausted', 40, [], None),
+    ('20x6+defects', 'a', 5): ('b85b74c0ad97bf6da44989fd2ebf9236526a90b35b9e8d073efdde29da9ae02d', 'exhausted', 105, [4164379], 'c2036c4e3321d8e0'),
+    ('20x6+defects', 'a', 17): ('fe8b88b06e9bf7c1d91539726ed9403898ed2868fba3d6474b4b945481fc78bb', 'exhausted', 436, [4090549], '04409d3e0ee1f54b'),
+    ('20x6+defects', 'a', 64): ('6a3d20fea026f2a589390f64bcbff19ca7b5591a7146ba54aa464b57b51e12d6', 'exhausted', 1010, [5490109, 4857739, 4828849, 4738969, 4026349], 'e1b195727cac2fc3'),
     ('24x8', 'w', 2): ('c213a2cb78024b00f96fa7ec45021fd1fd4bdc957fdba7aadcae605f0e82eb85', 'exhausted', 43, [9769063, 9249043], 'c435a72a3431c887'),
-    ('24x8', 'w', 5): ('f837d3fdd600aadfba7d178bf79e8a09f2d7c62234b343189099e8f264ba8add', 'exhausted', 97, [13974163], '23e6ee349b0c7ee2'),
-    ('24x8', 'w', 17): ('f05bdb4ace829a99fdd42fbfa5e172aa2af10ada4745c94da523c6fcf78a11a9', 'exhausted', 380, [5689153], '89831f5443651b34'),
-    ('24x8', 'w', 64): ('582761d384772392dabadd7de00f799e7f412b2eb18a4d2de437402cf6f16eb9', 'exhausted', 1606, [7987513, 7929733, 5689153], '4c6904de88806cce'),
-    ('24x8', 'p', 2): ('b2acc158de1287e0403b511a452ce7ac996871c6ed35e235edb490bb111b4ea9', 'exhausted', 12, [], None),
-    ('24x8', 'p', 5): ('88c9efa63651c9943078c58d5d85f746e3a22ae0352fff5dd1ba8d488b5cbc3b', 'exhausted', 92, [], None),
-    ('24x8', 'p', 17): ('17807f8cde568159b8767d26d874d3b82b716227fe7c07469bf12427467db145', 'exhausted', 428, [10414273], '19f22a02cd38da32'),
-    ('24x8', 'p', 64): ('7e95460d7821c6903b9e62860106288dd1d0bd2f56d75635d754eb5876525172', 'exhausted', 1736, [8841373, 7987513, 7929733, 7881583, 5316793], 'e042443f143ca876'),
-    ('24x8', 'a', 2): ('b2acc158de1287e0403b511a452ce7ac996871c6ed35e235edb490bb111b4ea9', 'exhausted', 12, [], None),
-    ('24x8', 'a', 5): ('81fa33f7793bad7826249a5967e97640b04724ee63a9b260eae6d16367b426cf', 'exhausted', 75, [10122163], 'b198c45860504031'),
-    ('24x8', 'a', 17): ('2009a294f3dec8c2a84e0666c7f8185ec2c9a1ded8dd82b4bdbec127228746c3', 'exhausted', 401, [13136353, 8212213], '318fa999e8b3c0ec'),
-    ('24x8', 'a', 64): ('9bff5810b8e932b6601fc53c173b83caf9f38426be6d18dc7bd4d8f241c2f1b3', 'exhausted', 1901, [7987513, 7929733, 5689153], 'a8b97eab99e39182'),
-    ('30x6+defects', 'w', 2): ('df6e141b7f7f6d38b2a5339541af010babce80058e68dd16e12c71512e55a0db', 'exhausted', 10, [], None),
-    ('30x6+defects', 'w', 5): ('7f1886f4e18d7b8de05ea2a9f8c2d2f655afb80abd5adb44f4197eeade48981e', 'exhausted', 23, [], None),
-    ('30x6+defects', 'w', 17): ('78dd7c62e1fd5f642640dbac4fa748d4be277e779a0b46bb1d1a2c72a3a4ddbe', 'exhausted', 108, [], None),
-    ('30x6+defects', 'w', 64): ('9982dff171998cc3f10524dd6241c09fb5de36908bc8407e73f89d11467816bb', 'exhausted', 2188, [11456898, 8782968, 7961208], '4dfd33d8965ec9d3'),
-    ('30x6+defects', 'p', 2): ('e45da079def6c56f6052cb98aea46e78f5adfff2ddaedbf186a4b25a75a387f9', 'exhausted', 9, [], None),
-    ('30x6+defects', 'p', 5): ('1f48d099346f1858f1830403f9a8915ffb31170dbda2d1a115ac9791b797608e', 'exhausted', 24, [], None),
-    ('30x6+defects', 'p', 17): ('a1618fb25163e2057e5c3fb63b520eac0fe0ac1a92fa2ad9957810fff58b162e', 'exhausted', 121, [], None),
-    ('30x6+defects', 'p', 64): ('d92f00ff500dbc1726114995c47d186eacfbc93d145e6af4b8c6e1c5652a20f8', 'exhausted', 2642, [10638348, 7338468], '172182e48ea15a48'),
-    ('30x6+defects', 'a', 2): ('a72f5bfdbdb162fa135a8268a8fcc5096399bbff0096aad3ef1b246ecfe60459', 'exhausted', 8, [], None),
-    ('30x6+defects', 'a', 5): ('e855b45e4be22083f10e8ac4198afad93e6132dd9ffb8a38b7d6e83b3e823d4f', 'exhausted', 23, [], None),
-    ('30x6+defects', 'a', 17): ('3a63800e31e5a01cda2ac750715115f4335dae95ac455f53fc54ac0fd1ab7ab7', 'exhausted', 489, [11036388, 9964248, 9864738], 'c8936780d87d3037'),
-    ('30x6+defects', 'a', 64): ('728e926175023e909f54ab30b0704f5cff6737959f1d119a46d778556d75affb', 'exhausted', 1801, [11456898, 9896838, 9152118, 9071868, 8741238, 8185908, 6076938], '23e290c915ecad03'),
+    ('24x8', 'w', 5): ('65b99e28a73ab81278a6a61d2295454322ee9a8ed520b1f4e25d1eaec48606f6', 'exhausted', 79, [], None),
+    ('24x8', 'w', 17): ('904d8379736e5b0d6d0e46b4d7da6358970d158059c692b41c59e018f2fba8cb', 'exhausted', 455, [6790183, 5689153], '7ae2b5afbbacfa8a'),
+    ('24x8', 'w', 64): ('839347aba2c58948abe0ed9d9f0643c1213443a75f6e0f0ad4f37761292bf0ca', 'exhausted', 1660, [10250563, 8773963, 6225223, 5689153], '7c1c1231f683958f'),
+    ('24x8', 'p', 2): ('4c2900f85d26f654eb31cf7a69b83647e842844bf0b8a77aff2c398ad74bff72', 'exhausted', 44, [7987513, 7692193], '4f525df26951a60a'),
+    ('24x8', 'p', 5): ('e766251b3bebc0c17dab5dfc454f7725d4c86ac98bf8bb714a3cf83f46fc1e7f', 'exhausted', 63, [], None),
+    ('24x8', 'p', 17): ('ce929942f42cb81287acce930759cf9a9b96a6f4c5e1f55a4ce034a1e5104e73', 'exhausted', 360, [9528313, 7987513, 7692193, 7634413], 'f3b15347abb39861'),
+    ('24x8', 'p', 64): ('5f6102274cffb5858e78efbfa6ba9e002ea43f30f6aef1c78448d7dcc35d3425', 'exhausted', 1956, [9576463, 9396703, 7987513, 7692193, 7634413], 'c2dd203889c49ef7'),
+    ('24x8', 'a', 2): ('963144024bfe9f2ee3bc377b1689cc9356f6da03fa8ff5b4cd343c246f1b4e66', 'exhausted', 43, [7692193], '4f525df26951a60a'),
+    ('24x8', 'a', 5): ('731f1693d5f63a95f7da81bf8f6490162ff2244fecfb291c9864b36421661ac4', 'exhausted', 36, [], None),
+    ('24x8', 'a', 17): ('141c3d7ac8eb1ede0d8a1c4ac93a84909829735e2d1de68643fca4f83053089c', 'exhausted', 334, [7929733], 'bbb9b2f76b1d3349'),
+    ('24x8', 'a', 64): ('17a417f9a2477f0fc7b64a9323d1850942681e873878ed900c08defcc484b931', 'exhausted', 2003, [8009983, 5194813], 'aae3213181823507'),
+    ('30x6+defects', 'w', 2): ('90b1c586158228804fee9c02cdebccc13eb9556ca6e8d4b3027edc3752137901', 'exhausted', 9, [], None),
+    ('30x6+defects', 'w', 5): ('6e6ab8e7f9beb96a508c4cd649d4026fe4ab8dee32cb824a21eeaa85135aebe0', 'exhausted', 24, [], None),
+    ('30x6+defects', 'w', 17): ('f262265f31fb8d13bc19e3d4dc563592ea0b9f51432b387078bfd972673a3070', 'exhausted', 89, [], None),
+    ('30x6+defects', 'w', 64): ('4cbe5e335abb25818b0c427b7f36424be0a19f57495da7d5ec8604f319011d38', 'exhausted', 1934, [5861868, 5656428, 4629228], '37ec8888f477d248'),
+    ('30x6+defects', 'p', 2): ('a7026fc0fe6f059edd9f79342f80a8e7bb5fb0c060c8bc50489b81064ee1fadf', 'exhausted', 9, [], None),
+    ('30x6+defects', 'p', 5): ('7554b8d5d18e7c74b47a1190336ea79730520aa679344a36626ff7d9199b9025', 'exhausted', 26, [], None),
+    ('30x6+defects', 'p', 17): ('9283942518401ca930cb2fd85c4f9a6a91a8f5f22a8d44f5f2d22519a65840bc', 'exhausted', 447, [10057338, 8449128, 6535968, 5611488], '40f37a1af73bf57b'),
+    ('30x6+defects', 'p', 64): ('175ccd49f96ffa801c4cf0a401ea8d500c55c93d5d5c046d28d2e2d4e48c99df', 'exhausted', 2009, [8782968, 7338468], '95a79272597c9d44'),
+    ('30x6+defects', 'a', 2): ('1076cb2166318d7f24c92834529d8863ca2c7c8e5f9148cec3a3be914bb89d5a', 'exhausted', 8, [], None),
+    ('30x6+defects', 'a', 5): ('9588e35fdf5235e901590269eb0b79ab0e825a4300d0300997f3b845cdbf59f9', 'exhausted', 25, [], None),
+    ('30x6+defects', 'a', 17): ('e411609f2f6c83bd019871c792ceda15468c0169a52ec97fdaaa8155eba53398', 'exhausted', 398, [12313968, 8782968, 8654568], 'fd257e0ac26e77f5'),
+    ('30x6+defects', 'a', 64): ('0ccccca973fb6c9db47a4c3b03fc85d32e3f5d80f0bd64b60db15ce4cba7494c', 'exhausted', 1660, [11110218, 10217838, 8782968, 7226118], 'e6d4a8466bdbf256'),
     ('40x6+defects', 'w', 2): ('719c47ef8cdda80bfceb7ee6a846e8655fe457eb49b1f9f443b9d4b4dbd03774', 'exhausted', 72, [22359907], '143579ecc121b074'),
-    ('40x6+defects', 'w', 5): ('3e572ad1c96a5a84d0c1175796a9dce0c3950d80fec9e24b8b923e9296ab0d34', 'exhausted', 174, [13275607], '085208b49ef0f234'),
-    ('40x6+defects', 'w', 17): ('b3a6e2d7195878be2d9a52f1ef95d8c5c364edc536d0f913ad91c54cff1c06be', 'exhausted', 706, [13532407, 13343017, 12344707], '82e5e025e9a1f01d'),
-    ('40x6+defects', 'w', 64): ('d2c01cc051128301f4017f6db9420c8bd7891bd9c11f9f53320dd92d95fdfcf6', 'exhausted', 3132, [12344707, 11234047, 11150587], '2cf7b20b16b2ead4'),
-    ('40x6+defects', 'p', 2): ('999eccd6df51991a0fdeadba3443e0479e9a9ee7b9454a82623aa86ab9a6035f', 'exhausted', 24, [], None),
-    ('40x6+defects', 'p', 5): ('60fd526676a5dacfc3f270c07ca2a6e7216431ef03d28b17fd57cbee7010db02', 'exhausted', 157, [13497097], '15c2cc46c8931a55'),
-    ('40x6+defects', 'p', 17): ('044eb60ff5e142e4f2487f1f0467399f4277ed3b5704078f284276b4d895aed1', 'exhausted', 659, [16549807, 14145517], 'c242b74cef8e5e33'),
-    ('40x6+defects', 'p', 64): ('3afe69b349dc9032cece74dbe43142179fd3a1df667b0dc0a0bfcf279c6b8653', 'exhausted', 2048, [13118317, 10659457, 10437967, 9468547], '50fb8312a848f055'),
-    ('40x6+defects', 'a', 2): ('3896b54de199080d1457ef4040eeeb9f065a48fd257ec7c16fbdac981a387afa', 'exhausted', 15, [], None),
-    ('40x6+defects', 'a', 5): ('3c215f40f8c97ddb5670ab2e33345d2f0557e6bafb2d9be638fb2c86717a2c51', 'exhausted', 51, [], None),
-    ('40x6+defects', 'a', 17): ('ce01425e37c63b53b99dfe64edfca227774c73d8ebba572d4ac9dbf5560a8ded', 'exhausted', 600, [12344707], '7b04e3e942fa5465'),
-    ('40x6+defects', 'a', 64): ('df21e63fd8b5ef77c947ac361047d3b0774e0d25e313a74451346fe08b6b75aa', 'exhausted', 2359, [14566027, 11234047], '431cc464b20429d5'),
+    ('40x6+defects', 'w', 5): ('d2e0b5dc002b34e8c748c861c4519fef9df3e8e0471bc0d114f6e3e4323dd11a', 'exhausted', 166, [12999547, 12344707], '9a1b504aeb1057a8'),
+    ('40x6+defects', 'w', 17): ('7a713bdf9bfc5d91e9812948b9cf269cd314e92c1d82cb78d9de7b985c43f4c0', 'exhausted', 739, [13609447, 13118317, 11388127, 10896997], '7b224cc0c8e7e27c'),
+    ('40x6+defects', 'w', 64): ('57449877c5f9a8b74debca1e6232a2dc8e0492833576003f6808dbab9747fb45', 'exhausted', 3255, [13124737, 12363967, 12174577, 11198737, 10437967], '8612bd4e14066a7d'),
+    ('40x6+defects', 'p', 2): ('b5c2670a5cf4b8b0288f05122a0169aef01485255d3b87dc34b1b51b87e67046', 'exhausted', 41, [], None),
+    ('40x6+defects', 'p', 5): ('84ca23b962a59aebba8fce6215023b3b4398ec997905286a0545486927e7d267', 'exhausted', 183, [14521087], '2f2406cab158643d'),
+    ('40x6+defects', 'p', 17): ('47f8d6497a941b4c18c299cfcbe0bae3835b5abd9ca8129c4fcdd7704a0d4fa2', 'exhausted', 279, [], None),
+    ('40x6+defects', 'p', 64): ('24faeac38b1c7a2de65a629ffcd2b01cf30dba4a46c4ffbc873072b3c81f4c4e', 'exhausted', 2855, [12344707, 11234047], '7f9369258b7ff8f0'),
+    ('40x6+defects', 'a', 2): ('c531794827ab9305baa261421ca0df37cd66c79b6264adcc31d2fd556755f706', 'exhausted', 29, [], None),
+    ('40x6+defects', 'a', 5): ('a8f7b184befca6d3095fd4ea1bd0569afcec1764ea54d1d892068f9580a42c38', 'exhausted', 60, [], None),
+    ('40x6+defects', 'a', 17): ('2a22a8b572b0b6e912273217d7525ee595eafd837c95842ccefea08d7e2f58e8', 'exhausted', 712, [11234047], '4fe65c3002d05058'),
+    ('40x6+defects', 'a', 64): ('a961c8462fd4ac1160abca0b78df2592387da426c85c9ecff13995741eaf099b', 'exhausted', 2173, [12344707, 11234047], '690a3c87c12e1b1c'),
     ('20x3', 'w', 2): ('5ed89d2ed0aabfcbd73e00092e1425836b6a972e684a28f3ef7af00884a34ef1', 'exhausted', 15, [], None),
-    ('20x3', 'w', 5): ('10303da79fdeb0bdfbc57f1f6eb9bf7acf0a3114476a00aad5a591a8465daa5f', 'exhausted', 53, [], None),
-    ('20x3', 'w', 17): ('ef839d392fdc240cecb08faf4ef3d52b9d4ae7b68687630c151fb612e7f891f1', 'exhausted', 277, [3709286], '0f2b79e835b1f9b4'),
-    ('20x3', 'w', 64): ('91f1441d4b935289643ff7805615650c0209fc67b1d009cb4a99f036424820dc', 'exhausted', 975, [10026566, 8026736, 3969296], 'cecc59d8dbcde6e0'),
+    ('20x3', 'w', 5): ('7df1fc51beb8870fa9757f0c47dfd52d7510b49f63f996df32f27ba46da16cfd', 'exhausted', 105, [15445046], '2bed3e1c9e0b84c1'),
+    ('20x3', 'w', 17): ('ff388072d78e51d1cda532f4de4e3dc7d95c21e29e69e39aa84928e6fcb9b7d4', 'exhausted', 310, [10026566, 8026736, 7850186], '53f25baf833e6397'),
+    ('20x3', 'w', 64): ('0d4b5bc89ac04d93faf39e9c8edd1ae3f80aa2aa4513a2e8cb78b60204845fa8', 'exhausted', 1079, [3709286, 3574466], '56c8054ce8a083b1'),
     ('20x3', 'p', 2): ('7c34ac606a953be5dbdd115b9bdf9e7bd09c1513c9f8c578bd57be057101e062', 'exhausted', 14, [], None),
-    ('20x3', 'p', 5): ('e5796f3f14b68695ec877201c3bce5b201c88286ae10f94b9a17052ac6a9c6eb', 'exhausted', 63, [11920466, 7785986], 'a0884aa5edea7f01'),
-    ('20x3', 'p', 17): ('d47662d9ef90aab2028adf52cc00e67d8154a07bf0d606e980a89107363217fa', 'exhausted', 381, [10026566, 8026736, 7785986], 'eae155c835b77b8a'),
-    ('20x3', 'p', 64): ('51ed12095b7a75f702021f1bbdda3ea8db93910ec4c8b8f77e750ca6bb9c5aca', 'exhausted', 806, [4611296, 3661136], 'd53c3f409d93d309'),
+    ('20x3', 'p', 5): ('70b6d72f84d4454881ffb83566bef499e72454a521e063d8bf51ef7aa181bc0a', 'exhausted', 69, [16000376, 15445046], '2411d525c8173029'),
+    ('20x3', 'p', 17): ('69be355e205c812d44204e1c1b02e18b8598b5196af7a05b3f149f76d24fd7ba', 'exhausted', 373, [4611296], '5212b69686fca8f5'),
+    ('20x3', 'p', 64): ('48dc0a764d840ec6a99ec96a4fbc95c22d0bc3c69e94c5e67599376ee2f31236', 'exhausted', 882, [4611296, 3661136], '837a83a4f54d38a9'),
     ('20x3', 'a', 2): ('c1168be2616479a099807cdd6e7f219e4079c754ff88ec4aac8376814d4a055a', 'exhausted', 15, [], None),
-    ('20x3', 'a', 5): ('11300a90e599c9f9032232b021c3162e4aa7b2c663271821f6de4f30e7541e48', 'exhausted', 86, [11920466, 10447076, 8935166], '22843d741608dacb'),
-    ('20x3', 'a', 17): ('3552b605828da09e6f044f68d37cae6a065bfeb2ae1658332223509ea825dcb1', 'exhausted', 307, [10026566, 8026736, 7785986], 'f18a0834176ab561'),
-    ('20x3', 'a', 64): ('f0cc213781b1ecba3d243d60ad941b1c711b1f69314768b8d07c0f0b08ba3f7e', 'exhausted', 1461, [4611296, 3661136], 'd53c3f409d93d309'),
+    ('20x3', 'a', 5): ('0cfbeeed73397277a490da5b2fac559fcc1a156af349ca47a99e4fa0db285673', 'exhausted', 74, [16000376, 15445046], 'a3723a89e3a87299'),
+    ('20x3', 'a', 17): ('8d7a0cdf8e83a7c1a109afe17963d29c07738748abce559f30942a5c7fcca1da', 'exhausted', 299, [10447076, 5924186, 5831096, 4675496, 4457216], 'c6fe7985477c20f1'),
+    ('20x3', 'a', 64): ('98cc632fdad307f9e0ef78d66ba3d370bd3dd80a2507a46294c2042a3bf50a50', 'exhausted', 821, [4675496, 3661136], '837a83a4f54d38a9'),
 }
 
 # Full DPA* expansion traces: each run evicts 110-174 fronts from its store.
@@ -183,19 +183,19 @@ DPA_EXPECTED = {
 }
 
 SMALL_EXPECTED = {
-    ('astar', 5, 'w'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
-    ('astar', 5, 'p'): ('exhausted', 155, [473589, 229389], 'f7c504e60d6d6a51'),
-    ('astar', 5, 'a'): ('exhausted', 312, [493389, 396189, 366189, 229389], 'f2c53f1db27757eb'),
-    ('ibs', 5, 'w'): ('exhausted', 377, [473589, 229389], 'f7c504e60d6d6a51'),
-    ('ibs', 5, 'p'): ('exhausted', 387, [473589, 229389], 'f2c53f1db27757eb'),
-    ('ibs', 5, 'a'): ('exhausted', 372, [396189, 229389], 'f7c504e60d6d6a51'),
+    ('astar', 5, 'w'): ('exhausted', 185, [473589, 229389], 'a901bb7d3daad936'),
+    ('astar', 5, 'p'): ('exhausted', 185, [473589, 229389], 'a901bb7d3daad936'),
+    ('astar', 5, 'a'): ('exhausted', 251, [493389, 396189, 366189, 229389], '22b6b955e4caf607'),
+    ('ibs', 5, 'w'): ('exhausted', 445, [473589, 229389], 'f7c504e60d6d6a51'),
+    ('ibs', 5, 'p'): ('exhausted', 436, [473589, 229389], 'a901bb7d3daad936'),
+    ('ibs', 5, 'a'): ('exhausted', 432, [396189, 229389], 'a901bb7d3daad936'),
     ('dpastar', 5, 'w'): ('exhausted', 49, [473589, 229389], 'a901bb7d3daad936'),
-    ('astar', 12, 'w'): ('exhausted', 77, [472091, 395891, 227291, 200291, 189491], '4e5220af57af84c9'),
-    ('astar', 12, 'p'): ('exhausted', 61, [189491], '4e5220af57af84c9'),
-    ('astar', 12, 'a'): ('exhausted', 75, [259691, 200291, 189491], '4e5220af57af84c9'),
-    ('ibs', 12, 'w'): ('exhausted', 333, [472091, 395891, 217691, 200291, 189491], '4e5220af57af84c9'),
-    ('ibs', 12, 'p'): ('exhausted', 315, [472091, 395891, 217691, 189491], '4e5220af57af84c9'),
-    ('ibs', 12, 'a'): ('exhausted', 324, [217691, 189491], '4e5220af57af84c9'),
+    ('astar', 12, 'w'): ('exhausted', 72, [217691, 216491, 200291, 166091], '4a592ed1a90d6295'),
+    ('astar', 12, 'p'): ('exhausted', 52, [166091], '4a592ed1a90d6295'),
+    ('astar', 12, 'a'): ('exhausted', 62, [217691, 200291, 166091], '4a592ed1a90d6295'),
+    ('ibs', 12, 'w'): ('exhausted', 328, [472091, 395891, 216491, 200291, 166091], '4a592ed1a90d6295'),
+    ('ibs', 12, 'p'): ('exhausted', 316, [166091], '4a592ed1a90d6295'),
+    ('ibs', 12, 'a'): ('exhausted', 320, [217691, 166091], '4a592ed1a90d6295'),
     ('dpastar', 12, 'w'): ('exhausted', 56, [217691, 216491, 164891], '84f2069ae615da6b'),
     ('astar', 17, 'w'): ('exhausted', 108, [192138], '9316ce365288ecb9'),
     ('astar', 17, 'p'): ('exhausted', 105, [192138], '9316ce365288ecb9'),
@@ -204,26 +204,26 @@ SMALL_EXPECTED = {
     ('ibs', 17, 'p'): ('exhausted', 344, [502338, 192138], '9316ce365288ecb9'),
     ('ibs', 17, 'a'): ('exhausted', 345, [502338, 192138], '9316ce365288ecb9'),
     ('dpastar', 17, 'w'): ('exhausted', 38, [148338], '4e89432f942e2f61'),
-    ('astar', 23, 'w'): ('exhausted', 752, [160423], '1413fb949d1a372c'),
-    ('astar', 23, 'p'): ('exhausted', 718, [160423], '5cce12cbb6bfa521'),
-    ('astar', 23, 'a'): ('exhausted', 726, [224623, 167023, 160423], '5cce12cbb6bfa521'),
-    ('ibs', 23, 'w'): ('exhausted', 3675, [524623, 253423, 160423], '1413fb949d1a372c'),
-    ('ibs', 23, 'p'): ('exhausted', 3596, [524623, 253423, 224623, 160423], '1413fb949d1a372c'),
-    ('ibs', 23, 'a'): ('exhausted', 3539, [524623, 253423, 224623, 167023, 160423], '1413fb949d1a372c'),
+    ('astar', 23, 'w'): ('exhausted', 749, [160423, 150223], '5395de9940250dd0'),
+    ('astar', 23, 'p'): ('exhausted', 683, [160423, 150223], '5395de9940250dd0'),
+    ('astar', 23, 'a'): ('exhausted', 692, [224623, 167023, 150223], '5395de9940250dd0'),
+    ('ibs', 23, 'w'): ('exhausted', 3708, [524623, 211423, 160423, 150223], '5395de9940250dd0'),
+    ('ibs', 23, 'p'): ('exhausted', 3643, [524623, 224623, 220423, 160423, 150223], '5395de9940250dd0'),
+    ('ibs', 23, 'a'): ('exhausted', 3611, [524623, 224623, 211423, 160423, 150223], '5395de9940250dd0'),
     ('dpastar', 23, 'w'): ('exhausted', 238, [160423, 150223, 144223], '4f9a53bfe9d61396'),
-    ('astar', 24, 'w'): ('exhausted', 164, [130191, 119991], '1719498b9c13ccad'),
-    ('astar', 24, 'p'): ('exhausted', 164, [130191, 119991], '1719498b9c13ccad'),
-    ('astar', 24, 'a'): ('exhausted', 165, [130191, 119991], '1719498b9c13ccad'),
-    ('ibs', 24, 'w'): ('exhausted', 494, [446991, 406191, 130191, 119991], '1719498b9c13ccad'),
-    ('ibs', 24, 'p'): ('exhausted', 491, [446991, 406191, 130191, 119991], '1719498b9c13ccad'),
-    ('ibs', 24, 'a'): ('exhausted', 478, [446991, 406191, 233991, 130191, 119991], '1719498b9c13ccad'),
+    ('astar', 24, 'w'): ('exhausted', 174, [130191, 119991], '1719498b9c13ccad'),
+    ('astar', 24, 'p'): ('exhausted', 174, [130191, 119991], '1719498b9c13ccad'),
+    ('astar', 24, 'a'): ('exhausted', 175, [130191, 119991], '1719498b9c13ccad'),
+    ('ibs', 24, 'w'): ('exhausted', 503, [446991, 406191, 130191, 119991], '1719498b9c13ccad'),
+    ('ibs', 24, 'p'): ('exhausted', 496, [446991, 416391, 233991, 130191, 119991], '1719498b9c13ccad'),
+    ('ibs', 24, 'a'): ('exhausted', 489, [446991, 406191, 233991, 130191, 119991], '1719498b9c13ccad'),
     ('dpastar', 24, 'w'): ('exhausted', 129, [130191, 119991, 115791], '525842dfec4431ea'),
-    ('astar', 27, 'w'): ('exhausted', 163, [452432, 450032, 145232], '52ac3d0a5794b50b'),
-    ('astar', 27, 'p'): ('exhausted', 155, [145232], '52ac3d0a5794b50b'),
-    ('astar', 27, 'a'): ('exhausted', 155, [145232], '52ac3d0a5794b50b'),
-    ('ibs', 27, 'w'): ('exhausted', 746, [452432, 450032, 259232, 145232], '52ac3d0a5794b50b'),
-    ('ibs', 27, 'p'): ('exhausted', 745, [145232], '52ac3d0a5794b50b'),
-    ('ibs', 27, 'a'): ('exhausted', 745, [145232], '52ac3d0a5794b50b'),
+    ('astar', 27, 'w'): ('exhausted', 180, [452432, 450032, 145232, 141632], 'ca712aa08c33ded4'),
+    ('astar', 27, 'p'): ('exhausted', 159, [145232, 141632], 'ca712aa08c33ded4'),
+    ('astar', 27, 'a'): ('exhausted', 162, [145232, 141632], 'ca712aa08c33ded4'),
+    ('ibs', 27, 'w'): ('exhausted', 833, [452432, 450032, 259232, 145232, 141632], 'ca712aa08c33ded4'),
+    ('ibs', 27, 'p'): ('exhausted', 833, [259232, 145232, 141632], 'ca712aa08c33ded4'),
+    ('ibs', 27, 'a'): ('exhausted', 833, [259232, 145232, 141632], 'ca712aa08c33ded4'),
     ('dpastar', 27, 'w'): ('exhausted', 146, [452432, 450032, 145232, 114032, 111632], '72c9cf7eb55f59f5'),
 }
 

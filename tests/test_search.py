@@ -607,8 +607,9 @@ def _check_store(store: DominanceStore) -> None:
 
 class TestPruningLosses:
     # How often each pruning rule loses the optimum of the scheme on the
-    # 150 draws, as the README states: none of the rules is exact.
-    README_LOSSES = {"symmetry": 23, "sibling dominance": 5, "both": 27, "DPA*": 12}
+    # 150 draws, as the README states: symmetry breaking and the DPA* store
+    # are not exact, and sibling dominance, a pseudo-dominance, loses none.
+    README_LOSSES = {"symmetry": 16, "sibling dominance": 0, "both": 17, "DPA*": 9}
 
     def test_losses_against_the_unpruned_search_match_the_readme(self):
         rng = random.Random(1)
@@ -640,9 +641,9 @@ class TestUnsuppressedLosses:
 
     @pytest.mark.parametrize("seed, draws, max_items, losses", [
         (1, 150, 5,
-         {"scheme": 90, "symmetry": 100, "sibling dominance": 92, "both": 101, "DPA*": 96}),
+         {"scheme": 90, "symmetry": 96, "sibling dominance": 90, "both": 96, "DPA*": 94}),
         pytest.param(2, 300, 6, {
-            "scheme": 172, "symmetry": 188, "sibling dominance": 173, "both": 189, "DPA*": 178,
+            "scheme": 172, "symmetry": 184, "sibling dominance": 172, "both": 184, "DPA*": 176,
         }, marks=[pytest.mark.slow, pytest.mark.skipif(
             not RUN_SLOW, reason="set GLASSCUT_RUN_SLOW=1 for the 300 draws (about 80 s)")]),
     ])
