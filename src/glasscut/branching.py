@@ -64,15 +64,16 @@ shelf above it, when the later one holds a smaller item id, the two share
 no chain and both are defect-free (``_swap_forbidden``): swapping them
 would put the smaller id first.  A cell lower than its shelf is not
 forbidden right of the shelf's first cell, whose swap the scheme cannot
-build (``_cell_swap_reachable``).  Other swapped patterns are still not
-always reachable, so the rule can remove the optimum: on the 150 small
-random instances of the README's table it loses it on 16, and together
-with the sibling filter below on 17
-(``tests/test_search.py::TestPruningLosses``).  Its cell case is applied
-inside the cell generator at depth 3: a forbidden cell is omitted, never
+build.  Other swapped patterns are still not always reachable, so the rule
+can remove the optimum: on the 150 small random instances of the README's
+table it loses it on 16, and together with the sibling filter below on 17
+(``tests/test_search.py::TestPruningLosses``).  Each half of the rule is
+applied in one place.  The cell's half is applied inside the cell
+generator at depth 3 (``_gen_cells``): a forbidden cell is omitted, never
 built.  Its feasibility is still probed while the suppression tests above
 are undecided, because raw feasibility, not the emitted set, drives them;
-so symmetry never changes which depths are open.
+so symmetry never changes which depths are open.  The shelf's half is
+applied to the insertions that close a shelf (``symmetry_allows``).
 
 ``child_insertions`` is the whole per-expansion pipeline, and it runs on
 insertions only: enumerate, apply the symmetry rule where a shelf closes
@@ -193,7 +194,7 @@ def _raise_item(
 ) -> Optional[int]:
     """Smallest y >= y_start where a w x h rectangle at x is defect-free."""
     y = y_start
-    for _ in range(len(defects) + 1):
+    while True:  # each pass clears the defects it hits, so it ends
         if y + h > y_cap:
             return None
         hit = None
@@ -204,7 +205,6 @@ def _raise_item(
         if hit is None:
             return y
         y = hit
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,17 @@ def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) 
     return True
 
 
+def _shelf_closes_ok(node: Node, x1: int, defects: tuple[Defect, ...]) -> bool:
+    """Whether the cuts that closing the current shelf makes, with the
+    column's final 1-cut at ``x1``, clear the defects: the cuts that the
+    column's growth widens (``_growth_cuts_ok``), the shelf's strip cut
+    (``_close_shelf_cut_ok``) and its top cut from x1_prev to x1, which an
+    all-waste shelf does not make, as it merges with what lies above."""
+    return (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)
+            and (node.shelf_min_item is None
+                 or _hcut_ok(defects, node.y2_curr, node.x1_prev, x1)))
+
+
 def _frame(
     node: Node, instance: Instance, depth: int, defects: tuple[Defect, ...], closed: list[int]
 ) -> Optional[tuple]:
@@ -322,12 +333,9 @@ def _frame(
             return None
         if x1 > W:
             return None
-        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
-            return None
-        # the top strip's cut (a trailing all-waste shelf merges with the
-        # strip; an item shelf's top is never a sliver below H)
-        if (node.shelf_min_item is not None and node.y2_curr < H and defects
-                and not _hcut_ok(defects, node.y2_curr, node.x1_prev, x1)):
+        # the shelf's top cut is the top strip's (an item shelf's top is
+        # never a sliver below H, and no cut at H crosses a defect)
+        if not _shelf_closes_ok(node, x1, defects):
             return None
         if new_bin and node.col_has_items and 0 < W - x1 < p.min_waste:
             return None  # the plate's trailing gap would be a sliver
@@ -643,14 +651,16 @@ def _gen_cells(
         _close_shelf_cut_ok(node, x1_curr, defects) and _hcut_ok(defects, y_lo, x1_prev, x1_curr)))
     # the cell-swap rule forbids nothing unless the left cell holds an item
     # and is defect-free; a cell is then forbidden when it holds a smaller
-    # item id, shares no chain with the left cell and is defect-free
-    # (a cell lower than the shelf only where the left cell is not the
-    # shelf's first, see ``_cell_swap_reachable``)
+    # item id, shares no chain with the left cell and is defect-free.  A
+    # cell lower than the shelf is forbidden only where the left cell is not
+    # the shelf's first: a first cell set the shelf's top, and a lower cell
+    # opening the shelf in its place sets a lower top, under which the first
+    # cell no longer fits, so the swapped pair is out of the scheme's reach
     swap_min = None
     if use_symmetry and depth == 3 and node.cell_min_item is not None and (
             not defects or _rect_clear(defects, node.x3_prev, y_lo, x, y_cap)):
         swap_min, left_chains = node.cell_min_item, node.cell_chain_ids
-        swap_lower = _cell_swap_reachable(False, node)
+        swap_lower = node.x3_prev != x1_prev
     out: list[Insertion] = []
     fits = no_growth = False
 
@@ -774,9 +784,7 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
         x1 = _resolve_x1(x1_curr, x1_curr, edges, mw)
         if x1 > x1_max:
             return None
-        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
-            return None
-        if node.shelf_min_item is not None and not _hcut_ok(defects, y_lo, x1_prev, x1):
+        if not _shelf_closes_ok(node, x1, defects):
             return None
         if y_end < H and not _hcut_ok(defects, y_end, x1_prev, x1):
             return None
@@ -797,7 +805,7 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
 
 def _extend_past(start: int, end: int, defects: list[Defect], vertical: bool) -> int:
     """Grow a waste cover until its far cut stops crossing defects."""
-    for _ in range(len(defects) + 1):
+    while True:  # each pass clears the defects it crosses, so it ends
         if vertical:
             bad = [d.x + d.width for d in defects if d.x < end < d.x + d.width]
         else:
@@ -805,7 +813,6 @@ def _extend_past(start: int, end: int, defects: list[Defect], vertical: bool) ->
         if not bad:
             return end
         end = max(bad)
-    return end
 
 
 # ---------------------------------------------------------------------------
@@ -852,42 +859,24 @@ def _swap_forbidden(
             and _rect_clear(defects, *first_rect) and _rect_clear(defects, *then_rect))
 
 
-def _cell_swap_reachable(fills_shelf: bool, node: Node) -> bool:
-    """Whether a cell right of the current cell of ``node`` has a mirror
-    that the scheme reaches, the cell opening the shelf and the current
-    cell right of it, so that ``_swap_forbidden`` may apply to the pair:
-    when the new cell fills the shelf's height (one item as tall as the
-    shelf, or a stack), or when the current cell is not the shelf's first.
-    A first cell sets the shelf's top, so a lower cell opening the shelf
-    in its place sets a lower top, under which the first cell no longer
-    fits."""
-    return fills_shelf or node.x3_prev != node.x1_prev
-
-
 def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
-    """False where ``ins`` makes a pair of sibling sub-plates that
-    ``_swap_forbidden`` forbids.
+    """False where ``ins`` closes a shelf that ``_swap_forbidden`` forbids
+    against its sibling: the shelf's half of the symmetry rule.
 
-    A cell is tested against its left cell when it is inserted, as its
-    contents are final at once, where its mirror is reachable
-    (``_cell_swap_reachable``).  A shelf is tested against the shelf below
-    it when it *closes*, because items joining it later can create the
-    chain link that makes the swap illegal: on a move below depth 3, or on
-    one that completes the solution.  A new shelf that completes the
-    solution also closes at once, against the shelf it closes."""
+    A shelf is tested against the shelf below it when it *closes*, because
+    items joining it later can create the chain link that makes the swap
+    illegal: on a move below depth 3, or on one that completes the
+    solution, whose cell then joins the shelf.  A new shelf that completes
+    the solution also closes at once, against the shelf it closes.  The
+    cell's half, a cell against the cell left of it, is not tested here:
+    the cell generator omits every cell it forbids (``_gen_cells``)."""
     defects = instance.plate_defects(node.bin)
     x1_prev, y2_prev, y2_curr = node.x1_prev, node.y2_prev, node.y2_curr
     q_min, q_chains = node.shelf_min_item, node.shelf_chain_ids  # the shelf that closes
     if ins.depth == 3:
-        new_min, new_chains = _cell_items(ins, instance)
-        fills_shelf = ins.kind is _ONE_ITEM or ins.kind is _TWO_ITEMS
-        if _cell_swap_reachable(fills_shelf, node) and _swap_forbidden(
-                defects, node.cell_min_item, node.cell_chain_ids,
-                (node.x3_prev, y2_prev, node.x3_curr, y2_curr),
-                new_min, new_chains, (node.x3_curr, y2_prev, ins.x3_curr, y2_curr)):
-            return False
         if not ins.completes:
             return True
+        new_min, new_chains = _cell_items(ins, instance)
         q_min, q_chains = _min_opt(q_min, new_min), q_chains | new_chains
     x1 = ins.x1_curr if ins.depth >= 2 else (ins.prev_col_x1 or node.x1_curr)
     if node.closed_shelves:

@@ -75,7 +75,8 @@ def parse_batch(src: PathOrFile) -> list[Item]:
 def parse_defects(src: PathOrFile, params: Params) -> dict[int, tuple[Defect, ...]]:
     """Defects from a ``*_defects.csv`` file.  Fractional coordinates are
     enclosed in the smallest integer rectangle (floor origin, ceil far edge),
-    so a rounded defect never under-covers the true one."""
+    so a rounded defect never under-covers the true one.  Overlapping
+    defects are kept: ``Instance`` rejects them."""
     lines = _read_lines(src)
     if not lines or lines[0].split(";")[:6] != DEFECTS_HEADER.split(";"):
         raise ParseError("PARSE missing or wrong defects header")
@@ -103,11 +104,6 @@ def parse_defects(src: PathOrFile, params: Params) -> dict[int, tuple[Defect, ..
         if x < 0 or y < 0 or x + w > params.plate_width or y + h > params.plate_height:
             raise ParseError(f"OUT_OF_PLATE line {line_no}: defect exceeds plate bounds")
         per_plate.setdefault(plate, []).append(Defect(plate, x, y, w, h))
-    for plate, defs in per_plate.items():
-        for i, a in enumerate(defs):
-            for b in defs[i + 1 :]:
-                if a.intersects(b.x, b.y, b.x + b.width, b.y + b.height):
-                    raise ParseError(f"PARSE overlapping defects on plate {plate}")
     return {plate: tuple(defs) for plate, defs in per_plate.items()}
 
 

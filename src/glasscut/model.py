@@ -278,33 +278,23 @@ class GuideKind(Enum):
     WASTE_PERCENTAGE_OVER_MEAN_ITEM_AREA = "a"
 
 
-def covered_area(
-    prior_area: int,
-    plate_height: int,
-    x1_prev: int,
-    x1_curr: int,
-    x3_curr: int,
-    y2_prev: int,
-    y2_curr: int,
-    complete: bool,
-) -> int:
-    """Area a partial solution covers: up to its front, or left of the last
+def covered_area(ins, plate_area: int, plate_height: int) -> int:
+    """Area the partial solution that the insertion ``ins`` makes covers:
+    the plates before its own, then up to its front, or left of its last
     1-cut once it is complete."""
-    if complete:
-        return prior_area + x1_curr * plate_height
-    return (
-        prior_area
-        + x1_prev * plate_height
-        + (x1_curr - x1_prev) * y2_prev
-        + (x3_curr - x1_prev) * (y2_curr - y2_prev)
-    )
+    x1_prev, x1_curr = ins.x1_prev, ins.x1_curr
+    if ins.completes:
+        return ins.bin * plate_area + x1_curr * plate_height
+    y2_prev = ins.y2_prev
+    return (ins.bin * plate_area + x1_prev * plate_height + (x1_curr - x1_prev) * y2_prev
+            + (ins.x3_curr - x1_prev) * (ins.y2_curr - y2_prev))
 
 
 def waste_floor(prior_area: int, plate_height: int, x1_curr: int, total_item_area: int) -> int:
     """Least waste of any completion of a partial solution whose plates
     before its own cover ``prior_area`` and whose column edge is
-    ``x1_curr``: the completion covers at least the partial solution's
-    ``covered_area(..., complete=True)``, as the column closes at
+    ``x1_curr``: the completion covers at least those plates and its own
+    plate left of ``x1_curr`` over the full height, as the column closes at
     ``x1_curr`` or to its right, or on a later plate, and it packs exactly
     ``total_item_area``."""
     return prior_area + x1_curr * plate_height - total_item_area
@@ -415,9 +405,7 @@ class Node:
         self.item_area = item_area
         self.complete = ins.completes
         p = instance.params
-        self.waste = covered_area(
-            ins.bin * p.plate_width * p.plate_height, p.plate_height, ins.x1_prev, ins.x1_curr,
-            ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes) - item_area
+        self.waste = covered_area(ins, p.plate_width * p.plate_height, p.plate_height) - item_area
 
     def front_key(self) -> tuple[int, int, int, int, int, int]:
         return (self.bin, self.x1_prev, self.x1_curr, self.x3_curr, self.y2_prev, self.y2_curr)

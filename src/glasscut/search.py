@@ -231,8 +231,11 @@ class _MinHeap(list):
 
     __slots__ = ()
 
-    def push(self, key: tuple, child: OpenChild) -> None:
+    def push_within(self, capacity: Optional[int], key: tuple, child: OpenChild) -> bool:
+        """Push ``child`` and discard nothing: ``Fringe.push_within`` for a
+        search whose ``capacity`` is None."""
         heappush(self, key + (child,))
+        return False
 
     def pop_best(self) -> OpenChild:
         return heappop(self)[-1]
@@ -298,8 +301,7 @@ def _expander(
             item_area = node.item_area
             for pl in ins.placements:
                 item_area += pl.width * pl.height
-            area = covered_area(ins.bin * plate_area, height, ins.x1_prev, ins.x1_curr,
-                                ins.x3_curr, ins.y2_prev, ins.y2_curr, ins.completes)
+            area = covered_area(ins, plate_area, height)
             waste = area - item_area
             best = bound()
             if best is not None and waste >= best:
@@ -356,15 +358,15 @@ def _best_first(
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    fringe = _MinHeap() if capacity is None else Fringe()
-    push, pop_best, bound = fringe.push, fringe.pop_best, incumbent.bound
-    push_within = None if capacity is None else fringe.push_within
+    # a capped fringe never holds more than its capacity
+    fringe, open_max = (_MinHeap(), node_cap) if capacity is None else (Fringe(), capacity)
+    push_within, pop_best, bound = fringe.push_within, fringe.pop_best, incumbent.bound
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               admit, memoize=capacity is not None, use_floor=capacity is None)
     counter = 0
     expanded = 0
     discarded = False
-    push((0, 0, counter), (root.waste, root, None))  # the only open node: any key
+    push_within(capacity, (0, 0, counter), (root.waste, root, None))  # the only open node
     while fringe:
         if clock.expired():
             return SearchResult("timeout", expanded, discarded)
@@ -376,17 +378,12 @@ def _best_first(
             continue
         node = build(child)
         expanded += 1
-        if capacity is None:
-            for key, packed, open_child in expand(node):
-                counter += 1
-                push((key, packed, counter), open_child)
-            if len(fringe) > node_cap:
-                return SearchResult("memory", expanded)
-        else:
-            for key, packed, open_child in expand(node):
-                counter += 1
-                if push_within(capacity, (key, packed, counter), open_child):
-                    discarded = True
+        for key, packed, open_child in expand(node):
+            counter += 1
+            if push_within(capacity, (key, packed, counter), open_child):
+                discarded = True
+        if len(fringe) > open_max:
+            return SearchResult("memory", expanded)
     return SearchResult("exhausted", expanded, discarded)
 
 

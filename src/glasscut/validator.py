@@ -8,6 +8,7 @@ cannot hide behind a matching validator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .model import Instance, SolutionError
 from .solution import (
@@ -101,6 +102,21 @@ def validate(instance: Instance, tree: SolutionTree) -> ValidationReport:
     return rep
 
 
+def _axes(r, vertical: bool) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(start, length) of the rectangle ``r`` along the axis that the cuts
+    split, and across it: x first where the cuts are vertical."""
+    if vertical:
+        return (r.x, r.width), (r.y, r.height)
+    return (r.y, r.height), (r.x, r.width)
+
+
+def _in_cut_order(tree: SolutionTree, n: TreeNode) -> list[TreeNode]:
+    """The children of ``n`` in cut order: left to right where vertical
+    cuts split it, else bottom to top."""
+    key = attrgetter("x" if n.cut_level in VERTICAL_LEVELS else "y")
+    return sorted(tree.children_of[n.node_id], key=key)
+
+
 def _check_tiling(tree: SolutionTree, rep: ValidationReport) -> None:
     for n in tree.nodes:
         kids = tree.children_of[n.node_id]
@@ -114,61 +130,36 @@ def _check_tiling(tree: SolutionTree, rep: ValidationReport) -> None:
                 rep.add("TILING", "single child does not cover its parent", n.node_id)
             continue
         vertical = n.cut_level in VERTICAL_LEVELS
-        if vertical:
-            ordered = sorted(kids, key=lambda k: k.x)
-            pos = n.x
-            for k in ordered:
-                if k.x != pos or k.y != n.y or k.height != n.height:
-                    rep.add("TILING", "children do not tile the parent", n.node_id, k.node_id)
-                    break
-                pos += k.width
-            else:
-                if pos != n.x + n.width:
-                    rep.add("TILING", "children leave the parent uncovered", n.node_id)
+        (pos, length), across = _axes(n, vertical)
+        end = pos + length
+        for k in _in_cut_order(tree, n):
+            (k_pos, k_length), k_across = _axes(k, vertical)
+            if k_pos != pos or k_across != across:
+                rep.add("TILING", "children do not tile the parent", n.node_id, k.node_id)
+                break
+            pos += k_length
         else:
-            ordered = sorted(kids, key=lambda k: k.y)
-            pos = n.y
-            for k in ordered:
-                if k.y != pos or k.x != n.x or k.width != n.width:
-                    rep.add("TILING", "children do not tile the parent", n.node_id, k.node_id)
-                    break
-                pos += k.height
-            else:
-                if pos != n.y + n.height:
-                    rep.add("TILING", "children leave the parent uncovered", n.node_id)
+            if pos != end:
+                rep.add("TILING", "children leave the parent uncovered", n.node_id)
 
 
 def _check_cut_defects(instance: Instance, tree: SolutionTree, rep: ValidationReport) -> None:
     for n in tree.nodes:
-        kids = tree.children_of[n.node_id]
-        if len(kids) < 2:
+        if len(tree.children_of[n.node_id]) < 2:
             continue
         defects = instance.plate_defects(n.plate_id)
         if not defects:
             continue
         vertical = n.cut_level in VERTICAL_LEVELS
-        ordered = sorted(kids, key=(lambda k: k.x) if vertical else (lambda k: k.y))
-        for k in ordered[:-1]:
-            if vertical:
-                cut = k.x + k.width
-                for d in defects:
-                    if d.x < cut < d.x + d.width and d.y < n.y + n.height and n.y < d.y + d.height:
-                        rep.add(
-                            "CUT_DEFECT",
-                            f"1/3-cut at x={cut} crosses a defect",
-                            n.node_id,
-                            k.node_id,
-                        )
-            else:
-                cut = k.y + k.height
-                for d in defects:
-                    if d.y < cut < d.y + d.height and d.x < n.x + n.width and n.x < d.x + d.width:
-                        rep.add(
-                            "CUT_DEFECT",
-                            f"2/4-cut at y={cut} crosses a defect",
-                            n.node_id,
-                            k.node_id,
-                        )
+        name = "1/3-cut at x" if vertical else "2/4-cut at y"
+        _, (lo, span) = _axes(n, vertical)
+        for k in _in_cut_order(tree, n)[:-1]:
+            (k_pos, k_length), _ = _axes(k, vertical)
+            cut = k_pos + k_length
+            for d in defects:
+                (d_pos, d_length), (d_lo, d_span) = _axes(d, vertical)
+                if d_pos < cut < d_pos + d_length and d_lo < lo + span and lo < d_lo + d_span:
+                    rep.add("CUT_DEFECT", f"{name}={cut} crosses a defect", n.node_id, k.node_id)
 
 
 def _check_items(instance: Instance, tree: SolutionTree, rep: ValidationReport) -> None:
@@ -262,9 +253,7 @@ def _check_precedence(instance: Instance, tree: SolutionTree, rep: ValidationRep
                 )
             progress[ci] = max(progress[ci], pos + 1)
             return
-        kids = tree.children_of[node.node_id]
-        vertical = node.cut_level in VERTICAL_LEVELS
-        for k in sorted(kids, key=(lambda k: k.x) if vertical else (lambda k: k.y)):
+        for k in _in_cut_order(tree, node):
             walk(k)
 
     for root in tree.plates():

@@ -782,12 +782,23 @@ def walked_nodes(rng, min_nodes):
     return nodes
 
 
+def reference_symmetry_allows(node, m, inst):
+    """The whole symmetry rule on one raw insertion: the cell's half on a
+    depth-3 cell (``reference_cell_swap_forbidden``), then the shelf's half
+    (``symmetry_allows``)."""
+    if m.depth == 3 and reference_cell_swap_forbidden(
+            node, inst.plate_defects(node.bin), *_cell_items(m, inst), m.x3_curr,
+            m.kind in (InsertionKind.ONE_ITEM, InsertionKind.TWO_ITEMS)):
+        return False
+    return symmetry_allows(node, m, inst)
+
+
 def reference_children(node, inst, use_symmetry, use_dominance=True):
     """The child pipeline spelled out: every raw insertion, the symmetry
     rule on each of them, then the dominance filter on the insertions."""
     ins_list = enumerate_insertions(node, inst)
     if use_symmetry:
-        ins_list = [m for m in ins_list if symmetry_allows(node, m, inst)]
+        ins_list = [m for m in ins_list if reference_symmetry_allows(node, m, inst)]
     if use_dominance:
         ins_list = filter_dominated_children(ins_list)
     return [apply_insertion(node, m, inst) for m in ins_list]
@@ -868,15 +879,16 @@ class TestSymmetryAwareGenerator:
             assert node.col_has_items or not {2, 3} & set(_allowed_depths(node))
             raw = enumerate_insertions(node, inst)
             aware = enumerate_insertions(node, inst, use_symmetry=True)
-            expected = [m for m in raw if symmetry_allows(node, m, inst)]
+            expected = [m for m in raw if reference_symmetry_allows(node, m, inst)]
             assert [m for m in aware if symmetry_allows(node, m, inst)] == expected
-            # only depth-3 cells that the filter rejects anyway are omitted
+            # only depth-3 cells that the rule rejects are omitted
             kept = iter(aware)
             assert all(m in kept for m in raw if m in aware)
             gone = [m for m in raw if m not in aware]
-            assert all(m.depth == 3 and not symmetry_allows(node, m, inst) for m in gone)
+            assert all(m.depth == 3 and not reference_symmetry_allows(node, m, inst)
+                       for m in gone)
             # so the rule has nothing left to reject where no shelf closes
-            assert all(symmetry_allows(node, m, inst) for m in aware
+            assert all(reference_symmetry_allows(node, m, inst) for m in aware
                        if m.depth == 3 and not m.completes)
             omitted += len(gone)
         assert omitted > 100  # the omission is exercised

@@ -472,6 +472,17 @@ class TestBench:
         assert all(size > 0 for size in at_end)
         capsys.readouterr()
 
+    def test_instances_selects_the_rows_of_the_named_instance(self, instance_dir, capsys,
+                                                              tmp_path):
+        (instance_dir / "two_batch.csv").write_text(TWO_BATCH)
+        results = tmp_path / "results.csv"
+        code = run(["bench", "--dir", str(instance_dir), "-t", "1", "-o", str(results),
+                    "--algos", "mbastar", "--guides", "p", "--instances", "two"])
+        assert code == 0
+        lines = results.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["two"]
+        capsys.readouterr()
+
     def test_symmetry_both_doubles_rows(self, instance_dir, capsys, tmp_path):
         results = tmp_path / "results.csv"
         code = run(

@@ -117,16 +117,14 @@ class TestParseDefects:
         with pytest.raises(ParseError, match="non-finite"):
             parse_defects(io.StringIO(defects_text([(0, 0) + geometry])), Params())
 
-    def test_overlapping_defects_rejected(self):
-        with pytest.raises(ParseError):
-            parse_defects(
-                io.StringIO(
-                    defects_text(
-                        [(0, 0, 100.0, 100.0, 50.0, 50.0), (1, 0, 120.0, 120.0, 50.0, 50.0)]
-                    )
-                ),
-                Params(),
-            )
+    def test_overlapping_defects_rejected(self, tmp_path):
+        # the parser keeps both defects; the instance rejects the overlap
+        rows = [(0, 0, 100.0, 100.0, 50.0, 50.0), (1, 0, 120.0, 120.0, 50.0, 50.0)]
+        assert len(parse_defects(io.StringIO(defects_text(rows)), Params())[0]) == 2
+        (tmp_path / "inst_batch.csv").write_text(batch_text([(0, 100, 100, 0, 1)]))
+        (tmp_path / "inst_defects.csv").write_text(defects_text(rows))
+        with pytest.raises(InstanceError, match="BAD_DEFECT overlapping defects on plate 0"):
+            load_instance(tmp_path / "inst")
 
 
 SOLUTION_HEADER = "PLATE_ID;NODE_ID;X;Y;WIDTH;HEIGHT;TYPE;CUT;PARENT\n"

@@ -99,6 +99,12 @@ class TestInstance:
         with pytest.raises(TypeError):
             Instance(params=SMALL_PARAMS, items=items, chains=[[0, 1, 2, 3]])
 
+    def test_item_ids_must_run_from_zero_without_a_gap(self):
+        # files never get here: the batch parser rejects such ids first
+        items = [Item(0, 100, 100, 0, 0), Item(2, 100, 100, 1, 0)]
+        with pytest.raises(InstanceError, match="BAD_ITEM item ids must be 0..n-1"):
+            Instance(params=SMALL_PARAMS, items=items)
+
     def test_a_repeated_rank_in_a_chain_is_rejected(self):
         items = [Item(0, 100, 100, 3, 1), Item(1, 100, 100, 3, 1)]
         with pytest.raises(ParseError, match="DUPLICATE_SEQUENCE stack 3 repeats rank 1"):
