@@ -332,10 +332,10 @@ class ReferenceDominanceStore:
 
 def reference_push_then_trim(fringe: search.Fringe, capacity: int, batch: list) -> bool:
     """MBA*'s capped fringe step before ``Fringe.push_within``: push every
-    (key, child) of an expansion's batch, then pop the worst open entries
-    beyond ``capacity``.  True when one was popped."""
-    for key, child in batch:
-        fringe.push(key, child)
+    entry of an expansion's batch, then pop the worst open entries beyond
+    ``capacity``.  True when one was popped."""
+    for entry in batch:
+        fringe.push(entry)
     discarded = False
     while len(fringe) > capacity:
         fringe.pop_worst()

@@ -9,6 +9,7 @@ import random
 import threading
 import time
 import tracemalloc
+from bisect import insort
 from fractions import Fraction
 from functools import partial
 
@@ -180,7 +181,7 @@ class TestFringe:
     def test_best_and_worst_ends(self):
         fr = Fringe()
         for i, g in enumerate([5, 1, 9, 3, 7]):
-            fr.push((g, 0, i), f"n{i}")
+            fr.push((g, 0, i, f"n{i}"))
         assert len(fr) == 5
         assert fr.pop_best() == "n1"
         assert fr.pop_worst() == "n2"
@@ -191,76 +192,63 @@ class TestFringe:
 
     def test_tie_breaks_by_items_then_age(self):
         fr = Fringe()
-        fr.push((1, -2, 0), "deep-old")
-        fr.push((1, -2, 1), "deep-new")
-        fr.push((1, -1, 2), "shallow")
+        fr.push((1, -2, 0, "deep-old"))
+        fr.push((1, -2, 1, "deep-new"))
+        fr.push((1, -1, 2, "shallow"))
         assert fr.pop_best() == "deep-old"
         assert fr.pop_worst() == "shallow"
         assert fr.pop_best() == "deep-new"
 
-    def test_compaction_keeps_heaps_proportional_to_live_entries(self):
+    @pytest.mark.parametrize("capacity, steps", [
+        (1, 3000), (2, 3000), (40, 6000), (4 * search._RUN, 12_000), (100_000, 12_000),
+    ])
+    def test_moves_match_a_sorted_list(self, capacity, steps):
+        """Random pushes, pushes within the capacity and pops at both ends
+        against a plain sorted list: the same children come out, the same
+        discard flags, and the same open entries in the same order.  The
+        largest capacity starts from a full fringe, and the next largest
+        grows past a run's length, so runs split."""
+        rng = random.Random(capacity)
         fr = Fringe()
-        rng = random.Random(13)
+        reference: list[tuple] = []
         counter = 0
-        for _ in range(50_000):
-            fr.push((rng.randint(0, 10**6), 0, counter), counter)
-            counter += 1
-            while len(fr) > 64:
-                fr.pop_worst()
-        assert len(fr) == 64
-        assert len(fr._min) + len(fr._max) < 4 * 64 + 3000
 
-    def test_compaction_bounds_both_heaps_under_churn_at_both_ends(self):
-        """Pops from both ends leave stale entries in both heaps; each pop
-        compacts once they outnumber the live ones, so after every push and
-        pop the two heaps hold at most 4 entries per open child plus 1024."""
-        fr = Fringe()
-        rng = random.Random(17)
-        reference: dict[int, tuple] = {}
-        stale_peak = {"min": 0, "max": 0}
-        counter = 0
-        for step in range(60_000):
-            size = 64 if step % 20_000 < 15_000 else 8  # shrink now and then
-            key = (rng.randint(0, 10**6), -rng.randint(0, 3), counter)
-            fr.push(key, counter)
-            reference[counter] = key
+        def entry() -> tuple:
+            nonlocal counter
             counter += 1
-            while len(fr) > size:
-                if rng.random() < 0.5:
-                    got = fr.pop_best()
-                    assert reference[got] == min(reference.values())
-                else:
-                    got = fr.pop_worst()
-                    assert reference[got] == max(reference.values())
-                del reference[got]
-            assert len(fr) == len(reference)
-            assert len(fr._min) + len(fr._max) <= 4 * len(fr) + 1024
-            stale_peak["min"] = max(stale_peak["min"], len(fr._min) - len(fr))
-            stale_peak["max"] = max(stale_peak["max"], len(fr._max) - len(fr))
-        # stale entries did pile up in both heaps before each compaction
-        assert min(stale_peak.values()) > 300, stale_peak
+            return (rng.randint(0, 10**6), -rng.randint(0, 3), counter, f"x{counter}")
 
-    def test_lazy_deletion_survives_churn(self):
-        fr = Fringe()
-        rng = random.Random(11)
-        reference: dict[str, tuple] = {}
-        counter = 0
-        for _ in range(5000):
-            if reference and rng.random() < 0.5:
-                if rng.random() < 0.5:
-                    node = fr.pop_best()
-                    assert reference[node] == min(reference.values())
-                else:
-                    node = fr.pop_worst()
-                    assert reference[node] == max(reference.values())
-                del reference[node]
+        if capacity == 100_000:
+            for _ in range(capacity):
+                e = entry()
+                fr.push(e)
+                reference.append(e)
+            reference.sort()
+        peak = len(fr)
+        for step in range(steps):
+            move = rng.random()
+            if reference and move < 0.25:
+                assert fr.pop_best() == reference.pop(0)[-1]
+            elif reference and move < 0.35:
+                assert fr.pop_worst() == reference.pop()[-1]
+            elif move < 0.45 and len(reference) < capacity:
+                e = entry()
+                fr.push(e)
+                insort(reference, e)
             else:
-                key = (rng.randint(0, 100), 0, counter)
-                name = f"x{counter}"
-                fr.push(key, name)
-                reference[name] = key
-                counter += 1
+                e = entry()
+                full = len(reference) >= capacity
+                insort(reference, e)
+                if full:
+                    reference.pop()
+                assert fr.push_within(capacity, e) == full
             assert len(fr) == len(reference)
+            peak = max(peak, len(fr))
+            if step % 97 == 0 or len(fr) < 50:
+                assert fr.entries() == reference
+        assert fr.entries() == reference
+        if capacity > search._RUN:
+            assert peak > search._RUN
 
     @pytest.mark.parametrize("seed", range(12))
     def test_push_within_keeps_what_push_then_trim_keeps(self, seed):
@@ -278,13 +266,13 @@ class TestFringe:
             batch = []
             for _ in range(rng.randint(0, 3 * capacity)):
                 counter += 1
-                batch.append(((rng.randint(0, 40), -rng.randint(0, 3), counter), counter))
+                batch.append((rng.randint(0, 40), -rng.randint(0, 3), counter, counter))
             discarded = False
-            for key, child in batch:
-                discarded |= new.push_within(capacity, key, child)
-                dropped += child not in new.live
+            for entry in batch:
+                discarded |= new.push_within(capacity, entry)
+                dropped += entry not in new.entries()
             assert discarded == reference_push_then_trim(old, capacity, batch)
-            assert new.live == old.live
+            assert new.entries() == old.entries()
         assert dropped > 100  # children never pushed
 
 
