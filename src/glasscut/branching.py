@@ -779,14 +779,16 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
         H = p.plate_height
         first = min(band, key=lambda d: (d.y, d.x))
         y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), band, vertical=False)
-        if y_end > H:
+        # after a band only depth 2 is open, and a shelf of items is at
+        # least min2 high: a band that ends above H - min2 is a dead end
+        if y_end > H - p.min2:
             return None
         x1 = _resolve_x1(x1_curr, x1_curr, edges, mw)
         if x1 > x1_max:
             return None
         if not _shelf_closes_ok(node, x1, defects):
             return None
-        if y_end < H and not _hcut_ok(defects, y_end, x1_prev, x1):
+        if not _hcut_ok(defects, y_end, x1_prev, x1):
             return None
         return tuple.__new__(Insertion, (
             _WASTE_ONLY, 2, False, (), plate, x1_prev, x1, y_lo, y_end, x1_prev, x1, None,

@@ -3,8 +3,8 @@
 Every search expands nodes through one child block (``_expander``): complete
 children go to the incumbent, and children whose waste already reaches the
 incumbent's are cut (waste never decreases along a branch, so this pruning
-is exact).  A* and DPA* also cut a child whose ``waste_floor`` reaches it:
-every completion covers the plates before the child's and its plate left of
+is exact).  So is a child whose ``waste_floor`` reaches it: every
+completion covers the plates before the child's and its plate left of
 ``x1_curr`` over the full height, and packs every item, so no completion
 wastes less than the floor and this pruning is exact too.  A child's waste,
 guide key and items packed follow from its parent and its insertion, so an
@@ -13,8 +13,9 @@ only for a node the search expands and for a complete child that improves
 the incumbent.  One best-first loop (``_best_first``) runs three searches:
 
 * ``astar`` expands the best open node until none is left;
-* ``mba_star`` also discards the *worst* open nodes beyond a capacity D:
-  D=1 degenerates to a greedy descent, unbounded D is plain A*;
+* ``mba_star`` also discards the *worst* open nodes beyond a capacity D,
+  kept in a sorted ``Fringe``: D=1 degenerates to a greedy descent,
+  unbounded D is plain A*;
 * ``dpa_star``, for at most two chains, is waste-guided A* whose admission
   hook, a ``DominanceStore``, keeps the non-dominated fronts seen so far per
   (chain-1 consumed, chain-2 consumed) state and rejects dominated children.
@@ -290,14 +291,13 @@ def _expander(
     use_dominance: bool,
     admit: Optional[Callable[[tuple, tuple, tuple], bool]],
     memoize: bool = False,
-    use_floor: bool = False,
 ) -> tuple[Callable[[Node], list[tuple[int, int, OpenChild]]], Callable[[OpenChild], Node]]:
     """The child block of every search.
 
     ``expand(node)`` returns the kept children of ``node`` in generation
     order as (guide key, -items packed, open child) entries, less those
-    whose waste reaches the bound, those whose ``waste_floor`` reaches it
-    when ``use_floor`` is set, and those that ``admit`` rejects; it builds
+    whose waste or ``waste_floor`` reaches the bound (both cuts are exact)
+    and those that ``admit`` rejects; it builds
     and offers a complete child only when it improves the incumbent.
     Waste, floor, key and admission all follow from the parent and the
     insertion, so no child is built here.  ``build(open_child)`` makes the
@@ -320,13 +320,12 @@ def _expander(
             area = covered_area(ins, plate_area, height)
             waste = area - item_area
             best = bound()
-            if best is not None and waste >= best:
+            # a complete child's floor is its waste
+            if best is not None and (waste >= best or waste_floor(
+                    ins.bin * plate_area, height, ins.x1_curr, total_item_area) >= best):
                 continue
             if ins.completes:
                 offer(apply(node, ins, instance), elapsed())
-                continue
-            if use_floor and best is not None and waste_floor(
-                    ins.bin * plate_area, height, ins.x1_curr, total_item_area) >= best:
                 continue
             if admit is not None and not admit(
                 counts_after(node.counts, ins), depths_after(ins), insertion_front(ins)
@@ -361,9 +360,9 @@ def _best_first(
     smallest (guide, -items packed, age) key until none is left.  With a
     ``capacity`` only the best ``capacity`` open nodes are kept: a child
     that a full fringe would discard at once is never pushed
-    (``Fringe.push_within``).  Without one the search ends with "memory"
-    once more than ``node_cap`` are open, and children are also cut by
-    their waste floor.
+    (``Fringe.push_within``).  Without one the open nodes are a plain
+    min-heap, and the search ends with "memory" once more than ``node_cap``
+    are open.
     Only a search with a ``capacity`` uses the child memo: MBA* is restarted
     from the same root, while DPA*'s store already rejects every front it
     meets again.  Open nodes are children not built yet; a popped one is
@@ -378,7 +377,7 @@ def _best_first(
     fringe, open_max = (_MinHeap(), node_cap) if capacity is None else (Fringe(), capacity)
     push_within, pop_best, bound = fringe.push_within, fringe.pop_best, incumbent.bound
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
-                              admit, memoize=capacity is not None, use_floor=capacity is None)
+                              admit, memoize=capacity is not None)
     counter = 0
     expanded = 0
     discarded = False

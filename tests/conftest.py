@@ -18,7 +18,7 @@ from glasscut.branching import (
     children, depths_after, insertion_front, pair_combos,
 )
 from glasscut.model import (
-    Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node,
+    Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node, waste_floor,
 )
 from glasscut.solution import TYPE_BRANCH, TYPE_RESIDUAL, TYPE_WASTE, SolutionTree, TreeNode
 
@@ -173,11 +173,14 @@ def random_walk(rng: random.Random, instance: Instance, **child_kw) -> list[Node
 
 def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
     """Reference greedy mirroring capacity-1 MBA*: complete children feed the
-    incumbent instead of the fringe, later siblings prune against it, and the
-    walk ends when the chosen node no longer beats the incumbent."""
+    incumbent instead of the fringe, later siblings prune against it by
+    their waste and their waste floor, and the walk ends when the chosen
+    node no longer beats the incumbent."""
     from glasscut.search import guide_scale, guide_value
 
     scale = guide_scale(instance.params)
+    height = instance.params.plate_height
+    plate_area = instance.params.plate_width * height
     trace: list[Node] = []
     best: int | None = None
     node = root_node(instance)
@@ -189,7 +192,8 @@ def greedy_trace(instance: Instance, guide) -> tuple[list[Node], int | None]:
                 if best is None or kid.waste < best:
                     best = kid.waste
                 continue
-            if best is not None and kid.waste >= best:
+            if best is not None and (kid.waste >= best or waste_floor(
+                    kid.bin * plate_area, height, kid.x1_curr, instance.total_item_area) >= best):
                 continue
             key = guide_value(kid.waste, kid.waste + kid.item_area, kid.item_area, kid.n_packed,
                               guide, scale)

@@ -1,5 +1,6 @@
 """Insertion enumeration: configurations, pruning rules, repairs, symmetry."""
 
+import copy
 import hashlib
 import pickle
 import random
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from glasscut import branching
 from glasscut.branching import (
     CHILD_MEMO_FIELDS,
     Insertion,
@@ -372,21 +374,61 @@ class TestDepthTwoWasteBand:
     """The three ways a waste band above the shelves is refused, each next
     to a band one step away that is made."""
 
-    def band_over_a_band(self, top):
-        """After item 0 (300 x 200) and a band from 200 up to ``top``, the
-        band that covers a defect at the plate's top edge (600)."""
-        inst = make_instance([(300, 200), (200, 100)], chains=[[0], [1]], defects=[
-            Defect(0, 50, 300, 50, top - 300), Defect(0, 50, 597, 50, 3)])
-        node = insert_alone(root_node(inst), inst, 0, 0)
-        first = depth2_band(node, inst)
-        assert (first.y2_prev, first.y2_curr) == (200, top)
-        return depth2_band(apply_insertion(node, first, inst), inst)
+    def band_over_a_shelf(self, top):
+        """Over a shelf of item 0 (300 x 200), the band that covers a defect
+        from 300 up to ``top``."""
+        inst = make_instance([(300, 200), (200, 100)], chains=[[0], [1]],
+                             defects=[Defect(0, 50, 300, 50, top - 300)])
+        return depth2_band(insert_alone(root_node(inst), inst, 0, 0), inst)
 
-    def test_a_band_that_runs_past_the_plate_top_is_refused(self):
-        # over a band ending at 595 the next one is min_waste (10) tall at least
-        assert self.band_over_a_band(595) is None
-        band = self.band_over_a_band(590)
-        assert (band.y2_prev, band.y2_curr) == (590, 600)
+    def test_a_band_that_leaves_no_room_for_a_shelf_is_refused(self):
+        # after a band only depth 2 is open, and a shelf of items is min2
+        # (30) high at least: a band ending above 600 - 30 is a dead end,
+        # whether it ends there, a sliver below the plate top or at it
+        for top in (571, 595, 600):
+            assert self.band_over_a_shelf(top) is None
+        band = self.band_over_a_shelf(570)
+        assert (band.y2_prev, band.y2_curr) == (200, 570)
+
+    def test_the_refused_bands_lead_to_no_complete_leaf(self, monkeypatch):
+        """On the 150 draws of ``TestPruningLosses``, the exhaustive search
+        reaches the same complete leaves, by waste, with the band rule and
+        without it.  Without it a band may end anywhere up to the plate top:
+        ``_gen_waste`` reads min2 for the rule only, so a band it refuses is
+        made again with min2 = 0."""
+        def leaf_wastes(inst):
+            wastes = []
+
+            def rec(node):
+                if node.complete:
+                    wastes.append(node.waste)
+                    return
+                for child in children(node, inst, False, False):
+                    rec(child)
+
+            rec(root_node(inst))
+            return sorted(wastes)
+
+        refused = 0
+
+        def without_rule(node, instance, frame, depth):
+            nonlocal refused
+            band = _gen_waste(node, instance, frame, depth)
+            if band is None and depth == 2:
+                loose = copy.copy(instance.params)
+                object.__setattr__(loose, "min2", 0)
+                band = _gen_waste(node, SimpleNamespace(params=loose), frame, depth)
+                refused += band is not None
+            return band
+
+        rng = random.Random(1)
+        for draw in range(150):
+            inst = random_small_instance(rng, max_items=5)
+            with_rule = leaf_wastes(inst)
+            with monkeypatch.context() as m:
+                m.setattr(branching, "_gen_waste", without_rule)
+                assert leaf_wastes(inst) == with_rule, f"draw {draw}"
+        assert refused > 0
 
     def band_over_a_narrow_shelf(self, max1, extra_defects=()):
         """Over a shelf of item 0 (300 x 200) and one of item 1 (295 x 100),
@@ -627,9 +669,9 @@ class TestChildren:
 
 
 # sha256 of every insertion list over walked_nodes(random.Random(2024), 2400)
-PINNED_INSERTIONS = "e2b83a23091d528d503db91f5babe561daa7d798b5947baad15e495efb91e89f"
+PINNED_INSERTIONS = "9c1c1162aabf323d5127991d4f8c5f8ebdd768a861d3f665b23e3881246b6bdd"
 # and over the stackable-item walks of test_insertion_lists_are_pinned_on_stackable_items
-PINNED_STACKABLE_INSERTIONS = "98093472638e52f40a6c97e67e2e36bdf4f1b21646528ab85964eb0ac7347a3c"
+PINNED_STACKABLE_INSERTIONS = "1a4e3ebc04ce536fec01be04be9448a95b0f85fdf56aa9bb8490379376c6b6da"
 STACKABLE_PARAMS = Params(plate_width=600, plate_height=400, n_plates=3, min1=40, max1=400,
                           min2=45, min_waste=12)
 

@@ -703,15 +703,28 @@ def _floor_holds_below(instance, kids) -> int | None:
     return rec(root_node(instance))
 
 
+# Searches that end only when every open node is expanded or pruned, so
+# each reaches the optimum of the tree it searches
+UNCAPPED_SEARCHES = (
+    ("A*", partial(astar, guide=GuideKind.WASTE)),
+    ("DPA*", dpa_star),
+    ("MBA*", partial(mba_star, guide=GuideKind.WASTE_PERCENTAGE, capacity=1 << 30)),
+    ("IBS", partial(iterative_beam_search, guide=GuideKind.WASTE_PERCENTAGE,
+                    width_init=1 << 20, node_cap=1 << 20)),
+)
+
+
 def _unsuppressed_children(node, instance):
     return [apply_insertion(node, ins, instance) for ins in unsuppressed_insertions(node, instance)]
 
 
 class TestWasteFloor:
-    """The closed-column waste floor that A* and DPA* cut children by is a
-    lower bound on the waste of every completion, in the scheme and with its
-    structural tests off (``conftest.unsuppressed_insertions``), and the
-    searches reach the same optimum with and without it."""
+    """The closed-column waste floor that every search cuts children by is
+    a lower bound on the waste of every completion, in the scheme and with
+    its structural tests off (``conftest.unsuppressed_insertions``), and the
+    searches reach the same optimum with and without it: A* and DPA* their
+    own, and MBA* at a capacity that never discards and IBS at a width that
+    never truncates A*'s."""
 
     @pytest.mark.parametrize("seed, draws, max_items", [
         (1, 150, 5),
@@ -733,14 +746,16 @@ class TestWasteFloor:
                 with monkeypatch.context() as m:
                     if floor == "off":
                         m.setattr(search, "waste_floor", lambda *args: -math.inf)
-                    for name, run in (("A*", partial(astar, guide=GuideKind.WASTE)),
-                                      ("DPA*", dpa_star)):
+                    for name, run in UNCAPPED_SEARCHES:
                         inc = Incumbent()
-                        assert run(root_node(inst), inst, time_limit=600.0,
-                                   incumbent=inc).outcome == "exhausted"
+                        res = run(root_node(inst), inst, time_limit=600.0, incumbent=inc)
+                        assert res.outcome == "exhausted" and not res.discarded_any
                         found[name, floor] = inc.waste
             lost += found["A*", "on"] != found["A*", "off"]
             lost += found["DPA*", "on"] != found["DPA*", "off"]
+            for name in ("MBA*", "IBS"):
+                lost += found[name, "on"] != found["A*", "off"]
+                lost += found[name, "off"] != found["A*", "off"]
         assert lost == 0
 
 

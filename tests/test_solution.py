@@ -216,7 +216,7 @@ class TestBuilderMatchesReference:
 
     # walk draws whose plate roots have two adjacent full-height waste
     # pieces, which _normalize fuses
-    FUSING_DRAWS = (198, 474, 503)
+    FUSING_DRAWS = (198, 475, 504)
 
     def _assert_same(self, leaf, inst, label):
         assert _csv(build_solution_tree(leaf, inst)) == _csv(
@@ -250,7 +250,7 @@ class TestBuilderMatchesReference:
             self._assert_same(path[-1], inst, f"draw {draw}")
             if root_fused[0]:
                 fusing.append(draw)
-        assert leaves == 524
+        assert leaves == 527
         assert tuple(fusing) == self.FUSING_DRAWS
 
     def test_solver_leaves(self, rng):
