@@ -73,14 +73,17 @@ generator at depth 3 (``_gen_cells``): a forbidden cell is omitted, never
 built.  Its feasibility is still probed while the suppression tests above
 are undecided, because raw feasibility, not the emitted set, drives them;
 so symmetry never changes which depths are open.  The shelf's half is
-applied to the insertions that close a shelf (``symmetry_allows``).
+decided once per node (``_shelf_swap_max``), and each trial marks the
+insertion it forbids; ``symmetry_allows`` tests only the completing ones.
 
 ``child_insertions`` is the whole per-expansion pipeline, and it runs on
-insertions only: enumerate, apply the symmetry rule where a shelf closes
-(``symmetry_allows``), then drop the siblings whose fronts are
-dominated, among those that pack the same items on the same plate and
-leave the same depths open to their children, as a bucket of the DPA*
-store does.  This is still a pseudo-dominance (a front at or left of
+insertions only: enumerate, drop what the symmetry rule forbids, then
+drop the siblings whose fronts are dominated, among those that pack the
+same items on the same plate and leave the same depths open to their
+children, as a bucket of the DPA* store does.  The trials give each
+insertion its order key (``CellTables``) and group (``InsertionList``),
+so no later pass reads the insertions back.  This is still a
+pseudo-dominance (a front at or left of
 another need not reach every completion the other reaches), though it
 loses no optimum on those 150 instances.  A child's chain counts, plate,
 front and open depths all follow from its parent and its insertion, so
@@ -107,7 +110,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -239,40 +242,36 @@ def _growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> b
     ``final_x1`` (at least x1_curr): see ``_grow_max``."""
     if final_x1 == node.x1_curr or not defects:
         return True
-    return final_x1 <= _grow_max(node, defects, 3, final_x1)
+    return final_x1 <= _grow_max(node, defects, final_x1)
 
 
-def _grow_max(node: Node, defects: tuple[Defect, ...], depth: int, x1_max: int) -> int:
+def _hcuts_max(defects: tuple[Defect, ...], x0: int, levels: Iterable[int], x_max: int) -> int:
+    """The largest x, up to ``x_max``, at which cuts from x0 to x at each of
+    ``levels`` cross no defect: at most the left edge of each they cross."""
+    for d in defects:
+        if d.x < x_max and x0 < d.x + d.width:
+            for y in levels:
+                if d.y < y < d.y + d.height:
+                    x_max = d.x
+                    break
+    return x_max
+
+
+def _grow_max(node: Node, defects: tuple[Defect, ...], x1_max: int) -> int:
     """The largest final 1-cut x1 > x1_curr, up to ``x1_max``, that a move
     at depth 2 or 3 may give the column without a cut crossing a defect, or
     at most x1_curr if there is none.
 
     Growing the column widens the top cuts of its closed shelves to x1 and
-    makes their edges at x1_curr real cuts.  At depth
-    2 the shelf being closed also leaves its strip cut
-    (``_close_shelf_cut_ok``), and the new shelf's floor is cut from x1_prev
-    to x1.  A horizontal cut from x1_prev to x1 clears the defects while x1
-    is at most the left edge of every defect it crosses."""
-    x1_prev, x1_curr = node.x1_prev, node.x1_curr
-    if depth == 2 and node.cell_min_item is not None and not _vcut_ok(
-            defects, node.x3_curr, node.y2_prev, node.y2_curr):
-        return x1_curr  # every x1 > x1_curr >= x3_curr makes the strip cut
+    makes their edges at x1_curr real cuts."""
+    x1_curr = node.x1_curr
     levels = []
     for rec in node.closed_shelves:
         if rec.edge_is_cut and rec.edge == x1_curr and not _vcut_ok(
                 defects, x1_curr, rec.y0, rec.y1):
             return x1_curr
         levels.append(rec.y1)
-    if depth == 2:
-        levels.append(node.y2_curr)
-    grow_max = x1_max
-    for d in defects:
-        if d.x < grow_max and x1_prev < d.x + d.width:
-            for y in levels:
-                if d.y < y < d.y + d.height:
-                    grow_max = d.x
-                    break
-    return grow_max
+    return _hcuts_max(defects, node.x1_prev, levels, x1_max)
 
 
 def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
@@ -429,15 +428,23 @@ class CellTables(NamedTuple):
       half}) per chain that holds an item with an orientation of width w,
       in chain order, with the rank of each such item.
 
-    A cell's contents are (j, chain of j, width, h_j, rot_j, k, chain of
-    k, h_k, rot_k): item j at the bottom, item k on top of the 4-cut, or k
-    and its fields None for a one-item cell.  A bottom half (j, chain of j,
-    width, h_j, rot_j) and a top half (k, chain of k, h_k, rot_k) make a
-    stack's."""
+    A cell's contents are (j, chain of j, width, h_j, rot_j, order of j,
+    k, chain of k, h_k, rot_k, order of k): item j at the bottom, item k on
+    top of the 4-cut, or k and its fields None and its order 0 for a
+    one-item cell.  A bottom half (its first six fields) and a top half
+    (its last five) make a stack's.
+
+    An insertion's order key sums its content's orders, its depth's key
+    and its kind's value times ``kind_step``; ``depths[d]`` holds depth d's
+    (key, waste cell's key and group, first group of one-item cells and of
+    stacks).  Keys order a node's insertions by the first item's id,
+    deepest first, kind, then each item's (id, rotated), waste cells last."""
 
     singles: tuple[tuple[tuple[tuple, ...], ...], ...]
     stacks: tuple[tuple[tuple, ...], ...]
     widths: dict[int, tuple[tuple[int, dict[int, tuple]], ...]]
+    kind_step: int
+    depths: tuple[tuple[int, int, int, int, int], ...]
 
 
 def cell_tables(instance: Instance) -> CellTables:
@@ -446,24 +453,30 @@ def cell_tables(instance: Instance) -> CellTables:
     if tables is not None:
         return tables
     oriented = instance.oriented
+    # orders: j * item_step + rot_j * (2n + 1) at the bottom, 2k + rot_k + 1
+    n = instance.n_items
+    kind_step = 4 * n + 2
+    depth_step = 8 * kind_step  # kinds are 1 to 5
+    item_step = 4 * depth_step  # depths are 0 to 3
     held: dict[int, dict[int, dict[int, tuple]]] = {}
     for c, chain in enumerate(instance.chains):
         for r, k in enumerate(chain):
             for w, h, rot in oriented[k]:
-                held.setdefault(w, {}).setdefault(c, {})[r] = (k, c, h, rot)
+                held.setdefault(w, {}).setdefault(c, {})[r] = (k, c, h, rot, 2 * k + rot + 1)
     widths = {w: tuple(by_chain.items()) for w, by_chain in held.items()}
     chain_singles, chain_stacks = [], []
     for c, chain in enumerate(instance.chains):
         chain_singles.append(tuple(
-            tuple((j, c, w, h, rot, None, None, None, None) for w, h, rot in oriented[j])
+            tuple((j, c, w, h, rot, j * item_step + rot * (2 * n + 1), None, None, None, None, 0)
+                  for w, h, rot in oriented[j])
             for j in chain) + ((),))
         row = []
         for r, j in enumerate(chain):
             successor = oriented[chain[r + 1]] if r + 1 < len(chain) else ()
             plans = []
             for w, h, rot in oriented[j]:
-                bottom = (j, c, w, h, rot)
-                under = tuple(bottom + (chain[r + 1], c, hk, rk)
+                bottom = (j, c, w, h, rot, j * item_step + rot * (2 * n + 1))
+                under = tuple(bottom + (chain[r + 1], c, hk, rk, 2 * chain[r + 1] + rk + 1)
                               for wk, hk, rk in successor if wk == w)
                 plans.append((bottom, widths[w] if len(widths[w]) > 1 else None, under))
             under_all = sum((under for _, _, under in plans), ())
@@ -472,8 +485,16 @@ def cell_tables(instance: Instance) -> CellTables:
             else:
                 row.append((under_all, None) if under_all else ())
         chain_stacks.append(tuple(row) + ((),))
+    # a plate's groups: per chain, per pair of chains at depth 3 and below
+    # it, per depth's waste cell; depth 0's plate is the next one
+    c = len(instance.chains)
+    span = c * (2 * c + 1) + 4
+    depths = tuple((
+        (3 - d) * depth_step, n * item_step + (3 - d) * depth_step + 5 * kind_step,
+        (d == 0) * span + span - 4 + d, (d == 0) * span, (d == 0) * span + c + (d < 3) * c * c,
+    ) for d in range(4))
     tables = instance.__dict__["_cell_tables"] = CellTables(
-        tuple(chain_singles), tuple(chain_stacks), widths)
+        tuple(chain_singles), tuple(chain_stacks), widths, kind_step, depths)
     return tables
 
 
@@ -508,9 +529,24 @@ def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     return out
 
 
+_DOMINATED = -1  # the group of an insertion dominated at its own depth
+
+
+class InsertionList(list):
+    """A node's insertions in order, and their sibling ``groups``: equal
+    where they pack the same items on the same plate and leave the same
+    depths open (``depths_after``); None where the symmetry rule forbids
+    one, ``_DOMINATED`` where a sibling of its depth dominates it."""
+
+    __slots__ = ("groups",)
+
+
+_second, _third = itemgetter(1), itemgetter(2)
+
+
 def enumerate_insertions(
     node: Node, instance: Instance, use_symmetry: bool = False
-) -> list[Insertion]:
+) -> InsertionList:
     """All feasible insertions at ``node``, pruning rules applied.
 
     One pass visits the allowed depths deepest first, and each depth may
@@ -521,52 +557,66 @@ def enumerate_insertions(
     tests.  With ``use_symmetry`` the depth-3 cells that the cell-swap rule
     forbids are omitted (see ``_swap_forbidden``); they still count as
     feasible for the suppression tests, so the result is the unflagged list
-    minus exactly those cells, in the same order.
+    minus exactly those cells, in the same order; the shelf half only
+    marks what it forbids (``InsertionList``).
 
-    What the depths share is read once per node: the plate's defects and
-    the edges of the closed shelves (see ``_frame``).
+    What the depths share is read once per node: the plate's defects, the
+    edges of the closed shelves (see ``_frame``) and ``_shelf_swap_max``.
     """
-    if node.complete:
-        return []
     cells = pair_combos(node, instance)
     defects = instance.plate_defects(node.bin)
     closed = _closed_edges(node)
-    out: list[Insertion] = []
+    p = instance.params
+    shelf_max = _shelf_swap_max(node, defects, node.shelf_min_item, node.shelf_chain_ids,
+                                p.plate_width) if use_symmetry and node.closed_shelves else -1
+    entries: list[tuple] = []
     fits = no_growth = False
-    for depth in _allowed_depths(node):
+    for depth in () if node.complete else _allowed_depths(node):
         if depth in (1, 2) and no_growth:
             continue
-        if depth == 0 and (fits or node.bin + 1 >= instance.params.n_plates):
+        if depth == 0 and (fits or node.bin + 1 >= p.n_plates):
             continue
         frame = _frame(node, instance, depth, defects, closed)
         if frame is None:
             continue
+        # the final 1-cuts at which a move of this depth closes the shelf
+        # where the rule forbids it: depths 0 and 1 close it at frame[1]
+        closing_max = shelf_max if depth == 2 else (
+            p.plate_width if depth < 2 and 0 <= shelf_max and frame[1] <= shelf_max else -1)
         emit = depth != 2 or not fits
         placed, fits_d, no_growth_d = _gen_cells(
-            node, instance, frame, cells, depth, use_symmetry, emit)
+            node, instance, frame, cells, depth, use_symmetry, emit, closing_max)
         fits = fits or fits_d
         no_growth = no_growth or no_growth_d
         if emit:
-            out += placed
+            entries += placed
             if frame[5]:  # without defects there is no waste cell
                 w_ins = _gen_waste(node, instance, frame, depth)
                 if w_ins is not None:
-                    out.append(w_ins)
-    if len(out) > 1:
-        out.sort(key=_insertion_sort_key)
+                    _, key, group, _, _ = instance._cell_tables.depths[depth]
+                    entries.append((key, None if w_ins.x1_curr <= closing_max else group, w_ins))
+    if len(entries) > 1:
+        entries.sort()  # by the trials' order keys, which are unique
+    out = InsertionList(map(_third, entries))
+    out.groups = list(map(_second, entries))
     return out
 
 
-def _insertion_sort_key(ins: Insertion):
-    pls = ins.placements
-    if not pls:
-        return (1 << 30, -ins.depth, ins.kind._value_, ())
-    first = pls[0]
-    if len(pls) == 1:
-        return (first.item_id, -ins.depth, ins.kind._value_, ((first.item_id, first.rotated),))
-    second = pls[1]
-    return (first.item_id, -ins.depth, ins.kind._value_,
-            ((first.item_id, first.rotated), (second.item_id, second.rotated)))
+def _shelf_swap_max(node: Node, defects: tuple[Defect, ...], shelf_min: Optional[int],
+                    shelf_chains: frozenset[int], x_max: int) -> int:
+    """The largest final 1-cut x1, up to ``x_max``, at which closing the
+    current shelf, holding ``shelf_min`` and ``shelf_chains``, is forbidden
+    against the shelf below (``_swap_forbidden``), or -1: both span x1_prev
+    to x1, and are defect-free up to the first defect in them."""
+    below = node.closed_shelves[-1]
+    if not _may_swap(below.min_item, below.chain_ids, shelf_min, shelf_chains):
+        return -1
+    for d in defects:
+        if d.x < x_max and node.x1_prev < d.x + d.width and (
+                d.y < below.y1 and below.y0 < d.y + d.height
+                or d.y < node.y2_curr and node.y2_prev < d.y + d.height):
+            x_max = d.x
+    return x_max
 
 
 def _closing_cuts_ok(
@@ -612,9 +662,11 @@ def _gen_cells(
     depth: int,
     use_symmetry: bool = False,
     emit: bool = True,
-) -> tuple[list[Insertion], bool, bool]:
-    """Item cells placed in the ``frame`` of ``depth``, whether some cell
-    fits and whether some cell fits without growing the column.
+    closing_max: int = -1,
+) -> tuple[list[tuple], bool, bool]:
+    """The (order key, sibling group, insertion) entries of the item cells
+    placed in the ``frame`` of ``depth``, whether some cell fits and whether
+    some cell fits without growing the column.
 
     ``cells`` are the contents the chain state can place (``pair_combos``),
     tried in order.  The depth decides a cell's shape (in the shelf, or
@@ -622,33 +674,41 @@ def _gen_cells(
     cell that is not emitted: every cell when ``emit`` is False, and at
     depth 3 under ``use_symmetry`` a cell the cell-swap rule forbids.  Such
     a cell is only tried until some cell is known to fit without growth,
-    which settles both facts.
+    which settles both facts.  The group is None for a move that closes
+    the shelf at a final 1-cut up to ``closing_max``, and for a completing
+    one that ``symmetry_allows`` rejects under ``use_symmetry``; it is
+    ``_DOMINATED`` for the wider orientation of an item that the narrower
+    one dominates.
 
     A trial is one loop body: a shape step, for one item or for a stack,
     then one tail.  The tail resolves the cell's final x1 (``_resolve_x1``;
     a cell that ends left of x1_curr and does not complete shares one x1
     per frame, and without edges a cell that grows the column and does not
     complete takes its own right edge), compares it with the bounds the
-    frame's cuts set (``keeps`` for x1 = x1_curr, ``_grow_max`` past it),
-    and checks the cuts that close the column after a completing cell
-    (``_closing_cuts_ok``).  The facts of the cell-swap rule
+    frame's cuts set (``x1_max``, at depth 2 also by the strip cut of the
+    shelf that closes and the new shelf's floor, and ``_grow_max`` past
+    x1_curr), and checks the cuts that close the column after a completing
+    cell (``_closing_cuts_ok``).  The facts of the cell-swap rule
     (``_swap_forbidden``) about the left cell are read once per frame, and
     each trial tests only its own cell against them."""
     plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
     mw, H, min2 = p.min_waste, p.plate_height, p.min2
     x1_max = min(x1_prev + p.max1, p.plate_width)
-    items_left = instance.n_items - node.n_packed
+    if depth == 2 and defects:  # the closing shelf's strip cut (none at x3_curr), the floor
+        if not _close_shelf_cut_ok(node, x1_max, defects):
+            x1_max = node.x3_curr
+        x1_max = _hcuts_max(defects, x1_prev, (y_lo,), x1_max)
+    items_left = len(instance.items) - node.n_packed
     new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
     # the final x1 of every cell that ends left of x1_curr and does not
     # complete, and the largest x1 > x1_curr whose cuts clear the defects:
     # each is worked out on the first trial that needs it
     x1_kept = None if edges else x1_curr
     grow_max = None if defects and depth >= 2 else x1_max
-    # whether a cell may leave the 1-cut at x1_curr: only at depth 2 does
-    # that close a shelf, whose strip cut and the new shelf's floor appear
-    keeps = x1_curr <= x1_max and (depth != 2 or not defects or (
-        _close_shelf_cut_ok(node, x1_curr, defects) and _hcut_ok(defects, y_lo, x1_prev, x1_curr)))
+    tables = instance._cell_tables  # built by pair_combos, which gave the cells
+    kind_step = tables.kind_step
+    depth_key, _, _, one_group, two_group = tables.depths[depth]
     # the cell-swap rule forbids nothing unless the left cell holds an item
     # and is defect-free; a cell is then forbidden when it holds a smaller
     # item id, shares no chain with the left cell and is defect-free.  A
@@ -661,10 +721,11 @@ def _gen_cells(
             not defects or _rect_clear(defects, node.x3_prev, y_lo, x, y_cap)):
         swap_min, left_chains = node.cell_min_item, node.cell_chain_ids
         swap_lower = node.x3_prev != x1_prev
-    out: list[Insertion] = []
+    out: list[tuple] = []
     fits = no_growth = False
+    one_j = one_w = one_top = one_at = None  # the last one-item cell kept so far
 
-    for j, cj, w, h, rot, k, ck, hk, rk in cells:
+    for j, cj, w, h, rot, order_j, k, ck, hk, rk, order_k in cells:
         x_end = x + w
         if x_end > x1_max:
             continue  # past the widest 1-cut the column may get
@@ -723,10 +784,10 @@ def _gen_cells(
             x1 = x_end
         if x1 > x1_curr:
             if grow_max is None:
-                grow_max = _grow_max(node, defects, depth, x1_max)
+                grow_max = _grow_max(node, defects, x1_max)
             if x1 > grow_max:
                 continue
-        elif not keeps:
+        elif x1_curr > x1_max:
             continue
         if completing and defects and not _closing_cuts_ok(
                 defects, p, x_end, x1, x1_prev, y_lo, y_hi):
@@ -740,13 +801,27 @@ def _gen_cells(
             continue
         if k is None:
             pls = (new(Placement, (j, cj, x, y_item, w, h, rot)),)
+            group = one_group + cj
         else:
             pls = (new(Placement, (j, cj, x, y_lo, w, h, rot)),
                    new(Placement, (k, ck, x, split_y, w, hk, rk)))
-        out.append(new(Insertion, (
-            kind, depth, completing, pls, plate, x1_prev, x1, y_lo, y_hi,
-            x, x_end, x1 if completing and depth >= 2 else prev_col_x1,
-        )))
+            group = two_group + min(cj, ck) * len(instance.chains) + max(cj, ck)
+        ins = new(Insertion, (kind, depth, completing, pls, plate, x1_prev, x1, y_lo, y_hi,
+                              x, x_end, x1 if completing and depth >= 2 else prev_col_x1))
+        if completing:
+            if use_symmetry and not symmetry_allows(node, ins, instance):
+                group = None
+        elif x1 <= closing_max:
+            group = None
+        elif k is None:
+            # of an item's two orientations the narrower ends at or left of
+            # the wider's x1, so it dominates the wider unless its top is higher
+            if j == one_j and w > one_w and y_hi >= one_top:
+                group = _DOMINATED
+            elif j == one_j and w < one_w and one_top >= y_hi:
+                out[one_at] = (out[one_at][0], _DOMINATED, out[one_at][2])
+            one_j, one_w, one_top, one_at = j, w, y_hi, len(out)
+        out.append((order_j + order_k + depth_key + kind._value_ * kind_step, group, ins))
     return out, fits, no_growth
 
 
@@ -870,10 +945,9 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
     illegal: on a move below depth 3, or on one that completes the
     solution, whose cell then joins the shelf.  A new shelf that completes
     the solution also closes at once, against the shelf it closes.  The
-    cell's half, a cell against the cell left of it, is not tested here:
-    the cell generator omits every cell it forbids (``_gen_cells``)."""
+    cell trials apply both halves (``_gen_cells``), and call this on the
+    completing moves only."""
     defects = instance.plate_defects(node.bin)
-    x1_prev, y2_prev, y2_curr = node.x1_prev, node.y2_prev, node.y2_curr
     q_min, q_chains = node.shelf_min_item, node.shelf_chain_ids  # the shelf that closes
     if ins.depth == 3:
         if not ins.completes:
@@ -881,59 +955,50 @@ def symmetry_allows(node: Node, ins: Insertion, instance: Instance) -> bool:
         new_min, new_chains = _cell_items(ins, instance)
         q_min, q_chains = _min_opt(q_min, new_min), q_chains | new_chains
     x1 = ins.x1_curr if ins.depth >= 2 else (ins.prev_col_x1 or node.x1_curr)
-    if node.closed_shelves:
-        below = node.closed_shelves[-1]
-        if _swap_forbidden(
-                defects, below.min_item, below.chain_ids, (x1_prev, below.y0, x1, below.y1),
-                q_min, q_chains, (x1_prev, y2_prev, x1, y2_curr)):
-            return False
+    if node.closed_shelves and x1 <= _shelf_swap_max(
+            node, defects, q_min, q_chains, instance.params.plate_width):
+        return False
     if ins.depth == 2 and ins.completes:
         new_min, new_chains = _cell_items(ins, instance)
+        x1_prev, y2_prev, y2_curr = node.x1_prev, node.y2_prev, node.y2_curr
         return not _swap_forbidden(
             defects, node.shelf_min_item, node.shelf_chain_ids, (x1_prev, y2_prev, x1, y2_curr),
             new_min, new_chains, (x1_prev, ins.y2_prev, x1, ins.y2_curr))
     return True
 
 
-def filter_dominated_children(insertions: list[Insertion]) -> list[Insertion]:
-    """Among sibling insertions packing the same items on the same plate
-    and leaving the same depths open to their children (``depths_after``),
+def filter_dominated_children(insertions: list[Insertion], groups: list) -> list[Insertion]:
+    """Among sibling insertions of equal ``groups`` (``InsertionList``),
     drop each one that a sibling dominates: its child's front is at or
     right of the sibling's, and strictly so or the sibling was generated
-    earlier (so the earliest of equal fronts is kept).  This is the scope
-    of a bucket of the DPA* store.  Siblings pack the same items exactly
-    when they advance the same chains, so no child is built to decide this.
-    The input itself is returned when nothing is dropped.
+    earlier (so the earliest of equal fronts is kept), and each one whose
+    group is ``_DOMINATED``.  This is the scope of a bucket of the DPA*
+    store, and no child is built to decide it.  The input itself is
+    returned when nothing is dropped.
 
     A group is admitted in generation order into a list of undominated
     fronts (``admit_front``), each labelled with its sibling's position in
     place of the plate: a sibling that an earlier one is at most is
     rejected, and one that a later one strictly dominates is evicted, so
     the list ends with the kept siblings."""
-    groups: dict[tuple, list[int]] = {}
-    for i, ins in enumerate(insertions):
-        pls = ins.placements
-        if not pls:
-            key = (ins.bin, depths_after(ins))
-        elif len(pls) == 1:  # every depth stays open after one item
-            key = (ins.bin, pls[0].chain_idx)
-        else:
-            a, b = pls[0].chain_idx, pls[1].chain_idx
-            key = (ins.bin, depths_after(ins), a, b) if a <= b else (
-                ins.bin, depths_after(ins), b, a)
-        groups.setdefault(key, []).append(i)
-    if len(groups) == len(insertions):
+    if _DOMINATED in groups:
+        insertions = [ins for ins, group in zip(insertions, groups) if group != _DOMINATED]
+        groups = [group for group in groups if group != _DOMINATED]
+    if len(set(groups)) == len(groups):
         return insertions
+    members: dict = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
     dropped: set[int] = set()
-    for members in groups.values():
-        if len(members) < 2:
+    for group in members.values():
+        if len(group) < 2:
             continue
         kept: list[tuple] = []
-        for i in members:
+        for i in group:
             ins = insertions[i]
             admit_front(kept, (i, ins.x1_prev, ins.x1_curr, ins.x3_curr, ins.y2_prev, ins.y2_curr))
-        if len(kept) < len(members):
-            dropped.update(members)
+        if len(kept) < len(group):
+            dropped.update(group)
             dropped.difference_update(profile[0] for profile in kept)
     if not dropped:
         return insertions
@@ -1023,14 +1088,10 @@ def child_insertions(
     memoize: bool = False,
 ) -> Sequence[Insertion]:
     """The insertions of the children the search keeps at ``node``:
-    enumerate, symmetry-filter, dominance-filter, in that order.
-
-    With ``use_symmetry`` the generator has already omitted every depth-3
-    cell that the cell-swap rule forbids, so ``symmetry_allows`` only runs
-    where a shelf closes: below depth 3, or on a completing insertion.
-    Whether closing the current shelf could break symmetry (``_may_swap``
-    against the shelf below) is decided once per node; where it could not,
-    only the completing insertions go through ``symmetry_allows``.
+    enumerate, symmetry-filter, dominance-filter, in that order.  The cell
+    trials decide both rules' facts (``enumerate_insertions``), so the two
+    filters only scan their groups: None where the symmetry rule forbids an
+    insertion, and the sibling groups of ``filter_dominated_children``.
 
     With ``memoize`` the result is a tuple, looked up in or added to the
     instance's ``child_memo``, which other callers share."""
@@ -1049,15 +1110,12 @@ def _child_insertions(
     node: Node, instance: Instance, use_symmetry: bool, use_dominance: bool
 ) -> list[Insertion]:
     ins_list = enumerate_insertions(node, instance, use_symmetry)
-    if use_symmetry:
-        below = node.closed_shelves[-1] if node.closed_shelves else None
-        closes = below is not None and _may_swap(
-            below.min_item, below.chain_ids, node.shelf_min_item, node.shelf_chain_ids)
-        ins_list = [ins for ins in ins_list
-                    if not (ins.completes or closes and ins.depth < 3)
-                    or symmetry_allows(node, ins, instance)]
+    groups = ins_list.groups
+    if None in groups:  # the insertions that the symmetry rule forbids
+        ins_list = [ins for ins, group in zip(ins_list, groups) if group is not None]
+        groups = [group for group in groups if group is not None]
     if use_dominance:
-        ins_list = filter_dominated_children(ins_list)
+        ins_list = filter_dominated_children(ins_list, groups)
     return ins_list
 
 

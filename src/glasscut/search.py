@@ -32,6 +32,7 @@ that share the incumbent's waste as their pruning bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -47,8 +48,8 @@ from typing import Callable, Optional, Union
 from . import branching
 from .branching import Insertion, _allowed_depths, depths_after, insertion_front
 from .model import (
-    GlasscutError, GuideKind, Instance, Node, Params, admit_front, counts_after, covered_area,
-    root_node, waste_floor,
+    GlasscutError, GuideKind, Instance, Node, Params, admit_front, counts_after, root_node,
+    waste_floor,
 )
 
 # The per-expansion call of every search: the insertions of the children it
@@ -291,16 +292,18 @@ def _expander(
     use_dominance: bool,
     admit: Optional[Callable[[tuple, tuple, tuple], bool]],
     memoize: bool = False,
-) -> tuple[Callable[[Node], list[tuple[int, int, OpenChild]]], Callable[[OpenChild], Node]]:
+) -> tuple[Callable[[Node], list[tuple]], Callable[[OpenChild], Node]]:
     """The child block of every search.
 
     ``expand(node)`` returns the kept children of ``node`` in generation
-    order as (guide key, -items packed, open child) entries, less those
-    whose waste or ``waste_floor`` reaches the bound (both cuts are exact)
-    and those that ``admit`` rejects; it builds
-    and offers a complete child only when it improves the incumbent.
-    Waste, floor, key and admission all follow from the parent and the
-    insertion, so no child is built here.  ``build(open_child)`` makes the
+    order as open-list entries (guide key, -items packed, counter, open
+    child), counting the kept children from 1, less those whose waste or
+    ``waste_floor`` reaches the bound (both cuts are exact) and those that
+    ``admit`` rejects; it builds and offers a complete child only when it
+    improves the incumbent, and reads the bound once per expansion and again
+    after each offer.  Waste, floor, key and admission all follow from the
+    parent and the insertion, worked out in line but for ``guide_value``,
+    so no child is built here.  ``build(open_child)`` makes the
     ``Node`` that the search expands.  ``memoize`` takes the kept
     insertions from the instance's child memo (``branching.child_memo``),
     for the searches that restart from the root."""
@@ -308,32 +311,39 @@ def _expander(
     apply = branching.apply_insertion
     height = instance.params.plate_height
     plate_area = instance.params.plate_width * height
-    total_item_area = instance.total_item_area
     scale = guide_scale(instance.params)
+    # a child's waste_floor is its floor area, below, plus this
+    floor_offset = waste_floor(0, height, 0, instance.total_item_area)
+    next_count = itertools.count(1).__next__  # the root's entry counts 0
 
-    def expand(node: Node) -> list[tuple[int, int, OpenChild]]:
+    def expand(node: Node) -> list[tuple]:
         kept = []
+        best = bound()
+        node_item_area, node_packed = node.item_area, node.n_packed
         for ins in children(node, instance, use_symmetry, use_dominance, memoize):
-            item_area = node.item_area
-            for pl in ins.placements:
+            _, _, completes, pls, plate, x1_prev, x1_curr, y2_prev, y2_curr, _, x3_curr, _ = ins
+            item_area = node_item_area
+            for pl in pls:
                 item_area += pl.width * pl.height
-            area = covered_area(ins, plate_area, height)
+            # the area waste_floor counts, which a complete child covers
+            floor_area = plate * plate_area + x1_curr * height
+            area = floor_area if completes else (
+                plate * plate_area + x1_prev * height + (x1_curr - x1_prev) * y2_prev
+                + (x3_curr - x1_prev) * (y2_curr - y2_prev))
             waste = area - item_area
-            best = bound()
-            # a complete child's floor is its waste
-            if best is not None and (waste >= best or waste_floor(
-                    ins.bin * plate_area, height, ins.x1_curr, total_item_area) >= best):
+            if best is not None and (waste >= best or floor_area + floor_offset >= best):
                 continue
-            if ins.completes:
+            if completes:
                 offer(apply(node, ins, instance), elapsed())
+                best = bound()
                 continue
             if admit is not None and not admit(
                 counts_after(node.counts, ins), depths_after(ins), insertion_front(ins)
             ):
                 continue
-            n_packed = node.n_packed + len(ins.placements)
+            n_packed = node_packed + len(pls)
             key = guide_value(waste, area, item_area, n_packed, guide, scale)
-            kept.append((key, -n_packed, (waste, node, ins)))
+            kept.append((key, -n_packed, next_count(), (waste, node, ins)))
         return kept
 
     def build(child: OpenChild) -> Node:
@@ -378,10 +388,9 @@ def _best_first(
     push_within, pop_best, bound = fringe.push_within, fringe.pop_best, incumbent.bound
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               admit, memoize=capacity is not None)
-    counter = 0
     expanded = 0
     discarded = False
-    push_within(capacity, (0, 0, counter, (root.waste, root, None)))  # the only open node
+    push_within(capacity, (0, 0, 0, (root.waste, root, None)))  # the only open node
     while fringe:
         if clock.expired():
             return SearchResult("timeout", expanded, discarded)
@@ -393,9 +402,8 @@ def _best_first(
             continue
         node = build(child)
         expanded += 1
-        for key, packed, open_child in expand(node):
-            counter += 1
-            if push_within(capacity, (key, packed, counter, open_child)):
+        for entry in expand(node):
+            if push_within(capacity, entry):
                 discarded = True
         if len(fringe) > open_max:
             return SearchResult("memory", expanded)
@@ -557,7 +565,7 @@ def iterative_beam_search(
             if len(best) > width:
                 truncated = True
                 best.pop()
-            level = [child for _, _, child in best]
+            level = [child for _, _, _, child in best]
         iterations += 1
         if not truncated:
             return SearchResult("exhausted", expanded, False, iterations, width)

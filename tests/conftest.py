@@ -14,8 +14,8 @@ from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
     Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok, _closed_edges,
     _closing_cuts_ok, _frame, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
-    _insertion_sort_key, _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
-    children, depths_after, insertion_front, pair_combos,
+    _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
+    children, depths_after, filter_dominated_children, insertion_front, pair_combos,
 )
 from glasscut.model import (
     Defect, Instance, Item, Node, Params, SolutionError, admit_front, root_node, waste_floor,
@@ -116,6 +116,32 @@ def dfs_min_waste(instance: Instance, **kw) -> int | None:
     return None if leaf is None else leaf.waste
 
 
+def reference_sort_key(ins: Insertion) -> tuple:
+    """The order of the insertions of one node as a tuple: the first
+    item's id (waste cells last), deepest first, kind, then each item's
+    (id, rotated).  ``enumerate_insertions`` sorted by this key before its
+    trials gave each insertion an integer one (``branching.CellTables``)."""
+    pls = ins.placements
+    if not pls:
+        return (1 << 30, -ins.depth, ins.kind.value, ())
+    return (pls[0].item_id, -ins.depth, ins.kind.value,
+            tuple((pl.item_id, pl.rotated) for pl in pls))
+
+
+def reference_sibling_group(ins: Insertion) -> tuple:
+    """The sibling group of ``ins`` as a tuple: its plate, the sorted
+    chains it advances and the depths it leaves open to its child.  Equal
+    exactly where the groups that the trials give (``InsertionList``) are
+    equal, among the insertions of one node."""
+    return (ins.bin, *sorted(pl.chain_idx for pl in ins.placements), depths_after(ins))
+
+
+def reference_filter(insertions: list) -> list:
+    """``branching.filter_dominated_children`` on any list, its groups
+    told by ``reference_sibling_group``."""
+    return filter_dominated_children(insertions, [reference_sibling_group(m) for m in insertions])
+
+
 def unsuppressed_insertions(node: Node, instance: Instance) -> list[Insertion]:
     """The insertions of ``node`` with the generator's three structural
     tests off: A (a new plate opens only when no item cell fits in the
@@ -136,11 +162,11 @@ def unsuppressed_insertions(node: Node, instance: Instance) -> list[Insertion]:
         frame = _frame(node, instance, depth, defects, closed)
         if frame is None:
             continue
-        out += _gen_cells(node, instance, frame, cells, depth, emit=True)[0]
+        out += [ins for _, _, ins in _gen_cells(node, instance, frame, cells, depth, emit=True)[0]]
         waste = _gen_waste(node, instance, frame, depth)
         if waste is not None:
             out.append(waste)
-    return sorted(out, key=_insertion_sort_key)
+    return sorted(out, key=reference_sort_key)
 
 
 def unsuppressed_min_waste(instance: Instance) -> int | None:
@@ -472,11 +498,11 @@ def reference_enumerate_insertions(
         fits = fits or fits_d
         no_growth = no_growth or no_growth_d
         if emit:
-            out += placed
+            out += [ins for _, _, ins in placed]
             w_ins = _gen_waste(node, instance, frame, depth)
             if w_ins is not None:
                 out.append(w_ins)
-    out.sort(key=_insertion_sort_key)
+    out.sort(key=reference_sort_key)
     return out
 
 

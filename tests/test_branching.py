@@ -11,6 +11,7 @@ import pytest
 
 from glasscut import branching
 from glasscut.branching import (
+    _DOMINATED,
     CHILD_MEMO_FIELDS,
     Insertion,
     InsertionKind,
@@ -37,12 +38,14 @@ from glasscut.branching import (
     pair_combos,
     symmetry_allows,
 )
-from glasscut.model import Defect, Node, Params, _cell_items, root_node
+from glasscut.model import Defect, GuideKind, Node, Params, _cell_items, root_node
+from glasscut.search import Incumbent, mba_star
 
 from conftest import (
     SMALL_PARAMS,
     dfs_best_leaf,
     dfs_min_waste,
+    expansion_trace,
     front_leq,
     make_instance,
     midsize_instance,
@@ -51,12 +54,15 @@ from conftest import (
     random_walk,
     raster_front_area,
     reference_enumerate_insertions,
+    reference_filter,
     reference_filter_dominated_children,
     reference_cell_swap_forbidden,
     reference_frame,
     reference_gen_cells,
     reference_growth_cuts_ok,
     reference_pair_combos,
+    reference_sibling_group,
+    reference_sort_key,
 )
 
 
@@ -141,7 +147,9 @@ class TestCellTables:
     def test_pair_combos_match_the_reference_on_random_chain_states(self):
         """On 8, 30 and 60 chains and on items of one width: the one-item
         cells of the candidates, by identity those of the tables' singles,
-        then the reference's stacks, list for list and in order."""
+        then the reference's stacks, list for list and in order.  The
+        contents' ranks, the sums of their two orders, are unique and order
+        them by (j, rot_j), then (k, rot_k) after the one-item cell."""
         seen = {"states": 0, "stacks on a candidate": 0, "stacks on a successor": 0}
         for inst in (midsize_instance(24, 8, seed=8), midsize_instance(120, 30, seed=30),
                      midsize_instance(300, 60, seed=60), one_width_instance()):
@@ -157,8 +165,12 @@ class TestCellTables:
                           for cell in singles[chain_index[j]][node.counts[chain_index[j]]]]
                 stacks = [(c.j, chain_index[c.j], c.width, c.hj, c.rj, c.k, chain_index[c.k],
                            c.hk, c.rk) for c in reference_pair_combos(node, inst, cands)]
-                assert cells == ones + stacks
+                assert [c[:5] + c[6:10] for c in cells] == ones + stacks
                 assert list(map(id, cells[:len(ones)])) == list(map(id, tabled))
+                ranks = [c[5] + c[10] for c in cells]
+                assert len(set(ranks)) == len(ranks)
+                assert sorted(cells, key=lambda c: c[5] + c[10]) == sorted(
+                    cells, key=lambda c: (c[0], c[4], -1 if c[6] is None else c[6], c[9]))
                 seen["states"] += 1
                 seen["stacks on a candidate"] += sum(c[5] in cands for c in stacks)
                 seen["stacks on a successor"] += sum(c[5] not in cands for c in stacks)
@@ -654,7 +666,7 @@ class TestChildren:
         inst = make_instance([(400, 300), (200, 300)], chains=[[0], [1]])
         parent = kid_for(root_node(inst), inst, 0)
         raw = child_insertions(parent, inst, use_dominance=False)
-        filtered = filter_dominated_children(raw)
+        filtered = reference_filter(raw)
         assert len(filtered) < len(raw)
         # different item sets always coexist
         inst2 = make_instance([(300, 200), (250, 150)], chains=[[0], [1]])
@@ -663,9 +675,7 @@ class TestChildren:
             0, 1}
         # identical duplicates collapse to one
         dup = child_insertions(root_node(inst2), inst2, use_dominance=False)
-        assert len(filter_dominated_children(dup + dup)) == len(
-            filter_dominated_children(dup)
-        )
+        assert len(reference_filter(dup + dup)) == len(reference_filter(dup))
 
 
 # sha256 of every insertion list over walked_nodes(random.Random(2024), 2400)
@@ -752,9 +762,10 @@ class TestDominanceFilter:
                 seen["waste cells split by open depths"] += len(
                     {depths_after(ins) for ins in wastes}) >= 2
                 if all(len(members) < 2 for members in groups.values()):
-                    assert filter_dominated_children(raw) is raw
-                for ins_list in (raw, raw[::-1], raw + raw):
-                    assert filter_dominated_children(ins_list) == (
+                    assert filter_dominated_children(raw, raw.groups) is raw
+                for ins_list, groups in ((raw, raw.groups), (raw[::-1], raw.groups[::-1]),
+                                         (raw + raw, raw.groups * 2)):
+                    assert filter_dominated_children(ins_list, groups) == (
                         reference_filter_dominated_children(ins_list))
         assert min(seen.values()) >= 10, seen
 
@@ -773,7 +784,7 @@ class TestDominanceFilter:
         assert depths_after(in_shelf) != depths_after(new_column)
         assert front_leq(insertion_front(in_shelf), insertion_front(new_column))
         siblings = [in_shelf, new_column]
-        assert filter_dominated_children(siblings) == siblings
+        assert reference_filter(siblings) == siblings
         assert reference_filter_dominated_children(siblings, by_open_depths=False) == [in_shelf]
 
     def test_a_waste_column_beside_a_waste_strip_reaches_the_optimum(self):
@@ -797,6 +808,129 @@ class TestDominanceFilter:
                             and front_leq(insertion_front(m), insertion_front(ins))]
             leaf = leaf.parent
         assert covered
+
+
+def order_key(ins, inst):
+    """The integer order key of ``ins`` among the insertions of one node,
+    as ``CellTables`` states it."""
+    tables = cell_tables(inst)
+    depth_key, waste_key, _, _, _ = tables.depths[ins.depth]
+    if not ins.placements:
+        return waste_key
+    bottom, *top = ins.placements
+    n, depth_step = inst.n_items, tables.depths[2][0]
+    return (depth_key + bottom.item_id * 4 * depth_step + bottom.rotated * (2 * n + 1)
+            + ins.kind.value * tables.kind_step + sum(2 * pl.item_id + pl.rotated + 1 for pl in top))
+
+
+def same_partition(labels, reference_labels) -> bool:
+    """Two labellings of one list put the same members together."""
+    pairs = set(zip(labels, reference_labels))
+    return len(pairs) == len(set(labels)) == len(set(reference_labels))
+
+
+def assert_groups(insertions, groups, kept_by_symmetry):
+    """The trials' groups of one node's insertions, or of one frame's: the
+    kept ones, neither None nor ``_DOMINATED``, put together exactly the
+    insertions that ``reference_sibling_group`` puts together, and the
+    filter, which drops the ``_DOMINATED`` ones unseen, keeps what the
+    reference filter keeps.  None marks exactly the insertions that
+    ``kept_by_symmetry`` rejects.  Returns how many are ``_DOMINATED``."""
+    assert len(groups) == len(insertions)
+    assert [group is None for group in groups] == [not kept_by_symmetry(m) for m in insertions]
+    listed = [(m, group) for m, group in zip(insertions, groups) if group is not None]
+    kept = [(m, group) for m, group in listed if group != _DOMINATED]
+    assert same_partition([group for _, group in kept],
+                          [reference_sibling_group(m) for m, _ in kept])
+    ins_list = [m for m, _ in listed]
+    assert filter_dominated_children(ins_list, [group for _, group in listed]) == (
+        reference_filter_dominated_children(ins_list))
+    return len(listed) - len(kept)
+
+
+def assert_keys_and_groups(entries, kept_by_symmetry):
+    """The (order key, sibling group, insertion) entries of one frame: the
+    keys are unique and order the insertions as ``reference_sort_key``
+    does, and the groups are those of ``assert_groups``."""
+    keys = [key for key, _, _ in entries]
+    assert len(set(keys)) == len(keys)
+    by_key = [m for _, _, m in sorted(entries, key=lambda entry: entry[0])]
+    assert by_key == sorted(by_key, key=reference_sort_key)
+    assert_groups([m for _, _, m in entries], [group for _, group, _ in entries],
+                  kept_by_symmetry)
+
+
+class TestSiblingOrder:
+    """The order of one node's insertions is total: no two share an order
+    key, so neither the trials' order nor the key's encoding can change
+    the list.  On every state of the unpruned trees of
+    ``TestPruningLosses``' 150 draws, on the states that MBA* expands on
+    the golden midsize instances, and, for stacks, which those states
+    seldom list, on the walked states of the stackable-item pin."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        from test_golden_trace import MIDSIZE
+
+        states = []
+        rng = random.Random(1)
+        for _ in range(150):
+            inst = random_small_instance(rng, max_items=5)
+            stack = [root_node(inst)]
+            while stack:
+                node = stack.pop()
+                states.append((node, inst))
+                stack += children(node, inst, use_symmetry=False, use_dominance=False)
+        for spec in MIDSIZE.values():
+            inst = midsize_instance(**spec)
+            with expansion_trace() as trace:
+                mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 17, 600.0,
+                         Incumbent())
+            states += [(node, inst) for node in trace]
+        return states + stackable_walks()
+
+    def test_no_two_insertions_share_an_order_key(self, states):
+        """Both keys, the integer one and the tuple it stands for, rise
+        strictly along every list, under both symmetry flags."""
+        seen = {"lists of 2+": 0, "waste cells": 0, "stacks": 0, "midsize": 0}
+        for node, inst in states:
+            for use_symmetry in (False, True):
+                listed = enumerate_insertions(node, inst, use_symmetry)
+                for keys in ([order_key(m, inst) for m in listed],
+                             [reference_sort_key(m) for m in listed]):
+                    assert keys == sorted(set(keys))
+                seen["lists of 2+"] += len(listed) >= 2
+                seen["waste cells"] += sum(not m.placements for m in listed)
+                seen["stacks"] += sum(len(m.placements) == 2 for m in listed)
+                seen["midsize"] += inst.params.plate_width == 6000
+        assert min(seen.values()) >= 1000, seen
+
+    def test_groups_are_the_sibling_groups_and_mark_the_symmetry_rule(self, states):
+        """The trials' groups put together the insertions that pack the
+        same items on the same plate and leave the same depths open, but
+        for the wider orientation of an item that the narrower one
+        dominates at the same depth, marked ``_DOMINATED``; and under
+        symmetry they mark as None exactly the insertions that
+        ``symmetry_allows`` rejects (``assert_groups``)."""
+        seen = {"marked at depth 2": 0, "marked at depth 0 or 1": 0, "marked completing": 0,
+                "spared by a defect": 0, "dominated at depth 3": 0, "dominated below it": 0}
+        for node, inst in states:
+            below = node.closed_shelves[-1] if node.closed_shelves else None
+            may_swap = below is not None and _may_swap(
+                below.min_item, below.chain_ids, node.shelf_min_item, node.shelf_chain_ids)
+            for use_symmetry in (False, True):
+                listed = enumerate_insertions(node, inst, use_symmetry)
+                assert_groups(listed, listed.groups,
+                              lambda m: not use_symmetry or symmetry_allows(node, m, inst))
+                for group, m in zip(listed.groups, listed):
+                    if group is None:
+                        seen["marked completing" if m.completes else "marked at depth 2"
+                             if m.depth == 2 else "marked at depth 0 or 1"] += 1
+                    elif group == _DOMINATED:
+                        seen["dominated at depth 3" if m.depth == 3 else "dominated below it"] += 1
+                    elif use_symmetry and may_swap and m.depth < 3 and not m.completes:
+                        seen["spared by a defect"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 def walked_nodes(rng, min_nodes):
@@ -842,7 +976,7 @@ def reference_children(node, inst, use_symmetry, use_dominance=True):
     if use_symmetry:
         ins_list = [m for m in ins_list if reference_symmetry_allows(node, m, inst)]
     if use_dominance:
-        ins_list = filter_dominated_children(ins_list)
+        ins_list = reference_filter(ins_list)
     return [apply_insertion(node, m, inst) for m in ins_list]
 
 
@@ -1001,7 +1135,7 @@ class TestSymmetryAwareGenerator:
             assert all(m.depth == 3 and m.kind in lower and node.x3_prev == node.x1_prev
                        for m in spared)
             seen["symmetry"] += len(spared)
-            kept = filter_dominated_children(listed)
+            kept = filter_dominated_children(listed, listed.groups)
             broader = reference_filter_dominated_children(listed, by_open_depths=False)
             assert set(broader) <= set(kept)
             for m in kept:
@@ -1076,7 +1210,8 @@ class TestCellGenerator:
     def test_every_frame_matches_the_reference(self, nodes):
         """Every open depth's frame at every walked node, under both
         symmetry flags, emitting and probing: the same insertions in the
-        same order, and the same two facts."""
+        same order, and the same two facts; each with the order key and the
+        sibling group that its insertion has (``assert_keys_and_groups``)."""
         seen = {f"depth {d}": 0 for d in range(4)}
         seen.update({"completing": 0, "two items": 0, "swap-forbidden": 0, "probe fits": 0,
                      "growth": 0, "no cell": 0})
@@ -1095,7 +1230,12 @@ class TestCellGenerator:
                 results = {}
                 for use_symmetry in (False, True):
                     for emit in (True, False):
-                        got = _gen_cells(node, inst, frame, cells, depth, use_symmetry, emit)
+                        entries, fits, no_growth = _gen_cells(
+                            node, inst, frame, cells, depth, use_symmetry, emit)
+                        # a frame marks completing cells only: no shelf closes here
+                        assert_keys_and_groups(entries, lambda m: not use_symmetry or (
+                            not m.completes or symmetry_allows(node, m, inst)))
+                        got = ([m for _, _, m in entries], fits, no_growth)
                         ref = reference_gen_cells(
                             node, inst, frame, cands, combos, depth, use_symmetry, emit)
                         assert got == ref

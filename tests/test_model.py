@@ -14,9 +14,7 @@ from glasscut.model import (
     ParseError,
     root_node,
 )
-from glasscut.branching import (
-    Insertion, InsertionKind, Placement, children, filter_dominated_children,
-)
+from glasscut.branching import Insertion, InsertionKind, Placement, children
 
 from conftest import (
     SMALL_PARAMS,
@@ -30,6 +28,7 @@ from conftest import (
     random_small_instance,
     random_walk,
     raster_front_area,
+    reference_filter,
     reference_front_leq,
 )
 
@@ -280,14 +279,15 @@ class TestFrontOrder:
 
 class TestDominates:
     """Sibling dominance, as ``filter_dominated_children`` applies it to the
-    insertions of sibling children."""
+    insertions of sibling children (``conftest.reference_filter`` gives it
+    their groups)."""
 
     def test_same_node(self):
         inst = make_instance([(100, 100), (200, 150)])
         node = random_walk(random.Random(1), inst)[-1]
         twin = random_walk(random.Random(1), inst)[-1]  # the same walk again
         assert front_leq(node.front_key(), twin.front_key())
-        kept = filter_dominated_children([node.insertion, twin.insertion])
+        kept = reference_filter([node.insertion, twin.insertion])
         assert len(kept) == 1 and kept[0] is node.insertion  # the earliest wins ties
 
     def test_same_items_tighter_front_dominates(self):
@@ -307,7 +307,7 @@ class TestDominates:
         flat = next(k for k in depth3 if k.insertion.placements[0].rotated)
         assert front_leq(upright.front_key(), flat.front_key())
         assert not front_leq(flat.front_key(), upright.front_key())
-        assert filter_dominated_children([flat.insertion, upright.insertion]) == [upright.insertion]
+        assert reference_filter([flat.insertion, upright.insertion]) == [upright.insertion]
         filtered = children(parent, inst, use_dominance=True)
         assert not any(
             k.insertion.depth == 3 and k.insertion.placements and k.insertion.placements[0].rotated
@@ -321,4 +321,4 @@ class TestDominates:
         k0 = next(k for k in kids if k.insertion.placements[0].item_id == 0)
         k1 = next(k for k in kids if k.insertion.placements[0].item_id == 1)
         assert k0.front_key()[1:] == k1.front_key()[1:]
-        assert filter_dominated_children([k0.insertion, k1.insertion]) == [k0.insertion, k1.insertion]
+        assert reference_filter([k0.insertion, k1.insertion]) == [k0.insertion, k1.insertion]

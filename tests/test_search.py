@@ -948,6 +948,57 @@ class TestCacheBudgets:
             assert 0.75 * size <= child_memo_charge(*memo_entry()) <= 1.25 * size, size
 
 
+def _two_leaves_then_a_cut_sibling(inst):
+    """The first state, depth first over the kept children, whose kept
+    children hold two complete leaves, the first better than or as good as
+    the second, and after the first a sibling that is not complete and
+    wastes at least as much as the first leaf; with its children built."""
+    stack = [root_node(inst)]
+    while stack:
+        node = stack.pop()
+        kids = children(node, inst)
+        leaves = [k for k in kids if k.complete]
+        if len(leaves) >= 2 and leaves[0].waste <= leaves[1].waste and any(
+                not k.complete and k.waste >= leaves[0].waste
+                for k in kids[kids.index(leaves[0]) + 1:]):
+            return node, kids
+        stack += reversed([k for k in kids if not k.complete])
+    return None
+
+
+def test_the_bound_is_read_again_after_each_offer():
+    """``expand`` reads the bound once per expansion and again after each
+    offer.  At a node whose kept children are two complete leaves, the
+    first no worse than the second, and a sibling after the first that is
+    not complete and wastes at least as much: only the first leaf is
+    offered (one new history entry), and the sibling is cut, as a bound
+    read per child cuts it."""
+    inst = random_small_instance(random.Random(0))
+    node, kids = _two_leaves_then_a_cut_sibling(inst)
+    first = next(k for k in kids if k.complete)
+    p = inst.params
+    offered = []
+
+    class Counting(Incumbent):
+        def offer(self, leaf, elapsed):
+            offered.append(leaf.waste)
+            return super().offer(leaf, elapsed)
+
+    incumbent = Counting()
+    expand, _ = search._expander(inst, incumbent, search._Clock(60.0),
+                                 GuideKind.WASTE_PERCENTAGE, True, True, None)
+    entries = expand(node)
+    assert offered == [first.waste] and [w for _, w in incumbent.history] == [first.waste]
+    # a bound read per child: every child after the first leaf meets its waste
+    after = kids[kids.index(first) + 1:]
+    expected = [k.insertion for k in kids[:kids.index(first)] if not k.complete] + [
+        k.insertion for k in after if not k.complete and k.waste < first.waste and waste_floor(
+            k.bin * p.plate_width * p.plate_height, p.plate_height, k.x1_curr,
+            inst.total_item_area) < first.waste]
+    assert [ins for *_, (_, _, ins) in entries] == expected
+    assert len(expected) < sum(not k.complete for k in kids)
+
+
 class TestBuildOnlyWhatIsExpanded:
     """Open children stay (parent, insertion) pairs: a search builds a
     ``Node`` for each node it expands, the root aside, and for each complete
@@ -1017,7 +1068,7 @@ class TestBuildOnlyWhatIsExpanded:
                 admitted.clear()
                 entries = expand(node)
                 assert len(admitted) == len(entries)
-                for (key, packed, child), args in zip(entries, admitted):
+                for (key, packed, _, child), args in zip(entries, admitted):
                     built = build(child)
                     assert child[0] == built.waste
                     assert key == _guide(built, guide, scale)
