@@ -606,15 +606,15 @@ def _shelf_swap_max(node: Node, defects: tuple[Defect, ...], shelf_min: Optional
                     shelf_chains: frozenset[int], x_max: int) -> int:
     """The largest final 1-cut x1, up to ``x_max``, at which closing the
     current shelf, holding ``shelf_min`` and ``shelf_chains``, is forbidden
-    against the shelf below (``_swap_forbidden``), or -1: both span x1_prev
-    to x1, and are defect-free up to the first defect in them."""
+    against the shelf below (``_swap_forbidden``), or -1: the two span
+    x1_prev to x1 and are stacked, so both are defect-free up to the first
+    defect in the band from the lower's floor to the upper's top."""
     below = node.closed_shelves[-1]
     if not _may_swap(below.min_item, below.chain_ids, shelf_min, shelf_chains):
         return -1
     for d in defects:
-        if d.x < x_max and node.x1_prev < d.x + d.width and (
-                d.y < below.y1 and below.y0 < d.y + d.height
-                or d.y < node.y2_curr and node.y2_prev < d.y + d.height):
+        if (d.x < x_max and node.x1_prev < d.x + d.width
+                and d.y < node.y2_curr and below.y0 < d.y + d.height):
             x_max = d.x
     return x_max
 
