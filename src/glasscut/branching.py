@@ -814,8 +814,8 @@ def _gen_cells(
         elif x1 <= closing_max:
             group = None
         elif k is None:
-            # of an item's two orientations the narrower ends at or left of
-            # the wider's x1, so it dominates the wider unless its top is higher
+            # of an item's two orientations the narrower has the smaller or
+            # equal final x1, so it dominates the wider unless its top is higher
             if j == one_j and w > one_w and y_hi >= one_top:
                 group = _DOMINATED
             elif j == one_j and w < one_w and one_top >= y_hi:
