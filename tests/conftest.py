@@ -130,9 +130,9 @@ def reference_sort_key(ins: Insertion) -> tuple:
 
 def reference_sibling_group(ins: Insertion) -> tuple:
     """The sibling group of ``ins`` as a tuple: its plate, the sorted
-    chains it advances and the depths it leaves open to its child.  Equal
-    exactly where the groups that the trials give (``InsertionList``) are
-    equal, among the insertions of one node."""
+    chains it advances and the depths it leaves open to its child.  Among
+    the insertions of one node, equal exactly where the groups that the
+    trials give (``InsertionList``) are equal, but for those they mark."""
     return (ins.bin, *sorted(pl.chain_idx for pl in ins.placements), depths_after(ins))
 
 

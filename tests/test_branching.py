@@ -1232,7 +1232,7 @@ class TestCellGenerator:
                     for emit in (True, False):
                         entries, fits, no_growth = _gen_cells(
                             node, inst, frame, cells, depth, use_symmetry, emit)
-                        # a frame marks completing cells only: no shelf closes here
+                        # with no closing_max, only completing cells can be marked
                         assert_keys_and_groups(entries, lambda m: not use_symmetry or (
                             not m.completes or symmetry_allows(node, m, inst)))
                         got = ([m for _, _, m in entries], fits, no_growth)
