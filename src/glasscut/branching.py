@@ -44,6 +44,17 @@ below's, at depth 2).  ``_gen_waste`` covers the nearest defect: with a
 band above the shelves at depth 2, else with a strip right of the frame's
 left edge; it is not called on a plate without defects.
 
+A closing shelf's own cuts, the strip cut right of its last item cell and
+its top cut, are stated once (``_shelf_cuts_max``), as the widest final
+1-cut they allow.  Every move that closes a shelf reads them there: the
+frames of depths 0 and 1, a depth-2 frame's bound, a completing cell and
+the band.  The current shelf's check (``_shelf_closes``) adds the cuts
+that the column's growth widens (``_grow_max``), only past x1_curr.  A
+column or shelf without items only follows a waste move, after which
+only depth 1 is open, or only depth 2 after a band, whose 1-cut cannot
+move; so the closing cuts need no exception for one
+(``tests/test_branching.py::TestStatesWithoutItems``).
+
 The cell trials are one loop over the cell contents of the chain state
 (``pair_combos``): each candidate item alone, in each orientation, then the
 width-matched two-item stacks.  A trial's shape step places one item or a
@@ -237,14 +248,6 @@ def _resolve_x1(cur: int, lower: int, edges: list[int], min_waste: int) -> int:
     return x1
 
 
-def _growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
-    """Re-check cuts that widen or materialize when x1 grows to
-    ``final_x1`` (at least x1_curr): see ``_grow_max``."""
-    if final_x1 == node.x1_curr or not defects:
-        return True
-    return final_x1 <= _grow_max(node, defects, final_x1)
-
-
 def _hcuts_max(defects: tuple[Defect, ...], x0: int, levels: Iterable[int], x_max: int) -> int:
     """The largest x, up to ``x_max``, at which cuts from x0 to x at each of
     ``levels`` cross no defect: at most the left edge of each they cross."""
@@ -274,24 +277,27 @@ def _grow_max(node: Node, defects: tuple[Defect, ...], x1_max: int) -> int:
     return _hcuts_max(defects, node.x1_prev, levels, x1_max)
 
 
-def _close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
-    """Strip cut left behind by the shelf being closed, if one appears."""
-    if node.cell_min_item is None:
-        return True  # trailing waste cell absorbs the strip, no new cut
-    if final_x1 > node.x3_curr and defects:
-        return _vcut_ok(defects, node.x3_curr, node.y2_prev, node.y2_curr)
-    return True
+def _shelf_cuts_max(
+    defects: tuple[Defect, ...], x1_prev: int, x_end: Optional[int], y0: int, y1: int, x1_max: int
+) -> int:
+    """The largest final 1-cut x1, up to ``x1_max``, at which a closing
+    shelf from y0 to y1 leaves its own cuts clear of the defects: the strip
+    cut at ``x_end``, the right edge of its last cell, which an x1 past it
+    makes (None when that cell is waste and absorbs the strip), and its top
+    cut from x1_prev to x1."""
+    if x_end is not None and x_end < x1_max and not _vcut_ok(defects, x_end, y0, y1):
+        x1_max = x_end
+    return _hcuts_max(defects, x1_prev, (y1,), x1_max)
 
 
-def _shelf_closes_ok(node: Node, x1: int, defects: tuple[Defect, ...]) -> bool:
-    """Whether the cuts that closing the current shelf makes, with the
-    column's final 1-cut at ``x1``, clear the defects: the cuts that the
-    column's growth widens (``_growth_cuts_ok``), the shelf's strip cut
-    (``_close_shelf_cut_ok``) and its top cut from x1_prev to x1, which an
-    all-waste shelf does not make, as it merges with what lies above."""
-    return (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)
-            and (node.shelf_min_item is None
-                 or _hcut_ok(defects, node.y2_curr, node.x1_prev, x1)))
+def _shelf_closes(node: Node, x1: int, defects: tuple[Defect, ...]) -> bool:
+    """Whether the current shelf may close with the column's final 1-cut
+    at ``x1`` (at least x1_curr): its own cuts (``_shelf_cuts_max``) and,
+    where x1 > x1_curr, the cuts that the column's growth widens
+    (``_grow_max``)."""
+    x_end = node.x3_curr if node.cell_min_item is not None else None
+    return (x1 <= _shelf_cuts_max(defects, node.x1_prev, x_end, node.y2_prev, node.y2_curr, x1)
+            and (x1 == node.x1_curr or x1 <= _grow_max(node, defects, x1)))
 
 
 def _frame(
@@ -324,25 +330,22 @@ def _frame(
     new_bin = depth == 0
     x1 = None  # the final 1-cut of the closed column; none before the first plate
     if node.bin >= 0:
+        # a column without items is a waste cell's, after which only depth
+        # 1 is open (``depths_after``), so depth 0 closes a column of items
         lower = node.x1_curr
         if node.col_has_items:
             lower = max(lower, node.x1_prev + p.min1)
         x1 = _resolve_x1(node.x1_curr, lower, edges, p.min_waste)
-        if node.col_has_items and x1 - node.x1_prev > p.max1:
+        if node.col_has_items and x1 - node.x1_prev > p.max1 or x1 > W:
             return None
-        if x1 > W:
-            return None
-        # the shelf's top cut is the top strip's (an item shelf's top is
-        # never a sliver below H, and no cut at H crosses a defect)
-        if not _shelf_closes_ok(node, x1, defects):
-            return None
-        if new_bin and node.col_has_items and 0 < W - x1 < p.min_waste:
+        if new_bin and 0 < W - x1 < p.min_waste:
             return None  # the plate's trailing gap would be a sliver
-        # the closing 1-cut is the next column's left edge, or the plate's last
-        # cut (none when an all-waste column merges with the trailing gap)
-        if defects and (not new_bin or node.col_has_items and x1 < W):
-            if not _vcut_ok(defects, x1, 0, H):
-                return None
+        # the shelf's top cut is the top strip's (an item shelf's top is
+        # never a sliver below H); the closing 1-cut is the next column's
+        # left edge, or the plate's last cut
+        if defects and (not _shelf_closes(node, x1, defects)
+                        or x1 < W and not _vcut_ok(defects, x1, 0, H)):
+            return None
     if new_bin:
         plate, x, defects = node.bin + 1, 0, instance.plate_defects(node.bin + 1)
     else:
@@ -619,18 +622,6 @@ def _shelf_swap_max(node: Node, defects: tuple[Defect, ...], shelf_min: Optional
     return x_max
 
 
-def _closing_cuts_ok(
-    defects: tuple[Defect, ...], p: Params, x_end: int, x1: int, x1_prev: int, y_lo: int, y_hi: int
-) -> bool:
-    """Cuts that appear when a cell packs the last item and the column closes
-    at x1: the strip right of the cell, the column's top strip and the 1-cut."""
-    if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
-        return False
-    if y_hi < p.plate_height and not _hcut_ok(defects, y_hi, x1_prev, x1):
-        return False
-    return x1 >= p.plate_width or _vcut_ok(defects, x1, 0, p.plate_height)
-
-
 def _cell_opening_shelf(
     defects: tuple[Defect, ...], x: int, y_lo: int, w: int, h: int, p: Params
 ) -> Optional[tuple[InsertionKind, int, int]]:
@@ -685,20 +676,19 @@ def _gen_cells(
     a cell that ends left of x1_curr and does not complete shares one x1
     per frame, and without edges a cell that grows the column and does not
     complete takes its own right edge), compares it with the bounds the
-    frame's cuts set (``x1_max``, at depth 2 also by the strip cut of the
-    shelf that closes and the new shelf's floor, and ``_grow_max`` past
-    x1_curr), and checks the cuts that close the column after a completing
-    cell (``_closing_cuts_ok``).  The facts of the cell-swap rule
-    (``_swap_forbidden``) about the left cell are read once per frame, and
-    each trial tests only its own cell against them."""
+    frame's cuts set (``x1_max``, at depth 2 also by the cuts of the shelf
+    that closes, whose top is the new shelf's floor, and ``_grow_max`` past
+    x1_curr), and checks the cuts that close the shelf and the column after
+    a completing cell (``_shelf_cuts_max`` and the 1-cut).  The facts of the
+    cell-swap rule (``_swap_forbidden``) about the left cell are read once
+    per frame, and each trial tests only its own cell against them."""
     plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
     p = instance.params
-    mw, H, min2 = p.min_waste, p.plate_height, p.min2
-    x1_max = min(x1_prev + p.max1, p.plate_width)
-    if depth == 2 and defects:  # the closing shelf's strip cut (none at x3_curr), the floor
-        if not _close_shelf_cut_ok(node, x1_max, defects):
-            x1_max = node.x3_curr
-        x1_max = _hcuts_max(defects, x1_prev, (y_lo,), x1_max)
+    mw, W, H, min2 = p.min_waste, p.plate_width, p.plate_height, p.min2
+    x1_max = min(x1_prev + p.max1, W)
+    if depth == 2 and defects:  # the cuts of the shelf that closes, whose top is the floor
+        x_last = node.x3_curr if node.cell_min_item is not None else None
+        x1_max = _shelf_cuts_max(defects, x1_prev, x_last, node.y2_prev, y_lo, x1_max)
     items_left = len(instance.items) - node.n_packed
     new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
     # the final x1 of every cell that ends left of x1_curr and does not
@@ -789,8 +779,9 @@ def _gen_cells(
                 continue
         elif x1_curr > x1_max:
             continue
-        if completing and defects and not _closing_cuts_ok(
-                defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+        if completing and defects and (  # the cell's shelf and the column close
+                x1 > _shelf_cuts_max(defects, x1_prev, x_end, y_lo, y_hi, x1)
+                or x1 < W and not _vcut_ok(defects, x1, 0, H)):
             continue
         fits = True
         if x1 == x1_curr:
@@ -830,51 +821,42 @@ def _gen_waste(node: Node, instance: Instance, frame: tuple, depth: int) -> Opti
     blocking defect, if there is one: at depth 2 a band above the shelves,
     else a strip right of the frame's left edge."""
     plate, prev_col_x1, x1_prev, x1_curr, edges, defects, x, y_lo, y_cap = frame
-    # most frames have no defect ahead: find the first one before listing them
-    if depth == 2:
+    near = []  # the defects in the waste cell's way
+    if depth == 2:  # a band covers those above the shelves
         for d in defects:
             if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width:
-                break
-        else:
-            return None
-        band = [d for d in defects
-                if d.y + d.height > y_lo and d.x < x1_curr and x1_prev < d.x + d.width]
-    else:
+                near.append(d)
+    else:  # a strip covers those right of x, between the frame's floor and top
         for d in defects:
             if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height:
-                break
-        else:
-            return None
-        ahead = [d for d in defects if d.x + d.width > x and d.y < y_cap and y_lo < d.y + d.height]
+                near.append(d)
+    if not near:
+        return None
     p = instance.params
     mw = p.min_waste
     # a column reached at depth 2 or 3 holds items, so max1 bounds it
     x1_max = min(x1_prev + p.max1, p.plate_width) if depth >= 2 else p.plate_width
     if depth == 2:
-        H = p.plate_height
-        first = min(band, key=lambda d: (d.y, d.x))
-        y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), band, vertical=False)
+        first = min(near, key=lambda d: (d.y, d.x))
+        y_end = _extend_past(y_lo, max(y_lo + mw, first.y + first.height), near, vertical=False)
         # after a band only depth 2 is open, and a shelf of items is at
         # least min2 high: a band that ends above H - min2 is a dead end
-        if y_end > H - p.min2:
+        if y_end > p.plate_height - p.min2:
             return None
         x1 = _resolve_x1(x1_curr, x1_curr, edges, mw)
-        if x1 > x1_max:
-            return None
-        if not _shelf_closes_ok(node, x1, defects):
-            return None
-        if not _hcut_ok(defects, y_end, x1_prev, x1):
+        if (x1 > x1_max or not _shelf_closes(node, x1, defects)
+                or not _hcut_ok(defects, y_end, x1_prev, x1)):
             return None
         return tuple.__new__(Insertion, (
             _WASTE_ONLY, 2, False, (), plate, x1_prev, x1, y_lo, y_end, x1_prev, x1, None,
         ))
-    first = min(ahead, key=lambda d: (d.x, d.y))
-    x_end = _extend_past(x, max(x + mw, first.x + first.width), ahead, vertical=True)
+    first = min(near, key=lambda d: (d.x, d.y))
+    x_end = _extend_past(x, max(x + mw, first.x + first.width), near, vertical=True)
     x1 = _resolve_x1(x1_curr, x_end, edges, mw)
     if x1 > x1_max or not _vcut_ok(defects, x_end, y_lo, y_cap):
         return None
-    if depth == 3 and not _growth_cuts_ok(node, x1, defects):
-        return None
+    if depth == 3 and x1 > x1_curr and x1 > _grow_max(node, defects, x1):
+        return None  # a cut that the column's growth widens crosses a defect
     return tuple.__new__(Insertion, (
         _WASTE_ONLY, depth, False, (), plate, x1_prev, x1, y_lo, y_cap, x, x_end, prev_col_x1,
     ))

@@ -12,9 +12,8 @@ import pytest
 from glasscut import search
 from glasscut.branching import (
     _ITEM_WASTE_ABOVE, _ITEM_WASTE_BELOW, _ONE_ITEM, _TWO_ITEMS, Insertion, InsertionKind,
-    Placement, _allowed_depths, _cell_opening_shelf, _close_shelf_cut_ok, _closed_edges,
-    _closing_cuts_ok, _frame, _gen_cells, _gen_waste, _growth_cuts_ok, _hcut_ok,
-    _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
+    Placement, _allowed_depths, _cell_opening_shelf, _closed_edges, _frame, _gen_cells,
+    _gen_waste, _hcut_ok, _rect_clear, _resolve_x1, _swap_forbidden, _vcut_ok, apply_insertion,
     children, depths_after, filter_dominated_children, insertion_front, pair_combos,
 )
 from glasscut.model import (
@@ -452,7 +451,8 @@ def reference_frame(node: Node, instance: Instance, depth: int) -> Optional[tupl
             return None
         if x1 > W:
             return None
-        if not (_growth_cuts_ok(node, x1, defects) and _close_shelf_cut_ok(node, x1, defects)):
+        if not (reference_growth_cuts_ok(node, x1, defects)
+                and reference_close_shelf_cut_ok(node, x1, defects)):
             return None
         # top strip of the column: absent, or at least min_waste tall (a
         # trailing all-waste shelf merges with it and has no such limit)
@@ -519,6 +519,44 @@ def reference_growth_cuts_ok(node: Node, final_x1: int, defects: tuple[Defect, .
             if not _vcut_ok(defects, rec.edge, rec.y0, rec.y1):
                 return False
     return True
+
+
+def reference_close_shelf_cut_ok(node: Node, final_x1: int, defects: tuple[Defect, ...]) -> bool:
+    """Strip cut left behind by the shelf being closed, if one appears:
+    ``branching._close_shelf_cut_ok`` as it was before one helper,
+    ``_shelf_cuts_max``, gave a closing shelf's strip and top cuts."""
+    if node.cell_min_item is None:
+        return True  # trailing waste cell absorbs the strip, no new cut
+    if final_x1 > node.x3_curr and defects:
+        return _vcut_ok(defects, node.x3_curr, node.y2_prev, node.y2_curr)
+    return True
+
+
+def reference_shelf_closes_ok(node: Node, x1: int, defects: tuple[Defect, ...]) -> bool:
+    """Whether the cuts that closing the current shelf makes, with the
+    column's final 1-cut at ``x1``, clear the defects: the cuts that the
+    column's growth widens, the shelf's strip cut and its top cut from
+    x1_prev to x1, which an all-waste shelf does not make, as it merges
+    with what lies above.  ``branching._shelf_closes_ok`` as it was before
+    ``_shelf_closes`` tested the top cut of every shelf."""
+    return (reference_growth_cuts_ok(node, x1, defects)
+            and reference_close_shelf_cut_ok(node, x1, defects)
+            and (node.shelf_min_item is None
+                 or _hcut_ok(defects, node.y2_curr, node.x1_prev, x1)))
+
+
+def reference_closing_cuts_ok(
+    defects: tuple[Defect, ...], p: Params, x_end: int, x1: int, x1_prev: int, y_lo: int, y_hi: int
+) -> bool:
+    """Cuts that appear when a cell packs the last item and the column closes
+    at x1: the strip right of the cell, the column's top strip and the 1-cut.
+    ``branching._closing_cuts_ok`` as it was before a completing cell's
+    shelf closed through ``_shelf_cuts_max``."""
+    if x1 > x_end and not _vcut_ok(defects, x_end, y_lo, y_hi):
+        return False
+    if y_hi < p.plate_height and not _hcut_ok(defects, y_hi, x1_prev, x1):
+        return False
+    return x1 >= p.plate_width or _vcut_ok(defects, x1, 0, p.plate_height)
 
 
 def reference_cell_in_shelf(
@@ -651,10 +689,12 @@ def reference_gen_cells(
             if depth >= 2 and not reference_growth_cuts_ok(node, x1, defects):
                 return None
             if depth == 2 and not (
-                _close_shelf_cut_ok(node, x1, defects) and _hcut_ok(defects, y_lo, x1_prev, x1)
+                reference_close_shelf_cut_ok(node, x1, defects)
+                and _hcut_ok(defects, y_lo, x1_prev, x1)
             ):
                 return None
-            if completing and not _closing_cuts_ok(defects, p, x_end, x1, x1_prev, y_lo, y_hi):
+            if completing and not reference_closing_cuts_ok(
+                    defects, p, x_end, x1, x1_prev, y_lo, y_hi):
                 return None
         fits = True
         if x1 == x1_curr:

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import os
 import pickle
 import random
 from dataclasses import replace
@@ -21,9 +22,14 @@ from glasscut.branching import (
     _frame,
     _gen_cells,
     _gen_waste,
-    _growth_cuts_ok,
+    _grow_max,
+    _hcut_ok,
     _may_swap,
+    _resolve_x1,
+    _shelf_closes,
+    _shelf_cuts_max,
     _swap_forbidden,
+    _vcut_ok,
     apply_insertion,
     candidate_items,
     cell_tables,
@@ -57,13 +63,18 @@ from conftest import (
     reference_filter,
     reference_filter_dominated_children,
     reference_cell_swap_forbidden,
+    reference_close_shelf_cut_ok,
+    reference_closing_cuts_ok,
     reference_frame,
     reference_gen_cells,
     reference_growth_cuts_ok,
     reference_pair_combos,
+    reference_shelf_closes_ok,
     reference_sibling_group,
     reference_sort_key,
 )
+
+RUN_SLOW = os.environ.get("GLASSCUT_RUN_SLOW") == "1"
 
 
 def kid_for(parent, inst, item_id, rotated=False, depth=None, **kw):
@@ -1299,19 +1310,107 @@ class TestCellGenerator:
         assert min(seen.values()) >= 5 and seen["lower"] >= 1000, seen
 
     def test_growth_cuts_match_the_reference_loop(self, nodes):
-        """``_growth_cuts_ok``, which compares x1 with ``_grow_max``, against
-        the loop over the closed shelves, at every walked node with defects,
-        for x1 at and around every defect edge right of x1_curr."""
-        checked = {True: 0, False: 0}
+        """The closing checks against the predicates they replaced, at every
+        walked node with defects, for x1 at and around every defect edge
+        from x1_curr to the plate's width: the growth cuts past x1_curr
+        (``_grow_max``) against the loop over the closed shelves
+        (``conftest.reference_growth_cuts_ok``); the current shelf's own
+        cuts, as a predicate and as a depth-2 frame's bound
+        (``_shelf_cuts_max``), against its strip cut and top cut; the whole
+        check (``_shelf_closes``) against ``reference_shelf_closes_ok``,
+        which skipped an all-waste shelf's top cut; and the cuts of a
+        completing cell that ends at x3_curr, with the column's 1-cut,
+        against ``reference_closing_cuts_ok``."""
+        seen = {"closes": 0, "growth refused": 0, "strip refused": 0, "top refused": 0,
+                "all-waste shelf": 0, "completing refused": 0}
         for node, inst in nodes:
             defects = inst.plate_defects(node.bin)
             if node.complete or not defects:
                 continue
-            xs = {node.x1_curr, node.x1_curr + 1, inst.params.plate_width}
+            p = inst.params
+            W, H = p.plate_width, p.plate_height
+            x1_prev, y0, y1 = node.x1_prev, node.y2_prev, node.y2_curr
+            x_last = node.x3_curr if node.cell_min_item is not None else None
+            widest = _shelf_cuts_max(defects, x1_prev, x_last, y0, y1, W)
+            xs = {node.x1_curr, node.x1_curr + 1, W}
             for d in defects:
                 xs.update((d.x - 1, d.x, d.x + 1, d.x + d.width))
-            for x1 in sorted(x for x in xs if x >= node.x1_curr):
-                ok = _growth_cuts_ok(node, x1, defects)
-                assert ok == reference_growth_cuts_ok(node, x1, defects)
-                checked[ok] += 1
-        assert min(checked.values()) >= 100, checked
+            for x1 in sorted(x for x in xs if node.x1_curr <= x <= W):
+                grows = x1 == node.x1_curr or x1 <= _grow_max(node, defects, x1)
+                assert grows == reference_growth_cuts_ok(node, x1, defects)
+                strip = reference_close_shelf_cut_ok(node, x1, defects)
+                top = _hcut_ok(defects, y1, x1_prev, x1)
+                own = x1 <= _shelf_cuts_max(defects, x1_prev, x_last, y0, y1, x1)
+                assert own == (x1 <= widest) == (strip and top)
+                ok = _shelf_closes(node, x1, defects)
+                ref = reference_shelf_closes_ok(node, x1, defects)
+                if node.shelf_min_item is None:
+                    assert ok == (ref and top)
+                    seen["all-waste shelf"] += 1
+                else:
+                    assert ok == ref
+                seen["closes" if ok else "growth refused" if not grows else
+                     "strip refused" if not strip else "top refused"] += 1
+                if x_last is not None:
+                    completes = own and (x1 == W or _vcut_ok(defects, x1, 0, H))
+                    assert completes == reference_closing_cuts_ok(
+                        defects, p, x_last, x1, x1_prev, y0, y1)
+                    seen["completing refused"] += not completes
+        assert min(seen.values()) >= 100, seen
+
+
+class TestStatesWithoutItems:
+    """A column or a shelf without items only follows a waste move, and
+    the depths that a waste move leaves open (``depths_after``) never close
+    one where a cut could cross a defect: so ``_frame`` reads no
+    ``col_has_items`` at depth 0, and ``_shelf_closes`` tests an all-waste
+    shelf's top cut as any other.  These facts fail if a later rule opens
+    another depth after a waste move or lets a band's 1-cut move, and a
+    dropped guard is needed again."""
+
+    @pytest.mark.parametrize("seed, draws, max_items", [
+        (1, 150, 5),
+        pytest.param(2, 300, 6, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not RUN_SLOW, reason="set GLASSCUT_RUN_SLOW=1 for the 300 draws")]),
+    ])
+    def test_no_state_needs_a_closing_guard(self, seed, draws, max_items):
+        """At every state of the unpruned trees of ``TestPruningLosses``'
+        draws, and of the stackable-item pin's walks with the 150 draws: a
+        column without items leaves only depth 1 open; a shelf without items
+        reaches the plate's top, after a waste cell at depth 0 or 1, or is a
+        band; and after a band, the one open depth's frame keeps the 1-cut
+        at x1_curr, where the band's top cut from x1_prev clears the
+        defects."""
+        def states():
+            rng = random.Random(seed)
+            for _ in range(draws):
+                inst = random_small_instance(rng, max_items=max_items)
+                stack = [root_node(inst)]
+                while stack:
+                    node = stack.pop()
+                    yield node, inst
+                    stack += children(node, inst, use_symmetry=False, use_dominance=False)
+            if seed == 1:
+                yield from stackable_walks()
+
+        seen = {"column without items": 0, "waste column": 0, "band": 0}
+        for node, inst in states():
+            if node.bin < 0:
+                continue  # the root, before any plate
+            if not node.col_has_items:
+                assert _allowed_depths(node) == (1,)
+                seen["column without items"] += 1
+            if node.shelf_min_item is None:
+                ins, p = node.insertion, inst.params
+                assert ins.kind is InsertionKind.WASTE_ONLY
+                if ins.depth < 2:
+                    assert (node.y2_prev, node.y2_curr) == (0, p.plate_height)
+                    seen["waste column"] += 1
+                    continue
+                assert ins.depth == 2 and _allowed_depths(node) == (2,)
+                defects = inst.plate_defects(node.bin)
+                edges = _frame(node, inst, 2, defects, _closed_edges(node))[4]
+                assert _resolve_x1(node.x1_curr, node.x1_curr, edges, p.min_waste) == node.x1_curr
+                assert _hcut_ok(defects, node.y2_curr, node.x1_prev, node.x1_curr)
+                seen["band"] += 1
+        assert min(seen.values()) >= 100, seen
