@@ -111,15 +111,19 @@ One per-instance cache remains: the child memo of
 ``child_insertions(..., memoize=True)``, keyed on every node field the
 pipeline reads (``CHILD_MEMO_FIELDS``).  It serves searches that meet a
 state again: MBA* restarts from the root with a larger fringe, and the
-iterative beam with a wider beam.  Its table (``ByteBoundedCache``) charges
-each entry a size worked out from its lengths and evicts the entries put
-first; a lookup is the table's own ``dict.get``, and no order of use is
-kept.
+iterative beam with a wider beam.  Each pass first fits the memo to itself
+(``fit_child_memo``): a pass at capacity D looks up about D states per item,
+so the budget rises to hold that many at the mean charge of the entries
+held, within a quarter of the memory share that the node cap comes from.
+Its table (``ByteBoundedCache``) charges each entry once, when it is put, a
+size worked out from its lengths, and evicts the entries put first; a
+lookup is the table's own ``dict.get``, and no order of use is kept.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from enum import Enum
 from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
@@ -382,31 +386,37 @@ def _allowed_depths(node: Node) -> tuple[int, ...]:
 class ByteBoundedCache:
     """A table of values whose charged bytes stay within ``budget``:
     ``charge(key, value)`` is an entry's size in bytes, worked out from
-    their lengths.  ``get`` is the table's own ``dict.get``, and ``put``
-    adds a key that ``get`` missed, then evicts the entries put first until
-    the total charged fits the budget.  Values are shared: callers must not
-    change them, and None is not a value.  An entry's charge is worked out
-    again when it is evicted, so the table holds the values only."""
+    their lengths once, when the entry is put.  ``get`` is the table's own
+    ``dict.get``, and ``put`` adds a key that ``get`` missed, then evicts
+    the entries put first until the total charged fits the budget.  Values
+    are shared: callers must not change them, and None is not a value.  Two
+    deques hold the keys and their charges in put order, so an eviction pops
+    their fronts and costs O(1) however many entries the table holds."""
 
-    __slots__ = ("budget", "charge", "charged", "_table", "get")
+    __slots__ = ("budget", "charge", "charged", "_table", "_order", "_charges", "get")
 
     def __init__(self, budget: int, charge: Callable[[Hashable, object], int]) -> None:
         self.budget = budget
         self.charge = charge
         self.charged = 0  # bytes charged for the entries held
         self._table: dict = {}
+        self._order: deque[Hashable] = deque()  # the keys, put first first
+        self._charges: deque[int] = deque()  # the keys' charges, in the same order
         self.get = self._table.get
 
     def __len__(self) -> int:
         return len(self._table)
 
     def put(self, key: Hashable, value) -> None:
-        table, charge = self._table, self.charge
+        table, order, charges = self._table, self._order, self._charges
         table[key] = value
-        self.charged += charge(key, value)
+        order.append(key)
+        charge = self.charge(key, value)
+        charges.append(charge)
+        self.charged += charge
         while self.charged > self.budget:
-            first = next(iter(table))
-            self.charged -= charge(first, table.pop(first))
+            del table[order.popleft()]
+            self.charged -= charges.popleft()
 
 
 _flatten = itertools.chain.from_iterable
@@ -1010,21 +1020,24 @@ _MEMO_COUNTS = CHILD_MEMO_FIELDS.index("counts")
 # entries, 64 from each node_cap=16 run of tests/test_search.py::
 # TestCacheBudgets (``_traced_size``; 0.99-1.14 with 15 fields), also now
 # that the sibling filter keeps the siblings that leave other depths open.
-# They count neither the table's own slots (about 50 B an entry) nor
-# a key's shelf records and chain-id sets, which its node shares with its
-# relatives: dropping a full memo after such a run freed 0.93-1.16 times its
-# charged total (most on 8 chains).  Entries averaged 1.45 KB on the
+# They count neither the table's own slots and put order (about 80 B an
+# entry) nor a key's shelf records and chain-id sets, which its node shares
+# with its relatives: dropping a full memo after such a run freed 0.93-1.16
+# times its charged total (most on 8 chains).  Entries averaged 1.45 KB on the
 # benchmark's 8-chain instances, 4.7 KB on 30 chains and 10.6 KB on 60.
 CHAIN_BYTES = 8
 MEMO_ENTRY_BYTES = 320
 MEMO_INSERTION_BYTES = 272
 MEMO_PLACEMENT_BYTES = 128
-# 1.5 MB: 825-1,381 states (median 1,150) on the instances of the benchmark's
-# mba_many_chains, whose restarts then hit the memo on 25-28% of lookups
-# (36-37% with no bound, 15-16% at 384 states).  On that workload (2 vCPUs,
-# CPython 3.11), against a bound of 384 states, it gained 9-21% expansions/s
-# for 3-5% more peak RSS; 1.75 MB gained nothing more in 3 pairs, for 1.4%
-# more peak RSS.
+# The budget's floor.  1.5 MB holds 825-1,381 states (median 1,150) of the
+# benchmark's mba_many_chains, whose restarts then hit the memo on 25-28% of
+# lookups (36-37% with no bound, 15-16% at 384 states).  Against 384 states
+# it read 9-21% more expansions/s there (2 vCPUs, CPython 3.11), but through
+# the benchmark's scaled rate, which moves with the garbage collections that
+# fall inside its reference probe (see CHANGES).  The passes of
+# 1.5 s restarts on 30-item instances look up thousands of states, which
+# thrashed it: one pass of states (``fit_child_memo``) raised their hits
+# from 5-16% of lookups to 32-66%.
 CHILD_MEMO_BYTES = 1_500_000
 
 
@@ -1045,15 +1058,28 @@ def child_memo_charge(key: tuple, kept: tuple[Insertion, ...]) -> int:
 
 def child_memo(instance: Instance) -> ByteBoundedCache:
     """The child memo of ``instance``: the kept insertions of the states
-    that ``child_insertions`` put last, within ``CHILD_MEMO_BYTES``; the
-    states put first are evicted first, however often they were read.
-    It is made on first use, and each portfolio worker process fills its
-    own copy."""
+    that ``child_insertions`` put last, within a budget that starts at
+    ``CHILD_MEMO_BYTES`` and that ``fit_child_memo`` raises; the states put
+    first are evicted first, however often they were read.  It is made on
+    first use, and each portfolio worker process fills its own copy."""
     memo = instance.__dict__.get("_child_memo")
     if memo is None:
         memo = instance.__dict__["_child_memo"] = ByteBoundedCache(
             CHILD_MEMO_BYTES, child_memo_charge)
     return memo
+
+
+def fit_child_memo(instance: Instance, capacity: int, memory: int) -> None:
+    """Raise the child memo's budget to hold one pass of a search that
+    keeps ``capacity`` open nodes (MBA*) or a beam that wide (IBS): about
+    ``capacity`` states per item, each charged the mean charge of the
+    entries held.  The budget is at most a quarter of ``memory``, the bytes
+    of the process's share that its node cap comes from, and is never
+    lowered: an empty memo keeps its budget."""
+    memo = child_memo(instance)
+    if memo:
+        wanted = capacity * len(instance.items) * memo.charged // len(memo)
+        memo.budget = max(memo.budget, min(wanted, memory // 4))
 
 
 def forget_children(instance: Instance) -> None:

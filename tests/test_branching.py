@@ -114,7 +114,7 @@ class TestCandidates:
     def test_a_pickled_cache_reads_its_own_table(self):
         """Spawned portfolio workers receive the instance pickled, its
         child memo included: the copy's ``get`` reads the copy's table, not
-        the original's."""
+        the original's, and its puts go to the copy's put order."""
         inst = midsize_instance(12, 3, seed=4)
         for node in random_walk(random.Random(4), inst):
             child_insertions(node, inst, memoize=True)
@@ -122,12 +122,14 @@ class TestCandidates:
         copy = pickle.loads(pickle.dumps(inst))._child_memo
         assert copy is not memo and len(copy) == len(memo) > 0
         assert copy.charged == memo.charged and copy.budget == memo.budget
+        assert list(copy._order) == list(memo._order) and copy._charges == memo._charges
         for key, kept in memo._table.items():
             assert copy.get(key) == kept and copy.get(key) is copy._table[key]
         key = child_memo_key(root_node(inst), False, False)
         assert copy.get(key) is None
         copy.put(key, ())
         assert copy.get(key) == () and memo.get(key) is None
+        assert copy._order[-1] == key and len(memo._order) == len(memo._charges) == len(memo)
 
 
 def one_width_instance(n_items=240, n_chains=60, seed=0):

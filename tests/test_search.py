@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from bisect import insort
+from collections import OrderedDict
 from fractions import Fraction
 from functools import partial
 
@@ -446,7 +447,8 @@ class TestRestartSchedule:
         astar(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
         restarting_mba_star(root_node(inst), inst, GuideKind.WASTE, 2, 10.0, Incumbent())
         iterative_beam_search(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
-        assert asked == [1, 1, 1, 1]
+        mba_star(root_node(inst), inst, GuideKind.WASTE, 4, 10.0, Incumbent())
+        assert asked == [1, 1, 1, 1, 1]
 
 
 class TestIterativeBeamSearch:
@@ -826,8 +828,10 @@ class TestChildMemo:
         assert res.outcome == "memory"
         memo = child_memo(inst)
         assert len(missed) > 2 * len(memo) > 1000
-        assert 0.99 * CHILD_MEMO_BYTES < memo.charged <= CHILD_MEMO_BYTES
-        assert memo.charged == sum(child_memo_charge(*item) for item in memo._table.items())
+        # a quarter of the node cap's memory share is below the floor
+        assert memo.budget == CHILD_MEMO_BYTES
+        assert 0.99 * memo.budget < memo.charged <= memo.budget
+        assert memo.charged == sum(memo._charges)
 
     def test_astar_and_dpa_star_leave_no_entries(self):
         inst = midsize_instance(14, 2, seed=0)
@@ -841,7 +845,7 @@ class TestChildMemo:
                                     Incumbent(), node_cap=16)
         assert res.outcome == "memory"
         memo = child_memo(inst)
-        assert len(memo) > 0 and 0 < memo.charged <= CHILD_MEMO_BYTES
+        assert len(memo) > 0 and 0 < memo.charged <= memo.budget == CHILD_MEMO_BYTES
 
     def test_a_second_call_repeats_the_first_from_the_memo(self, monkeypatch):
         inst = midsize_instance(20, 8, seed=5)
@@ -861,6 +865,134 @@ class TestChildMemo:
         (first, waste, misses), (again, waste_again, misses_again) = runs
         assert again == first and waste_again == waste and waste is not None
         assert misses <= len(first) and misses_again < len(again)
+
+
+class TestChildMemoBudget:
+    """``fit_child_memo`` raises the memo's budget to one pass of the
+    capacity (MBA*) or beam width (IBS) that it serves, at the mean charge
+    of the entries held, within a quarter of the memory share that the
+    node cap comes from.  An entry is charged once, when it is put, and
+    the entries put first are evicted first."""
+
+    CAP_BYTES = 2_000_000  # above CHILD_MEMO_BYTES, below one pass at capacity 64
+
+    @staticmethod
+    def recorded_fits(monkeypatch) -> list[tuple]:
+        """(capacity, memory, budget, charged, entries, budget after) of
+        each ``fit_child_memo`` call."""
+        fits, fit = [], branching.fit_child_memo
+
+        def recorded(instance, capacity, memory):
+            memo = child_memo(instance)
+            before = (memo.budget, memo.charged, len(memo))
+            fit(instance, capacity, memory)
+            fits.append((capacity, memory, *before, memo.budget))
+
+        monkeypatch.setattr(branching, "fit_child_memo", recorded)
+        return fits
+
+    def test_restarts_raise_it_by_the_rule_and_never_lower_it(self, monkeypatch):
+        """Each restart's pass, at capacity 2, 3, 5, ... up to 64, fits the
+        budget to the larger of where it stands and one pass: capacity
+        states per item at the mean charge held, with a memory share far
+        above it.  The empty memo of the first pass keeps the floor, and a
+        later pass at a smaller capacity does not lower it."""
+        monkeypatch.setattr(search, "NODE_BYTES", 10**7)
+        fits = self.recorded_fits(monkeypatch)
+        inst = midsize_instance(30, 8, seed=100)
+        res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                                  Incumbent(), node_cap=64)
+        assert res.outcome == "memory"
+        schedule = [2]
+        while next_capacity(schedule[-1], Fraction(3, 2)) <= 64:
+            schedule.append(next_capacity(schedule[-1], Fraction(3, 2)))
+        assert [capacity for capacity, *_ in fits] == schedule
+        for capacity, memory, budget, charged, held, after in fits:
+            assert memory == 64 * 10**7
+            one_pass = capacity * len(inst.items) * charged // held if held else 0
+            assert after == max(budget, one_pass)
+        budgets = [fits[0][2]] + [after for *_, after in fits]
+        assert budgets == sorted(budgets)
+        assert budgets[0] == budgets[1] == CHILD_MEMO_BYTES < budgets[-1]
+        assert child_memo(inst).budget == budgets[-1]
+        # a smaller pass afterwards leaves it where it stands
+        mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 2, 600.0, Incumbent(),
+                 node_cap=64)
+        assert fits[-1][0] == 2 and child_memo(inst).budget == budgets[-1]
+
+    @pytest.mark.parametrize("run", ["restarts", "mba_star", "ibs"])
+    def test_a_small_memory_share_caps_it(self, monkeypatch, run):
+        """With a default node cap of 64 whose memory share is 4 *
+        CAP_BYTES, the budget rises to CAP_BYTES and no further, through
+        the restarts, two direct MBA* calls at capacity 64, or the beam
+        widths up to 64; no put ever leaves it above the cap."""
+        node_cap = 64
+        monkeypatch.setattr(search, "NODE_BYTES", 4 * self.CAP_BYTES // node_cap)
+        monkeypatch.setattr(search, "_default_node_cap", lambda workers=1: node_cap)
+        fits = self.recorded_fits(monkeypatch)
+        put = ByteBoundedCache.put
+
+        def checked_put(cache, key, value):
+            put(cache, key, value)
+            assert cache.charged <= cache.budget <= self.CAP_BYTES
+
+        monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
+        inst = midsize_instance(30, 8, seed=100)
+        root, guide = root_node(inst), GuideKind.WASTE_PERCENTAGE
+        if run == "restarts":
+            restarting_mba_star(root, inst, guide, "1.5", 600.0, Incumbent())
+        elif run == "mba_star":
+            for _ in range(2):
+                mba_star(root, inst, guide, node_cap, 600.0, Incumbent())
+        else:
+            iterative_beam_search(root, inst, guide, 600.0, Incumbent())
+        assert all(memory == 4 * self.CAP_BYTES for _, memory, *_ in fits)
+        assert max(after for *_, after in fits) == child_memo(inst).budget == self.CAP_BYTES
+
+    def test_each_entry_is_charged_once(self, monkeypatch):
+        """In restarts that evict, ``child_memo_charge`` runs once per put:
+        an eviction reads back the charge its entry was put with."""
+        charges, puts, evicted = [], [], []
+        monkeypatch.setattr(branching, "child_memo_charge",
+                            lambda key, kept: charges.append(1) or child_memo_charge(key, kept))
+        put = ByteBoundedCache.put
+
+        def counted_put(cache, key, value):
+            held = len(cache)
+            put(cache, key, value)
+            puts.append(1)
+            evicted.append(held + 1 - len(cache))
+
+        monkeypatch.setattr(ByteBoundedCache, "put", counted_put)
+        inst = midsize_instance(30, 8, seed=100)
+        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                            Incumbent(), node_cap=64)
+        assert sum(evicted) > 1000 and len(charges) == len(puts)
+
+    def test_eviction_follows_put_order(self, monkeypatch):
+        """The puts of a restarting run, replayed into a small budget, hold
+        and evict what an ``OrderedDict`` model holds and evicts, with the
+        same total charged after each put: the entry put first goes first."""
+        puts, put = [], ByteBoundedCache.put
+        monkeypatch.setattr(ByteBoundedCache, "put",
+                            lambda cache, key, value: puts.append((key, value))
+                            or put(cache, key, value))
+        inst = midsize_instance(24, 8, seed=8)
+        restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
+                            Incumbent(), node_cap=32)
+        monkeypatch.undo()
+        budget = 50_000
+        cache, model, total = ByteBoundedCache(budget, child_memo_charge), OrderedDict(), 0
+        for key, kept in puts:
+            cache.put(key, kept)
+            model[key] = child_memo_charge(key, kept)
+            total += model[key]
+            while total > budget:
+                total -= model.popitem(last=False)[1]
+            assert list(cache._table) == list(cache._order) == list(model)
+            assert list(cache._charges) == list(model.values()) and cache.charged == total
+        assert 10 < len(model) < len(puts) / 10
+        assert all(cache.get(key) is kept for key, kept in puts[-len(model):])
 
 
 def _traced_size(build):
@@ -923,8 +1055,11 @@ class TestCacheBudgets:
                                   Incumbent(), node_cap=node_cap)
         assert res.outcome == "memory"
         memo = child_memo(inst)
-        assert memo.budget == CHILD_MEMO_BYTES
-        assert 0 < memo.charged == sum(child_memo_charge(*item) for item in memo._table.items())
+        assert memo.budget == CHILD_MEMO_BYTES  # the node cap's quarter share is below it
+        # the charge each entry was put with is its charge now, in put order
+        assert list(memo._order) == list(memo._table)
+        assert list(memo._charges) == [child_memo_charge(*item) for item in memo._table.items()]
+        assert 0 < memo.charged == sum(memo._charges)
         assert sum(evicted) > 0
 
     @pytest.mark.parametrize("n_items, n_chains", [(24, 8), (120, 30), (300, 60)])
