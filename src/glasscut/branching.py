@@ -114,7 +114,8 @@ state again: MBA* restarts from the root with a larger fringe, and the
 iterative beam with a wider beam.  Each pass first fits the memo to itself
 (``fit_child_memo``): a pass at capacity D looks up about D states per item,
 so the budget rises to hold that many at the mean charge of the entries
-held, within a quarter of the memory share that the node cap comes from.
+held, up to ``CHILD_MEMO_MAX_BYTES``; past it, the budget is back at its
+floor, as a memo that holds less than a pass serves the next pass little.
 Its table (``ByteBoundedCache``) charges each entry once, when it is put, a
 size worked out from its lengths, and evicts the entries put first; a
 lookup is the table's own ``dict.get``, and no order of use is kept.
@@ -1029,16 +1030,17 @@ CHAIN_BYTES = 8
 MEMO_ENTRY_BYTES = 320
 MEMO_INSERTION_BYTES = 272
 MEMO_PLACEMENT_BYTES = 128
-# The budget's floor.  1.5 MB holds 825-1,381 states (median 1,150) of the
+# The budget's floor: 1.5 MB holds 825-1,381 states (median 1,150) of the
 # benchmark's mba_many_chains, whose restarts then hit the memo on 25-28% of
-# lookups (36-37% with no bound, 15-16% at 384 states).  Against 384 states
-# it read 9-21% more expansions/s there (2 vCPUs, CPython 3.11), but through
-# the benchmark's scaled rate, which moves with the garbage collections that
-# fall inside its reference probe (see CHANGES).  The passes of
-# 1.5 s restarts on 30-item instances look up thousands of states, which
-# thrashed it: one pass of states (``fit_child_memo``) raised their hits
-# from 5-16% of lookups to 32-66%.
+# lookups (15-16% at 384 states).
 CHILD_MEMO_BYTES = 1_500_000
+# The largest pass the budget holds.  Passes of (300, 40) instances meet few
+# states again: held at 3, 8 or 24 MB there, the memo cost up to 4%, 6-13%
+# or 9-16% of the expansion rate (two instances, 30 s each); set back to the
+# floor past 24 MB, it read -14% to +7% against a fixed floor in 14 pairs,
+# median +1%.  The passes of 1.5 s restarts on 30 items take up to about
+# 20 MB; 48 MB ran no faster there.
+CHILD_MEMO_MAX_BYTES = 24_000_000
 
 
 def child_memo_key(node: Node, use_symmetry: bool, use_dominance: bool) -> tuple:
@@ -1059,8 +1061,8 @@ def child_memo_charge(key: tuple, kept: tuple[Insertion, ...]) -> int:
 def child_memo(instance: Instance) -> ByteBoundedCache:
     """The child memo of ``instance``: the kept insertions of the states
     that ``child_insertions`` put last, within a budget that starts at
-    ``CHILD_MEMO_BYTES`` and that ``fit_child_memo`` raises; the states put
-    first are evicted first, however often they were read.  It is made on
+    ``CHILD_MEMO_BYTES`` and that ``fit_child_memo`` fits to each pass; the
+    states put first are evicted first, however often they were read.  It is made on
     first use, and each portfolio worker process fills its own copy."""
     memo = instance.__dict__.get("_child_memo")
     if memo is None:
@@ -1069,17 +1071,20 @@ def child_memo(instance: Instance) -> ByteBoundedCache:
     return memo
 
 
-def fit_child_memo(instance: Instance, capacity: int, memory: int) -> None:
-    """Raise the child memo's budget to hold one pass of a search that
-    keeps ``capacity`` open nodes (MBA*) or a beam that wide (IBS): about
+def fit_child_memo(instance: Instance, capacity: int) -> None:
+    """Fit the child memo's budget to one pass of a search that keeps
+    ``capacity`` open nodes (MBA*) or a beam that wide (IBS): about
     ``capacity`` states per item, each charged the mean charge of the
-    entries held.  The budget is at most a quarter of ``memory``, the bytes
-    of the process's share that its node cap comes from, and is never
-    lowered: an empty memo keeps its budget."""
+    entries held.  A pass within ``CHILD_MEMO_MAX_BYTES`` raises the budget
+    to hold it and never lowers it; a larger pass sets it back to
+    ``CHILD_MEMO_BYTES``, as a memo that evicts in put order and holds less
+    than a pass evicts each state before the next pass meets it again.  An
+    empty memo keeps its budget."""
     memo = child_memo(instance)
     if memo:
-        wanted = capacity * len(instance.items) * memo.charged // len(memo)
-        memo.budget = max(memo.budget, min(wanted, memory // 4))
+        one_pass = capacity * len(instance.items) * memo.charged // len(memo)
+        memo.budget = (max(memo.budget, one_pass) if one_pass <= CHILD_MEMO_MAX_BYTES
+                       else CHILD_MEMO_BYTES)
 
 
 def forget_children(instance: Instance) -> None:

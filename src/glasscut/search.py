@@ -438,18 +438,15 @@ def mba_star(
     use_symmetry: bool = True,
     use_dominance: bool = True,
     started: Optional[float] = None,
-    node_cap: Optional[int] = None,
 ) -> SearchResult:
     """A* with a bounded fringe: worst nodes are discarded beyond ``capacity``.
 
     Incumbent improvements are stamped with the seconds since ``started``
     (a ``time.monotonic()`` reading), by default since this call began.
-    The child memo is fitted to ``capacity`` within the memory share of
-    ``node_cap`` (by default a share of the available memory)."""
+    The child memo is first fitted to ``capacity``."""
     if capacity < 1:
         raise ValueError("fringe capacity must be at least 1")
-    cap = node_cap if node_cap is not None else _default_node_cap()
-    branching.fit_child_memo(instance, capacity, cap * NODE_BYTES)
+    branching.fit_child_memo(instance, capacity)
     return _best_first(
         root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
         capacity=capacity, started=started,
@@ -504,7 +501,6 @@ def restarting_mba_star(
             use_symmetry=use_symmetry,
             use_dominance=use_dominance,
             started=clock.start,
-            node_cap=cap,
         )
         expanded += res.nodes_expanded
         iterations += 1
@@ -559,7 +555,7 @@ def iterative_beam_search(
     while not clock.expired():
         if width > cap:
             return SearchResult("memory", expanded, True, iterations, width)
-        branching.fit_child_memo(instance, width, cap * NODE_BYTES)
+        branching.fit_child_memo(instance, width)
         level = [(root.waste, root, None)]
         truncated = False
         while level:

@@ -18,8 +18,8 @@ import pytest
 
 from glasscut import branching, search
 from glasscut.branching import (
-    CHILD_MEMO_BYTES, _MEMO_COUNTS, ByteBoundedCache, _allowed_depths, apply_insertion,
-    child_memo, child_memo_charge, child_memo_key, children,
+    CHILD_MEMO_BYTES, CHILD_MEMO_MAX_BYTES, _MEMO_COUNTS, ByteBoundedCache, _allowed_depths,
+    apply_insertion, child_memo, child_memo_charge, child_memo_key, children,
 )
 from glasscut.model import Defect, GuideKind, Params, root_node, waste_floor
 from glasscut.search import (
@@ -447,8 +447,7 @@ class TestRestartSchedule:
         astar(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
         restarting_mba_star(root_node(inst), inst, GuideKind.WASTE, 2, 10.0, Incumbent())
         iterative_beam_search(root_node(inst), inst, GuideKind.WASTE, 10.0, Incumbent())
-        mba_star(root_node(inst), inst, GuideKind.WASTE, 4, 10.0, Incumbent())
-        assert asked == [1, 1, 1, 1, 1]
+        assert asked == [1, 1, 1, 1]
 
 
 class TestIterativeBeamSearch:
@@ -828,8 +827,7 @@ class TestChildMemo:
         assert res.outcome == "memory"
         memo = child_memo(inst)
         assert len(missed) > 2 * len(memo) > 1000
-        # a quarter of the node cap's memory share is below the floor
-        assert memo.budget == CHILD_MEMO_BYTES
+        assert CHILD_MEMO_BYTES <= memo.budget <= CHILD_MEMO_MAX_BYTES
         assert 0.99 * memo.budget < memo.charged <= memo.budget
         assert memo.charged == sum(memo._charges)
 
@@ -845,7 +843,8 @@ class TestChildMemo:
                                     Incumbent(), node_cap=16)
         assert res.outcome == "memory"
         memo = child_memo(inst)
-        assert len(memo) > 0 and 0 < memo.charged <= memo.budget == CHILD_MEMO_BYTES
+        assert len(memo) > 0 and 0 < memo.charged <= memo.budget
+        assert CHILD_MEMO_BYTES <= memo.budget <= CHILD_MEMO_MAX_BYTES
 
     def test_a_second_call_repeats_the_first_from_the_memo(self, monkeypatch):
         inst = midsize_instance(20, 8, seed=5)
@@ -870,34 +869,47 @@ class TestChildMemo:
 class TestChildMemoBudget:
     """``fit_child_memo`` raises the memo's budget to one pass of the
     capacity (MBA*) or beam width (IBS) that it serves, at the mean charge
-    of the entries held, within a quarter of the memory share that the
-    node cap comes from.  An entry is charged once, when it is put, and
-    the entries put first are evicted first."""
+    of the entries held, while the pass is within ``CHILD_MEMO_MAX_BYTES``,
+    and sets it back to ``CHILD_MEMO_BYTES`` for a larger pass.  An entry
+    is charged once, when it is put, and the entries put first are evicted
+    first."""
 
-    CAP_BYTES = 2_000_000  # above CHILD_MEMO_BYTES, below one pass at capacity 64
+    CAP_BYTES = 2_500_000  # above CHILD_MEMO_BYTES, below one pass at capacity 62
 
     @staticmethod
     def recorded_fits(monkeypatch) -> list[tuple]:
-        """(capacity, memory, budget, charged, entries, budget after) of
-        each ``fit_child_memo`` call."""
+        """(capacity, budget, charged, entries, budget after) of each
+        ``fit_child_memo`` call."""
         fits, fit = [], branching.fit_child_memo
 
-        def recorded(instance, capacity, memory):
+        def recorded(instance, capacity):
             memo = child_memo(instance)
             before = (memo.budget, memo.charged, len(memo))
-            fit(instance, capacity, memory)
-            fits.append((capacity, memory, *before, memo.budget))
+            fit(instance, capacity)
+            fits.append((capacity, *before, memo.budget))
 
         monkeypatch.setattr(branching, "fit_child_memo", recorded)
         return fits
 
+    @staticmethod
+    def checked_puts(monkeypatch, ceiling: int) -> None:
+        """Fail on a put that leaves the memo past its budget, or its
+        budget past ``ceiling``."""
+        put = ByteBoundedCache.put
+
+        def checked_put(cache, key, value):
+            put(cache, key, value)
+            assert cache.charged <= cache.budget <= ceiling
+
+        monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
+
     def test_restarts_raise_it_by_the_rule_and_never_lower_it(self, monkeypatch):
         """Each restart's pass, at capacity 2, 3, 5, ... up to 64, fits the
         budget to the larger of where it stands and one pass: capacity
-        states per item at the mean charge held, with a memory share far
-        above it.  The empty memo of the first pass keeps the floor, and a
-        later pass at a smaller capacity does not lower it."""
-        monkeypatch.setattr(search, "NODE_BYTES", 10**7)
+        states per item at the mean charge held, under a ceiling far above
+        it.  The empty memo of the first pass keeps the floor, and a later
+        pass at a smaller capacity does not lower it."""
+        monkeypatch.setattr(branching, "CHILD_MEMO_MAX_BYTES", 10**9)
         fits = self.recorded_fits(monkeypatch)
         inst = midsize_instance(30, 8, seed=100)
         res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
@@ -907,47 +919,57 @@ class TestChildMemoBudget:
         while next_capacity(schedule[-1], Fraction(3, 2)) <= 64:
             schedule.append(next_capacity(schedule[-1], Fraction(3, 2)))
         assert [capacity for capacity, *_ in fits] == schedule
-        for capacity, memory, budget, charged, held, after in fits:
-            assert memory == 64 * 10**7
+        for capacity, budget, charged, held, after in fits:
             one_pass = capacity * len(inst.items) * charged // held if held else 0
             assert after == max(budget, one_pass)
-        budgets = [fits[0][2]] + [after for *_, after in fits]
+        budgets = [fits[0][1]] + [after for *_, after in fits]
         assert budgets == sorted(budgets)
         assert budgets[0] == budgets[1] == CHILD_MEMO_BYTES < budgets[-1]
         assert child_memo(inst).budget == budgets[-1]
         # a smaller pass afterwards leaves it where it stands
-        mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 2, 600.0, Incumbent(),
-                 node_cap=64)
+        mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 2, 600.0, Incumbent())
         assert fits[-1][0] == 2 and child_memo(inst).budget == budgets[-1]
 
     @pytest.mark.parametrize("run", ["restarts", "mba_star", "ibs"])
-    def test_a_small_memory_share_caps_it(self, monkeypatch, run):
-        """With a default node cap of 64 whose memory share is 4 *
-        CAP_BYTES, the budget rises to CAP_BYTES and no further, through
-        the restarts, two direct MBA* calls at capacity 64, or the beam
-        widths up to 64; no put ever leaves it above the cap."""
-        node_cap = 64
-        monkeypatch.setattr(search, "NODE_BYTES", 4 * self.CAP_BYTES // node_cap)
-        monkeypatch.setattr(search, "_default_node_cap", lambda workers=1: node_cap)
+    def test_a_pass_past_the_ceiling_sets_it_back_to_the_floor(self, monkeypatch, run):
+        """Under a ceiling of CAP_BYTES, the passes that fit raise the
+        budget and the first that does not sets it back to the floor,
+        through the restarts up to capacity 64, MBA* calls at capacities 8,
+        36 and 64, or the beam widths up to 64.  No put ever leaves the
+        budget above the ceiling or the memo above its budget."""
+        monkeypatch.setattr(branching, "CHILD_MEMO_MAX_BYTES", self.CAP_BYTES)
         fits = self.recorded_fits(monkeypatch)
-        put = ByteBoundedCache.put
-
-        def checked_put(cache, key, value):
-            put(cache, key, value)
-            assert cache.charged <= cache.budget <= self.CAP_BYTES
-
-        monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
+        self.checked_puts(monkeypatch, self.CAP_BYTES)
         inst = midsize_instance(30, 8, seed=100)
         root, guide = root_node(inst), GuideKind.WASTE_PERCENTAGE
         if run == "restarts":
-            restarting_mba_star(root, inst, guide, "1.5", 600.0, Incumbent())
+            restarting_mba_star(root, inst, guide, "1.5", 600.0, Incumbent(), node_cap=64)
         elif run == "mba_star":
-            for _ in range(2):
-                mba_star(root, inst, guide, node_cap, 600.0, Incumbent())
+            for capacity in (8, 36, 64):
+                mba_star(root, inst, guide, capacity, 600.0, Incumbent())
         else:
-            iterative_beam_search(root, inst, guide, 600.0, Incumbent())
-        assert all(memory == 4 * self.CAP_BYTES for _, memory, *_ in fits)
-        assert max(after for *_, after in fits) == child_memo(inst).budget == self.CAP_BYTES
+            iterative_beam_search(root, inst, guide, 600.0, Incumbent(), node_cap=64)
+        for capacity, budget, charged, held, after in fits:
+            one_pass = capacity * len(inst.items) * charged // held if held else 0
+            fits_in = one_pass <= self.CAP_BYTES
+            assert after == (max(budget, one_pass) if fits_in else CHILD_MEMO_BYTES)
+        assert CHILD_MEMO_BYTES < max(after for *_, after in fits) <= self.CAP_BYTES
+        assert child_memo(inst).budget == CHILD_MEMO_BYTES
+
+    def test_a_pass_far_past_the_ceiling_keeps_the_floor(self, monkeypatch):
+        """A pass at a capacity far past 64, as restarts reach on an
+        instance whose small capacities find no solution, wants a memo many
+        times ``CHILD_MEMO_MAX_BYTES``: the budget stays at the floor, and
+        every put keeps within it."""
+        self.checked_puts(monkeypatch, CHILD_MEMO_MAX_BYTES)
+        inst = midsize_instance(24, 8, seed=7)
+        root, guide = root_node(inst), GuideKind.WASTE_PERCENTAGE
+        mba_star(root, inst, guide, 8, 600.0, Incumbent())
+        memo = child_memo(inst)
+        capacity = 20_000
+        assert capacity * len(inst.items) * memo.charged // len(memo) > 4 * CHILD_MEMO_MAX_BYTES
+        mba_star(root, inst, guide, capacity, 1.0, Incumbent())
+        assert memo.budget == CHILD_MEMO_BYTES and memo.charged <= CHILD_MEMO_BYTES
 
     def test_each_entry_is_charged_once(self, monkeypatch):
         """In restarts that evict, ``child_memo_charge`` runs once per put:
@@ -1050,12 +1072,14 @@ class TestCacheBudgets:
             assert cache.charged <= cache.budget
 
         monkeypatch.setattr(ByteBoundedCache, "put", checked_put)
+        # a ceiling at the floor holds the budget there, so that the restarts evict
+        monkeypatch.setattr(branching, "CHILD_MEMO_MAX_BYTES", CHILD_MEMO_BYTES)
         inst = midsize_instance(n_items, n_chains, seed=n_chains)
         res = restarting_mba_star(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, "1.5", 600.0,
                                   Incumbent(), node_cap=node_cap)
         assert res.outcome == "memory"
         memo = child_memo(inst)
-        assert memo.budget == CHILD_MEMO_BYTES  # the node cap's quarter share is below it
+        assert memo.budget == CHILD_MEMO_BYTES
         # the charge each entry was put with is its charge now, in put order
         assert list(memo._order) == list(memo._table)
         assert list(memo._charges) == [child_memo_charge(*item) for item in memo._table.items()]
