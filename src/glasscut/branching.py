@@ -361,16 +361,6 @@ def _frame(
 # ---------------------------------------------------------------------------
 # enumeration
 
-def candidate_items(node: Node, instance: Instance) -> list[int]:
-    """Next unconsumed item of every chain."""
-    out = []
-    for ci, chain in enumerate(instance.chains):
-        k = node.counts[ci]
-        if k < len(chain):
-            out.append(chain[k])
-    return out
-
-
 def depths_after(ins: Insertion) -> tuple[int, ...]:
     """Depths open to the next insertion, deepest first, after ``ins``."""
     if ins.kind is _WASTE_ONLY:
@@ -514,15 +504,14 @@ def cell_tables(instance: Instance) -> CellTables:
 
 def pair_combos(node: Node, instance: Instance) -> list[tuple]:
     """The contents of every cell the chain state ``node.counts`` can
-    place, in trial order: each candidate item (``candidate_items``) alone,
+    place, in trial order: each chain head (the next item of a chain) alone,
     in each orientation, then the two-item stacks, whose bottom item is a
-    candidate and whose top one is another candidate or the bottom item's
-    chain successor, of equal widths.  Per candidate and orientation, the
-    stacks on other candidates come in chain order, then the one on the
-    successor.
+    head and whose top one is another head or the bottom item's chain
+    successor, of equal widths.  Per head and orientation, the stacks on
+    other heads come in chain order, then the one on the successor.
 
     The list is assembled from the chain heads alone, with the instance's
-    ``cell_tables``; only a stack of two candidates is a new tuple.
+    ``cell_tables``; only a stack of two heads is a new tuple.
     Searches call this once per enumeration, through this name."""
     tables = instance.__dict__.get("_cell_tables") or cell_tables(instance)
     counts = node.counts

@@ -124,7 +124,24 @@ class Incumbent:
 
 @dataclass
 class SearchResult:
-    outcome: str  # "exhausted" | "timeout" | "memory" | "proved"
+    """How a search ended.
+
+    * ``outcome``: "exhausted" when no open node is left, "proved" when a
+      restarting MBA* pass emptied its fringe without discarding a node,
+      "timeout" at the deadline and "memory" at the node cap.
+    * ``nodes_expanded``: the nodes expanded, over every pass.
+    * ``discarded_any``: whether a capped fringe or beam dropped an open
+      node; a restarting search that ends at the deadline or the node cap
+      reports True.
+    * ``iterations``: the passes of a restarting search that ran to their
+      end; a pass that the deadline cut is not counted.  0 for the searches
+      that make one pass.
+    * ``final_capacity``: the fringe capacity (MBA*) or beam width (IBS)
+      of the last pass: the one that ended the search or that the deadline
+      cut, or the one that the node cap or the deadline kept from
+      starting; None for one-pass searches."""
+
+    outcome: str
     nodes_expanded: int = 0
     discarded_any: bool = False
     iterations: int = 0
@@ -503,9 +520,9 @@ def restarting_mba_star(
             started=clock.start,
         )
         expanded += res.nodes_expanded
-        iterations += 1
         if res.outcome == "timeout":
             return SearchResult("timeout", expanded, True, iterations, capacity)
+        iterations += 1
         if not res.discarded_any:
             return SearchResult("proved", expanded, False, iterations, capacity)
         capacity = next_capacity(capacity, growth)
@@ -543,9 +560,14 @@ def iterative_beam_search(
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               None, memoize=True)
 
+    timed_out = False
+
     def level_children(level: list[OpenChild]):
-        nonlocal expanded
+        nonlocal expanded, timed_out
         for child in level:
+            if clock.expired():  # before each expansion, as in _best_first
+                timed_out = True
+                return
             bound = incumbent.bound()  # read anew: expanding a node may improve it
             if bound is not None and child[0] >= bound:
                 continue
@@ -559,12 +581,12 @@ def iterative_beam_search(
         level = [(root.waste, root, None)]
         truncated = False
         while level:
-            if clock.expired():
-                return SearchResult("timeout", expanded, True, iterations, width)
             # as sorted(...)[:width + 1] on (guide, -items packed), ties in
             # generation order, but holding at most width + 1 children; the
             # extra one marks a truncated level
             best = nsmallest(width + 1, level_children(level), key=itemgetter(0, 1))
+            if timed_out:
+                return SearchResult("timeout", expanded, True, iterations, width)
             if len(best) > width:
                 truncated = True
                 best.pop()

@@ -20,18 +20,12 @@ from glasscut.branching import (
     _allowed_depths,
     _closed_edges,
     _frame,
-    _gen_cells,
     _gen_waste,
-    _grow_max,
     _hcut_ok,
     _may_swap,
     _resolve_x1,
-    _shelf_closes,
-    _shelf_cuts_max,
     _swap_forbidden,
-    _vcut_ok,
     apply_insertion,
-    candidate_items,
     cell_tables,
     child_insertions,
     child_memo,
@@ -59,19 +53,12 @@ from conftest import (
     random_small_instance,
     random_walk,
     raster_front_area,
-    reference_enumerate_insertions,
     reference_filter,
     reference_filter_dominated_children,
     reference_cell_swap_forbidden,
-    reference_close_shelf_cut_ok,
-    reference_closing_cuts_ok,
-    reference_frame,
-    reference_gen_cells,
-    reference_growth_cuts_ok,
-    reference_pair_combos,
-    reference_shelf_closes_ok,
     reference_sibling_group,
     reference_sort_key,
+    unsuppressed_insertions,
 )
 
 RUN_SLOW = os.environ.get("GLASSCUT_RUN_SLOW") == "1"
@@ -90,46 +77,34 @@ def kid_for(parent, inst, item_id, rotated=False, depth=None, **kw):
     raise AssertionError(f"no child inserting item {item_id}")
 
 
+def chain_heads(node, inst):
+    """The items that ``pair_combos`` places alone at ``node``, in order."""
+    return list(dict.fromkeys(cell[0] for cell in pair_combos(node, inst) if cell[6] is None))
+
+
 class TestCandidates:
+    """The candidate items of a chain state, those that ``pair_combos``
+    places alone, are the chain heads: the next item of every chain."""
+
     def test_chain_heads(self):
         inst = make_instance(
             [(100, 100)] * 5, chains=[[0, 1, 2], [3, 4]]
         )
         root = root_node(inst)
-        assert candidate_items(root, inst) == [0, 3]
+        assert chain_heads(root, inst) == [0, 3]
 
     def test_after_consuming_heads(self):
         inst = make_instance([(100, 100)] * 5, chains=[[0, 1, 2], [3, 4]])
         node = kid_for(root_node(inst), inst, 0)
         node = kid_for(node, inst, 3)
-        assert candidate_items(node, inst) == [1, 4]
+        assert chain_heads(node, inst) == [1, 4]
 
     def test_empty_when_done(self):
         inst = make_instance([(100, 100)])
         leaf = kid_for(root_node(inst), inst, 0)
         assert leaf.complete
-        assert candidate_items(leaf, inst) == []
+        assert pair_combos(leaf, inst) == []
         assert enumerate_insertions(leaf, inst) == []
-
-    def test_a_pickled_cache_reads_its_own_table(self):
-        """Spawned portfolio workers receive the instance pickled, its
-        child memo included: the copy's ``get`` reads the copy's table, not
-        the original's, and its puts go to the copy's put order."""
-        inst = midsize_instance(12, 3, seed=4)
-        for node in random_walk(random.Random(4), inst):
-            child_insertions(node, inst, memoize=True)
-        memo = child_memo(inst)
-        copy = pickle.loads(pickle.dumps(inst))._child_memo
-        assert copy is not memo and len(copy) == len(memo) > 0
-        assert copy.charged == memo.charged and copy.budget == memo.budget
-        assert list(copy._order) == list(memo._order) and copy._charges == memo._charges
-        for key, kept in memo._table.items():
-            assert copy.get(key) == kept and copy.get(key) is copy._table[key]
-        key = child_memo_key(root_node(inst), False, False)
-        assert copy.get(key) is None
-        copy.put(key, ())
-        assert copy.get(key) == () and memo.get(key) is None
-        assert copy._order[-1] == key and len(memo._order) == len(memo._charges) == len(memo)
 
 
 def one_width_instance(n_items=240, n_chains=60, seed=0):
@@ -152,41 +127,60 @@ def table_entries(tables):
     return entries + sum(len(tops) for entry in tables.widths.values() for _, tops in entry)
 
 
+def brute_force_cells(counts, inst):
+    """The cell contents of the chain state ``counts``, as (j, chain of j,
+    width, h_j, rot_j, k, chain of k, h_k, rot_k), listed from the chain
+    heads alone: each head alone in each orientation, k and its fields
+    None; then, per head j and orientation, the stacks of equal width with
+    j at the bottom and on top another head, in chain order, or j's chain
+    successor."""
+    heads = [chain[r] for chain, r in zip(inst.chains, counts) if r < len(chain)]
+    index = inst.chain_index
+    cells = [(j, index[j], w, h, rot, None, None, None, None)
+             for j in heads for w, h, rot in inst.oriented[j]]
+    for j in heads:
+        chain, r = inst.chains[index[j]], counts[index[j]]
+        tops = [k for k in heads if k != j] + list(chain[r + 1:r + 2])
+        cells += [(j, index[j], w, h, rot, k, index[k], hk, rk)
+                  for w, h, rot in inst.oriented[j]
+                  for k in tops for wk, hk, rk in inst.oriented[k] if wk == w]
+    return cells
+
+
 class TestCellTables:
     """``pair_combos`` assembles a chain state's cells from tables built
-    once per instance, against the per-state construction of its stacks
-    (``conftest.reference_pair_combos``)."""
+    once per instance; a listing from the chain heads states what it
+    assembles (``brute_force_cells``)."""
 
     def test_pair_combos_match_the_reference_on_random_chain_states(self):
-        """On 8, 30 and 60 chains and on items of one width: the one-item
-        cells of the candidates, by identity those of the tables' singles,
-        then the reference's stacks, list for list and in order.  The
-        contents' ranks, the sums of their two orders, are unique and order
-        them by (j, rot_j), then (k, rot_k) after the one-item cell."""
-        seen = {"states": 0, "stacks on a candidate": 0, "stacks on a successor": 0}
+        """On 8, 30 and 60 chains and on items of one width: the cells of
+        ``brute_force_cells``, list for list and in order, the one-item
+        cells by identity those of the tables' singles.  The contents'
+        ranks, the sums of their two orders, are unique and order them by
+        (j, rot_j), then (k, rot_k) after the one-item cell."""
+        seen = {"states": 0, "stacks on a head": 0, "stacks on a successor": 0}
         for inst in (midsize_instance(24, 8, seed=8), midsize_instance(120, 30, seed=30),
                      midsize_instance(300, 60, seed=60), one_width_instance()):
             rng = random.Random(len(inst.chains))
             singles, chain_index = cell_tables(inst).singles, inst.chain_index
             for _ in range(300):
                 node = SimpleNamespace(counts=tuple(rng.randint(0, len(c)) for c in inst.chains))
-                cands = candidate_items(node, inst)
                 cells = pair_combos(node, inst)
-                ones = [(j, chain_index[j], w, h, rot, None, None, None, None)
-                        for j in cands for w, h, rot in inst.oriented[j]]
-                tabled = [cell for j in cands
+                expected = brute_force_cells(node.counts, inst)
+                assert [c[:5] + c[6:10] for c in cells] == expected
+                ones = [c for c in cells if c[6] is None]
+                heads = dict.fromkeys(c[0] for c in ones)
+                tabled = [cell for j in heads
                           for cell in singles[chain_index[j]][node.counts[chain_index[j]]]]
-                stacks = [(c.j, chain_index[c.j], c.width, c.hj, c.rj, c.k, chain_index[c.k],
-                           c.hk, c.rk) for c in reference_pair_combos(node, inst, cands)]
-                assert [c[:5] + c[6:10] for c in cells] == ones + stacks
-                assert list(map(id, cells[:len(ones)])) == list(map(id, tabled))
+                assert list(map(id, ones)) == list(map(id, tabled))
                 ranks = [c[5] + c[10] for c in cells]
                 assert len(set(ranks)) == len(ranks)
                 assert sorted(cells, key=lambda c: c[5] + c[10]) == sorted(
                     cells, key=lambda c: (c[0], c[4], -1 if c[6] is None else c[6], c[9]))
                 seen["states"] += 1
-                seen["stacks on a candidate"] += sum(c[5] in cands for c in stacks)
-                seen["stacks on a successor"] += sum(c[5] not in cands for c in stacks)
+                seen["stacks on a head"] += sum(c[6] in heads for c in cells)
+                seen["stacks on a successor"] += sum(
+                    c[6] is not None and c[6] not in heads for c in cells)
         assert min(seen.values()) >= 1000, seen
 
     def test_tables_hold_o_items_entries_on_one_width(self):
@@ -509,6 +503,18 @@ class TestMinWasteRepairs:
             if m.placements[0].height == 20:
                 assert m.kind is InsertionKind.ITEM_WASTE_ABOVE
                 assert m.y2_curr == SMALL_PARAMS.min2
+
+    def test_a_stack_opens_a_shelf_only_from_min2_high(self):
+        # a stack's cell has no waste piece to widen, so a stack of items
+        # 10 and 20 high opens a shelf of exactly min2 (30), and one of 10
+        # and 19 none
+        def stacks(heights):
+            inst = make_instance([(100, h) for h in heights], chains=[[0], [1]])
+            return [m for m in enumerate_insertions(root_node(inst), inst)
+                    if m.kind is InsertionKind.TWO_ITEMS]
+
+        assert [m.y2_curr for m in stacks([10, 20])] == [SMALL_PARAMS.min2] * 2
+        assert stacks([10, 19]) == []
 
 
 class TestPlateClose:
@@ -843,12 +849,11 @@ def same_partition(labels, reference_labels) -> bool:
 
 
 def assert_groups(insertions, groups, kept_by_symmetry):
-    """The trials' groups of one node's insertions, or of one frame's: the
-    kept ones, neither None nor ``_DOMINATED``, put together exactly the
-    insertions that ``reference_sibling_group`` puts together, and the
-    filter, which drops the ``_DOMINATED`` ones unseen, keeps what the
-    reference filter keeps.  None marks exactly the insertions that
-    ``kept_by_symmetry`` rejects.  Returns how many are ``_DOMINATED``."""
+    """The trials' groups of one node's insertions: the kept ones, neither
+    None nor ``_DOMINATED``, put together exactly the insertions that
+    ``reference_sibling_group`` puts together, and the filter, which drops
+    the ``_DOMINATED`` ones unseen, keeps what the reference filter keeps.
+    None marks exactly the insertions that ``kept_by_symmetry`` rejects."""
     assert len(groups) == len(insertions)
     assert [group is None for group in groups] == [not kept_by_symmetry(m) for m in insertions]
     listed = [(m, group) for m, group in zip(insertions, groups) if group is not None]
@@ -858,19 +863,6 @@ def assert_groups(insertions, groups, kept_by_symmetry):
     ins_list = [m for m, _ in listed]
     assert filter_dominated_children(ins_list, [group for _, group in listed]) == (
         reference_filter_dominated_children(ins_list))
-    return len(listed) - len(kept)
-
-
-def assert_keys_and_groups(entries, kept_by_symmetry):
-    """The (order key, sibling group, insertion) entries of one frame: the
-    keys are unique and order the insertions as ``reference_sort_key``
-    does, and the groups are those of ``assert_groups``."""
-    keys = [key for key, _, _ in entries]
-    assert len(set(keys)) == len(keys)
-    by_key = [m for _, _, m in sorted(entries, key=lambda entry: entry[0])]
-    assert by_key == sorted(by_key, key=reference_sort_key)
-    assert_groups([m for _, _, m in entries], [group for _, group, _ in entries],
-                  kept_by_symmetry)
 
 
 class TestSiblingOrder:
@@ -1053,6 +1045,27 @@ def test_child_memo_tells_closed_shelves_apart():
         assert list(child_insertions(node, inst, memoize=True)) == child_insertions(node, inst)
 
 
+def test_a_pickled_cache_reads_its_own_table():
+    """Spawned portfolio workers receive the instance pickled, its child
+    memo included: the copy's ``get`` reads the copy's table, not the
+    original's, and its puts go to the copy's put order."""
+    inst = midsize_instance(12, 3, seed=4)
+    for node in random_walk(random.Random(4), inst):
+        child_insertions(node, inst, memoize=True)
+    memo = child_memo(inst)
+    copy = pickle.loads(pickle.dumps(inst))._child_memo
+    assert copy is not memo and len(copy) == len(memo) > 0
+    assert copy.charged == memo.charged and copy.budget == memo.budget
+    assert list(copy._order) == list(memo._order) and copy._charges == memo._charges
+    for key, kept in memo._table.items():
+        assert copy.get(key) == kept and copy.get(key) is copy._table[key]
+    key = child_memo_key(root_node(inst), False, False)
+    assert copy.get(key) is None
+    copy.put(key, ())
+    assert copy.get(key) == () and memo.get(key) is None
+    assert copy._order[-1] == key and len(memo._order) == len(memo._charges) == len(memo)
+
+
 class TestSymmetryAwareGenerator:
     """With symmetry on, the generator omits the cells the cell-swap rule
     forbids, yet the search sees exactly the filtered raw insertions."""
@@ -1201,98 +1214,62 @@ class TestSymmetryAwareGenerator:
         assert insertions_digest(nodes) == PINNED_STACKABLE_INSERTIONS
 
 
+def structurally_dropped(node, listed):
+    """The depths whose insertions the generator's three structural rules
+    drop at ``node``, read from its unsuppressed insertions ``listed``."""
+    items = [m for m in listed if m.placements]
+    dropped = set()
+    if any(m.depth == 3 for m in items):
+        dropped.add(2)  # C: no new shelf once a cell fits in the current one
+    # B: no new shelf or column once a deeper cell fits without growing the column
+    dropped |= {d for d in (2, 1) if any(m.depth > d and m.x1_curr == node.x1_curr for m in items)}
+    if any(m.depth > 0 for m in items):
+        dropped.add(0)  # A: no new plate once an item cell fits in the current one
+    return dropped
+
+
 class TestCellGenerator:
     """The cell generator, one trial loop over the chain state's cell
-    contents behind a set-up read once per frame, against the generator
-    that tried each candidate item and then each stack in a closure
-    (``conftest.reference_gen_cells``)."""
+    contents behind a set-up read once per frame, against what it must
+    list: every insertion of the scheme (``conftest.unsuppressed_insertions``)
+    less those of the depths that the structural rules close."""
 
     @pytest.fixture(scope="class")
     def nodes(self):
         """The walked nodes of the insertion pins, and walks on stackable
-        items with few defects and with many: 600 instances, on which the
-        cell-swap rule forbids over 1,000 cells."""
+        items with few defects and with many: 600 instances."""
         nodes = walked_nodes(random.Random(2024), 2400)
         for seed in range(600):
             rng = random.Random(seed)
             inst = stackable_instance(rng, dense_defects=seed % 3 == 0)
             for use_symmetry in (False, True):
                 nodes += [(n, inst) for n in random_walk(rng, inst, use_symmetry=use_symmetry)]
-        return nodes
+        return nodes + stackable_walks()
 
-    def test_every_frame_matches_the_reference(self, nodes):
-        """Every open depth's frame at every walked node, under both
-        symmetry flags, emitting and probing: the same insertions in the
-        same order, and the same two facts; each with the order key and the
-        sibling group that its insertion has (``assert_keys_and_groups``)."""
-        seen = {f"depth {d}": 0 for d in range(4)}
-        seen.update({"completing": 0, "two items": 0, "swap-forbidden": 0, "probe fits": 0,
-                     "growth": 0, "no cell": 0})
+    def test_insertion_lists_are_the_unsuppressed_lists_less_the_three_rules(self, nodes):
+        """At every walked node, ``enumerate_insertions`` lists the
+        unsuppressed insertions of the depths that no structural rule drops
+        (``structurally_dropped``), in the same order, as plain insertions
+        and placements.  With symmetry on it omits the cells the cell-swap
+        rule forbids (``TestSymmetryAwareGenerator``)."""
+        seen = {"rule A drops": 0, "rule B drops": 0, "rule C drops": 0, "waste cells": 0,
+                "stacks": 0, "completing": 0, "growth": 0}
         for node, inst in nodes:
-            if node.complete:
-                continue
-            cells = pair_combos(node, inst)
-            cands = candidate_items(node, inst)
-            combos = reference_pair_combos(node, inst, cands)
-            defects, closed = inst.plate_defects(node.bin), _closed_edges(node)
-            for depth in _allowed_depths(node):
-                frame = _frame(node, inst, depth, defects, closed)
-                if frame is None:
-                    continue
-                seen[f"depth {depth}"] += 1
-                results = {}
-                for use_symmetry in (False, True):
-                    for emit in (True, False):
-                        entries, fits, no_growth = _gen_cells(
-                            node, inst, frame, cells, depth, use_symmetry, emit)
-                        # with no closing_max, only completing cells can be marked
-                        assert_keys_and_groups(entries, lambda m: not use_symmetry or (
-                            not m.completes or symmetry_allows(node, m, inst)))
-                        got = ([m for _, _, m in entries], fits, no_growth)
-                        ref = reference_gen_cells(
-                            node, inst, frame, cands, combos, depth, use_symmetry, emit)
-                        assert got == ref
-                        assert [m.kind for m in got[0]] == [m.kind for m in ref[0]]
-                        assert all(type(m) is Insertion and all(
-                            type(pl) is Placement for pl in m.placements) for m in got[0])
-                        results[use_symmetry, emit] = got
-                raw, fits, _ = results[False, True]
-                seen["swap-forbidden"] += len(raw) - len(results[True, True][0])
-                seen["completing"] += sum(m.completes for m in raw)
-                seen["two items"] += sum(len(m.placements) == 2 for m in raw)
-                seen["growth"] += sum(m.x1_curr > node.x1_curr for m in raw if depth >= 2)
-                seen["probe fits"] += fits
-                seen["no cell"] += not fits
+            listed = unsuppressed_insertions(node, inst)
+            dropped = structurally_dropped(node, listed)
+            got = enumerate_insertions(node, inst)
+            assert got == [m for m in listed if m.depth not in dropped]
+            assert all(type(m) is Insertion and all(
+                type(pl) is Placement for pl in m.placements) for m in got)
+            depths = {m.depth for m in listed} & dropped
+            seen["rule A drops"] += 0 in depths
+            seen["rule B drops"] += 1 in depths
+            seen["rule C drops"] += 2 in depths
+            seen["waste cells"] += sum(not m.placements for m in got)
+            seen["stacks"] += sum(len(m.placements) == 2 for m in got)
+            seen["completing"] += sum(m.completes for m in got)
+            seen["growth"] += sum(m.depth >= 2 and m.x1_curr > node.x1_curr for m in got)
         assert min(seen.values()) >= 1000, seen
-
-    def test_insertion_lists_match_the_per_depth_reference(self, nodes):
-        """``enumerate_insertions``, which reads the plate's defects and the
-        closed shelves' edges once per node, skips the waste cell on plates
-        without defects and sorts only lists of two or more, against the
-        loop that built each depth's frame from the node alone
-        (``conftest.reference_enumerate_insertions``): the same plain
-        insertions in the same order, under both symmetry flags, and the
-        same frames.  On the walked nodes of both insertion pins and on
-        the walks with dense defects."""
-        seen = {"closing edge": 0, "closed edges": 0, "waste cell": 0, "at most one": 0}
-        for node, inst in nodes + stackable_walks():
-            defects, closed = inst.plate_defects(node.bin), _closed_edges(node)
-            for depth in _allowed_depths(node):
-                frame = None if node.complete else _frame(node, inst, depth, defects, closed)
-                assert frame == (None if node.complete else reference_frame(node, inst, depth))
-                if frame is not None and depth < 3 and node.cell_min_item is not None:
-                    seen["closing edge"] += 1
-                    seen["closed edges"] += bool(closed)
-            for use_symmetry in (False, True):
-                got = enumerate_insertions(node, inst, use_symmetry)
-                ref = reference_enumerate_insertions(node, inst, use_symmetry)
-                assert got == ref
-                assert [m.kind for m in got] == [m.kind for m in ref]
-                assert all(type(m) is Insertion and all(
-                    type(pl) is Placement for pl in m.placements) for m in got)
-                seen["waste cell"] += sum(not m.placements for m in got)
-                seen["at most one"] += len(got) <= 1
-        assert min(seen.values()) >= 100, seen
 
     def test_an_item_shelf_never_ends_in_a_sliver_below_the_top(self, nodes):
         """The shelf of a node ends at the plate's top or at least
@@ -1302,7 +1279,7 @@ class TestCellGenerator:
         sliver when it closes the column.  On the walked nodes of both
         insertion pins and on the walks with dense defects."""
         seen = {"at the top": 0, "within 3 min_waste of it": 0, "lower": 0}
-        for node, inst in nodes + stackable_walks():
+        for node, inst in nodes:
             if node.shelf_min_item is None:
                 continue
             gap, min_waste = inst.params.plate_height - node.y2_curr, inst.params.min_waste
@@ -1310,55 +1287,6 @@ class TestCellGenerator:
             seen["at the top" if gap == 0 else
                  "within 3 min_waste of it" if gap <= 3 * min_waste else "lower"] += 1
         assert min(seen.values()) >= 5 and seen["lower"] >= 1000, seen
-
-    def test_growth_cuts_match_the_reference_loop(self, nodes):
-        """The closing checks against the predicates they replaced, at every
-        walked node with defects, for x1 at and around every defect edge
-        from x1_curr to the plate's width: the growth cuts past x1_curr
-        (``_grow_max``) against the loop over the closed shelves
-        (``conftest.reference_growth_cuts_ok``); the current shelf's own
-        cuts, as a predicate and as a depth-2 frame's bound
-        (``_shelf_cuts_max``), against its strip cut and top cut; the whole
-        check (``_shelf_closes``) against ``reference_shelf_closes_ok``,
-        which skipped an all-waste shelf's top cut; and the cuts of a
-        completing cell that ends at x3_curr, with the column's 1-cut,
-        against ``reference_closing_cuts_ok``."""
-        seen = {"closes": 0, "growth refused": 0, "strip refused": 0, "top refused": 0,
-                "all-waste shelf": 0, "completing refused": 0}
-        for node, inst in nodes:
-            defects = inst.plate_defects(node.bin)
-            if node.complete or not defects:
-                continue
-            p = inst.params
-            W, H = p.plate_width, p.plate_height
-            x1_prev, y0, y1 = node.x1_prev, node.y2_prev, node.y2_curr
-            x_last = node.x3_curr if node.cell_min_item is not None else None
-            widest = _shelf_cuts_max(defects, x1_prev, x_last, y0, y1, W)
-            xs = {node.x1_curr, node.x1_curr + 1, W}
-            for d in defects:
-                xs.update((d.x - 1, d.x, d.x + 1, d.x + d.width))
-            for x1 in sorted(x for x in xs if node.x1_curr <= x <= W):
-                grows = x1 == node.x1_curr or x1 <= _grow_max(node, defects, x1)
-                assert grows == reference_growth_cuts_ok(node, x1, defects)
-                strip = reference_close_shelf_cut_ok(node, x1, defects)
-                top = _hcut_ok(defects, y1, x1_prev, x1)
-                own = x1 <= _shelf_cuts_max(defects, x1_prev, x_last, y0, y1, x1)
-                assert own == (x1 <= widest) == (strip and top)
-                ok = _shelf_closes(node, x1, defects)
-                ref = reference_shelf_closes_ok(node, x1, defects)
-                if node.shelf_min_item is None:
-                    assert ok == (ref and top)
-                    seen["all-waste shelf"] += 1
-                else:
-                    assert ok == ref
-                seen["closes" if ok else "growth refused" if not grows else
-                     "strip refused" if not strip else "top refused"] += 1
-                if x_last is not None:
-                    completes = own and (x1 == W or _vcut_ok(defects, x1, 0, H))
-                    assert completes == reference_closing_cuts_ok(
-                        defects, p, x_last, x1, x1_prev, y0, y1)
-                    seen["completing refused"] += not completes
-        assert min(seen.values()) >= 100, seen
 
 
 class TestStatesWithoutItems:

@@ -501,6 +501,20 @@ class TestIterativeBeamSearch:
         assert (res.outcome, res.iterations, res.final_capacity) == ("timeout", 0, 2)
         assert (res.nodes_expanded > 0) is (checks_passed > 0)
 
+    @pytest.mark.parametrize("checks_passed", [5, 20])
+    def test_the_deadline_is_read_before_each_expansion(self, monkeypatch, checks_passed):
+        """A level of a wide beam does not run to its end past the
+        deadline: each expansion reads the clock first, as the best-first
+        loop does, so a search allowed N readings expands at most N
+        nodes."""
+        checks = iter([False] * checks_passed)
+        monkeypatch.setattr(search._Clock, "expired", lambda self: next(checks, True))
+        inst = midsize_instance(40, 6, seed=77)
+        res = iterative_beam_search(
+            root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, 60.0, Incumbent(), width_init=64)
+        assert res.outcome == "timeout"
+        assert 0 < res.nodes_expanded <= checks_passed
+
     def test_node_cap_ends_the_widening_with_memory(self):
         inst = midsize_instance(40, 6, seed=77)
         inc = Incumbent()
@@ -541,6 +555,32 @@ class TestIterativeBeamSearch:
         # nodes of one depth, where building every kept child made 88 and
         # keeping every child of a level made 273
         assert peak[0] <= 2 * width
+
+
+def test_iterations_count_the_passes_that_ran_to_their_end(monkeypatch):
+    """In restarting MBA* as in IBS, ``iterations`` counts the passes that
+    ended, not the one the deadline cut: the capacities or widths of the
+    schedule before ``final_capacity``, that of the cut pass."""
+    inst = midsize_instance(40, 6, seed=77)
+    searches = {
+        "restarting MBA*": (partial(restarting_mba_star, growth="1.5"),
+                            partial(next_capacity, growth=Fraction("1.5"))),
+        "IBS": (iterative_beam_search, lambda width: 2 * width),
+    }
+    most = dict.fromkeys(searches, 0)
+    for checks_passed in (30, 150, 400):
+        for name, (run, grow) in searches.items():
+            checks = iter([False] * checks_passed)
+            monkeypatch.setattr(search._Clock, "expired", lambda self: next(checks, True))
+            res = run(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, time_limit=60.0,
+                      incumbent=Incumbent())
+            schedule = [2]
+            while schedule[-1] < res.final_capacity:
+                schedule.append(grow(schedule[-1]))
+            assert res.outcome == "timeout" and schedule[-1] == res.final_capacity, name
+            assert res.iterations == len(schedule) - 1, (name, checks_passed)
+            most[name] = max(most[name], res.iterations)
+    assert min(most.values()) >= 2, most
 
 
 class TestDpaStar:

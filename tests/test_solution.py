@@ -1,13 +1,11 @@
 """Cut-tree materialization and the waste objective."""
 
-import io
 import random
 
 import pytest
 
 from glasscut import solution
 from glasscut.branching import InsertionKind, children
-from glasscut.fileio import write_solution
 from glasscut.model import Defect, Params, SolutionError, root_node
 from glasscut.solution import (
     SolutionTree,
@@ -19,10 +17,7 @@ from glasscut.solution import (
 )
 from glasscut.validator import objective_of, validate
 
-from conftest import (
-    dfs_best_leaf, make_instance, random_small_instance, random_walk,
-    reference_build_solution_tree,
-)
+from conftest import dfs_best_leaf, make_instance, random_small_instance, random_walk
 
 
 def solve_exhaustively(inst):
@@ -203,55 +198,48 @@ class TestObjective:
             objective_of(inst, SolutionTree(rows))
 
 
-def _csv(tree):
-    buf = io.StringIO()
-    write_solution(tree, buf)
-    return buf.getvalue()
+def assert_builder_contract(leaf, inst, label):
+    """The cut tree of a complete leaf validates, its objective is the
+    leaf's waste, and ``_normalize`` left nothing to clean up: no branch
+    but a plate's root has a single child that is a leaf, and no two
+    adjacent siblings are waste leaves."""
+    tree = build_solution_tree(leaf, inst)
+    report = validate(inst, tree)
+    assert report.ok, f"{label}: {report}"
+    assert objective_of(inst, tree) == leaf.waste, label
+    for node in tree.nodes:
+        kids = tree.children_of[node.node_id]
+        if node.parent_id is not None and len(kids) == 1:
+            assert tree.children_of[kids[0].node_id], f"{label}: node {node.node_id}"
+        for a, b in zip(kids, kids[1:]):
+            assert not a.type == b.type == TYPE_WASTE, f"{label}: nodes {a.node_id}, {b.node_id}"
 
 
-class TestBuilderMatchesReference:
-    """The builder drafts each piece from the leaf's insertions; the
-    reference (conftest) first copied them into columns, shelves and cells.
-    Both must write the same CSV, byte for byte."""
-
-    # walk draws whose plate roots have two adjacent full-height waste
-    # pieces, which _normalize fuses
-    FUSING_DRAWS = (198, 475, 504)
-
-    def _assert_same(self, leaf, inst, label):
-        assert _csv(build_solution_tree(leaf, inst)) == _csv(
-            reference_build_solution_tree(leaf, inst)
-        ), label
+class TestBuilderContract:
+    """Every tree the builder drafts from a leaf's insertions keeps the
+    contract of ``assert_builder_contract``."""
 
     def test_walked_leaves_including_fused_waste(self, monkeypatch):
-        # one rng draws each instance and then walks it to a leaf; the spy
-        # notes a plate root whose children _normalize fused
-        depth, root_fused = [0], [False]
+        """The complete leaves of random walks on 600 draws, on a few of
+        which ``_normalize`` fuses adjacent waste pieces."""
+        fused = [0]
         normalize = solution._normalize
 
         def spy(node):
-            depth[0] += 1
             before = len(node.kids)
             normalize(node)
-            depth[0] -= 1
-            if depth[0] == 0 and len(node.kids) < before:
-                root_fused[0] = True
+            fused[0] += len(node.kids) < before
 
         monkeypatch.setattr(solution, "_normalize", spy)
         rng = random.Random(3)
-        fusing, leaves = [], 0
+        leaves = 0
         for draw in range(600):
             inst = random_small_instance(rng, max_items=6)
             path = random_walk(rng, inst, use_symmetry=False, use_dominance=False)
-            if not path[-1].complete:
-                continue
-            leaves += 1
-            root_fused[0] = False
-            self._assert_same(path[-1], inst, f"draw {draw}")
-            if root_fused[0]:
-                fusing.append(draw)
-        assert leaves == 527
-        assert tuple(fusing) == self.FUSING_DRAWS
+            if path[-1].complete:
+                leaves += 1
+                assert_builder_contract(path[-1], inst, f"draw {draw}")
+        assert leaves >= 500 and fused[0] >= 1, (leaves, fused[0])
 
     def test_solver_leaves(self, rng):
         for inst in (
@@ -261,12 +249,12 @@ class TestBuilderMatchesReference:
             make_instance([(300, 200)]),
             make_instance([(300, 200), (250, 300), (100, 80)], chains=[[0, 1], [2]]),
         ):
-            self._assert_same(solve_exhaustively(inst), inst, "fixed instance")
+            assert_builder_contract(solve_exhaustively(inst), inst, "fixed instance")
         five = TestFiveConfigurations()
         inst = five._instance()
-        self._assert_same(five._solve(inst), inst, "five configurations")
+        assert_builder_contract(five._solve(inst), inst, "five configurations")
         for draw in range(60):
             inst = random_small_instance(rng)
             leaf = dfs_best_leaf(inst)
             if leaf is not None:
-                self._assert_same(leaf, inst, f"draw {draw}")
+                assert_builder_contract(leaf, inst, f"draw {draw}")
