@@ -23,7 +23,9 @@ SOLUTION_HEADER = "PLATE_ID;NODE_ID;X;Y;WIDTH;HEIGHT;TYPE;CUT;PARENT"
 PathOrFile = Union[str, os.PathLike, TextIO]
 
 
-def _read_lines(src: PathOrFile) -> list[str]:
+def _read_lines(src: PathOrFile) -> list[tuple[int, str]]:
+    """The lines of ``src`` that are not blank, each with its line number
+    in the file, from 1, so that an error cites the line a reader sees."""
     try:
         if hasattr(src, "read"):
             text = src.read()
@@ -34,7 +36,8 @@ def _read_lines(src: PathOrFile) -> list[str]:
         raise ParseError(f"PARSE {getattr(src, 'name', src)} is not UTF-8 text") from None
     if text.startswith("\ufeff"):  # a byte-order mark, as spreadsheet exports write
         text = text[1:]
-    return [ln.rstrip("\r") for ln in text.split("\n") if ln.strip("\r").strip()]
+    return [(line_no, ln.rstrip("\r")) for line_no, ln in enumerate(text.split("\n"), start=1)
+            if ln.strip("\r").strip()]
 
 
 def _open_out(dst: PathOrFile):
@@ -54,10 +57,10 @@ def parse_batch(src: PathOrFile) -> list[Item]:
     """Items from a ``*_batch.csv`` file; LENGTH is the item height, WIDTH
     its width, STACK the chain and SEQUENCE its rank within the chain."""
     lines = _read_lines(src)
-    if not lines or lines[0].split(";")[:5] != BATCH_HEADER.split(";"):
+    if not lines or lines[0][1].split(";")[:5] != BATCH_HEADER.split(";"):
         raise ParseError("PARSE missing or wrong batch header")
     items: list[Item] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(";")
         if len(parts) != 5:
             raise ParseError(f"PARSE line {line_no}: expected 5 fields, got {len(parts)}")
@@ -78,10 +81,10 @@ def parse_defects(src: PathOrFile, params: Params) -> dict[int, tuple[Defect, ..
     so a rounded defect never under-covers the true one.  Overlapping
     defects are kept: ``Instance`` rejects them."""
     lines = _read_lines(src)
-    if not lines or lines[0].split(";")[:6] != DEFECTS_HEADER.split(";"):
+    if not lines or lines[0][1].split(";")[:6] != DEFECTS_HEADER.split(";"):
         raise ParseError("PARSE missing or wrong defects header")
     per_plate: dict[int, list[Defect]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(";")
         if len(parts) != 6:
             raise ParseError(f"PARSE line {line_no}: expected 6 fields, got {len(parts)}")
@@ -135,10 +138,10 @@ def write_solution(tree: SolutionTree, dst: PathOrFile) -> None:
 def read_solution(src: PathOrFile) -> SolutionTree:
     """Inverse of :func:`write_solution`."""
     lines = _read_lines(src)
-    if not lines or lines[0].split(";")[:9] != SOLUTION_HEADER.split(";"):
+    if not lines or lines[0][1].split(";")[:9] != SOLUTION_HEADER.split(";"):
         raise ParseError("PARSE missing or wrong solution header")
     nodes: list[TreeNode] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(";")
         if len(parts) != 9:
             raise ParseError(f"PARSE line {line_no}: expected 9 fields, got {len(parts)}")

@@ -10,7 +10,7 @@ wastes less than the floor and this pruning is exact too.  A child's waste,
 guide key and items packed follow from its parent and its insertion, so an
 open child stays a (waste, parent, insertion) entry.  A ``Node`` is built
 only for a node the search expands and for a complete child that improves
-the incumbent.  One best-first loop (``_best_first``) runs three searches:
+the incumbent.  One best-first loop (``_best_first``) runs every search:
 
 * ``astar`` expands the best open node until none is left;
 * ``mba_star`` also discards the *worst* open nodes beyond a capacity D,
@@ -18,12 +18,14 @@ the incumbent.  One best-first loop (``_best_first``) runs three searches:
   unbounded D is plain A*;
 * ``dpa_star``, for at most two chains, is waste-guided A* whose admission
   hook, a ``DominanceStore``, keeps the non-dominated fronts seen so far per
-  (chain-1 consumed, chain-2 consumed) state and rejects dominated children.
+  (chain-1 consumed, chain-2 consumed) state and rejects dominated children;
+* a pass of ``iterative_beam_search`` expands a ``_Beam``: the level being
+  expanded, best first, and a ``Fringe`` of the best D children of the next.
 
-``restarting_mba_star`` reruns MBA* with geometrically growing D; an
-iteration that never discarded anything and still emptied its fringe is a
-proof of optimality within the scheme, so the loop stops.
-``iterative_beam_search`` is the width-doubling level-synchronous baseline.
+One restart loop (``_restarts``) reruns MBA* with geometrically growing D
+(``restarting_mba_star``) and the beam with doubling D; a pass that never
+discarded anything and still emptied its open list is a proof of
+optimality within the scheme, so the loop stops.
 ``portfolio_solve`` prepares the chosen algorithm as searches that take only
 a time limit and an incumbent, one restarting MBA* per portfolio entry, and
 one runner runs a single search in-process and several as worker processes
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from bisect import bisect_left, insort
-from heapq import heappop, heappush, nsmallest
-from operator import itemgetter
+from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
 from . import branching
@@ -134,8 +135,9 @@ class SearchResult:
       node; a restarting search that ends at the deadline or the node cap
       reports True.
     * ``iterations``: the passes of a restarting search that ran to their
-      end; a pass that the deadline cut is not counted.  0 for the searches
-      that make one pass.
+      end; a pass that the deadline cut is not counted, and a root that is
+      already complete counts as one pass.  0 for the searches that make
+      one pass.
     * ``final_capacity``: the fringe capacity (MBA*) or beam width (IBS)
       of the last pass: the one that ended the search or that the deadline
       cut, or the one that the node cap or the deadline kept from
@@ -257,6 +259,28 @@ class Fringe:
             self._lasts.pop()
         self._len -= 1
         return entry[-1]
+
+
+class _Beam(Fringe):
+    """Open list of a beam pass: a ``Fringe`` of the best ``width``
+    children of the next level, kept by ``push_within`` in (guide, -items
+    packed, age) order, so ties keep their generation order, and the level
+    being expanded, best first, which ``pop_best`` pops.  The ``Fringe``
+    becomes the level once the level is empty."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._level: list[tuple] = []  # worst first: the best pops off its end
+
+    def __len__(self) -> int:
+        return self._len + len(self._level)
+
+    def pop_best(self) -> OpenChild:
+        level = self._level
+        if not level:
+            level = self._level = self.entries()[::-1]
+            super().__init__()  # the next level starts empty
+        return level.pop()[-1]
 
 
 class _MinHeap(list):
@@ -382,26 +406,34 @@ def _best_first(
     node_cap: Optional[int] = None,
     admit: Optional[Callable[[tuple, tuple, tuple], bool]] = None,
     started: Optional[float] = None,
+    beam: bool = False,
 ) -> SearchResult:
-    """The best-first loop of A*, MBA* and DPA*: expand the open node of
+    """The best-first loop of every search: expand the open node of
     smallest (guide, -items packed, age) key until none is left.  With a
     ``capacity`` only the best ``capacity`` open nodes are kept: a child
     that a full fringe would discard at once is never pushed
-    (``Fringe.push_within``).  Without one the open nodes are a plain
+    (``Fringe.push_within``); a ``beam`` keeps the best ``capacity`` of
+    each level instead (``_Beam``).  Without one the open nodes are a plain
     min-heap, and the search ends with "memory" once more than ``node_cap``
-    are open.
-    Only a search with a ``capacity`` uses the child memo: MBA* is restarted
-    from the same root, while DPA*'s store already rejects every front it
-    meets again.  Open nodes are children not built yet; a popped one is
-    built only when the bound does not prune it.  Under the waste guide the popped key is
-    the node's waste, so the first node the bound prunes ends the search:
-    the bound prunes every open node."""
+    (by default a share of the available memory) are open.
+    Only a search with a ``capacity`` uses the child memo, fitted to it:
+    MBA* and the beam are restarted from the same root, while DPA*'s store
+    already rejects every front it meets again.  Open nodes are children
+    not built yet; a popped one is built only when the bound does not
+    prune it.  Under the waste guide the popped key is the node's waste, so
+    the first node the bound prunes ends the search: the bound prunes every
+    open node.  Not in a beam: its next level may hold cheaper nodes."""
     clock = _Clock(time_limit, started)
     if root.complete:
         incumbent.offer(root, clock.elapsed())
         return SearchResult("exhausted", 0)
-    # a capped fringe never holds more than its capacity
-    fringe, open_max = (_MinHeap(), node_cap) if capacity is None else (Fringe(), capacity)
+    if capacity is None:
+        fringe = _MinHeap()
+        node_cap = node_cap if node_cap is not None else _default_node_cap()
+    else:
+        fringe = _Beam() if beam else Fringe()
+        branching.fit_child_memo(instance, capacity)
+    stop_at_pruned = guide is _WASTE and not beam
     push_within, pop_best, bound = fringe.push_within, fringe.pop_best, incumbent.bound
     expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
                               admit, memoize=capacity is not None)
@@ -414,7 +446,7 @@ def _best_first(
         child = pop_best()
         best = bound()
         if best is not None and child[0] >= best:  # child[0]: its waste
-            if guide is _WASTE:
+            if stop_at_pruned:
                 break
             continue
         node = build(child)
@@ -422,7 +454,8 @@ def _best_first(
         for entry in expand(node):
             if push_within(capacity, entry):
                 discarded = True
-        if len(fringe) > open_max:
+        # a capped fringe never holds more than its capacity
+        if capacity is None and len(fringe) > node_cap:
             return SearchResult("memory", expanded)
     return SearchResult("exhausted", expanded, discarded)
 
@@ -439,10 +472,8 @@ def astar(
 ) -> SearchResult:
     """Plain best-first search; reports "memory" once more than ``node_cap``
     nodes are open (by default a share of the available memory)."""
-    cap = node_cap if node_cap is not None else _default_node_cap()
-    return _best_first(
-        root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance, node_cap=cap,
-    )
+    return _best_first(root, instance, guide, time_limit, incumbent, use_symmetry,
+                       use_dominance, node_cap=node_cap)
 
 
 def mba_star(
@@ -463,7 +494,6 @@ def mba_star(
     The child memo is first fitted to ``capacity``."""
     if capacity < 1:
         raise ValueError("fringe capacity must be at least 1")
-    branching.fit_child_memo(instance, capacity)
     return _best_first(
         root, instance, guide, time_limit, incumbent, use_symmetry, use_dominance,
         capacity=capacity, started=started,
@@ -473,6 +503,32 @@ def mba_star(
 def next_capacity(capacity: int, growth: Fraction) -> int:
     """Strictly growing restart schedule, even for factors just above 1."""
     return max(capacity + 1, math.ceil(capacity * growth))
+
+
+def _restarts(run_pass: Callable[..., SearchResult], capacity: int, grow: Callable[[int], int],
+              completed: str, time_limit: float, node_cap: Optional[int]) -> SearchResult:
+    """The restart loop of MBA* and IBS: passes ``run_pass(capacity=,
+    time_limit=, started=)`` at ``capacity``, ``grow(capacity)``, ... on the
+    time left, until one ends without a discard (outcome ``completed``),
+    the deadline, or a capacity above ``node_cap`` (by default a share of
+    the available memory), with outcome "memory"."""
+    clock = _Clock(time_limit)
+    cap = node_cap if node_cap is not None else _default_node_cap()
+    expanded = 0
+    iterations = 0
+    while not clock.expired():
+        if capacity > cap:
+            return SearchResult("memory", expanded, True, iterations, capacity)
+        res = run_pass(capacity=capacity, time_limit=clock.deadline - time.monotonic(),
+                       started=clock.start)
+        expanded += res.nodes_expanded
+        if res.outcome == "timeout":
+            return SearchResult("timeout", expanded, True, iterations, capacity)
+        iterations += 1
+        if not res.discarded_any:
+            return SearchResult(completed, expanded, False, iterations, capacity)
+        capacity = grow(capacity)
+    return SearchResult("timeout", expanded, True, iterations, capacity)
 
 
 def restarting_mba_star(
@@ -499,34 +555,14 @@ def restarting_mba_star(
     growth = Fraction(str(growth)) if not isinstance(growth, Fraction) else growth
     if growth <= 1:
         raise ValueError("growth factor must exceed 1")
-    clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap()
-    capacity = capacity_init
-    expanded = 0
-    iterations = 0
-    while not clock.expired():
-        if capacity > cap:
-            return SearchResult("memory", expanded, True, iterations, capacity)
+
+    def run_pass(**pass_args) -> SearchResult:
         # called through the module, where a tracer can count the restarts
-        res = mba_star(
-            root,
-            instance,
-            guide,
-            capacity,
-            clock.deadline - time.monotonic(),
-            incumbent,
-            use_symmetry=use_symmetry,
-            use_dominance=use_dominance,
-            started=clock.start,
-        )
-        expanded += res.nodes_expanded
-        if res.outcome == "timeout":
-            return SearchResult("timeout", expanded, True, iterations, capacity)
-        iterations += 1
-        if not res.discarded_any:
-            return SearchResult("proved", expanded, False, iterations, capacity)
-        capacity = next_capacity(capacity, growth)
-    return SearchResult("timeout", expanded, True, iterations, capacity)
+        return mba_star(root, instance, guide, incumbent=incumbent, use_symmetry=use_symmetry,
+                        use_dominance=use_dominance, **pass_args)
+
+    return _restarts(run_pass, capacity_init, partial(next_capacity, growth=growth), "proved",
+                     time_limit, node_cap)
 
 
 def iterative_beam_search(
@@ -544,58 +580,15 @@ def iterative_beam_search(
     or, with outcome "memory", until the width would exceed ``node_cap``.
 
     Each level keeps the best ``width`` children of the level before it,
-    selected while they are generated: at most ``width + 1`` of a level's
-    children are held at once, plus those of the node being expanded.  A
-    kept child is built when it is expanded."""
+    selected while they are generated (``_Beam``): at most ``width + 1`` of
+    a level's children are held at once, plus those of the node being
+    expanded.  A kept child is built when it is expanded."""
     if width_init < 1:
         raise ValueError("beam width must be at least 1")
-    clock = _Clock(time_limit)
-    cap = node_cap if node_cap is not None else _default_node_cap()
-    width = width_init
-    expanded = 0
-    iterations = 0
-    if root.complete:
-        incumbent.offer(root, clock.elapsed())
-        return SearchResult("exhausted", 0)
-    expand, build = _expander(instance, incumbent, clock, guide, use_symmetry, use_dominance,
-                              None, memoize=True)
-
-    timed_out = False
-
-    def level_children(level: list[OpenChild]):
-        nonlocal expanded, timed_out
-        for child in level:
-            if clock.expired():  # before each expansion, as in _best_first
-                timed_out = True
-                return
-            bound = incumbent.bound()  # read anew: expanding a node may improve it
-            if bound is not None and child[0] >= bound:
-                continue
-            expanded += 1
-            yield from expand(build(child))
-
-    while not clock.expired():
-        if width > cap:
-            return SearchResult("memory", expanded, True, iterations, width)
-        branching.fit_child_memo(instance, width)
-        level = [(root.waste, root, None)]
-        truncated = False
-        while level:
-            # as sorted(...)[:width + 1] on (guide, -items packed), ties in
-            # generation order, but holding at most width + 1 children; the
-            # extra one marks a truncated level
-            best = nsmallest(width + 1, level_children(level), key=itemgetter(0, 1))
-            if timed_out:
-                return SearchResult("timeout", expanded, True, iterations, width)
-            if len(best) > width:
-                truncated = True
-                best.pop()
-            level = [child for _, _, _, child in best]
-        iterations += 1
-        if not truncated:
-            return SearchResult("exhausted", expanded, False, iterations, width)
-        width *= 2
-    return SearchResult("timeout", expanded, True, iterations, width)
+    run_pass = partial(_best_first, root, instance, guide, incumbent=incumbent,
+                       use_symmetry=use_symmetry, use_dominance=use_dominance, beam=True)
+    return _restarts(run_pass, width_init, lambda width: 2 * width, "exhausted", time_limit,
+                     node_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +638,11 @@ def dpa_star(
     off leaves the result closer to the scheme optimum."""
     if len(instance.chains) > 2:
         raise ChainCountError("CHAIN_COUNT DPA* handles at most two chains")
-    cap = node_cap if node_cap is not None else _default_node_cap()
     store = DominanceStore()
     store.admit(root.counts, _allowed_depths(root), root.front_key())
     return _best_first(
         root, instance, _WASTE, time_limit, incumbent, use_symmetry=False, use_dominance=True,
-        node_cap=cap, admit=store.admit,
+        node_cap=node_cap, admit=store.admit,
     )
 
 

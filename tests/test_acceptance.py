@@ -20,7 +20,6 @@ from glasscut.model import Defect, GuideKind, Params, root_node
 from glasscut.search import (
     Incumbent,
     dpa_star,
-    guide_value,
     mba_star,
     portfolio_solve,
     restarting_mba_star,

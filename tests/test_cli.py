@@ -12,7 +12,6 @@ from glasscut import cli
 from glasscut.branching import child_memo
 from glasscut.cli import build_parser, main
 from glasscut.fileio import read_solution
-from glasscut.validator import validate
 
 BATCH = """ITEM_ID;LENGTH;WIDTH;STACK;SEQUENCE
 0;2000;1500;0;1

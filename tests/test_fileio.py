@@ -22,7 +22,7 @@ from glasscut.solution import (
     build_solution_tree,
 )
 
-from conftest import dfs_best_leaf, make_instance, random_small_instance
+from conftest import dfs_best_leaf, random_small_instance
 
 
 def batch_text(rows):
@@ -147,6 +147,22 @@ class TestBadRows:
          "0;1;3000;0;3000;3210;-3;1;0\n", "PARSE node ids must increase (node 1)"),
     ])
     def test_the_error_names_the_fault(self, parse, text, message):
+        args = (Params(),) if parse is parse_defects else ()
+        with pytest.raises(ParseError) as exc:
+            parse(io.StringIO(text), *args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_batch, "ITEM_ID;LENGTH;WIDTH;STACK;SEQUENCE\n\n0;100;100;0;1\n\n1;abc;100;0;2\n",
+         "PARSE line 5: LENGTH 'abc' is not an integer"),
+        (parse_defects, "DEFECT_ID;PLATE_ID;X;Y;WIDTH;HEIGHT\r\n\r\n  \r\n0;0;10;10;5\r\n",
+         "PARSE line 4: expected 6 fields, got 5"),
+        (read_solution, "\n" + SOLUTION_HEADER + "\n0;0;0;0;6000;3210;-2;0;\n0;1;0;0;6000;3210\n",
+         "PARSE line 5: expected 9 fields, got 6"),
+    ], ids=["batch", "defects", "solution"])
+    def test_the_error_cites_the_line_of_the_file(self, parse, text, message):
+        """Blank lines are skipped but still counted, so the line an error
+        names is the one an editor shows."""
         args = (Params(),) if parse is parse_defects else ()
         with pytest.raises(ParseError) as exc:
             parse(io.StringIO(text), *args)

@@ -41,7 +41,6 @@ from glasscut.search import (
 
 from conftest import (
     ReferenceDominanceStore,
-    dfs_best_leaf,
     dfs_min_waste,
     expansion_trace,
     front_order_bits,
@@ -581,6 +580,59 @@ def test_iterations_count_the_passes_that_ran_to_their_end(monkeypatch):
             assert res.iterations == len(schedule) - 1, (name, checks_passed)
             most[name] = max(most[name], res.iterations)
     assert min(most.values()) >= 2, most
+
+
+@pytest.mark.parametrize("run, grow", [
+    (partial(restarting_mba_star, growth="1.5"), partial(next_capacity, growth=Fraction("1.5"))),
+    (iterative_beam_search, lambda width: 2 * width),
+], ids=["restarting MBA*", "IBS"])
+def test_the_deadline_seen_between_passes_ends_the_restarts(monkeypatch, run, grow):
+    """Two passes run to their end and the deadline is seen at the head of
+    the restart loop: a timeout that counts both passes and their nodes,
+    with the size of the pass that did not start."""
+    passes = []
+    best_first = search._best_first
+
+    def counted_pass(*args, **kwargs):
+        passes.append(best_first(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(search, "_best_first", counted_pass)
+    expired = search._Clock.expired  # the real deadline still ends a search that never stops
+    monkeypatch.setattr(search._Clock, "expired", lambda self: len(passes) >= 2 or expired(self))
+    inst = midsize_instance(40, 6, seed=77)
+    res = run(root_node(inst), inst, GuideKind.WASTE_PERCENTAGE, time_limit=20.0,
+              incumbent=Incumbent())
+    assert len(passes) == 2 and all(p.discarded_any for p in passes)
+    assert res == SearchResult("timeout", sum(p.nodes_expanded for p in passes), True, 2,
+                               grow(grow(2)))
+
+
+def test_every_search_packs_an_instance_without_items():
+    """The root of an instance without items is complete: every search
+    offers it, with waste 0, and expands nothing; each restarting search
+    counts it as one pass at its first size."""
+    inst = make_instance([])
+    root, guide = root_node(inst), GuideKind.WASTE_PERCENTAGE
+    runs = {
+        "A*": partial(astar, root, inst, guide, 10.0),
+        "MBA*": partial(mba_star, root, inst, guide, 2, 10.0),
+        "DPA*": partial(dpa_star, root, inst, 10.0),
+        "restarting MBA*": partial(restarting_mba_star, root, inst, guide, "1.5", 10.0),
+        "IBS": partial(iterative_beam_search, root, inst, guide, 10.0),
+    }
+    results = {}
+    for name, run in runs.items():
+        incumbent = Incumbent()
+        results[name] = run(incumbent)
+        assert incumbent.waste == 0 and incumbent.leaf is root, name
+    assert results == {
+        "A*": SearchResult("exhausted", 0, False, 0, None),
+        "MBA*": SearchResult("exhausted", 0, False, 0, None),
+        "DPA*": SearchResult("exhausted", 0, False, 0, None),
+        "restarting MBA*": SearchResult("proved", 0, False, 1, 2),
+        "IBS": SearchResult("exhausted", 0, False, 1, 2),
+    }
 
 
 class TestDpaStar:
